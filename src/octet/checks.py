@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
 from . import f2geom, lattices, qseries, tableaux, weil
 from .f2geom import VectorType
 
@@ -312,7 +310,7 @@ def lattice_suite(cfg: RunConfig) -> list[CheckReport]:
     reports.append(_check("lattice.reflection_identities",
                           {k: True for k in sorted(refl)},
                           {k: refl[k] for k in sorted(refl)}, "published"))
-    family = reflection_family_check()
+    family = lattices.reflection_family_check()
     reports.append(_check("lattice.reflection_family", True, family, "derived"))
     scan = lattices.minus4_vector_scan(cfg.box_bound)
     reports.append(_check(
@@ -331,95 +329,6 @@ def lattice_suite(cfg: RunConfig) -> list[CheckReport]:
     reports.append(_check("lattice.reflection_plane_complement", True, comp["ok"],
                           "published"))
     return reports
-
-
-def reflection_family_check(bound: int = 1) -> bool:
-    """Reflection identities for every norm -2 vector in a coordinate box.
-
-    All matrix identities are verified vectorized for every vector at once;
-    the induced action on the 64 quotient classes is compared against the
-    transvection formula in class coordinates for every vector, and against
-    the full permutation table for a deterministic subsample.  The per-block
-    scans of the norm correspondence extend the same identities to the
-    default bound-3 box.
-    """
-    gram = lattices.lattice_N().gram
-    rng = np.arange(-bound, bound + 1)
-    grids = np.meshgrid(*([rng] * 12), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-    norms = np.einsum("ij,jk,ik->i", pts, gram, pts)
-    vecs = pts[norms == -2]
-    rho = lattices.order_four_isometry()
-    eye = np.eye(12, dtype=np.int64)
-    # the paired reflection equals the composition of the two point reflections
-    rr = vecs @ rho.T
-    gr = vecs @ gram.T
-    grr = rr @ gram.T
-    cross = np.einsum("ij,ij->i", vecs, grr)
-    if cross.any():
-        return False
-    pair = (eye[None, :, :]
-            + np.einsum("ai,aj->aij", vecs, gr)
-            + np.einsum("ai,aj->aij", rr, grr))
-    s_r = eye[None, :, :] + np.einsum("ai,aj->aij", vecs, gr)
-    s_rr = eye[None, :, :] + np.einsum("ai,aj->aij", rr, grr)
-    composed = np.einsum("aij,ajk->aik", s_r, s_rr)
-    if not np.array_equal(pair, composed):
-        return False
-    # quarter-turn reflections stay integral and are isometries of order 4
-    doubled = (2 * eye[None, :, :]
-               + np.einsum("ai,aj->aij", vecs - rr, gr)
-               + np.einsum("ai,aj->aij", vecs + rr, grr))
-    if (doubled % 2).any():
-        return False
-    quarter = doubled // 2
-    gq = np.einsum("aji,jk,akl->ail", quarter, gram, quarter)
-    if not (gq == gram[None, :, :]).all():
-        return False
-    sq = np.einsum("aij,ajk->aik", quarter, quarter)
-    fourth = np.einsum("aij,ajk->aik", sq, sq)
-    if not (fourth == eye[None, :, :]).all() or (sq == eye[None, :, :]).all(axis=(1, 2)).any():
-        return False
-    if not (quarter @ rho == rho[None, :, :] @ quarter).all():
-        return False
-    # induced map on the quotient equals the transvection at delta/2, checked
-    # in class coordinates: bits(Q d_j) = bits(d_j) + <d_j, delta> bits(delta/2),
-    # where <d_j, delta> is just the j-th coordinate of delta
-    deltas = vecs + rr
-    gdelta = deltas @ gram.T
-    if (gdelta % 2).any():
-        return False
-    dualmat = np.array(
-        [[int(2 * x) for x in col] for col in lattices.dual_basis(gram)],
-        dtype=np.int64,
-    ).T  # columns are the doubled dual generators
-    usel = np.array(lattices._snf_data_N(), dtype=np.int64)  # (6, 12)
-    projd = usel @ gram
-    twice_base = projd @ dualmat
-    if (twice_base % 2).any():
-        return False
-    base_bits = (twice_base // 2) % 2                         # (6, 12)
-    q_dual2 = quarter @ dualmat                               # (a, 12, 12)
-    twice_img = np.einsum("ij,ajk->aik", projd, q_dual2)
-    if (twice_img % 2).any():
-        return False
-    img_bits = (twice_img // 2) % 2                           # (a, 6, 12)
-    delta_bits = ((gdelta // 2) @ usel.T) % 2                 # (a, 6)
-    want = (base_bits[None, :, :]
-            + delta_bits[:, :, None] * (deltas % 2)[:, None, :]) % 2
-    if not np.array_equal(img_bits, want):
-        return False
-    # cross-check the full permutation route on a deterministic subsample
-    step = max(1, len(vecs) // 40)
-    for idx in range(0, len(vecs), step):
-        r = vecs[idx]
-        delta = deltas[idx]
-        alpha = lattices.class_in_model([Fraction(int(x), 2) for x in delta])
-        if f2geom.q(alpha) != 1:
-            return False
-        if lattices.induced_map_on_classes(quarter[idx]) != f2geom.transvection(alpha):
-            return False
-    return True
 
 
 def tableaux_suite(cfg: RunConfig) -> list[CheckReport]:

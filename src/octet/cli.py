@@ -81,7 +81,7 @@ def _parse_subspace(args) -> f2geom.Subspace:
     else:
         singulars = f2geom.enumerate_singular_subspaces()
         if not 0 <= args.index < len(singulars):
-            raise SystemExit(2)
+            raise ValueError("--index must lie in [0, %d)" % len(singulars))
         sub = singulars[args.index]
     return sub
 
@@ -127,7 +127,7 @@ def compute_theta(args) -> dict:
         xs = [Fraction(x) for x in args.affine.split(",")]
         config = tableaux.affine_config(xs)
     else:
-        raise SystemExit(2)
+        raise ValueError("compute theta needs --config or --affine")
     try:
         coords = tableaux.theta_map(config)
     except tableaux.UnstableConfiguration:

@@ -163,10 +163,6 @@ def span(basis: Subspace) -> list[int]:
     return sorted(out)
 
 
-def subspace_dim(s: Subspace) -> int:
-    return len(s)
-
-
 @lru_cache(maxsize=None)
 def all_subspaces(dim: int) -> tuple[Subspace, ...]:
     """All subspaces of the given dimension, canonically ordered."""
@@ -306,15 +302,3 @@ def find_model_isomorphism(q_table) -> tuple[int, ...]:
         if q(img) != (q_table[v] & 1):
             raise ValueError("extracted basis fails to transport the form")
     return tuple(images)
-
-
-def linear_map_from_images(images) -> tuple[int, ...]:
-    """Tabulate the linear map sending basis vector i to images[i]."""
-    table = [0] * 64
-    for v in range(64):
-        img = 0
-        for i in range(6):
-            if (v >> i) & 1:
-                img ^= images[i]
-        table[v] = img
-    return tuple(table)

@@ -11,6 +11,11 @@ The rank-12 lattice of interest is assembled as U + U(2) + D4 + D4 with the
 two D4 blocks realized inside Z^4 (coordinate vectors of even sum, negated
 standard inner product), because the order-4 isometry is defined on those
 coordinates.
+
+Box scans run over the integer vectors with coordinates in [-bound, bound],
+all built by ``_box``.  The Gram matrix and the isometry are block diagonal,
+so counts over the rank-12 box convolve per-block norm histograms; the box
+materialized at bound 1 is the oracle the convolution is checked against.
 """
 
 from __future__ import annotations
@@ -356,13 +361,6 @@ class FiniteQuadraticForm:
     def is_two_elementary(self) -> bool:
         return all(d == 2 for d in self.orders)
 
-    def value_census(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for elem in self.elements():
-            key = str(self.q(elem))
-            counts[key] = counts.get(key, 0) + 1
-        return dict(sorted(counts.items()))
-
     def to_json(self) -> dict:
         return {
             "orders": list(self.orders),
@@ -647,12 +645,6 @@ def hermitian_form(x, y) -> tuple[int, int]:
     return inner(x, y), inner(x, rho @ y)
 
 
-def gaussian_scalar_multiply(a: int, bcoef: int, x) -> np.ndarray:
-    rho = order_four_isometry()
-    x = np.asarray(x, dtype=np.int64)
-    return a * x + bcoef * (rho @ x)
-
-
 def hermitian_gram_checks() -> dict:
     """The two stated hermitian Gram matrices, computed exactly.
 
@@ -687,12 +679,18 @@ def hermitian_gram_checks() -> dict:
 
 @lru_cache(maxsize=None)
 def _snf_data_N():
+    """Smith normal form data of N for its six invariant factors 2.
+
+    Returns the rows of U that read off a dual vector's class bits, and the
+    matching generators of the discriminant group (columns of V halved).
+    """
     gram = lattice_N().gram
     d, u, v = smith_normal_form(gram)
     sel = [k for k in range(12) if d[k][k] > 1]
     assert [d[k][k] for k in sel] == [2] * 6
-    u_rows = [u[k] for k in sel]
-    return tuple(tuple(row) for row in u_rows)
+    u_rows = tuple(tuple(u[k]) for k in sel)
+    gens = tuple(tuple(QQ(v[r][k], 2) for r in range(12)) for k in sel)
+    return u_rows, gens
 
 
 @lru_cache(maxsize=None)
@@ -708,7 +706,7 @@ def class_bits(dual_vector) -> int:
     if any(c.denominator != 1 for c in gy):
         raise ValueError("vector is not in the dual lattice")
     bits = 0
-    for pos, row in enumerate(_snf_data_N()):
+    for pos, row in enumerate(_snf_data_N()[0]):
         c = sum(row[j] * int(gy[j]) for j in range(12))
         bits |= (c % 2) << pos
     return bits
@@ -720,12 +718,8 @@ def class_in_model(dual_vector) -> int:
 
 def induced_map_on_classes(isometry: np.ndarray):
     """The permutation of the 64 model vectors induced by an isometry of N."""
-    gram = lattice_N().gram
-    d, _, v = smith_normal_form(gram)
-    sel = [k for k in range(12) if d[k][k] > 1]
     images_bits = []
-    for k in sel:
-        gen = [QQ(v[r][k], d[k][k]) for r in range(12)]
+    for gen in _snf_data_N()[1]:
         img = [sum(QQ(int(isometry[i, j])) * gen[j] for j in range(12))
                for i in range(12)]
         images_bits.append(class_bits(img))
@@ -807,20 +801,13 @@ def reflection_identities(r=None) -> dict:
     return {
         "pair_equals_composition": np.array_equal(pair, composed),
         "quarter_is_isometry": is_isometry(quarter),
-        "quarter_order_4": (np.array_equal(_mat_pow(quarter, 4), eye)
-                            and not np.array_equal(_mat_pow(quarter, 2), eye)),
+        "quarter_order_4": (np.array_equal(np.linalg.matrix_power(quarter, 4), eye)
+                            and not np.array_equal(np.linalg.matrix_power(quarter, 2), eye)),
         "quarter_commutes_with_rho": np.array_equal(quarter @ rho, rho @ quarter),
         "alpha_is_anisotropic": f2geom.q(alpha) == 1,
         "induces_transvection": induced == f2geom.transvection(alpha),
         "pair_is_isometry": is_isometry(pair),
     }
-
-
-def _mat_pow(mat: np.ndarray, k: int) -> np.ndarray:
-    out = np.eye(mat.shape[0], dtype=np.int64)
-    for _ in range(k):
-        out = out @ mat
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -877,24 +864,30 @@ def phi_map_check() -> dict:
 _BLOCK_SLICES = (slice(0, 4), slice(4, 8), slice(8, 12))
 
 
-def _block_box(block_index: int, bound: int) -> np.ndarray:
-    """All coordinate vectors of one block with entries in [-bound, bound]."""
-    rng = np.arange(-bound, bound + 1)
-    grids = np.meshgrid(*([rng] * 4), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-    return pts
+def _box(dim: int, bound: int) -> np.ndarray:
+    """All integer vectors of length dim with entries in [-bound, bound], one
+    per row, in lexicographic order."""
+    side = np.arange(-bound, bound + 1, dtype=np.int64)
+    grids = np.meshgrid(*([side] * dim), indexing="ij", copy=False)
+    return np.stack(grids, axis=-1).reshape(-1, dim)
 
 
-def _block_data(bound: int):
+def _box_norm_count(bound: int, target: int, need_even: bool) -> int:
+    """Vectors of norm target in [-bound, bound]^12, optionally only those
+    pairing evenly with N, counted by convolving per-block norm histograms."""
     gram = lattice_N().gram
-    rho = order_four_isometry()
-    out = []
-    for idx, sl in enumerate(_BLOCK_SLICES):
+    pts = _box(4, bound)
+    counts = np.ones(1, dtype=np.int64)
+    offset = target
+    for sl in _BLOCK_SLICES:
         g = gram[sl, sl]
-        r = rho[sl, sl]
-        pts = _block_box(idx, bound)
-        out.append((g, r, pts))
-    return out
+        norms = np.einsum("ij,jk,ik->i", pts, g, pts)
+        if need_even:
+            norms = norms[~((pts @ g.T) % 2).any(axis=1)]
+        lo = int(norms.min())
+        counts = np.convolve(counts, np.bincount(norms - lo))
+        offset -= lo
+    return int(counts[offset]) if 0 <= offset < len(counts) else 0
 
 
 def minus4_vector_scan(bound: int = 3) -> dict:
@@ -905,8 +898,8 @@ def minus4_vector_scan(bound: int = 3) -> dict:
     the per-block scans below are exhaustive over [-bound, bound]^12 without
     materializing the 7^12 tuples.  Counts of norm -2 vectors and of norm -4
     vectors with half-integral duals come from convolving per-block norm
-    histograms, and a directly materialized scan at bound 1 cross-checks the
-    bucket arithmetic.
+    histograms, and the directly materialized scan at bound 1 cross-checks
+    the convolution.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
@@ -928,10 +921,9 @@ def minus4_vector_scan(bound: int = 3) -> dict:
                                 for row in dual_images for x in row),
     }
     per_block = []
-    hist_all = []
-    hist_even = []
-    for g, r, pts in _block_data(bound):
-        norms = np.einsum("ij,jk,ik->i", pts, g, pts)
+    pts = _box(4, bound)
+    for sl in _BLOCK_SLICES:
+        g, r = gram[sl, sl], rho[sl, sl]
         rho_pts = pts @ r.T
         cross = np.einsum("ij,jk,ik->i", pts, g, rho_pts)
         g_pts = pts @ g.T
@@ -943,24 +935,9 @@ def minus4_vector_scan(bound: int = 3) -> dict:
             "sum_half_dual": bool(sum_pair_even.all()),
             "glue_parity": bool(diff_even[even_pair].all()),
         })
-        lo = int(norms.min())
-        hist = np.bincount(norms - lo)
-        hist_all.append((lo, hist))
-        he = np.bincount(norms[even_pair] - lo)
-        hist_even.append((lo, he))
-
-    def convolve_count(hists, target):
-        (l0, h0), (l1, h1), (l2, h2) = hists
-        c01 = np.convolve(h0, h1)
-        c = np.convolve(c01, h2)
-        offset = target - (l0 + l1 + l2)
-        return int(c[offset]) if 0 <= offset < len(c) else 0
-
-    minus2_count = convolve_count(hist_all, -2)
-    minus4_count = convolve_count(hist_even, -4)
 
     # directly materialized oracle at bound 1
-    direct = _direct_scan(min(bound, 1))
+    direct = _direct_scan(1)
     checks = {
         "per_block_cross_zero": all(blk["cross_zero"] for blk in per_block),
         "per_block_sum_half_dual": all(blk["sum_half_dual"] for blk in per_block),
@@ -971,44 +948,26 @@ def minus4_vector_scan(bound: int = 3) -> dict:
         "bound": bound,
         "matrix_identities": identities,
         "block_checks": checks,
-        "minus2_count": minus2_count,
-        "minus4_glue_count": minus4_count,
+        "minus2_count": _box_norm_count(bound, -2, False),
+        "minus4_glue_count": _box_norm_count(bound, -4, True),
         "forward_inclusion": checks["per_block_glue_parity"]
         and identities["skew"] and identities["square_minus_one"],
         "converse_inclusion": checks["per_block_sum_half_dual"]
         and identities["skew"],
         "direct": direct,
-        "direct_counts_match": (direct["minus2_count"] == _direct_expected(min(bound, 1), -2, False)
-                                and direct["minus4_glue_count"] == _direct_expected(min(bound, 1), -4, True)),
+        "direct_counts_match": (direct["minus2_count"] == _box_norm_count(1, -2, False)
+                                and direct["minus4_glue_count"] == _box_norm_count(1, -4, True)),
         "example": example,
         "ok": all(checks.values()) and direct["all_verified"]
         and all(identities.values()),
     }
 
 
-def _direct_expected(bound: int, target: int, need_even: bool) -> int:
-    data = _block_data(bound)
-    hists = []
-    for g, r, pts in data:
-        norms = np.einsum("ij,jk,ik->i", pts, g, pts)
-        if need_even:
-            keep = ~((pts @ g.T) % 2).any(axis=1)
-            norms = norms[keep]
-        lo = int(norms.min())
-        hists.append((lo, np.bincount(norms - lo)))
-    (l0, h0), (l1, h1), (l2, h2) = hists
-    c = np.convolve(np.convolve(h0, h1), h2)
-    offset = target - (l0 + l1 + l2)
-    return int(c[offset]) if 0 <= offset < len(c) else 0
-
-
 def _direct_scan(bound: int) -> dict:
     """Materialize the full box and verify the two inclusions vector by vector."""
     gram = lattice_N().gram
     rho = order_four_isometry()
-    rng = np.arange(-bound, bound + 1)
-    grids = np.meshgrid(*([rng] * 12), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+    pts = _box(12, bound)
     norms = np.einsum("ij,jk,ik->i", pts, gram, pts)
 
     r_vecs = pts[norms == -2]
@@ -1038,6 +997,92 @@ def _direct_scan(bound: int) -> dict:
         "converse_verified": converse,
         "all_verified": forward and converse,
     }
+
+
+def reflection_family_check(bound: int = 1) -> bool:
+    """Reflection identities for every norm -2 vector in a coordinate box.
+
+    All matrix identities are verified vectorized for every vector at once;
+    the induced action on the 64 quotient classes is compared against the
+    transvection formula in class coordinates for every vector, and against
+    the full permutation table for a deterministic subsample.  The per-block
+    scans of the norm correspondence extend the same identities to the
+    default bound-3 box.
+    """
+    gram = lattice_N().gram
+    pts = _box(12, bound)
+    norms = np.einsum("ij,jk,ik->i", pts, gram, pts)
+    vecs = pts[norms == -2]
+    rho = order_four_isometry()
+    eye = np.eye(12, dtype=np.int64)
+    # the paired reflection equals the composition of the two point reflections
+    rr = vecs @ rho.T
+    gr = vecs @ gram.T
+    grr = rr @ gram.T
+    cross = np.einsum("ij,ij->i", vecs, grr)
+    if cross.any():
+        return False
+    pair = (eye[None, :, :]
+            + np.einsum("ai,aj->aij", vecs, gr)
+            + np.einsum("ai,aj->aij", rr, grr))
+    s_r = eye[None, :, :] + np.einsum("ai,aj->aij", vecs, gr)
+    s_rr = eye[None, :, :] + np.einsum("ai,aj->aij", rr, grr)
+    composed = np.einsum("aij,ajk->aik", s_r, s_rr)
+    if not np.array_equal(pair, composed):
+        return False
+    # quarter-turn reflections stay integral and are isometries of order 4
+    doubled = (2 * eye[None, :, :]
+               + np.einsum("ai,aj->aij", vecs - rr, gr)
+               + np.einsum("ai,aj->aij", vecs + rr, grr))
+    if (doubled % 2).any():
+        return False
+    quarter = doubled // 2
+    gq = np.einsum("aji,jk,akl->ail", quarter, gram, quarter)
+    if not (gq == gram[None, :, :]).all():
+        return False
+    sq = np.einsum("aij,ajk->aik", quarter, quarter)
+    fourth = np.einsum("aij,ajk->aik", sq, sq)
+    if not (fourth == eye[None, :, :]).all() or (sq == eye[None, :, :]).all(axis=(1, 2)).any():
+        return False
+    if not (quarter @ rho == rho[None, :, :] @ quarter).all():
+        return False
+    # induced map on the quotient equals the transvection at delta/2, checked
+    # in class coordinates: bits(Q d_j) = bits(d_j) + <d_j, delta> bits(delta/2),
+    # where <d_j, delta> is just the j-th coordinate of delta
+    deltas = vecs + rr
+    gdelta = deltas @ gram.T
+    if (gdelta % 2).any():
+        return False
+    dualmat = np.array(
+        [[int(2 * x) for x in col] for col in dual_basis(gram)],
+        dtype=np.int64,
+    ).T  # columns are the doubled dual generators
+    usel = np.array(_snf_data_N()[0], dtype=np.int64)  # (6, 12)
+    projd = usel @ gram
+    twice_base = projd @ dualmat
+    if (twice_base % 2).any():
+        return False
+    base_bits = (twice_base // 2) % 2                         # (6, 12)
+    q_dual2 = quarter @ dualmat                               # (a, 12, 12)
+    twice_img = np.einsum("ij,ajk->aik", projd, q_dual2)
+    if (twice_img % 2).any():
+        return False
+    img_bits = (twice_img // 2) % 2                           # (a, 6, 12)
+    delta_bits = ((gdelta // 2) @ usel.T) % 2                 # (a, 6)
+    want = (base_bits[None, :, :]
+            + delta_bits[:, :, None] * (deltas % 2)[:, None, :]) % 2
+    if not np.array_equal(img_bits, want):
+        return False
+    # cross-check the full permutation route on a deterministic subsample
+    step = max(1, len(vecs) // 40)
+    for idx in range(0, len(vecs), step):
+        delta = deltas[idx]
+        alpha = class_in_model([QQ(int(x), 2) for x in delta])
+        if f2geom.q(alpha) != 1:
+            return False
+        if induced_map_on_classes(quarter[idx]) != f2geom.transvection(alpha):
+            return False
+    return True
 
 
 def _scan_example() -> dict:

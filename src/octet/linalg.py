@@ -5,36 +5,21 @@ no tolerances anywhere.  The central object is :class:`EchelonForm`, an
 incrementally maintained reduced row echelon form: rows are fed one at a
 time, which lets callers stop sampling once the rank stabilises and doubles
 as an exact membership test for row spans.
-
-gmpy2 rationals are used internally when available (they are a few times
-faster on the large numerators elimination produces); all public results are
-plain Fractions either way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Sequence
 
-try:  # optional accelerator, identical semantics
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
 
-_ONE = _Q(1)
-
-
-def _coerce(x):
-    if isinstance(x, float):
-        raise TypeError("exact linear algebra does not accept floats")
-    try:
-        return _Q(x)
-    except TypeError:  # numpy integer scalars
-        return _Q(int(x))
-
-
-def _to_fraction(x) -> Fraction:
-    return Fraction(int(x.numerator), int(x.denominator))
+def _coerce(x) -> Fraction:
+    """Fractions pass through; Python and numpy integers become Fractions of
+    Python ints (a numpy numerator would wrap); anything else is a TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(index(x))
 
 
 class EchelonForm:
@@ -72,7 +57,7 @@ class EchelonForm:
         pivot = next((j for j, x in enumerate(row) if x), None)
         if pivot is None:
             return False
-        inv = _ONE / row[pivot]
+        inv = 1 / row[pivot]
         row = [x * inv for x in row]
         # keep the form reduced: eliminate the new pivot from older rows
         for col, prow in self._rows.items():
@@ -90,8 +75,7 @@ class EchelonForm:
 
     def rows(self) -> list[list[Fraction]]:
         """The RREF rows, ordered by pivot column."""
-        return [[_to_fraction(x) for x in self._rows[col]]
-                for col in sorted(self._rows)]
+        return [list(self._rows[col]) for col in sorted(self._rows)]
 
     def nullspace(self) -> list[list[Fraction]]:
         """Canonical kernel basis: one vector per free column, unit there."""
@@ -102,7 +86,7 @@ class EchelonForm:
             v = [Fraction(0)] * self.ncols
             v[f] = Fraction(1)
             for p in pivots:
-                v[p] = -_to_fraction(self._rows[p][f])
+                v[p] = -self._rows[p][f]
             basis.append(v)
         return basis
 

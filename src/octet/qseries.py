@@ -12,12 +12,9 @@ eta products, which is the only place a tolerance appears.
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from . import f2geom, weil
 from .f2geom import VectorType
@@ -415,7 +412,3 @@ def serialize_series(series: QSeries) -> dict:
 def deserialize_series(doc: dict) -> QSeries:
     coeffs = {QQ(n2, 2): QQ(cs) for n2, cs in doc["half_exponent_pairs"]}
     return QSeries(coeffs, QQ(doc["truncation_order"]))
-
-
-def series_json(series: QSeries) -> str:
-    return json.dumps(serialize_series(series), separators=(",", ":"))

@@ -314,55 +314,32 @@ def mu_permutation_identity(t: Tableau, sigma, config: Config) -> bool:
     return mu(relabelled, permute_config(config, sigma)) == sign * mu(t, config)
 
 
-def action_matrix(sigma, n_samples: int = 20, seed: int = 42):
-    """The exact 14x14 matrix of the permutation action on standard products.
+def action_matrix(sigma) -> list[list[int]]:
+    """The exact 14x14 integer matrix M of the permutation action on standard
+    products: M applied to mu_vector(c) gives mu_vector(permute_config(c, sigma)).
 
-    Solved from sample evaluations: rows are determined by expressing each
-    permuted standard product in the standard basis, using enough stable
-    configurations that the 14 value vectors have full rank; the solution is
-    validated on the remaining samples.
+    Moving the points by sigma evaluates each standard product at the
+    tableau relabelled by sigma^-1, so row i is the signed straightening of
+    the i-th standard tableau relabelled by sigma^-1.
     """
-    rng = SplitMix64(seed)
-    configs = [sample_config(rng) for _ in range(max(n_samples, 18))]
-    cols_in = [mu_vector(c) for c in configs]
-    cols_out = []
-    for c in configs:
-        moved = permute_config(c, sigma)
-        cols_out.append(mu_vector(moved))
-    # pick 14 sample columns with independent value vectors
-    ech = linalg.EchelonForm(14)
-    chosen = []
-    for idx, col in enumerate(cols_in):
-        if ech.add_row(col):
-            chosen.append(idx)
-        if len(chosen) == 14:
-            break
-    if len(chosen) < 14:
-        raise ArithmeticError("samples failed to span the coordinate space")
-    # M X = Y for sample-column matrices X, Y; solve the transposed system
-    mat = [list(cols_in[idx]) for idx in chosen]
-    rhs = [list(cols_out[idx]) for idx in chosen]
-    sol = linalg.solve_right(mat, rhs)
-    matrix = [[sol[j][i] for j in range(14)] for i in range(14)]
-    # validate on every remaining sample
-    for idx, col in enumerate(cols_in):
-        want = cols_out[idx]
-        got = [sum(matrix[i][j] * col[j] for j in range(14)) for i in range(14)]
-        if got != list(want):
-            raise ArithmeticError("action matrix fails on a validation sample")
+    inverse = [0] * 8
+    for i, image in enumerate(sigma):
+        inverse[image] = i
+    standard = standard_tableaux()
+    column = {t: j for j, t in enumerate(standard)}
+    matrix = []
+    for t in standard:
+        relabelled, sign = apply_permutation(t, inverse)
+        row = [0] * 14
+        for std, coeff in straighten(relabelled):
+            row[column[std]] = sign * coeff
+        matrix.append(row)
     return matrix
 
 
-def equivariance_check(n_pairs: int = 20, seed: int = 42, n_samples: int = 20) -> dict:
+def equivariance_check(n_pairs: int = 20, seed: int = 42) -> dict:
     """Exact homomorphism and intertwining checks on sampled permutations."""
     rng = SplitMix64(seed)
-    matrices: dict[tuple, list] = {}
-
-    def matrix_for(sigma):
-        if sigma not in matrices:
-            matrices[sigma] = action_matrix(sigma, n_samples, seed)
-        return matrices[sigma]
-
     hom_ok = True
     intertwine_ok = True
     sign_ok = True
@@ -372,9 +349,9 @@ def equivariance_check(n_pairs: int = 20, seed: int = 42, n_samples: int = 20) -
         sigma = rng.permutation(8)
         tau = rng.permutation(8)
         composed = tuple(sigma[tau[i]] for i in range(8))
-        m_sigma = matrix_for(sigma)
-        m_tau = matrix_for(tau)
-        m_comp = matrix_for(composed)
+        m_sigma = action_matrix(sigma)
+        m_tau = action_matrix(tau)
+        m_comp = action_matrix(composed)
         product = [[sum(m_sigma[i][k] * m_tau[k][j] for k in range(14))
                     for j in range(14)] for i in range(14)]
         if product != m_comp:
@@ -534,7 +511,7 @@ def quadric_kernel_s8_stable(n_perms: int = 3, seed: int = 42, samples: int = 30
     mono_index = {m: i for i, m in enumerate(monomials)}
     for _ in range(n_perms):
         sigma = rng.permutation(8)
-        matrix = action_matrix(sigma, seed=seed)
+        matrix = action_matrix(sigma)
         for v in rel["basis"]:
             transformed = _transform_quadric(v, matrix, monomials, mono_index)
             if not ech.contains(transformed):

@@ -4,14 +4,16 @@ The two generator matrices act on rational coordinate vectors indexed by the
 64 vectors of the quadratic space: rho_T is diagonal with entries
 (-1)^q(alpha), and rho_S has entries (-1)^b(beta, alpha)/8.  Both are kept as
 integer numpy matrices with an explicit denominator, so every computation in
-this module is exact; there are no tolerance parameters anywhere.
+this module is exact; there are no tolerance parameters anywhere.  Matrices
+act on vectors in int64 arithmetic, and an input whose image could leave the
+int64 range raises OverflowError instead of wrapping.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -53,12 +55,27 @@ class RationalMatrix:
     def trace(self) -> Fraction:
         return Fraction(int(self.num.trace()), self.den)
 
+    def _image(self, ints: list[int]) -> np.ndarray:
+        """num @ ints in int64, refusing inputs whose sums could wrap."""
+        scale = max(int(np.abs(self.num).max()), self.den)
+        if scale * sum(abs(x) for x in ints) >= 2**63:
+            raise OverflowError("vector entries too large for int64 arithmetic")
+        return self.num @ np.array(ints, dtype=np.int64)
+
     def apply(self, vec) -> list[Fraction]:
-        v = [Fraction(x) for x in vec]
-        return [
-            sum((Fraction(int(c)) * x for c, x in zip(row, v)), Fraction(0)) / self.den
-            for row in self.num
-        ]
+        ints, d = _integer_vector(vec)
+        return [Fraction(int(x), self.den * d) for x in self._image(ints)]
+
+    def fixes(self, vec) -> bool:
+        ints, _ = _integer_vector(vec)
+        return np.array_equal(self._image(ints), self.den * np.array(ints, dtype=np.int64))
+
+
+def _integer_vector(vec) -> tuple[list[int], int]:
+    """Integers w and a positive d with vec == w / d."""
+    fracs = [Fraction(x) for x in vec]
+    d = lcm(*(f.denominator for f in fracs))
+    return [int(f.numerator) * (d // f.denominator) for f in fracs], d
 
 
 @lru_cache(maxsize=None)
@@ -109,18 +126,17 @@ def character_decomposition() -> tuple[int, int, int]:
 # invariant vectors
 
 
+def _fixed_space_rows() -> list[list[int]]:
+    """Integer rows cutting out the joint fixed space of rho_T and rho_S."""
+    eye = np.eye(64, dtype=np.int64)
+    return [[int(x) for x in row]
+            for rho in (rho_T(), rho_S()) for row in rho.num - rho.den * eye]
+
+
 @lru_cache(maxsize=None)
 def invariant_subspace() -> tuple[tuple[Fraction, ...], ...]:
     """Canonical basis of the joint fixed space of rho_T and rho_S."""
-    ech = linalg.EchelonForm(64)
-    t = rho_T()
-    s = rho_S()
-    eye = np.eye(64, dtype=np.int64)
-    for row in (t.num - t.den * eye):
-        ech.add_row([int(x) for x in row])
-    for row in (s.num - s.den * eye):
-        ech.add_row([int(x) for x in row])
-    return tuple(tuple(v) for v in ech.nullspace())
+    return tuple(tuple(v) for v in linalg.nullspace(_fixed_space_rows(), 64))
 
 
 def isotropic_sum_vector(iso: Subspace) -> np.ndarray:
@@ -131,8 +147,7 @@ def isotropic_sum_vector(iso: Subspace) -> np.ndarray:
 
 def is_invariant(vec) -> bool:
     """Exact membership test for the fixed space of rho_T and rho_S."""
-    v = [Fraction(x) for x in vec]
-    return rho_T().apply(v) == v and rho_S().apply(v) == v
+    return rho_T().fixes(vec) and rho_S().fixes(vec)
 
 
 @lru_cache(maxsize=None)
@@ -224,12 +239,7 @@ def fixed_line_dimension() -> int:
     rho_T and rho_S.
     """
     ech = linalg.EchelonForm(64)
-    t, s = rho_T(), rho_S()
-    eye = np.eye(64, dtype=np.int64)
-    for row in (t.num - t.den * eye):
-        ech.add_row([int(x) for x in row])
-    for row in (s.num - s.den * eye):
-        ech.add_row([int(x) for x in row])
+    ech.add_rows(_fixed_space_rows())
     # v_x = v_y whenever x and y share a type
     anchor = {}
     for x in f2geom.SPACE:

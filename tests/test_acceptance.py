@@ -6,6 +6,7 @@ series order 20.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 from fractions import Fraction as QQ
+from pathlib import Path
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from octet.checks import RunConfig
 from octet.f2geom import VectorType
 
 CFG = RunConfig()  # seed 42, order 20, 300 samples, bound 3, tolerance 1e-9
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "verify_all_seed42.jsonl"
 
 
 def _report(number: int, label: str, ok: bool) -> None:
@@ -141,7 +143,7 @@ def test_criterion_11_lattice_suite():
     herm = lattices.hermitian_gram_checks()
     phi = lattices.phi_map_check()
     refl = lattices.reflection_identities()
-    family = checks.reflection_family_check()
+    family = lattices.reflection_family_check()
     scan = lattices.minus4_vector_scan(CFG.box_bound)
     ok = (n_form.orders == (2,) * 6
           and len(set(dictionary.gen_images)) == 6
@@ -180,5 +182,5 @@ def test_criterion_13_relations():
 def test_criterion_14_determinism():
     first = checks.reports_to_jsonl(checks.run_suite("all", CFG))
     second = checks.reports_to_jsonl(checks.run_suite("all", CFG))
-    ok = first == second and len(first) > 0
-    _report(14, "byte-identical reports on repeated default runs", ok)
+    ok = first == second == GOLDEN_REPORT.read_text() and len(first) > 0
+    _report(14, "byte-identical reports on repeated default runs, equal to the golden file", ok)

@@ -68,6 +68,13 @@ def test_compute_theta():
     assert doc["unstable"] is True
 
 
+def test_compute_misuse_exits_2_with_message():
+    for args in (["fv", "--index", "200"], ["fv", "--index", "-1"], ["theta"]):
+        proc = run_cli("compute", *args)
+        assert proc.returncode == 2, args
+        assert proc.stderr.strip(), args
+
+
 def test_compute_fv():
     proc = run_cli("compute", "fv", "--index", "0")
     doc = json.loads(proc.stdout)

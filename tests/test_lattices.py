@@ -208,8 +208,8 @@ def test_minus4_scan():
 
 def test_scan_counts_at_unit_box_agree_with_direct():
     direct = lat._direct_scan(1)
-    assert direct["minus2_count"] == lat._direct_expected(1, -2, False)
-    assert direct["minus4_glue_count"] == lat._direct_expected(1, -4, True)
+    assert direct["minus2_count"] == lat._box_norm_count(1, -2, False)
+    assert direct["minus4_glue_count"] == lat._box_norm_count(1, -4, True)
 
 
 def test_reflection_plane_complement():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,12 @@ def test_solve_right_and_invert():
     assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
     with pytest.raises(ValueError):
         linalg.solve_right([[1, 2], [2, 4]], [[1], [0]])
+
+
+def test_numpy_integers_do_not_wrap():
+    # Fractions built on int64 numerators would wrap 2**62 * 2**62 to 0
+    inv = linalg.invert(np.array([[2**62, 1], [1, 2**62]], dtype=np.int64))
+    assert inv[0][0] == Fraction(2**62, 2**124 - 1)
 
 
 def test_floats_rejected():

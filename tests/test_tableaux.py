@@ -131,6 +131,22 @@ def test_action_matrix_transposition_12():
     assert all(matrix[0][j] == 0 for j in range(1, 14))
 
 
+def test_action_matrix_by_evaluation():
+    adjacent = []
+    for i in range(7):
+        sigma = list(range(8))
+        sigma[i], sigma[i + 1] = i + 1, i
+        adjacent.append(tuple(sigma))
+    rng = SplitMix64(5)
+    configs = [tb.sample_config(rng) for _ in range(3)]
+    for sigma in adjacent + [rng.permutation(8)]:
+        matrix = tb.action_matrix(sigma)
+        for c in configs:
+            values = tb.mu_vector(c)
+            image = [sum(m * v for m, v in zip(row, values)) for row in matrix]
+            assert image == list(tb.mu_vector(tb.permute_config(c, sigma)))
+
+
 def test_equivariance():
     rep = tb.equivariance_check(n_pairs=6, seed=11)
     assert rep["ok"]

@@ -35,6 +35,26 @@ def test_character_decomposition():
     assert m[0] + m[1] + 2 * m[2] == 64
 
 
+def test_apply_matches_fraction_loop():
+    rng = np.random.default_rng(3)
+    vectors = [list(v) for v in weil.invariant_subspace()[:3]]
+    vectors.append([Fraction(int(x), int(d)) for x, d in
+                    zip(rng.integers(-50, 50, 64), rng.integers(1, 9, 64))])
+    for mat in (weil.rho_S(), weil.rho_T(), weil.rho_S() @ weil.rho_T()):
+        for vec in vectors:
+            want = [sum(int(c) * x for c, x in zip(row, vec)) / mat.den for row in mat.num]
+            assert mat.apply(vec) == want
+
+
+def test_apply_never_wraps():
+    # int64 would wrap the exact entry 2**61 * 8 of num @ v to 0
+    with pytest.raises(OverflowError):
+        weil.rho_S().apply([2**58] * 64)
+    with pytest.raises(OverflowError):
+        weil.is_invariant([2**58] * 64)
+    assert weil.rho_S().apply([2**50] * 64)[0] == 2**53
+
+
 def test_invariant_subspace_dimension_and_sums():
     basis = weil.invariant_subspace()
     assert len(basis) == 15
