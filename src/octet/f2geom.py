@@ -93,7 +93,7 @@ def group_elements() -> tuple[Perm, ...]:
     """Closure of the 28 transvections, sorted lexicographically.
 
     Breadth-first multiplication done on uint8 arrays; the result has order
-    40320 and is cached for the session.
+    40320, holds Python ints and is cached for the session.
     """
     gens = np.array(all_transvections(), dtype=np.uint8)
     seen = {g.tobytes() for g in gens}
@@ -109,7 +109,16 @@ def group_elements() -> tuple[Perm, ...]:
                 seen.add(key)
                 fresh.append(key)
         frontier = np.frombuffer(b"".join(fresh), dtype=np.uint8).reshape(-1, 64) if fresh else np.empty((0, 64), np.uint8)
-    return tuple(tuple(np.frombuffer(key, dtype=np.uint8)) for key in sorted(seen))
+    table = np.frombuffer(b"".join(sorted(seen)), dtype=np.uint8).reshape(-1, 64)
+    return tuple(map(tuple, table.tolist()))
+
+
+def group_preserves_form() -> bool:
+    """q(g x) == q(x) for every group element g and vector x, as one lookup
+    of the q table at the 40320 x 64 array of images."""
+    qtable = np.array([q(x) for x in SPACE], dtype=np.uint8)
+    images = np.array(group_elements(), dtype=np.uint8)
+    return bool((qtable[images] == qtable).all())
 
 
 def orbits(generators: list[Perm] | None = None) -> list[tuple[int, ...]]:

@@ -1,33 +1,53 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, by fraction-free integer elimination.
 
-Everything here is exact rational arithmetic on plain Python lists; there are
-no tolerances anywhere.  The central object is :class:`EchelonForm`, an
-incrementally maintained reduced row echelon form: rows are fed one at a
+There are no tolerances anywhere.  The central object is :class:`EchelonForm`,
+an incrementally maintained reduced row echelon form: rows are fed one at a
 time, which lets callers stop sampling once the rank stabilises and doubles
-as an exact membership test for row spans.
+as an exact membership test for row spans.  Inside, every row is a primitive
+list of Python ints, so elimination never builds a Fraction; Fractions
+appear only where rows come in with rational entries and where results go out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import index
 from typing import Iterable, Sequence
 
 
-def _coerce(x) -> Fraction:
-    """Fractions pass through; Python and numpy integers become Fractions of
-    Python ints (a numpy numerator would wrap); anything else is a TypeError."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(index(x))
+def _integer_row(row: Sequence) -> list[int]:
+    """The row times the lcm of its denominators, as Python ints.  Integers,
+    numpy ones too, go through ``index`` so they never wrap; floats raise."""
+    den = lcm(*(index(x.denominator) for x in row if isinstance(x, Fraction)))
+    return [index(x.numerator) * (den // index(x.denominator))
+            if isinstance(x, Fraction) else index(x) * den for x in row]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _combine(row: list[int], prow: list[int], col: int) -> list[int]:
+    """Clear ``row[col]`` with ``prow``, whose entry there is positive."""
+    g = gcd(prow[col], row[col])
+    a, b = prow[col] // g, row[col] // g
+    return _primitive([a * x - b * y for x, y in zip(row, prow)])
 
 
 class EchelonForm:
-    """Reduced row echelon form over Q, built row by row."""
+    """Reduced row echelon form over Q, built row by row.
+
+    Each row is kept as a primitive integer list (its entries have gcd 1)
+    whose pivot is positive and whose entries in the other pivot columns are
+    zero.  Dividing a row by its pivot gives the usual RREF row, which is
+    unique, so every result equals that of elimination over Fractions.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._rows: dict[int, list] = {}  # pivot column -> normalized row
+        self._rows: dict[int, list[int]] = {}  # pivot column -> primitive row
 
     @property
     def rank(self) -> int:
@@ -37,15 +57,14 @@ class EchelonForm:
     def pivot_columns(self) -> tuple[int, ...]:
         return tuple(sorted(self._rows))
 
-    def _reduce(self, row: Sequence) -> list:
-        row = [_coerce(x) for x in row]
+    def _reduce(self, row: Sequence) -> list[int]:
+        """An integer multiple of the row with every pivot column cleared."""
+        row = _integer_row(row)
         if len(row) != self.ncols:
             raise ValueError("row length %d != %d" % (len(row), self.ncols))
         for col in sorted(self._rows):
-            c = row[col]
-            if c:
-                prow = self._rows[col]
-                row = [a - c * b for a, b in zip(row, prow)]
+            if row[col]:
+                row = _combine(row, self._rows[col], col)
         return row
 
     def contains(self, row: Sequence) -> bool:
@@ -57,13 +76,11 @@ class EchelonForm:
         pivot = next((j for j, x in enumerate(row) if x), None)
         if pivot is None:
             return False
-        inv = 1 / row[pivot]
-        row = [x * inv for x in row]
+        row = _primitive(row if row[pivot] > 0 else [-x for x in row])
         # keep the form reduced: eliminate the new pivot from older rows
         for col, prow in self._rows.items():
-            c = prow[pivot]
-            if c:
-                self._rows[col] = [a - c * b for a, b in zip(prow, row)]
+            if prow[pivot]:
+                self._rows[col] = _combine(prow, row, pivot)
         self._rows[pivot] = row
         return True
 
@@ -75,18 +92,17 @@ class EchelonForm:
 
     def rows(self) -> list[list[Fraction]]:
         """The RREF rows, ordered by pivot column."""
-        return [list(self._rows[col]) for col in sorted(self._rows)]
+        return [[Fraction(x, r[col]) for x in r] for col, r in sorted(self._rows.items())]
 
     def nullspace(self) -> list[list[Fraction]]:
         """Canonical kernel basis: one vector per free column, unit there."""
-        pivots = self.pivot_columns
         free = [j for j in range(self.ncols) if j not in self._rows]
         basis = []
         for f in free:
             v = [Fraction(0)] * self.ncols
             v[f] = Fraction(1)
-            for p in pivots:
-                v[p] = -self._rows[p][f]
+            for p, r in self._rows.items():
+                v[p] = Fraction(-r[f], r[p])
             basis.append(v)
         return basis
 
@@ -118,5 +134,5 @@ def solve_right(mat: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[F
 
 def invert(mat: Sequence[Sequence]) -> list[list[Fraction]]:
     n = len(mat)
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
     return solve_right(mat, eye)

@@ -187,3 +187,19 @@ def test_model_isomorphism_rejects_nonsplit():
     bad[0] = 0
     with pytest.raises(ValueError):
         f2geom.find_model_isomorphism(bad)
+
+
+def test_group_elements_hold_python_ints():
+    assert type(f2geom.group_elements()[0][0]) is int
+
+
+def test_group_preserves_form_detects_a_broken_element(monkeypatch):
+    assert f2geom.group_preserves_form()
+    iso, aniso = f2geom.E1, f2geom.ALPHA1
+    assert f2geom.q(iso) == 0 and f2geom.q(aniso) == 1
+    broken = list(range(64))
+    broken[iso], broken[aniso] = aniso, iso
+    group = list(f2geom.group_elements())
+    group[123] = tuple(broken)
+    monkeypatch.setattr(f2geom, "group_elements", lambda: tuple(group))
+    assert not f2geom.group_preserves_form()

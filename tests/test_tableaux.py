@@ -132,14 +132,9 @@ def test_action_matrix_transposition_12():
 
 
 def test_action_matrix_by_evaluation():
-    adjacent = []
-    for i in range(7):
-        sigma = list(range(8))
-        sigma[i], sigma[i + 1] = i + 1, i
-        adjacent.append(tuple(sigma))
     rng = SplitMix64(5)
     configs = [tb.sample_config(rng) for _ in range(3)]
-    for sigma in adjacent + [rng.permutation(8)]:
+    for sigma in tb.ADJACENT_TRANSPOSITIONS + (rng.permutation(8),):
         matrix = tb.action_matrix(sigma)
         for c in configs:
             values = tb.mu_vector(c)
@@ -226,4 +221,19 @@ def test_mu_rank():
 
 
 def test_quadric_kernel_stable_under_action():
-    assert tb.quadric_kernel_s8_stable(n_perms=2, seed=42, samples=300)
+    assert tb.quadric_kernel_s8_stable(seed=42, samples=300)
+
+
+def test_adjacent_transpositions_generate_s8():
+    group = {tuple(range(8))}
+    frontier = list(group)
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for s in tb.ADJACENT_TRANSPOSITIONS:
+                h = tuple(g[s[i]] for i in range(8))
+                if h not in group:
+                    group.add(h)
+                    fresh.append(h)
+        frontier = fresh
+    assert len(group) == 40320
