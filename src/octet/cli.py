@@ -53,14 +53,19 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
+def _add_out_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", type=str, default=None,
+                        help="output file (relative paths honor OCTET_REPORT_DIR)")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """The RunConfig fields, for ``verify``."""
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--order", type=int, default=20)
     parser.add_argument("--samples", type=int, default=300)
     parser.add_argument("--bound", type=int, default=3)
     parser.add_argument("--tolerance", type=str, default="1e-9")
-    parser.add_argument("--out", type=str, default=None,
-                        help="output file (relative paths honor OCTET_REPORT_DIR)")
+    _add_out_flag(parser)
 
 
 def cmd_verify(args) -> int:
@@ -184,29 +189,32 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated 6-bit generator patterns")
     group_sel.add_argument("--index", type=int, default=0,
                            help="index into the canonical list of 105")
-    _add_config_flags(fv)
+    _add_out_flag(fv)
 
     subs = csub.add_parser("subspaces", help="enumerate subspaces")
     subs.add_argument("--singular", action="store_true")
     subs.add_argument("--dim", type=int, default=3, choices=(1, 2, 3))
-    _add_config_flags(subs)
+    _add_out_flag(subs)
 
     hseries = csub.add_parser("hseries", help="the three component series")
-    _add_config_flags(hseries)
+    hseries.add_argument("--order", type=int, default=20)
+    _add_out_flag(hseries)
 
     theta = csub.add_parser("theta", help="standard coordinates of a configuration")
     theta.add_argument("--config", type=str, default=None,
                        help="JSON list of 8 homogeneous coordinate pairs")
     theta.add_argument("--affine", type=str, default=None,
                        help="comma-separated affine coordinates")
-    _add_config_flags(theta)
+    _add_out_flag(theta)
 
     relations = csub.add_parser("relations", help="exact relation kernel")
     relations.add_argument("--degree", type=int, default=2, choices=(1, 2, 4))
-    _add_config_flags(relations)
+    relations.add_argument("--seed", type=int, default=42)
+    relations.add_argument("--samples", type=int, default=300)
+    _add_out_flag(relations)
 
     group = csub.add_parser("group", help="orthogonal group summary")
-    _add_config_flags(group)
+    _add_out_flag(group)
 
     compute.set_defaults(func=cmd_compute)
     return parser

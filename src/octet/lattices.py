@@ -10,12 +10,24 @@ carry their values as exact rationals (normalized to [0,2) for form values,
 The rank-12 lattice of interest is assembled as U + U(2) + D4 + D4 with the
 two D4 blocks realized inside Z^4 (coordinate vectors of even sum, negated
 standard inner product), because the order-4 isometry is defined on those
-coordinates.
+coordinates.  Its discriminant group is 2-elementary, so 2G^{-1} is an
+integer matrix and a dual vector y is handled as the integer vector 2y: the
+class of y in the dual mod N is read off by Smith rows mod 2, in batches,
+and carried to the 64-vector model through the split dictionary.
+
+The reflection identities of a norm -2 vector r (the pair and the quarter
+reflections built from r and rho r, and the transvection the quarter
+reflection induces on the 64 classes) come from one batched integer report
+over a stack of vectors.  A single vector is the stack of one; the family
+check is the report over every norm -2 vector of the unit box, with no
+subsample.
 
 Box scans run over the integer vectors with coordinates in [-bound, bound],
-all built by ``_box``.  The Gram matrix and the isometry are block diagonal,
-so counts over the rank-12 box convolve per-block norm histograms; the box
-materialized at bound 1 is the oracle the convolution is checked against.
+all built by ``_box``.  The rank-12 box is materialized only in the cached
+``_box_vectors``, once per bound, which keeps its norm -2 vectors and its
+norm -4 vectors pairing evenly with N.  The Gram matrix and the isometry
+are block diagonal, so counts over larger boxes convolve per-block norm
+histograms; the materialized unit box is the oracle they are checked against.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from math import prod
 
 import numpy as np
 
@@ -91,10 +104,6 @@ class GramLattice:
 
     def signature(self) -> tuple[int, int]:
         return signature(self.gram)
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "rank": self.rank,
-                "gram": [[int(x) for x in row] for row in self.gram]}
 
 
 _ATOMS = {"U": lambda: _gram_U(), "A1": lambda: np.array([[-2]], dtype=np.int64),
@@ -361,25 +370,12 @@ class FiniteQuadraticForm:
     def is_two_elementary(self) -> bool:
         return all(d == 2 for d in self.orders)
 
-    def to_json(self) -> dict:
-        return {
-            "orders": list(self.orders),
-            "q_values": [str(v) for v in self.q_gens],
-            "pairings": [[str(p) for p in row] for row in self.pairings],
-        }
-
-
-def dual_basis(gram: np.ndarray) -> list[list[Fraction]]:
-    """Columns of the inverse Gram: pairing-dual vectors in basis coordinates."""
-    inv = linalg.invert([[int(x) for x in row] for row in gram])
-    n = gram.shape[0]
-    return [[inv[i][j] for i in range(n)] for j in range(n)]
-
 
 def discriminant_form(lattice: GramLattice) -> FiniteQuadraticForm:
     """The finite quadratic form on dual-mod-lattice, via Smith normal form."""
     gram = lattice.gram
-    if _int_det(gram) == 0:
+    det = lattice.det()
+    if det == 0:
         raise ValueError("degenerate Gram matrix")
     if not lattice.is_even():
         raise ValueError("only even lattices carry a Q/2Z-valued form")
@@ -404,7 +400,7 @@ def discriminant_form(lattice: GramLattice) -> FiniteQuadraticForm:
         for i, gi in enumerate(gens)
     )
     form = FiniteQuadraticForm(tuple(orders), q_gens, pairings)
-    if form.group_order != abs(lattice.det()):
+    if form.group_order != abs(det):
         raise ArithmeticError("discriminant group order does not match |det|")
     return form
 
@@ -547,6 +543,7 @@ def overlattice(lattice: GramLattice, glue) -> GramLattice:
 
 N_NAME = "U+U(2)+D4+D4"
 M_NAME = "U(2)+D4+D4"
+E_MINUS_F = (1, -1) + (0,) * 10  # a norm -2 vector of N
 
 
 @lru_cache(maxsize=None)
@@ -579,10 +576,7 @@ def _rho0_block() -> np.ndarray:
         dtype=np.int64,
     )
     basis = _dn_basis(4)
-    bt = [[int(basis[j][i]) for j in range(4)] for i in range(4)]
-    rhs_mat = ambient @ basis.T
-    rhs = [[int(rhs_mat[i][j]) for j in range(4)] for i in range(4)]
-    sol = linalg.solve_right(bt, rhs)
+    sol = linalg.solve_right(basis.T, ambient @ basis.T)
     if any(x.denominator != 1 for row in sol for x in row):
         raise ArithmeticError("isometry does not preserve the sublattice")
     return np.array([[int(x) for x in row] for row in sol], dtype=np.int64)
@@ -591,17 +585,10 @@ def _rho0_block() -> np.ndarray:
 @lru_cache(maxsize=None)
 def order_four_isometry() -> np.ndarray:
     """The 12x12 integer matrix of the fixed-point-free order-4 isometry."""
-    blocks = [_rho1_block(), _rho0_block(), _rho0_block()]
-    n = 12
-    out = np.zeros((n, n), dtype=np.int64)
-    pos = 0
-    for b in blocks:
-        k = b.shape[0]
-        out[pos:pos + k, pos:pos + k] = b
-        pos += k
+    out = direct_sum_grams([_rho1_block(), _rho0_block(), _rho0_block()])
     gram = lattice_N().gram
     assert np.array_equal(out.T @ gram @ out, gram)
-    assert np.array_equal(out @ out, -np.eye(n, dtype=np.int64))
+    assert np.array_equal(out @ out, -np.eye(12, dtype=np.int64))
     return out
 
 
@@ -627,11 +614,10 @@ def characteristic_polynomial(mat: np.ndarray) -> list[Fraction]:
 # hermitian structure
 
 
-def inner(x, y, gram=None) -> int:
-    g = lattice_N().gram if gram is None else gram
+def inner(x, y) -> int:
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
-    return int(x @ g @ y)
+    return int(x @ lattice_N().gram @ y)
 
 
 def hermitian_form(x, y) -> tuple[int, int]:
@@ -651,25 +637,16 @@ def hermitian_gram_checks() -> dict:
     On the first D4 block the complex basis is (1,-1,0,0), (0,1,-1,0) (our
     basis vectors 1 and 2 of that block); on U + U(2) it is (e, f).
     """
-    def basis_vec(i):
-        v = np.zeros(12, dtype=np.int64)
-        v[i] = 1
-        return v
-
-    d4_1, d4_2 = basis_vec(4), basis_vec(5)
-    d4_gram = [[hermitian_form(x, y) for y in (d4_1, d4_2)] for x in (d4_1, d4_2)]
-    e, f = basis_vec(0), basis_vec(1)
-    u_gram = [[hermitian_form(x, y) for y in (e, f)] for x in (e, f)]
-    rho = order_four_isometry()
-    gram = lattice_N().gram
-    # h(x,x) real for every x is the matrix identity rho^T G + G rho = 0
-    real_diagonal = np.array_equal(rho.T @ gram, -(gram @ rho))
+    eye = np.eye(12, dtype=np.int64)
+    d4_gram = [[hermitian_form(x, y) for y in eye[4:6]] for x in eye[4:6]]
+    u_gram = [[hermitian_form(x, y) for y in eye[0:2]] for x in eye[0:2]]
     return {
         "d4_matrix": d4_gram,
         "d4_matches": d4_gram == [[(-2, 0), (1, -1)], [(1, 1), (-2, 0)]],
         "u_matrix": u_gram,
         "u_matches": u_gram == [[(0, 0), (1, 1)], [(1, -1), (0, 0)]],
-        "diagonal_real": real_diagonal,
+        # h(x, x) is real for every x exactly when rho is skew for G
+        "diagonal_real": _rho_identities()["skew"],
     }
 
 
@@ -679,18 +656,22 @@ def hermitian_gram_checks() -> dict:
 
 @lru_cache(maxsize=None)
 def _snf_data_N():
-    """Smith normal form data of N for its six invariant factors 2.
+    """Smith normal form data of N, whose invariant factors are 1^6 2^6.
 
-    Returns the rows of U that read off a dual vector's class bits, and the
-    matching generators of the discriminant group (columns of V halved).
+    Returns the rows of U, mod 2, that read off the class bits of a dual
+    vector; the matching generators of the discriminant group, doubled
+    (columns of V); and the integer matrix 2G^{-1} = V (2 D^{-1}) U.
     """
     gram = lattice_N().gram
     d, u, v = smith_normal_form(gram)
-    sel = [k for k in range(12) if d[k][k] > 1]
-    assert [d[k][k] for k in sel] == [2] * 6
-    u_rows = tuple(tuple(u[k]) for k in sel)
-    gens = tuple(tuple(QQ(v[r][k], 2) for r in range(12)) for k in sel)
-    return u_rows, gens
+    diag = [d[k][k] for k in range(12)]
+    sel = [k for k in range(12) if diag[k] == 2]
+    u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+    two_ginv = v @ np.diag([2 // x for x in diag]) @ u
+    # holds exactly when every invariant factor divides 2
+    if not np.array_equal(gram @ two_ginv, 2 * np.eye(12, dtype=np.int64)):
+        raise ArithmeticError("N^v/N is not 2-elementary")
+    return u[sel] % 2, v[:, sel], two_ginv
 
 
 @lru_cache(maxsize=None)
@@ -698,115 +679,166 @@ def split_dictionary() -> SplitModelDictionary:
     return identify_with_split_model(discriminant_form(lattice_N()))
 
 
-def class_bits(dual_vector) -> int:
-    """Coefficient bits of a dual vector's class, w.r.t. the SNF generators."""
-    gram = lattice_N().gram
-    y = [QQ(x) for x in dual_vector]
-    gy = [sum(QQ(int(gram[i, j])) * y[j] for j in range(12)) for i in range(12)]
-    if any(c.denominator != 1 for c in gy):
-        raise ValueError("vector is not in the dual lattice")
-    bits = 0
-    for pos, row in enumerate(_snf_data_N()[0]):
-        c = sum(row[j] * int(gy[j]) for j in range(12))
-        bits |= (c % 2) << pos
-    return bits
+_BITS = ((np.arange(64)[:, None] >> np.arange(6)) & 1).astype(np.uint8)  # row x: bits of x
+_WEIGHTS = 1 << np.arange(6)
 
 
-def class_in_model(dual_vector) -> int:
-    return split_dictionary().to_model(class_bits(dual_vector))
+@lru_cache(maxsize=None)
+def _dictionary_bits():
+    """The split dictionary over F2: row i of the first matrix is the model
+    vector of generator i; row m of the second holds the class bits of model
+    vector m."""
+    dictionary = split_dictionary()
+    return _BITS[list(dictionary.gen_images)], _BITS[list(dictionary.inverse_table())]
+
+
+def _to_model(bits: np.ndarray) -> np.ndarray:
+    """Model vectors (as ints 0..63) of classes given by their bits (..., 6),
+    which may be any nonnegative integers read mod 2."""
+    return (bits @ _dictionary_bits()[0] % 2) @ _WEIGHTS
+
+
+def _class_bits(doubled: np.ndarray):
+    """Class bits of dual vectors y given as the integer rows 2y, shape (..., 12).
+
+    y lies in the dual exactly when G(2y) is even; its bits are the selected
+    Smith rows of U applied to Gy, mod 2.  Returns the bits (..., 6) and the
+    mask of rows in the dual.
+    """
+    g2 = doubled @ lattice_N().gram
+    bits = ((g2 // 2) % 2) @ _snf_data_N()[0].T % 2
+    return bits.astype(np.uint8), ~(g2 % 2).any(axis=-1)
+
+
+def _class_tables(isometries: np.ndarray):
+    """The permutations of the 64 model vectors induced by a stack (a, 12, 12)
+    of isometries of N, as an (a, 64) array, and for each isometry whether it
+    keeps the discriminant generators in the dual.
+
+    Entry m XORs the generator images along the class bits of model vector m
+    and maps the result through the split dictionary.
+    """
+    images, in_dual = _class_bits(np.swapaxes(isometries @ _snf_data_N()[1], -1, -2))
+    return _to_model(_dictionary_bits()[1] @ images), in_dual.all(axis=-1)
 
 
 def induced_map_on_classes(isometry: np.ndarray):
     """The permutation of the 64 model vectors induced by an isometry of N."""
-    images_bits = []
-    for gen in _snf_data_N()[1]:
-        img = [sum(QQ(int(isometry[i, j])) * gen[j] for j in range(12))
-               for i in range(12)]
-        images_bits.append(class_bits(img))
-    # linear extension on coefficient bits, then transport to the model
-    dict_ = split_dictionary()
-    inv = dict_.inverse_table()
-    table = [0] * 64
-    for model_vec in range(64):
-        bits = inv[model_vec]
-        img_bits = 0
-        for i in range(6):
-            if (bits >> i) & 1:
-                img_bits ^= images_bits[i]
-        table[model_vec] = dict_.to_model(img_bits)
-    return tuple(table)
+    tables, in_dual = _class_tables(np.asarray(isometry, dtype=np.int64)[None])
+    if not in_dual[0]:
+        raise ValueError("the map does not preserve the dual lattice")
+    return tuple(tables[0].tolist())
+
+
+@lru_cache(maxsize=None)
+def _transvection_tables():
+    """q on the 64 model vectors, and in row alpha the transvection at alpha
+    (all -1 where alpha is isotropic and has none)."""
+    q = np.array([f2geom.q(a) for a in f2geom.SPACE], dtype=bool)
+    tables = np.array([f2geom.transvection(a) if f2geom.q(a) else (-1,) * 64
+                       for a in f2geom.SPACE], dtype=np.int64)
+    return q, tables
+
+
+def _acts_as_transvection(isometries: np.ndarray, deltas: np.ndarray):
+    """Per row: whether the class alpha of delta/2 is anisotropic, and whether
+    the isometry acts on the 64 classes as the transvection at alpha."""
+    alpha_bits, half_in_dual = _class_bits(deltas)
+    alpha = _to_model(alpha_bits)
+    q, transvections = _transvection_tables()
+    anisotropic = half_in_dual & q[alpha]
+    tables, in_dual = _class_tables(isometries)
+    return anisotropic, anisotropic & in_dual & (tables == transvections[alpha]).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # reflections
 
 
-def reflection_s(r) -> np.ndarray:
-    """x -> x + <r, x> r for a norm -2 vector."""
-    r = np.asarray(r, dtype=np.int64)
-    if inner(r, r) != -2:
-        raise ValueError("reflections are defined at norm -2 vectors")
-    gram = lattice_N().gram
-    return np.eye(12, dtype=np.int64) + np.outer(r, gram @ r)
+def _reflection_report(vecs) -> dict:
+    """The reflection identities of a stack (a, 12) of norm -2 vectors r, each
+    the all over the stack.
 
-
-def reflection_pair(r) -> np.ndarray:
-    """x -> x + <r,x> r + <rho(r),x> rho(r) (the epsilon = -1 complex reflection)."""
-    r = np.asarray(r, dtype=np.int64)
-    rho = order_four_isometry()
-    gram = lattice_N().gram
-    rr = rho @ r
-    return (np.eye(12, dtype=np.int64) + np.outer(r, gram @ r)
-            + np.outer(rr, gram @ rr))
-
-
-def reflection_quarter(r) -> np.ndarray:
-    """The epsilon = i complex reflection, an integer matrix of order 4.
-
-    x -> x + <r,x>(r - rho r)/2 + <rho r, x>(r + rho r)/2; integrality follows
-    because (r + rho r)/2 pairs integrally with the lattice.
+    s_r is x -> x + <r,x> r; the pair reflection (epsilon = -1) is
+    x -> x + <r,x> r + <rho r,x> rho r; the quarter reflection (epsilon = i) is
+    x -> x + <r,x>(r - rho r)/2 + <rho r,x>(r + rho r)/2, integral because
+    delta = r + rho r has delta/2 in the dual.  A failed condition (such as a
+    non-integral quarter reflection) makes the keys that depend on it False.
     """
-    r = np.asarray(r, dtype=np.int64)
-    if inner(r, r) != -2:
-        raise ValueError("need a norm -2 vector")
-    rho = order_four_isometry()
+    vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, 12)
     gram = lattice_N().gram
-    rr = rho @ r
-    doubled = (2 * np.eye(12, dtype=np.int64)
-               + np.outer(r - rr, gram @ r) + np.outer(r + rr, gram @ rr))
-    if (doubled % 2).any():
-        raise ArithmeticError("quarter reflection is not integral")
-    return doubled // 2
-
-
-def is_isometry(mat: np.ndarray) -> bool:
-    gram = lattice_N().gram
-    return np.array_equal(mat.T @ gram @ mat, gram)
-
-
-def reflection_identities(r=None) -> dict:
-    """Integer-matrix identities for a norm -2 vector (default e - f)."""
-    if r is None:
-        r = [1, -1] + [0] * 10
-    r = np.asarray(r, dtype=np.int64)
     rho = order_four_isometry()
-    rr = rho @ r
-    pair = reflection_pair(r)
-    quarter = reflection_quarter(r)
     eye = np.eye(12, dtype=np.int64)
-    composed = reflection_s(r) @ reflection_s(rr)
-    delta = r + rr
-    alpha = class_in_model([QQ(x, 2) for x in delta])
-    induced = induced_map_on_classes(quarter)
+    gr = vecs @ gram
+    if (np.einsum("ai,ai->a", vecs, gr) != -2).any():
+        raise ValueError("reflections are defined at norm -2 vectors")
+    rr = vecs @ rho.T
+    grr = rr @ gram
+
+    def outer(x, y):
+        return x[:, :, None] * y[:, None, :]
+
+    def isometries(mats):
+        return bool((np.swapaxes(mats, 1, 2) @ gram @ mats == gram).all())
+
+    pair = eye + outer(vecs, gr) + outer(rr, grr)
+    composed = (eye + outer(vecs, gr)) @ (eye + outer(rr, grr))
+    orthogonal = not np.einsum("ai,ai->a", vecs, grr).any()
+    quarter, odd = np.divmod(2 * eye + outer(vecs - rr, gr) + outer(vecs + rr, grr), 2)
+    integral = not odd.any()
+    square = quarter @ quarter
+    anisotropic, transvection = _acts_as_transvection(quarter, vecs + rr)
     return {
-        "pair_equals_composition": np.array_equal(pair, composed),
-        "quarter_is_isometry": is_isometry(quarter),
-        "quarter_order_4": (np.array_equal(np.linalg.matrix_power(quarter, 4), eye)
-                            and not np.array_equal(np.linalg.matrix_power(quarter, 2), eye)),
-        "quarter_commutes_with_rho": np.array_equal(quarter @ rho, rho @ quarter),
-        "alpha_is_anisotropic": f2geom.q(alpha) == 1,
-        "induces_transvection": induced == f2geom.transvection(alpha),
-        "pair_is_isometry": is_isometry(pair),
+        "pair_equals_composition": orthogonal and np.array_equal(pair, composed),
+        "quarter_is_isometry": integral and isometries(quarter),
+        "quarter_order_4": integral and bool((square @ square == eye).all())
+        and not (square == eye).all(axis=(1, 2)).any(),
+        "quarter_commutes_with_rho": integral and np.array_equal(quarter @ rho, rho @ quarter),
+        "alpha_is_anisotropic": bool(anisotropic.all()),
+        "induces_transvection": integral and bool(transvection.all()),
+        "pair_is_isometry": isometries(pair),
+    }
+
+
+def reflection_identities(r=E_MINUS_F) -> dict:
+    """Integer-matrix identities for a norm -2 vector (default e - f)."""
+    return _reflection_report(np.asarray(r, dtype=np.int64)[None])
+
+
+def reflection_family_check(bound: int = 1) -> bool:
+    """The reflection identities of every norm -2 vector in [-bound, bound]^12.
+
+    The batched report covers all of them (20354 at bound 1), including the
+    permutation of the 64 classes compared with the transvection table: there
+    is no subsample.  The box comes from the cached ``_box_vectors``.
+    """
+    vecs = _box_vectors(bound)[0]
+    # slices of 4096 rows keep each (a, 12, 12) stack near 5 MB
+    return all(all(_reflection_report(vecs[i:i + 4096]).values())
+               for i in range(0, len(vecs), 4096))
+
+
+# ---------------------------------------------------------------------------
+# identities of rho
+
+
+@lru_cache(maxsize=None)
+def _rho_identities() -> dict:
+    """The integer matrix identities of rho that several checks report.
+
+    skew: rho^T G = -G rho, i.e. <x, rho x> = 0 and h(x, x) real;
+    half_sum_dual: G(1 + rho) even, i.e. (x + rho x)/2 lies in the dual;
+    quotient_trivial: (1 - rho) maps the dual into N, i.e. (1 - rho) 2G^{-1}
+    is even, as 2G^{-1} is integral.
+    """
+    rho = order_four_isometry()
+    gram = lattice_N().gram
+    eye = np.eye(12, dtype=np.int64)
+    return {
+        "skew": np.array_equal(rho.T @ gram, -(gram @ rho)),
+        "half_sum_dual": not ((gram @ (eye + rho)) % 2).any(),
+        "square_minus_one": np.array_equal(rho @ rho, -eye),
+        "quotient_trivial": not (((eye - rho) @ _snf_data_N()[2]) % 2).any(),
     }
 
 
@@ -822,39 +854,27 @@ def phi_map_check() -> dict:
     bijection.
     """
     rho = order_four_isometry()
-    gram = lattice_N().gram
     eye = np.eye(12, dtype=np.int64)
-    into_dual = not ((gram @ (eye + rho)) % 2).any()
+    identities = _rho_identities()
     # (1-i)x = x - rho x; phi((1-i)x) = (I + rho)(I - rho)/2 = (I - rho^2)/2 = I
     collapses = np.array_equal((eye + rho) @ (eye - rho), 2 * eye)
-    trivial_on_quotient = True
-    dual = dual_basis(gram)
-    for col in dual:
-        img = [sum(QQ(int(rho[i, j])) * col[j] for j in range(12)) - col[i]
-               for i in range(12)]
-        if any(x.denominator != 1 for x in img):
-            trivial_on_quotient = False
     # coset representatives of (1-i)Lambda = (I - rho) Z^12
-    one_minus = (eye - rho)
-    d, u, v = smith_normal_form(one_minus)
+    d, _, _ = smith_normal_form(eye - rho)
     diag = [d[k][k] for k in range(12)]
-    index = 1
-    for x in diag:
-        index *= x
-    uinv = linalg.invert(u)
-    classes = set()
-    for combo in iproduct(*(range(max(x, 1)) for x in diag)):
-        rep = [sum(uinv[i][k] * combo[k] for k in range(12)) for i in range(12)]
-        phi_rep = [(QQ(rep[i]) + sum(QQ(int(rho[i, j])) * rep[j] for j in range(12))) / 2
-                   for i in range(12)]
-        classes.add(class_bits(phi_rep))
+    index = prod(diag)
+    # with invariant factors dividing 2, 2Z^12 lies in (I - rho)Z^12, so the
+    # 0/1 vectors meet every coset; 2 phi(x) = x + rho x is an integer vector
+    reps = (np.arange(4096)[:, None] >> np.arange(12)) & 1
+    bits, in_dual = _class_bits(reps + reps @ rho.T)
+    classes = set((bits[in_dual] @ _WEIGHTS).tolist())
     return {
-        "into_dual": into_dual,
+        "into_dual": identities["half_sum_dual"],
         "inverse_identity": collapses,
-        "rho_trivial_on_quotient": trivial_on_quotient,
+        "rho_trivial_on_quotient": identities["quotient_trivial"],
         "quotient_index": index,
         "classes_hit": len(classes),
-        "bijective": index == 64 and len(classes) == 64,
+        "bijective": index == 64 and set(diag) <= {1, 2} and len(classes) == 64
+        and bool(in_dual.all()),
     }
 
 
@@ -870,6 +890,21 @@ def _box(dim: int, bound: int) -> np.ndarray:
     side = np.arange(-bound, bound + 1, dtype=np.int64)
     grids = np.meshgrid(*([side] * dim), indexing="ij", copy=False)
     return np.stack(grids, axis=-1).reshape(-1, dim)
+
+
+@lru_cache(maxsize=None)
+def _box_vectors(bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The norm -2 vectors, and the norm -4 vectors pairing evenly with N, of
+    [-bound, bound]^12 (read-only, lexicographic order).  The only place the
+    rank-12 box is materialized, once per bound."""
+    pts = _box(12, bound)
+    g_pts = pts @ lattice_N().gram
+    norms = np.einsum("ij,ij->i", pts, g_pts)
+    minus4 = norms == -4
+    out = (pts[norms == -2], pts[minus4][~(g_pts[minus4] % 2).any(axis=1)])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def _box_norm_count(bound: int, target: int, need_even: bool) -> int:
@@ -897,53 +932,28 @@ def minus4_vector_scan(bound: int = 3) -> dict:
     condition over the full coordinate box factors through the three blocks:
     the per-block scans below are exhaustive over [-bound, bound]^12 without
     materializing the 7^12 tuples.  Counts of norm -2 vectors and of norm -4
-    vectors with half-integral duals come from convolving per-block norm
-    histograms, and the directly materialized scan at bound 1 cross-checks
-    the convolution.
+    vectors with half-integral duals are recomputed on every call by
+    convolving per-block norm histograms.  The direct scan of the unit box,
+    materialized once per process by ``_box_vectors``, checks the same
+    inclusions vector by vector and cross-checks the convolution.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
     gram = lattice_N().gram
     rho = order_four_isometry()
-    eye = np.eye(12, dtype=np.int64)
-    ginv = linalg.invert([[int(x) for x in row] for row in gram])
-    dual_images = [
-        [sum(QQ(int(eye[i, j] - rho[i, j])) * ginv[j][k] for j in range(12))
-         for k in range(12)]
-        for i in range(12)
-    ]
-    identities = {
-        "skew": np.array_equal(rho.T @ gram, -(gram @ rho)),          # <x, rho x> = 0
-        "half_sum_dual": not ((gram @ (eye + rho)) % 2).any(),        # (x+rho x)/2 dual
-        "square_minus_one": np.array_equal(rho @ rho, -eye),
-        # (1 - rho) maps the dual lattice into the lattice
-        "quotient_trivial": all(x.denominator == 1
-                                for row in dual_images for x in row),
-    }
-    per_block = []
+    identities = dict(_rho_identities())
+    checks = dict.fromkeys(("per_block_cross_zero", "per_block_sum_half_dual",
+                            "per_block_glue_parity"), True)
     pts = _box(4, bound)
     for sl in _BLOCK_SLICES:
         g, r = gram[sl, sl], rho[sl, sl]
         rho_pts = pts @ r.T
-        cross = np.einsum("ij,jk,ik->i", pts, g, rho_pts)
         g_pts = pts @ g.T
         even_pair = ~(g_pts % 2).any(axis=1)
-        diff_even = ~((pts - rho_pts) % 2).any(axis=1)
-        sum_pair_even = ~((g_pts + (rho_pts @ g.T)) % 2).any(axis=1)
-        per_block.append({
-            "cross_zero": not cross.any(),
-            "sum_half_dual": bool(sum_pair_even.all()),
-            "glue_parity": bool(diff_even[even_pair].all()),
-        })
-
-    # directly materialized oracle at bound 1
+        checks["per_block_cross_zero"] &= not np.einsum("ij,ij->i", g_pts, rho_pts).any()
+        checks["per_block_sum_half_dual"] &= not ((g_pts + rho_pts @ g.T) % 2).any()
+        checks["per_block_glue_parity"] &= not ((pts - rho_pts)[even_pair] % 2).any()
     direct = _direct_scan(1)
-    checks = {
-        "per_block_cross_zero": all(blk["cross_zero"] for blk in per_block),
-        "per_block_sum_half_dual": all(blk["sum_half_dual"] for blk in per_block),
-        "per_block_glue_parity": all(blk["glue_parity"] for blk in per_block),
-    }
-    example = _scan_example()
     return {
         "bound": bound,
         "matrix_identities": identities,
@@ -957,20 +967,18 @@ def minus4_vector_scan(bound: int = 3) -> dict:
         "direct": direct,
         "direct_counts_match": (direct["minus2_count"] == _box_norm_count(1, -2, False)
                                 and direct["minus4_glue_count"] == _box_norm_count(1, -4, True)),
-        "example": example,
+        "example": _scan_example(),
         "ok": all(checks.values()) and direct["all_verified"]
         and all(identities.values()),
     }
 
 
 def _direct_scan(bound: int) -> dict:
-    """Materialize the full box and verify the two inclusions vector by vector."""
+    """Verify the two inclusions vector by vector over the materialized box."""
     gram = lattice_N().gram
     rho = order_four_isometry()
-    pts = _box(12, bound)
-    norms = np.einsum("ij,jk,ik->i", pts, gram, pts)
+    r_vecs, deltas = _box_vectors(bound)
 
-    r_vecs = pts[norms == -2]
     rho_r = r_vecs @ rho.T
     sums = r_vecs + rho_r
     sum_norms = np.einsum("ij,jk,ik->i", sums, gram, sums)
@@ -978,9 +986,6 @@ def _direct_scan(bound: int) -> dict:
                and not ((sums @ gram.T) % 2).any()
                and not np.einsum("ij,jk,ik->i", r_vecs, gram, rho_r).any())
 
-    g_pts = pts @ gram.T
-    is_delta = (norms == -4) & ~((g_pts % 2).any(axis=1))
-    deltas = pts[is_delta]
     rho_d = deltas @ rho.T
     diff = deltas - rho_d
     integral = not (diff % 2).any()
@@ -999,95 +1004,8 @@ def _direct_scan(bound: int) -> dict:
     }
 
 
-def reflection_family_check(bound: int = 1) -> bool:
-    """Reflection identities for every norm -2 vector in a coordinate box.
-
-    All matrix identities are verified vectorized for every vector at once;
-    the induced action on the 64 quotient classes is compared against the
-    transvection formula in class coordinates for every vector, and against
-    the full permutation table for a deterministic subsample.  The per-block
-    scans of the norm correspondence extend the same identities to the
-    default bound-3 box.
-    """
-    gram = lattice_N().gram
-    pts = _box(12, bound)
-    norms = np.einsum("ij,jk,ik->i", pts, gram, pts)
-    vecs = pts[norms == -2]
-    rho = order_four_isometry()
-    eye = np.eye(12, dtype=np.int64)
-    # the paired reflection equals the composition of the two point reflections
-    rr = vecs @ rho.T
-    gr = vecs @ gram.T
-    grr = rr @ gram.T
-    cross = np.einsum("ij,ij->i", vecs, grr)
-    if cross.any():
-        return False
-    pair = (eye[None, :, :]
-            + np.einsum("ai,aj->aij", vecs, gr)
-            + np.einsum("ai,aj->aij", rr, grr))
-    s_r = eye[None, :, :] + np.einsum("ai,aj->aij", vecs, gr)
-    s_rr = eye[None, :, :] + np.einsum("ai,aj->aij", rr, grr)
-    composed = np.einsum("aij,ajk->aik", s_r, s_rr)
-    if not np.array_equal(pair, composed):
-        return False
-    # quarter-turn reflections stay integral and are isometries of order 4
-    doubled = (2 * eye[None, :, :]
-               + np.einsum("ai,aj->aij", vecs - rr, gr)
-               + np.einsum("ai,aj->aij", vecs + rr, grr))
-    if (doubled % 2).any():
-        return False
-    quarter = doubled // 2
-    gq = np.einsum("aji,jk,akl->ail", quarter, gram, quarter)
-    if not (gq == gram[None, :, :]).all():
-        return False
-    sq = np.einsum("aij,ajk->aik", quarter, quarter)
-    fourth = np.einsum("aij,ajk->aik", sq, sq)
-    if not (fourth == eye[None, :, :]).all() or (sq == eye[None, :, :]).all(axis=(1, 2)).any():
-        return False
-    if not (quarter @ rho == rho[None, :, :] @ quarter).all():
-        return False
-    # induced map on the quotient equals the transvection at delta/2, checked
-    # in class coordinates: bits(Q d_j) = bits(d_j) + <d_j, delta> bits(delta/2),
-    # where <d_j, delta> is just the j-th coordinate of delta
-    deltas = vecs + rr
-    gdelta = deltas @ gram.T
-    if (gdelta % 2).any():
-        return False
-    dualmat = np.array(
-        [[int(2 * x) for x in col] for col in dual_basis(gram)],
-        dtype=np.int64,
-    ).T  # columns are the doubled dual generators
-    usel = np.array(_snf_data_N()[0], dtype=np.int64)  # (6, 12)
-    projd = usel @ gram
-    twice_base = projd @ dualmat
-    if (twice_base % 2).any():
-        return False
-    base_bits = (twice_base // 2) % 2                         # (6, 12)
-    q_dual2 = quarter @ dualmat                               # (a, 12, 12)
-    twice_img = np.einsum("ij,ajk->aik", projd, q_dual2)
-    if (twice_img % 2).any():
-        return False
-    img_bits = (twice_img // 2) % 2                           # (a, 6, 12)
-    delta_bits = ((gdelta // 2) @ usel.T) % 2                 # (a, 6)
-    want = (base_bits[None, :, :]
-            + delta_bits[:, :, None] * (deltas % 2)[:, None, :]) % 2
-    if not np.array_equal(img_bits, want):
-        return False
-    # cross-check the full permutation route on a deterministic subsample
-    step = max(1, len(vecs) // 40)
-    for idx in range(0, len(vecs), step):
-        delta = deltas[idx]
-        alpha = class_in_model([QQ(int(x), 2) for x in delta])
-        if f2geom.q(alpha) != 1:
-            return False
-        if induced_map_on_classes(quarter[idx]) != f2geom.transvection(alpha):
-            return False
-    return True
-
-
 def _scan_example() -> dict:
-    r = np.zeros(12, dtype=np.int64)
-    r[0], r[1] = 1, -1  # e - f has norm -2
+    r = np.array(E_MINUS_F, dtype=np.int64)
     rho = order_four_isometry()
     delta = r + rho @ r
     gram = lattice_N().gram
@@ -1103,11 +1021,9 @@ def _scan_example() -> dict:
 # complement of a reflection plane (genus-level invariants)
 
 
-def reflection_plane_complement(r=None) -> dict:
+def reflection_plane_complement(r=E_MINUS_F) -> dict:
     """Rank, signature and discriminant form of the orthogonal complement of
     the span of r and rho(r), compared against U + U(2) + D4 + A1^2."""
-    if r is None:
-        r = [1, -1] + [0] * 10
     r = np.asarray(r, dtype=np.int64)
     rho = order_four_isometry()
     gram = lattice_N().gram
@@ -1121,14 +1037,15 @@ def reflection_plane_complement(r=None) -> dict:
     comp = GramLattice(name="complement", gram=comp_gram)
     target = named_lattice("U+U(2)+D4+A1^2")
     iso = find_isomorphism(discriminant_form(comp), discriminant_form(target))
+    comp_sig, target_sig = comp.signature(), target.signature()
     return {
         "rank": comp.rank,
-        "signature": comp.signature(),
-        "expected_signature": target.signature(),
+        "signature": comp_sig,
+        "expected_signature": target_sig,
         "det": comp.det(),
         "expected_det": target.det(),
         "disc_isomorphic": iso is not None,
-        "ok": comp.rank == 10 and comp.signature() == target.signature()
+        "ok": comp.rank == 10 and comp_sig == target_sig
         and iso is not None,
     }
 
@@ -1158,19 +1075,20 @@ def table1_checks() -> list[dict]:
         pic = named_lattice(pic_name)
         tra = named_lattice(tra_name)
         iso = find_isomorphism(discriminant_form(pic), discriminant_form(tra).neg())
+        pic_sig, tra_sig = pic.signature(), tra.signature()
         out.append({
             "row": idx,
             "picard": pic_name,
             "transcendental": tra_name,
             "rank_sum": pic.rank + tra.rank,
             "rank_sum_ok": pic.rank + tra.rank == 22,
-            "picard_signature": pic.signature(),
-            "picard_hyperbolic": pic.signature() == (1, pic.rank - 1),
-            "transcendental_signature": tra.signature(),
-            "transcendental_ok": tra.signature() == (2, tra.rank - 2),
+            "picard_signature": pic_sig,
+            "picard_hyperbolic": pic_sig == (1, pic.rank - 1),
+            "transcendental_signature": tra_sig,
+            "transcendental_ok": tra_sig == (2, tra.rank - 2),
             "disc_complementary": iso is not None,
             "ok": pic.rank + tra.rank == 22
-            and tra.signature() == (2, tra.rank - 2)
+            and tra_sig == (2, tra.rank - 2)
             and iso is not None,
         })
     return out

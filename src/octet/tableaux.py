@@ -445,8 +445,16 @@ def degree_monomials(degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out, reverse=True))
 
 
-def _monomial_value(exps, values) -> Fraction:
-    out = QQ(1)
+def _integers(values) -> list[int]:
+    """The values as Python ints; sampled configurations have integer
+    coordinates, so every mu value there is an integer."""
+    if any(v.denominator != 1 for v in values):
+        raise ArithmeticError("mu value of a sampled configuration is not integral")
+    return [v.numerator for v in values]
+
+
+def _monomial_value(exps, values) -> int:
+    out = 1
     for e, v in zip(exps, values):
         if e:
             out *= v ** e
@@ -476,7 +484,7 @@ def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
         nonlocal drawn
         while drawn < target:
             config = sample_config(rng)
-            values = mu_vector(config)
+            values = _integers(mu_vector(config))
             ech.add_row([_monomial_value(m, values) for m in monomials])
             drawn += 1
 
@@ -502,7 +510,7 @@ def mu_function_rank(samples: int = 40, seed: int = 42) -> int:
     rows = []
     for _ in range(samples):
         config = sample_config(rng)
-        rows.append([mu(t, config) for t in tabs])
+        rows.append(_integers([mu(t, config) for t in tabs]))
     return linalg.rank(rows, len(tabs))
 
 

@@ -7,10 +7,15 @@ from octet import checks
 from octet.checks import RunConfig
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(*args, env_extra=None):
     import os
 
     env = dict(os.environ)
+    # the child imports octet from this checkout, with or without PYTHONPATH set
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -73,6 +78,16 @@ def test_compute_misuse_exits_2_with_message():
         proc = run_cli("compute", *args)
         assert proc.returncode == 2, args
         assert proc.stderr.strip(), args
+
+
+def test_compute_rejects_flags_it_does_not_read():
+    for args in (["group", "--seed", "3"], ["fv", "--order", "5"]):
+        proc = run_cli("compute", *args)
+        assert proc.returncode == 2, args
+        assert "usage:" in proc.stderr, args
+    proc = run_cli("compute", "relations", "--degree", "1", "--seed", "5", "--samples", "40")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["degree"] == 1
 
 
 def test_compute_fv():

@@ -1,4 +1,5 @@
 from fractions import Fraction as QQ
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octet import f2geom, lattices as lat
+from octet import f2geom, lattices as lat, linalg
 
 
 def test_named_lattices():
@@ -183,7 +184,7 @@ def test_reflection_identities_default_and_rejects():
     rep = lat.reflection_identities()
     assert all(rep.values())
     with pytest.raises(ValueError):
-        lat.reflection_s([1, 0] + [0] * 10)  # norm 0 vector
+        lat.reflection_identities([1, 0] + [0] * 10)  # norm 0 vector
 
 
 def test_reflection_identities_other_vector():
@@ -225,3 +226,121 @@ def test_induced_map_of_identity():
     assert lat.induced_map_on_classes(eye) == tuple(range(64))
     rho = lat.order_four_isometry()
     assert lat.induced_map_on_classes(rho) == tuple(range(64))
+
+
+# Reference: the class map by Fractions, one dual vector at a time, and the
+# reflection matrices one vector at a time, as the lattices module computed
+# them before the batched integer report.
+
+
+@lru_cache(maxsize=None)
+def _reference_snf():
+    gram = lat.lattice_N().gram
+    d, u, v = lat.smith_normal_form(gram)
+    sel = [k for k in range(12) if d[k][k] > 1]
+    rows = [u[k] for k in sel]
+    gens = [[QQ(v[r][k], 2) for r in range(12)] for k in sel]
+    return rows, gens
+
+
+def _reference_class_bits(dual_vector):
+    gram = lat.lattice_N().gram
+    y = [QQ(x) for x in dual_vector]
+    gy = [sum(QQ(int(gram[i, j])) * y[j] for j in range(12)) for i in range(12)]
+    assert all(c.denominator == 1 for c in gy)
+    bits = 0
+    for pos, row in enumerate(_reference_snf()[0]):
+        bits |= (sum(row[j] * int(gy[j]) for j in range(12)) % 2) << pos
+    return bits
+
+
+def _reference_induced_map(isometry):
+    images = [_reference_class_bits([sum(QQ(int(isometry[i, j])) * gen[j] for j in range(12))
+                                     for i in range(12)])
+              for gen in _reference_snf()[1]]
+    dictionary = lat.split_dictionary()
+    inv = dictionary.inverse_table()
+    table = []
+    for model_vec in range(64):
+        img = 0
+        for i in range(6):
+            if (inv[model_vec] >> i) & 1:
+                img ^= images[i]
+        table.append(dictionary.to_model(img))
+    return tuple(table)
+
+
+def _reference_reflections(r):
+    """(pair reflection, quarter reflection) of a norm -2 vector."""
+    rho = lat.order_four_isometry()
+    gram = lat.lattice_N().gram
+    eye = np.eye(12, dtype=np.int64)
+    rr = rho @ r
+    pair = eye + np.outer(r, gram @ r) + np.outer(rr, gram @ rr)
+    doubled = 2 * eye + np.outer(r - rr, gram @ r) + np.outer(r + rr, gram @ rr)
+    assert not (doubled % 2).any()
+    return pair, doubled // 2
+
+
+def _box_slice():
+    """A deterministic slice of the norm -2 vectors of the unit box."""
+    return lat._box_vectors(1)[0][::509]
+
+
+def test_class_tables_match_fraction_reference():
+    rho = lat.order_four_isometry()
+    mats = [np.eye(12, dtype=np.int64), rho]
+    mats += [_reference_reflections(r)[1] for r in _box_slice()]
+    want = [_reference_induced_map(m) for m in mats]
+    assert want[0] == want[1] == tuple(range(64))
+    assert [lat.induced_map_on_classes(m) for m in mats] == want
+    tables, in_dual = lat._class_tables(np.stack(mats))
+    assert tables.tolist() == [list(t) for t in want]
+    assert in_dual.all()
+    # the alpha of each quarter reflection, against the Fraction class map
+    deltas = np.stack([r + rho @ r for r in _box_slice()])
+    bits, half_in_dual = lat._class_bits(deltas)
+    assert half_in_dual.all()
+    assert (bits @ (1 << np.arange(6))).tolist() == [
+        _reference_class_bits([QQ(int(x), 2) for x in d]) for d in deltas]
+    ginv = linalg.invert(lat.lattice_N().gram.tolist())
+    assert lat._snf_data_N()[2].tolist() == [[2 * x for x in row] for row in ginv]
+
+
+def test_pair_reflection_is_not_a_transvection():
+    vecs = _box_slice()
+    rho = lat.order_four_isometry()
+    pairs, quarters = (np.stack(m) for m in zip(*map(_reference_reflections, vecs)))
+    deltas = vecs + vecs @ rho.T
+    # the pair reflection is s_r s_{rho r}, trivial on the dual mod N
+    assert _reference_induced_map(pairs[0]) == tuple(range(64))
+    anisotropic, induces = lat._acts_as_transvection(pairs, deltas)
+    assert anisotropic.all() and not induces.any()
+    anisotropic, induces = lat._acts_as_transvection(quarters, deltas)
+    assert anisotropic.all() and induces.all()
+
+
+def test_single_vector_report_is_the_stack_of_one():
+    vecs = _box_slice()[:4]
+    for r in vecs:
+        assert lat.reflection_identities(r) == lat._reflection_report(r[None])
+        assert all(lat.reflection_identities(r).values())
+    assert all(lat._reflection_report(vecs).values())
+    with pytest.raises(ValueError):
+        lat._reflection_report(np.vstack([vecs, [1, 0] + [0] * 10]))
+
+
+def test_unit_box_is_built_once(monkeypatch):
+    calls = []
+    box = lat._box
+
+    def counting_box(dim, bound):
+        calls.append((dim, bound))
+        return box(dim, bound)
+
+    monkeypatch.setattr(lat, "_box", counting_box)
+    lat._box_vectors.cache_clear()
+    assert lat.reflection_family_check()
+    assert lat.minus4_vector_scan(2)["ok"]
+    assert lat.minus4_vector_scan(2)["ok"]
+    assert calls.count((12, 1)) == 1

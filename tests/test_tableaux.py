@@ -237,3 +237,9 @@ def test_adjacent_transpositions_generate_s8():
                     fresh.append(h)
         frontier = fresh
     assert len(group) == 40320
+
+
+def test_integer_conversion_rejects_fractions():
+    assert tb._integers([QQ(3), QQ(-4, 1)]) == [3, -4]
+    with pytest.raises(ArithmeticError):
+        tb._integers([QQ(1), QQ(1, 2)])
