@@ -92,24 +92,29 @@ def compose(g: Perm, h: Perm) -> Perm:
 def group_elements() -> tuple[Perm, ...]:
     """Closure of the 28 transvections, sorted lexicographically.
 
-    Breadth-first multiplication done on uint8 arrays; the result has order
-    40320, holds Python ints and is cached for the session.
+    The group acts linearly, so an element is fixed by its images of the six
+    basis vectors, packed 6 bits each into one int64 key with the image of e1
+    highest.  The breadth-first closure runs on these keys as numpy sets.  An
+    image x is the XOR of the basis images at the bits of x, all at most x, so
+    the first difference of two elements lies at a basis vector and sorted
+    keys are in lexicographic order.  The result has order 40320, holds
+    Python ints and is cached for the process.
     """
-    gens = np.array(all_transvections(), dtype=np.uint8)
-    seen = {g.tobytes() for g in gens}
-    seen.add(np.arange(64, dtype=np.uint8).tobytes())
-    frontier = gens
+    gens = np.array(all_transvections(), dtype=np.int64)
+    shifts = 6 * np.arange(DIM - 1, -1, -1, dtype=np.int64)
+    weights = 1 << shifts
+    identity = np.array(BASIS) @ weights
+    frontier = gens[:, BASIS]  # the generators' basis images
+    seen = np.union1d(frontier @ weights, [identity])
     while len(frontier):
-        prods = gens[:, frontier]  # shape (ngens, nfrontier, 64)
-        prods = prods.reshape(-1, 64)
-        fresh = []
-        for row in prods:
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                fresh.append(key)
-        frontier = np.frombuffer(b"".join(fresh), dtype=np.uint8).reshape(-1, 64) if fresh else np.empty((0, 64), np.uint8)
-    table = np.frombuffer(b"".join(sorted(seen)), dtype=np.uint8).reshape(-1, 64)
+        fresh = np.setdiff1d(gens[:, frontier].reshape(-1, DIM) @ weights, seen)
+        seen = np.union1d(seen, fresh)
+        frontier = (fresh[:, None] >> shifts) & 63
+    basis_images = (seen[:, None] >> shifts) & 63
+    table = np.zeros((len(seen), 64), dtype=np.int64)
+    for x in range(1, 64):
+        low = x & -x
+        table[:, x] = table[:, x ^ low] ^ basis_images[:, low.bit_length() - 1]
     return tuple(map(tuple, table.tolist()))
 
 

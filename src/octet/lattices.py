@@ -896,12 +896,19 @@ def _box(dim: int, bound: int) -> np.ndarray:
 def _box_vectors(bound: int) -> tuple[np.ndarray, np.ndarray]:
     """The norm -2 vectors, and the norm -4 vectors pairing evenly with N, of
     [-bound, bound]^12 (read-only, lexicographic order).  The only place the
-    rank-12 box is materialized, once per bound."""
-    pts = _box(12, bound)
-    g_pts = pts @ lattice_N().gram
-    norms = np.einsum("ij,ij->i", pts, g_pts)
-    minus4 = norms == -4
-    out = (pts[norms == -2], pts[minus4][~(g_pts[minus4] % 2).any(axis=1)])
+    rank-12 box is scanned, once per bound: one slice per point of the first
+    four coordinates, so the whole box is never held at once."""
+    gram = lattice_N().gram
+    tail = _box(8, bound)
+    minus2, minus4 = [], []
+    for head in _box(4, bound):
+        pts = np.hstack([np.broadcast_to(head, (len(tail), 4)), tail])
+        g_pts = pts @ gram
+        norms = np.einsum("ij,ij->i", pts, g_pts)
+        four = norms == -4
+        minus2.append(pts[norms == -2])
+        minus4.append(pts[four][~(g_pts[four] % 2).any(axis=1)])
+    out = (np.vstack(minus2), np.vstack(minus4))
     for arr in out:
         arr.flags.writeable = False
     return out

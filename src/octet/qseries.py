@@ -1,100 +1,103 @@
 """Exact q-expansions of the three eta-quotient components and their checks.
 
-Series are truncated Laurent series in fractional powers of q with exact
-rational coefficients.  Internally exponents live on the (1/48)Z grid (the
-half-argument eta function forces denominator 48); the three assembled
-components are validated to have exponents in (1/2)Z, which is the external
-serialization contract.  The translation equations are checked exactly on
-coefficients; the inversion equations are checked numerically through the
-eta products, which is the only place a tolerance appears.
+A series is a truncated Laurent series in q^(1/2) with integer coefficients,
+stored densely: ``QSeries(low, coeffs)`` holds the coefficient of
+q^((low+i)/2) at ``coeffs[i]``, and its length fixes the truncation.  Every
+coefficient of the three components is an integer on this half grid, which
+is also the serialization contract.  The translation equations are checked
+exactly on coefficients; the inversion equations are checked numerically
+through the eta products, which is the only place a tolerance appears.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import f2geom, weil
 from .f2geom import VectorType
 
 QQ = Fraction
+# the three vector types in the order of the components h00, h0, h1
+TYPES = (VectorType.ZERO, VectorType.ISOTROPIC, VectorType.ANISOTROPIC)
 
 
 class QSeries:
-    """Truncated series sum c_r q^r with rational exponents and coefficients.
+    """Truncated series sum_i coeffs[i] q^((low+i)/2) with integer coefficients.
 
-    Coefficients are complete for every exponent below ``trunc``; arithmetic
-    tracks the truncation of results.
+    Coefficients are complete for every exponent below the truncation
+    ``trunc = (low + len(coeffs))/2``; arithmetic tracks the truncation of
+    results.  Leading zeros are stripped on construction, so ``low`` is twice
+    the valuation, the zero series has no coefficients, and equal series have
+    equal fields.
     """
 
-    __slots__ = ("coeffs", "trunc")
+    __slots__ = ("low", "coeffs")
 
-    def __init__(self, coeffs: dict, trunc):
-        trunc = QQ(trunc)
-        clean = {QQ(e): QQ(c) for e, c in coeffs.items() if c != 0 and QQ(e) < trunc}
-        self.coeffs = dict(sorted(clean.items()))
-        self.trunc = trunc
+    def __init__(self, low: int, coeffs):
+        coeffs = list(coeffs)
+        start = next((i for i, c in enumerate(coeffs) if c), len(coeffs))
+        self.low = low + start
+        self.coeffs = coeffs[start:]
 
-    @classmethod
-    def zero(cls, trunc) -> "QSeries":
-        return cls({}, trunc)
-
-    @classmethod
-    def one(cls, trunc) -> "QSeries":
-        return cls({QQ(0): QQ(1)}, trunc)
+    @property
+    def trunc(self) -> Fraction:
+        return QQ(self.low + len(self.coeffs), 2)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, QSeries) and self.coeffs == other.coeffs
-                and self.trunc == other.trunc)
+        return (isinstance(other, QSeries) and self.low == other.low
+                and self.coeffs == other.coeffs)
 
     def __repr__(self):
-        head = ", ".join("%s q^%s" % (c, e) for e, c in list(self.coeffs.items())[:4])
+        head = ", ".join("%d q^%s" % (c, e) for e, c in self.terms()[:4])
         return "QSeries(%s ... ; trunc=%s)" % (head, self.trunc)
 
-    def __getitem__(self, exponent) -> Fraction:
+    def terms(self) -> list[tuple[Fraction, int]]:
+        """The nonzero terms as (exponent, coefficient), ascending."""
+        return [(QQ(self.low + i, 2), c) for i, c in enumerate(self.coeffs) if c]
+
+    def __getitem__(self, exponent) -> int:
         e = QQ(exponent)
         if e >= self.trunc:
             raise KeyError("exponent %s beyond truncation %s" % (e, self.trunc))
-        return self.coeffs.get(e, QQ(0))
+        i = 2 * e - self.low
+        return self.coeffs[int(i)] if i.denominator == 1 and i >= 0 else 0
 
-    def valuation(self):
+    def valuation(self) -> Fraction:
         """Smallest exponent with nonzero coefficient (trunc if none)."""
-        return next(iter(self.coeffs), self.trunc)
+        return QQ(self.low, 2)
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        trunc = min(self.trunc, other.trunc)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, QQ(0)) + c
-        return QSeries(out, trunc)
+        low = min(self.low, other.low)
+        end = min(self.low + len(self.coeffs), other.low + len(other.coeffs))
+        out = [0] * (end - low)
+        for series in (self, other):
+            for i, c in enumerate(series.coeffs[:max(end - series.low, 0)], series.low - low):
+                out[i] += c
+        return QSeries(low, out)
 
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + other.scale(-1)
+    def scale(self, factor: int) -> "QSeries":
+        f = operator.index(factor)
+        return QSeries(self.low, [f * c for c in self.coeffs])
 
-    def scale(self, factor) -> "QSeries":
-        f = QQ(factor)
-        return QSeries({e: f * c for e, c in self.coeffs.items()}, self.trunc)
-
-    def shift(self, delta) -> "QSeries":
-        d = QQ(delta)
-        return QSeries({e + d: c for e, c in self.coeffs.items()}, self.trunc + d)
+    def shift(self, steps: int) -> "QSeries":
+        """Multiply by q^(steps/2)."""
+        return QSeries(self.low + operator.index(steps), self.coeffs)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
-        trunc = min(self.trunc + other.valuation(), other.trunc + self.valuation())
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e < trunc:
-                    out[e] = out.get(e, QQ(0)) + c1 * c2
-        return QSeries(out, trunc)
+        # the product is known as far as the shorter factor beyond its valuation
+        a, b = self.coeffs, other.coeffs
+        n = min(len(a), len(b))
+        out = [sum(map(operator.mul, a[:k + 1], b[k::-1])) for k in range(n)]
+        return QSeries(self.low + other.low, out)
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
             return self.inverse() ** (-n)
-        result = QSeries.one(self.trunc - n * min(self.valuation(), QQ(0)))
+        result = QSeries(0, [1] + [0] * (len(self.coeffs) - 1))
         base = self
         while n:
             if n & 1:
@@ -104,39 +107,23 @@ class QSeries:
         return result
 
     def inverse(self) -> "QSeries":
-        """Inverse series; the leading term must be nonzero."""
-        if not self.coeffs:
+        """Inverse series by the integer recurrence b_k = -c0 sum_{i=1..k} a_i b_{k-i};
+        the leading coefficient c0 must be +1 or -1."""
+        a = self.coeffs
+        if not a:
             raise ZeroDivisionError("cannot invert the zero series")
-        v = self.valuation()
-        c0 = self.coeffs[v]
-        # self = c0 q^v (1 + u) with val(u) > 0; invert the unit part
-        unit_trunc = self.trunc - v
-        u = QSeries({e - v: c / c0 for e, c in self.coeffs.items() if e != v}, unit_trunc)
-        geom = QSeries.one(unit_trunc)
-        term = QSeries.one(unit_trunc)
-        if u.coeffs:
-            step = u.valuation()
-            rounds = int((unit_trunc / step).__ceil__()) + 1
-            for _ in range(rounds):
-                term = term * u.scale(-1)
-                if not term.coeffs:
-                    break
-                geom = geom + term
-        return geom.scale(1 / c0).shift(-v)
-
-    def integer_exponent_part(self) -> "QSeries":
-        return QSeries({e: c for e, c in self.coeffs.items() if e.denominator == 1},
-                       self.trunc)
-
-    def exponent_denominators(self) -> set[int]:
-        return {e.denominator for e in self.coeffs}
+        c0 = a[0]
+        if c0 not in (1, -1):
+            raise ArithmeticError("leading coefficient %d is not a unit" % c0)
+        b = [c0]
+        for k in range(1, len(a)):
+            b.append(-c0 * sum(map(operator.mul, a[1:k + 1], b[::-1])))
+        return QSeries(-self.low, b)
 
     def evaluate(self, tau: complex) -> complex:
         """Sum c_r e^{2 pi i tau r}; fractional powers are taken through tau."""
-        return sum(
-            complex(c) * cmath.exp(2j * cmath.pi * tau * float(e))
-            for e, c in self.coeffs.items()
-        )
+        return sum(complex(c) * cmath.exp(2j * cmath.pi * tau * float(e))
+                   for e, c in self.terms())
 
 
 # ---------------------------------------------------------------------------
@@ -144,47 +131,34 @@ class QSeries:
 
 
 def eta_unit(scale, order) -> QSeries:
-    """Euler product prod_{n>=1} (1 - q^{scale*n}) via pentagonal numbers."""
-    scale = QQ(scale)
-    order = QQ(order)
+    """Euler product prod_{n>=1} (1 - q^{scale*n}) on the half grid, truncated
+    below the integer ``order``, from the pentagonal number theorem: the
+    exponent scale*k(3k-1)/2 carries (-1)^k for every integer k.
+
+    The eta prefactors q^{scale/24} are left out.  In A = eta(2 tau)^8 /
+    eta(tau)^16 they add up to q^{(8*2 - 16)/24} = q^0, and in
+    B = eta(tau/2)^8 / eta(tau)^16 to q^{(8*1/2 - 16)/24} = q^{-1/2}, which
+    ``h_components`` applies as a shift by one half step.
+    """
+    step = 2 * QQ(scale)
+    if step.denominator != 1 or step <= 0:
+        raise ValueError("scale must be a positive multiple of 1/2")
     if order <= 0:
         raise ValueError("order must be positive")
-    coeffs = {QQ(0): QQ(1)}
-    k = 1
-    while True:
-        added = False
-        sign = QQ(-1 if k % 2 else 1)
-        for kk in (k, -k):
-            e = scale * QQ(kk * (3 * kk - 1), 2)
-            if e < order:
-                coeffs[e] = coeffs.get(e, QQ(0)) + sign
-                added = True
-        if not added:
-            break
-        k += 1
-    return QSeries(coeffs, order)
+    step, end = int(step), 2 * order
+    coeffs = [0] * end
+    # k(3k-1)/2 >= |k|, so |k| <= end reaches every exponent below the truncation
+    for k in range(-end, end + 1):
+        i = step * (k * (3 * k - 1) // 2)
+        if i < end:
+            coeffs[i] += -1 if k % 2 else 1
+    return QSeries(0, coeffs)
 
 
-def eta_series(scale, order) -> QSeries:
-    """q^{scale/24} * prod (1 - q^{scale*n}), truncated below ``order``."""
-    scale = QQ(scale)
-    if scale not in (QQ(1, 2), QQ(1), QQ(2)):
-        raise ValueError("supported argument scalings are 1/2, 1, 2")
-    order = QQ(order)
-    if order <= 0:
-        raise ValueError("order must be positive")
-    return eta_unit(scale, order - scale / 24).shift(scale / 24)
-
-
-@dataclass(frozen=True)
-class HComponents:
+class HComponents(NamedTuple):
     h00: QSeries
     h0: QSeries
     h1: QSeries
-
-    def by_type(self) -> dict[VectorType, QSeries]:
-        return {VectorType.ZERO: self.h00, VectorType.ISOTROPIC: self.h0,
-                VectorType.ANISOTROPIC: self.h1}
 
 
 @lru_cache(maxsize=None)
@@ -193,29 +167,19 @@ def h_components(order=20) -> HComponents:
 
     h00 = 56 A and h0 = -8 A with A the weight-minus-4 quotient of the
     doubled-argument eta power by the 16th power of eta; h1 = 8 A + B where B
-    is the half-argument analogue.  The eta prefactors q^{scale/24} cancel to
-    exponent 0 in A and to -1/2 in B, so h00 and h0 live on the integer grid
-    and h1 on the half-integer grid.
+    is the half-argument analogue.  The eta prefactors cancel to exponent 0
+    in A and to -1/2 in B (see ``eta_unit``), so h00 and h0 live on the
+    integer grid and h1 on the half-integer grid.
     """
-    order = QQ(order)
     if order < 3:
         raise ValueError("order must be at least 3")
     margin = order + 1
-    unit1_16 = eta_unit(1, margin) ** 16
-    a = (eta_unit(2, margin) ** 8) * unit1_16.inverse()
-    b = ((eta_unit(QQ(1, 2), margin) ** 8) * unit1_16.inverse()).shift(QQ(-1, 2))
-    h00 = a.scale(56)
-    h0 = a.scale(-8)
-    h1 = a.scale(8) + b
-    comps = HComponents(
-        h00=QSeries(h00.coeffs, order),
-        h0=QSeries(h0.coeffs, order),
-        h1=QSeries({e: c for e, c in h1.coeffs.items()}, order),
-    )
-    for series in (comps.h00, comps.h0, comps.h1):
-        if not all(d in (1, 2) for d in series.exponent_denominators()):
-            raise ArithmeticError("assembled component leaves the (1/2)Z grid")
-    return comps
+    inv1_16 = (eta_unit(1, margin) ** 16).inverse()
+    a = (eta_unit(2, margin) ** 8) * inv1_16
+    b = ((eta_unit(QQ(1, 2), margin) ** 8) * inv1_16).shift(-1)
+    end = 2 * order
+    return HComponents(*(QSeries(s.low, s.coeffs[:end - s.low])
+                         for s in (a.scale(56), a.scale(-8), a.scale(8) + b)))
 
 
 def verify_T_equations(order=20) -> dict:
@@ -226,16 +190,14 @@ def verify_T_equations(order=20) -> dict:
     (so h1 is negated).
     """
     comps = h_components(order)
+    stray = [e for e, _ in comps.h1.terms() if e.denominator == 1]
     report = {
-        "h00_integer_exponents": comps.h00.exponent_denominators() <= {1},
-        "h0_integer_exponents": comps.h0.exponent_denominators() <= {1},
+        "h00_integer_exponents": all(e.denominator == 1 for e, _ in comps.h00.terms()),
+        "h0_integer_exponents": all(e.denominator == 1 for e, _ in comps.h0.terms()),
         "h00_plus_7_h0_is_zero": not (comps.h00 + comps.h0.scale(7)).coeffs,
-        "first_offending_exponent": None,
+        "first_offending_exponent": str(stray[0]) if stray else None,
+        "h1_half_integer_exponents": not stray,
     }
-    stray = comps.h1.integer_exponent_part().coeffs
-    report["h1_half_integer_exponents"] = not stray
-    if stray:
-        report["first_offending_exponent"] = str(next(iter(stray)))
     report["ok"] = all(v for k, v in report.items() if k != "first_offending_exponent")
     return report
 
@@ -307,7 +269,7 @@ def verify_S_equations_numeric(samples=DEFAULT_SAMPLES, tolerance=1e-9, order=20
 
 def assemble_form(order=20) -> dict[VectorType, QSeries]:
     """The 64-component form collapsed to its three distinct components."""
-    return h_components(order).by_type()
+    return dict(zip(TYPES, h_components(order)))
 
 
 def expand_form(components: dict[VectorType, QSeries]) -> tuple[QSeries, ...]:
@@ -326,13 +288,12 @@ def assemble_and_reduce() -> dict:
     type-constant vector; the resulting 3x3 mixing matrix and the diagonal
     translation signs are returned exactly.
     """
-    order = (VectorType.ZERO, VectorType.ISOTROPIC, VectorType.ANISOTROPIC)
     types = [f2geom.classify(x) for x in f2geom.SPACE]
     s = weil.rho_S()
     t = weil.rho_T()
     mixing = []
     constant = True
-    for col_kind in order:
+    for col_kind in TYPES:
         image = s.apply(type_indicator(col_kind))
         seen = {}
         for x, val in enumerate(image):
@@ -340,10 +301,10 @@ def assemble_and_reduce() -> dict:
         if any(len(vals) != 1 for vals in seen.values()):
             constant = False
             break
-        mixing.append([next(iter(seen[row_kind])) for row_kind in order])
+        mixing.append([next(iter(seen[row_kind])) for row_kind in TYPES])
     mixing_matrix = [list(col) for col in zip(*mixing)] if constant else None
     t_signs = []
-    for kind in order:
+    for kind in TYPES:
         image = t.apply(type_indicator(kind))
         vals = {image[x] for x in f2geom.SPACE if types[x] is kind}
         t_signs.append(next(iter(vals)) if len(vals) == 1 else None)
@@ -359,13 +320,10 @@ def assemble_and_reduce() -> dict:
 
 def mixing_rows_from_pair_census() -> tuple[tuple[int, int, int], ...]:
     """Recover the integer mixing rows as m0 - m1 from the pairing census."""
-    order = (VectorType.ZERO, VectorType.ISOTROPIC, VectorType.ANISOTROPIC)
-    reps = {VectorType.ZERO: 0, VectorType.ISOTROPIC: f2geom.E1,
-            VectorType.ANISOTROPIC: f2geom.ALPHA1}
     rows = []
-    for kind in order:
-        counts = f2geom.pair_census(reps[kind])
-        rows.append(tuple(counts[(k2, 0)] - counts[(k2, 1)] for k2 in order))
+    for rep in (0, f2geom.E1, f2geom.ALPHA1):  # one vector of each type, as in TYPES
+        counts = f2geom.pair_census(rep)
+        rows.append(tuple(counts[(k2, 0)] - counts[(k2, 1)] for k2 in TYPES))
     return tuple(rows)
 
 
@@ -377,7 +335,7 @@ def borcherds_bookkeeping(order=20) -> dict:
     """Arithmetic cross-checks on the lift's weight and vanishing orders."""
     comps = h_components(order)
     constant_term = comps.h00[0]
-    weight = constant_term / 2
+    weight = QQ(constant_term, 2)
     n_singular = len(f2geom.enumerate_singular_subspaces())
     n_aniso = f2geom.census()[VectorType.ANISOTROPIC]
     product_weight = 4 * n_singular
@@ -402,13 +360,15 @@ def borcherds_bookkeeping(order=20) -> dict:
 
 def serialize_series(series: QSeries) -> dict:
     """JSON document with (doubled exponent, coefficient string) pairs."""
-    if not all(d in (1, 2) for d in series.exponent_denominators()):
-        raise ValueError("only series on the (1/2)Z grid are serializable")
-    pairs = [[int(e * 2), "%d/%d" % (c.numerator, c.denominator)]
-             for e, c in series.coeffs.items()]
+    pairs = [[series.low + i, "%d/1" % c] for i, c in enumerate(series.coeffs) if c]
     return {"half_exponent_pairs": pairs, "truncation_order": str(series.trunc)}
 
 
 def deserialize_series(doc: dict) -> QSeries:
-    coeffs = {QQ(n2, 2): QQ(cs) for n2, cs in doc["half_exponent_pairs"]}
-    return QSeries(coeffs, QQ(doc["truncation_order"]))
+    """The series of a ``serialize_series`` document; coefficients must be integers."""
+    end = int(2 * QQ(doc["truncation_order"]))
+    coeffs = {n2: QQ(cs) for n2, cs in doc["half_exponent_pairs"]}
+    if any(c.denominator != 1 for c in coeffs.values()):
+        raise ValueError("a series coefficient is not an integer")
+    low = min(coeffs, default=end)
+    return QSeries(low, [int(coeffs.get(n2, 0)) for n2 in range(low, end)])

@@ -103,11 +103,17 @@ def hook_count() -> int:
 
 
 def affine_config(xs) -> Config:
-    return tuple((QQ(1), QQ(x)) for x in xs)
+    return parse_config([(1, x) for x in xs])
 
 
 def parse_config(pairs) -> Config:
-    config = tuple((QQ(a), QQ(b)) for a, b in pairs)
+    if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+        raise ValueError("a configuration is a list of homogeneous coordinate pairs")
+    try:
+        config = tuple((QQ(a), QQ(b)) for a, b in pairs)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError("coordinates must be rational numbers (%s)" % exc) from None
     if len(config) != 8:
         raise ValueError("a configuration has exactly 8 points")
     if any(a == 0 and b == 0 for a, b in config):

@@ -54,6 +54,15 @@ def test_compute_hseries_head():
     assert doc["h1"]["half_exponent_pairs"][0] == [-1, "1/1"]
 
 
+def test_compute_hseries_order60_golden():
+    # pins the coefficients up to q^(119/2), far past the order-8 golden and
+    # past what the numeric inversion check can resolve
+    golden = Path(__file__).parent / "golden" / "hseries_order60.json"
+    proc = run_cli("compute", "hseries", "--order", "60")
+    assert proc.returncode == 0
+    assert proc.stdout == golden.read_text()
+
+
 def test_compute_subspaces_singular():
     proc = run_cli("compute", "subspaces", "--singular")
     doc = json.loads(proc.stdout)
@@ -74,10 +83,12 @@ def test_compute_theta():
 
 
 def test_compute_misuse_exits_2_with_message():
-    for args in (["fv", "--index", "200"], ["fv", "--index", "-1"], ["theta"]):
+    for args in (["fv", "--index", "200"], ["fv", "--index", "-1"], ["theta"],
+                 ["theta", "--affine", "1,2"], ["theta", "--affine", "1,2,3,4,5,6,7,8,9"],
+                 ["theta", "--config", "[1,2,3,4,5,6,7,8]"]):
         proc = run_cli("compute", *args)
         assert proc.returncode == 2, args
-        assert proc.stderr.strip(), args
+        assert proc.stderr.startswith("error: "), args
 
 
 def test_compute_rejects_flags_it_does_not_read():

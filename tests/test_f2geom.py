@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,11 +93,15 @@ def test_group_order_and_orbits():
 
 
 def test_group_closed_under_generators():
-    group = set(f2geom.group_elements())
-    gen = f2geom.all_transvections()[0]
-    sample = list(group)[:200]
-    for g in sample:
-        assert f2geom.compose(gen, g) in group
+    # every product t o g of a generator and an element lies in the group:
+    # t o G, sorted as 64-byte rows, equals the sorted group
+    group = np.array(f2geom.group_elements(), dtype=np.uint8)
+    rows = np.sort(group.view("V64").ravel()).view(np.uint8)
+    assert np.array_equal(rows.reshape(group.shape), group)  # listed in lexicographic order
+    for gen in f2geom.all_transvections():
+        products = np.array(gen, dtype=np.uint8)[group]
+        assert np.array_equal(np.sort(products.view("V64").ravel()).view(np.uint8), rows)
+    assert f2geom.compose(gen, f2geom.group_elements()[7]) == tuple(products[7].tolist())
 
 
 def test_subspace_counts():

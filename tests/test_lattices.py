@@ -343,4 +343,4 @@ def test_unit_box_is_built_once(monkeypatch):
     assert lat.reflection_family_check()
     assert lat.minus4_vector_scan(2)["ok"]
     assert lat.minus4_vector_scan(2)["ok"]
-    assert calls.count((12, 1)) == 1
+    assert calls.count((8, 1)) == 1  # the box is scanned as slices over _box(8, 1)

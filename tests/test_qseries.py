@@ -12,19 +12,77 @@ from octet.qseries import QSeries
 GOLDEN = Path(__file__).parent / "golden" / "hseries_order8.json"
 
 
+class FractionSeries:
+    """Reference: the former dict-of-Fraction series (exponent -> coefficient,
+    complete below trunc), kept to cross-check the dense integer series."""
+
+    def __init__(self, coeffs: dict, trunc):
+        trunc = QQ(trunc)
+        clean = {QQ(e): QQ(c) for e, c in coeffs.items() if c != 0 and QQ(e) < trunc}
+        self.coeffs = dict(sorted(clean.items()))
+        self.trunc = trunc
+
+    @classmethod
+    def of(cls, series: QSeries) -> "FractionSeries":
+        return cls(dict(series.terms()), series.trunc)
+
+    def __eq__(self, other) -> bool:
+        return self.coeffs == other.coeffs and self.trunc == other.trunc
+
+    def valuation(self):
+        return next(iter(self.coeffs), self.trunc)
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            out[e] = out.get(e, QQ(0)) + c
+        return FractionSeries(out, min(self.trunc, other.trunc))
+
+    def __mul__(self, other):
+        trunc = min(self.trunc + other.valuation(), other.trunc + self.valuation())
+        out: dict = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                if e1 + e2 < trunc:
+                    out[e1 + e2] = out.get(e1 + e2, QQ(0)) + c1 * c2
+        return FractionSeries(out, trunc)
+
+    def inverse(self):
+        v = self.valuation()
+        c0 = self.coeffs[v]
+        # self = c0 q^v (1 + u) with val(u) > 0; sum the geometric series in -u
+        unit_trunc = self.trunc - v
+        u = FractionSeries({e - v: -c / c0 for e, c in self.coeffs.items() if e != v},
+                           unit_trunc)
+        geom = term = FractionSeries({0: 1}, unit_trunc)
+        rounds = int((unit_trunc / u.valuation()).__ceil__()) + 1 if u.coeffs else 0
+        for _ in range(rounds):
+            term = term * u
+            geom = geom + term
+        return FractionSeries({e - v: c / c0 for e, c in geom.coeffs.items()},
+                              self.trunc - 2 * v)
+
+
 def small_series(entries, trunc=10):
-    return QSeries({QQ(e, 2): QQ(c) for e, c in entries}, trunc)
+    """sum c q^(e/2) over the entries (e, c), complete below q^trunc."""
+    end = 2 * trunc
+    coeffs = {e: c for e, c in entries if e < end}
+    low = min(coeffs, default=end)
+    return QSeries(low, [coeffs.get(e, 0) for e in range(low, end)])
 
 
 series_strategy = st.builds(
     small_series,
     st.dictionaries(st.integers(-4, 12), st.integers(-9, 9), max_size=6).map(dict.items),
+    st.integers(1, 10),
 )
 
 unit_strategy = st.builds(
-    lambda entries: QSeries(dict([(QQ(0), QQ(1))] + [(QQ(e, 2), QQ(c))
-                                                     for e, c in entries if e > 0]), 10),
+    lambda entries, low, c0: small_series([(0, c0)] + [(e, c) for e, c in entries if e > 0])
+    .shift(low),
     st.dictionaries(st.integers(1, 12), st.integers(-9, 9), max_size=5).map(dict.items),
+    st.integers(-4, 4),
+    st.sampled_from((1, -1)),
 )
 
 
@@ -40,37 +98,69 @@ def test_multiplication_associates(f, g, h):
     lhs = (f * g) * h
     rhs = f * (g * h)
     assert lhs.trunc == rhs.trunc
-    cutoff = lhs.trunc
-    assert {e: c for e, c in lhs.coeffs.items() if e < cutoff} == \
-           {e: c for e, c in rhs.coeffs.items() if e < cutoff}
+    assert lhs.terms() == rhs.terms()
 
 
 @settings(max_examples=40, deadline=None)
 @given(unit_strategy)
 def test_inverse_cancels(f):
     prod = f * f.inverse()
-    assert prod.coeffs == {QQ(0): QQ(1)}
+    assert prod.terms() == [(0, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_strategy, series_strategy, unit_strategy)
+def test_arithmetic_matches_fraction_reference(f, g, u):
+    ref = FractionSeries.of
+    assert ref(f + g) == ref(f) + ref(g)
+    assert ref(f * g) == ref(f) * ref(g)
+    assert ref(u.inverse()) == ref(u).inverse()
+    assert ref(u ** 3) == ref(u) * ref(u) * ref(u)
+
+
+def test_inverse_needs_a_unit_leading_coefficient():
+    with pytest.raises(ArithmeticError):
+        small_series([(0, 2), (1, 1)]).inverse()
+    with pytest.raises(ZeroDivisionError):
+        small_series([]).inverse()
+
+
+def test_coefficient_lookup():
+    f = small_series([(-1, 3), (2, -5)], trunc=2)
+    assert (f.low, f.coeffs, f.trunc, f.valuation()) == (-1, [3, 0, 0, -5, 0], 2, QQ(-1, 2))
+    assert f[QQ(-1, 2)] == 3 and f[1] == -5 and f[QQ(3, 2)] == 0
+    assert f[-3] == 0 and f[QQ(1, 3)] == 0
+    with pytest.raises(KeyError):
+        f[2]
+    assert small_series([(0, 1)], trunc=2).scale(0) == small_series([], trunc=2)
+    # a summand that starts beyond the other's truncation contributes nothing
+    assert small_series([(6, 8)], trunc=6) + small_series([(0, -5)], trunc=2) == \
+        small_series([(0, -5)], trunc=2)
 
 
 def test_eta_series_head():
-    eta = qseries.eta_series(1, 10)
-    assert eta[QQ(1, 24)] == 1
-    assert eta[QQ(25, 24)] == -1  # exponent 1 + 1/24
-    assert eta[QQ(49, 24)] == -1
-    assert eta[QQ(121, 24)] == 1  # pentagonal exponent 5
-    assert eta[QQ(169, 24)] == 1  # pentagonal exponent 7
-    assert eta[QQ(73, 24)] == 0   # exponent 3 is not pentagonal
+    eta = qseries.eta_unit(1, 10)
+    assert eta[0] == 1
+    assert eta[1] == -1
+    assert eta[2] == -1
+    assert eta[5] == 1  # pentagonal exponent 5
+    assert eta[7] == 1  # pentagonal exponent 7
+    assert eta[3] == 0  # exponent 3 is not pentagonal
+    assert eta[QQ(1, 2)] == 0 and eta.trunc == 10
 
 
 def test_eta_scaling():
-    eta2 = qseries.eta_series(2, 5)
-    assert eta2.valuation() == QQ(1, 12)
-    eta_half = qseries.eta_series(QQ(1, 2), 5)
-    assert eta_half.valuation() == QQ(1, 48)
+    eta2 = qseries.eta_unit(2, 5)
+    assert eta2.valuation() == 0
+    assert [eta2[n] for n in range(5)] == [1, 0, -1, 0, -1]
+    eta_half = qseries.eta_unit(QQ(1, 2), 5)
+    assert [eta_half[QQ(n, 2)] for n in range(8)] == [1, -1, -1, 0, 0, 1, 0, 1]
     with pytest.raises(ValueError):
-        qseries.eta_series(1, 0)
+        qseries.eta_unit(1, 0)
     with pytest.raises(ValueError):
-        qseries.eta_series(3, 5)
+        qseries.eta_unit(1, -3)
+    with pytest.raises(ValueError):
+        qseries.eta_unit(QQ(1, 3), 5)
 
 
 def test_h_component_heads():
@@ -116,7 +206,7 @@ def test_census_rows():
 
 def test_bookkeeping():
     book = qseries.borcherds_bookkeeping()
-    assert book["weight"] == 28
+    assert book["weight"] == 28 and isinstance(book["weight"], QQ)
     assert book["vanishing_order"] == 15
     assert book["quartic_count"] == 420
     assert book["factorization_ok"]
@@ -126,9 +216,9 @@ def test_serialization_roundtrip_and_rejection():
     comps = qseries.h_components(6)
     for series in (comps.h00, comps.h1):
         assert qseries.deserialize_series(qseries.serialize_series(series)) == series
-    off_grid = QSeries({QQ(1, 24): QQ(1)}, 2)
+    non_integral = {"half_exponent_pairs": [[0, "1/1"], [3, "1/2"]], "truncation_order": "2"}
     with pytest.raises(ValueError):
-        qseries.serialize_series(off_grid)
+        qseries.deserialize_series(non_integral)
 
 
 def test_golden_h_series():

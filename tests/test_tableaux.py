@@ -68,6 +68,13 @@ def test_parse_config_rejects_bad_input():
         tb.parse_config([["0", "0"]] * 8)
     with pytest.raises(ValueError):
         tb.parse_config([["1", "1"]] * 7)
+    for bad in ([1, 2, 3, 4, 5, 6, 7, 8], [["1", "2", "3"]] * 8, ["12"] * 8, "12" * 8,
+                [[None, 1]] * 8):
+        with pytest.raises(ValueError):
+            tb.parse_config(bad)
+    for xs in ([1, 2], range(1, 10)):
+        with pytest.raises(ValueError):
+            tb.affine_config(xs)
 
 
 def test_pair_class_form_matches_weight_description():
