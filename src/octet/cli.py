@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_flag(theta)
 
     relations = csub.add_parser("relations", help="exact relation kernel")
-    relations.add_argument("--degree", type=int, default=2, choices=(1, 2, 4))
+    relations.add_argument("--degree", type=int, default=2, choices=(1, 2))
     relations.add_argument("--seed", type=int, default=42)
     relations.add_argument("--samples", type=int, default=300)
     _add_out_flag(relations)

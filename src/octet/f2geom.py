@@ -89,16 +89,16 @@ def compose(g: Perm, h: Perm) -> Perm:
 
 
 @lru_cache(maxsize=None)
-def group_elements() -> tuple[Perm, ...]:
-    """Closure of the 28 transvections, sorted lexicographically.
+def _group_table() -> np.ndarray:
+    """The 40320 x 64 table of images, row g holding (g(0), ..., g(63)), in
+    lexicographic order of rows; read-only uint8, cached for the process.
 
     The group acts linearly, so an element is fixed by its images of the six
     basis vectors, packed 6 bits each into one int64 key with the image of e1
-    highest.  The breadth-first closure runs on these keys as numpy sets.  An
-    image x is the XOR of the basis images at the bits of x, all at most x, so
-    the first difference of two elements lies at a basis vector and sorted
-    keys are in lexicographic order.  The result has order 40320, holds
-    Python ints and is cached for the process.
+    highest.  The breadth-first closure of the 28 transvections runs on these
+    keys as numpy sets.  An image x is the XOR of the basis images at the bits
+    of x, all at most x, so the first difference of two elements lies at a
+    basis vector and sorted keys are in lexicographic order.
     """
     gens = np.array(all_transvections(), dtype=np.int64)
     shifts = 6 * np.arange(DIM - 1, -1, -1, dtype=np.int64)
@@ -110,20 +110,27 @@ def group_elements() -> tuple[Perm, ...]:
         fresh = np.setdiff1d(gens[:, frontier].reshape(-1, DIM) @ weights, seen)
         seen = np.union1d(seen, fresh)
         frontier = (fresh[:, None] >> shifts) & 63
-    basis_images = (seen[:, None] >> shifts) & 63
-    table = np.zeros((len(seen), 64), dtype=np.int64)
+    basis_images = ((seen[:, None] >> shifts) & 63).astype(np.uint8)
+    table = np.zeros((len(seen), 64), dtype=np.uint8)
     for x in range(1, 64):
         low = x & -x
         table[:, x] = table[:, x ^ low] ^ basis_images[:, low.bit_length() - 1]
-    return tuple(map(tuple, table.tolist()))
+    table.flags.writeable = False
+    return table
+
+
+def group_elements() -> tuple[Perm, ...]:
+    """The closure of the 28 transvections, sorted lexicographically: the
+    rows of the cached image table as tuples of Python ints (order 40320).
+    The tuples take ≈ 22 MB, so they are built per call and not cached."""
+    return tuple(map(tuple, _group_table().tolist()))
 
 
 def group_preserves_form() -> bool:
     """q(g x) == q(x) for every group element g and vector x, as one lookup
-    of the q table at the 40320 x 64 array of images."""
+    of the q table at the 40320 x 64 table of images."""
     qtable = np.array([q(x) for x in SPACE], dtype=np.uint8)
-    images = np.array(group_elements(), dtype=np.uint8)
-    return bool((qtable[images] == qtable).all())
+    return bool((qtable[_group_table()] == qtable).all())
 
 
 def orbits(generators: list[Perm] | None = None) -> list[tuple[int, ...]]:

@@ -28,6 +28,10 @@ all built by ``_box``.  The rank-12 box is materialized only in the cached
 norm -4 vectors pairing evenly with N.  The Gram matrix and the isometry
 are block diagonal, so counts over larger boxes convolve per-block norm
 histograms; the materialized unit box is the oracle they are checked against.
+
+Vectors and matrices are numpy int64.  The box builder and the reflection
+report check an entry bound before they multiply, and raise OverflowError
+where a product could wrap.
 """
 
 from __future__ import annotations
@@ -755,6 +759,39 @@ def _acts_as_transvection(isometries: np.ndarray, deltas: np.ndarray):
 # reflections
 
 
+def _check_int64(bound: int) -> None:
+    """Raise OverflowError unless intermediates bounded by ``bound`` fit int64."""
+    if bound >= 2**63:
+        raise OverflowError("entries too large for int64 arithmetic")
+
+
+@lru_cache(maxsize=None)
+def _norm_constant() -> int:
+    """The largest operator norm (max row or column sum of |entries|) among
+    G, rho and the doubled discriminant generators: no product with one of
+    them grows an entry bound by more than this factor."""
+    mats = (lattice_N().gram, order_four_isometry(), _snf_data_N()[1])
+    return max(int(np.abs(m).sum(axis=axis).max()) for m in mats for axis in (0, 1))
+
+
+def _check_reflection_entries(vecs: np.ndarray) -> None:
+    """Raise OverflowError unless every int64 intermediate of the reflection
+    report of the stack is exact.
+
+    With a the largest l1 norm of a row r and c = ``_norm_constant()``, the
+    doubled quarter reflection 2I + (r - rho r)(Gr)^T + (r + rho r)(G rho r)^T
+    has operator norm at most h = 2 + c(1 + c)^2 a^2, which also bounds the
+    pair reflection, every vector the report forms and c itself.  Each
+    intermediate is a product of at most four such matrices (the fourth power
+    of the quarter reflection), so h^4 bounds every entry and partial sum.
+    """
+    top = max(int(vecs.max(initial=0)), -int(vecs.min(initial=0)))
+    _check_int64(12 * top)  # the l1 norms below are then exact
+    a = int(np.abs(vecs).sum(axis=1).max(initial=0))
+    c = _norm_constant()
+    _check_int64((2 + c * (1 + c) ** 2 * a * a) ** 4)
+
+
 def _reflection_report(vecs) -> dict:
     """The reflection identities of a stack (a, 12) of norm -2 vectors r, each
     the all over the stack.
@@ -764,8 +801,10 @@ def _reflection_report(vecs) -> dict:
     x -> x + <r,x>(r - rho r)/2 + <rho r,x>(r + rho r)/2, integral because
     delta = r + rho r has delta/2 in the dual.  A failed condition (such as a
     non-integral quarter reflection) makes the keys that depend on it False.
+    A stack whose entries could wrap int64 raises OverflowError.
     """
     vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, 12)
+    _check_reflection_entries(vecs)
     gram = lattice_N().gram
     rho = order_four_isometry()
     eye = np.eye(12, dtype=np.int64)
@@ -886,7 +925,13 @@ _BLOCK_SLICES = (slice(0, 4), slice(4, 8), slice(8, 12))
 
 def _box(dim: int, bound: int) -> np.ndarray:
     """All integer vectors of length dim with entries in [-bound, bound], one
-    per row, in lexicographic order."""
+    per row, in lexicographic order.
+
+    Scans form Gram, rho and norm products of box vectors of length at most
+    12, each at most 12 (1 + c)^3 bound^2 with c = ``_norm_constant()``; a
+    bound for which that could wrap int64 raises OverflowError up front.
+    """
+    _check_int64(12 * (1 + _norm_constant()) ** 3 * bound ** 2)
     side = np.arange(-bound, bound + 1, dtype=np.int64)
     grids = np.meshgrid(*([side] * dim), indexing="ij", copy=False)
     return np.stack(grids, axis=-1).reshape(-1, dim)

@@ -2,10 +2,15 @@
 
 There are no tolerances anywhere.  The central object is :class:`EchelonForm`,
 an incrementally maintained reduced row echelon form: rows are fed one at a
-time, which lets callers stop sampling once the rank stabilises and doubles
-as an exact membership test for row spans.  Inside, every row is a primitive
-list of Python ints, so elimination never builds a Fraction; Fractions
-appear only where rows come in with rational entries and where results go out.
+time, and it doubles as an exact membership test for row spans.  Inside,
+every row is a primitive list of Python ints, so elimination never builds a
+Fraction; Fractions appear only where rows come in with rational entries and
+where results go out.
+
+:func:`rank_mod_p` is exact arithmetic over a prime field F_p in numpy
+int64.  The rank it returns is a lower bound on the rank over Q (a minor
+that vanishes over Q vanishes mod p), so it can certify that rows reach a
+rank, never that they stay below one; an upper bound needs an identity.
 """
 
 from __future__ import annotations
@@ -15,10 +20,16 @@ from math import gcd, lcm
 from operator import index
 from typing import Iterable, Sequence
 
+import numpy as np
 
-def _integer_row(row: Sequence) -> list[int]:
+MERSENNE_31 = 2**31 - 1
+
+
+def integer_row(row: Sequence) -> list[int]:
     """The row times the lcm of its denominators, as Python ints.  Integers,
     numpy ones too, go through ``index`` so they never wrap; floats raise."""
+    if all(type(x) is int for x in row):
+        return list(row)
     den = lcm(*(index(x.denominator) for x in row if isinstance(x, Fraction)))
     return [index(x.numerator) * (den // index(x.denominator))
             if isinstance(x, Fraction) else index(x) * den for x in row]
@@ -59,7 +70,7 @@ class EchelonForm:
 
     def _reduce(self, row: Sequence) -> list[int]:
         """An integer multiple of the row with every pivot column cleared."""
-        row = _integer_row(row)
+        row = integer_row(row)
         if len(row) != self.ncols:
             raise ValueError("row length %d != %d" % (len(row), self.ncols))
         for col in sorted(self._rows):
@@ -136,3 +147,31 @@ def invert(mat: Sequence[Sequence]) -> list[list[Fraction]]:
     n = len(mat)
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     return solve_right(mat, eye)
+
+
+def rank_mod_p(rows: Iterable[Sequence[int]], ncols: int, p: int = MERSENNE_31) -> int:
+    """Rank over F_p (p prime) of integer rows: a lower bound on their rank
+    over Q.
+
+    Gaussian elimination on residues in [0, p) in numpy int64; with p < 2**31
+    every product of two residues stays below 2**62, so nothing wraps.
+    """
+    if not 2 <= p < 2**31:
+        raise ValueError("the prime must lie in [2, 2**31)")
+    m = np.array([[index(x) % p for x in row] for row in rows],
+                 dtype=np.int64).reshape(-1, ncols)
+    rank = 0
+    for col in range(ncols):
+        nonzero = np.flatnonzero(m[rank:, col])
+        if not len(nonzero):
+            continue
+        pivot = rank + nonzero[0]
+        m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank] = m[rank] * pow(int(m[rank, col]), -1, p) % p
+        below = m[rank + 1:]
+        below -= below[:, col, None] * m[rank] % p
+        below %= p
+        rank += 1
+        if rank == len(m):
+            break
+    return rank

@@ -9,6 +9,16 @@ homogeneous coordinates.  The product of a tableau's four 2x2 minors is the
 basic invariant; the 14 standard products give the projective embedding, and
 every other product straightens into an integer combination of them through
 the three-term exchange relation.
+
+Claims about the products as functions are proved by polynomial identity.
+At the affine points (1, x_i) a product is the integer polynomial
+prod (x_b - x_a) over its pairs; it has degree 1 in each point, so the
+affine chart loses nothing.  Straightening expansions, the independence of
+the 14 standard products and the 14 quadrics among them are identities of
+these polynomials, and the quadrics are the exact kernel of the expanded
+coefficient matrix.  Seeded integer configurations evaluate the products
+through ``mu`` and cross-check each claim; they tie ``mu`` to the
+expansion and prove nothing the identities do not.
 """
 
 from __future__ import annotations
@@ -17,6 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
+from types import MappingProxyType
+from typing import Mapping
 
 from . import f2geom, lattices, linalg
 from .sampling import SplitMix64
@@ -153,9 +165,10 @@ def det2(p, q) -> Fraction:
     return p[0] * q[1] - p[1] * q[0]
 
 
-def mu(t: Tableau, config: Config) -> Fraction:
-    """Product of the four 2x2 minors picked out by the tableau's pairs."""
-    value = QQ(1)
+def mu(t: Tableau, config: Config) -> Fraction | int:
+    """Product of the four 2x2 minors picked out by the tableau's pairs, in
+    the coordinates' own arithmetic (ints at integer points)."""
+    value = 1
     for a, b in t:
         value *= det2(config[a - 1], config[b - 1])
     return value
@@ -305,13 +318,15 @@ def transposition_transvection_check() -> bool:
     return True
 
 
+def sample_points(rng: SplitMix64) -> tuple[tuple[int, int], ...]:
+    """The affine points (1, x) at 8 distinct integers x in [-50, 50], in
+    Python ints.  Distinct points are stable, and mu there is an int."""
+    return tuple((1, x) for x in rng.distinct_integers(8, -50, 50))
+
+
 def sample_config(rng: SplitMix64) -> Config:
-    """Affine configuration on 8 distinct integers in [-50, 50]."""
-    while True:
-        xs = rng.distinct_integers(8, -50, 50)
-        config = affine_config(xs)
-        if is_stable(config):
-            return config
+    """The next sampled configuration, in Fraction coordinates."""
+    return parse_config(sample_points(rng))
 
 
 def mu_permutation_identity(t: Tableau, sigma, config: Config) -> bool:
@@ -414,11 +429,24 @@ def straighten(t: Tableau) -> tuple[tuple[Tableau, int], ...]:
     return tuple(sorted((k, v) for k, v in out.items() if v))
 
 
+def _straightening_identities() -> bool:
+    """Every straightening expansion holds as a polynomial identity."""
+    for t in enumerate_tableaux():
+        total: dict[int, int] = {}
+        for std, coeff in straighten(t):
+            for key, c in tableau_polynomial(std).items():
+                total[key] = total.get(key, 0) + coeff * c
+        if {k: c for k, c in total.items() if c} != tableau_polynomial(t):
+            return False
+    return True
+
+
 def straightening_check(n_samples: int = 5, seed: int = 42) -> dict:
-    """Exact evaluation check of every expansion on sampled configurations."""
+    """Every expansion as a polynomial identity, and by exact evaluation on
+    sampled configurations."""
     rng = SplitMix64(seed)
     configs = [sample_config(rng) for _ in range(n_samples)]
-    all_ok = True
+    all_ok = _straightening_identities()
     for t in enumerate_tableaux():
         expansion = straighten(t)
         for c in configs:
@@ -437,7 +465,31 @@ def straightening_check(n_samples: int = 5, seed: int = 42) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# relation discovery
+# polynomial expansion
+#
+# A polynomial in the affine coordinates x_1..x_8 is a dict from packed
+# exponent vectors to nonzero int coefficients: the exponent of x_i sits in
+# bits 2i-2 and 2i-1, so for exponents up to 3 the key of a product of
+# monomials is the sum of their keys.
+
+
+def _poly_mul(f: Mapping[int, int], g: Mapping[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for kf, cf in f.items():
+        for kg, cg in g.items():
+            out[kf + kg] = out.get(kf + kg, 0) + cf * cg
+    return {k: c for k, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def tableau_polynomial(t: Tableau) -> Mapping[int, int]:
+    """mu(t) at the affine points (1, x_i): the product of x_b - x_a over the
+    pairs (a, b) of t, whose 16 monomials have coefficients +-1 (read-only,
+    cached)."""
+    poly = {0: 1}
+    for a, b in t:
+        poly = _poly_mul(poly, {4 ** (b - 1): 1, 4 ** (a - 1): -1})
+    return MappingProxyType(poly)
 
 
 def degree_monomials(degree: int) -> tuple[tuple[int, ...], ...]:
@@ -451,12 +503,41 @@ def degree_monomials(degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out, reverse=True))
 
 
-def _integers(values) -> list[int]:
-    """The values as Python ints; sampled configurations have integer
-    coordinates, so every mu value there is an integer."""
-    if any(v.denominator != 1 for v in values):
-        raise ArithmeticError("mu value of a sampled configuration is not integral")
-    return [v.numerator for v in values]
+def polynomial_rows(degree: int) -> list[tuple[int, ...]]:
+    """The coefficient matrix of the degree-d monomials in the 14 standard
+    products, expanded in x (degree at most 3): row k holds the coefficients
+    of one x-monomial, column j belongs to ``degree_monomials(degree)[j]``.
+    Rows that repeat up to sign are kept once, with a positive leading entry,
+    and the sparse rows come first; neither changes the kernel."""
+    standard = [tableau_polynomial(t) for t in standard_tableaux()]
+    monomials = degree_monomials(degree)
+    rows: dict[int, list[int]] = {}
+    for j, exps in enumerate(monomials):
+        poly = {0: 1}
+        for e, f in zip(exps, standard):
+            for _ in range(e):
+                poly = _poly_mul(poly, f)
+        for key, c in poly.items():
+            rows.setdefault(key, [0] * len(monomials))[j] = c
+    distinct = {}
+    for row in rows.values():
+        sign = 1 if next(x for x in row if x) > 0 else -1
+        distinct[tuple(sign * x for x in row)] = None
+    return sorted(distinct, key=lambda row: len(row) - row.count(0))
+
+
+@lru_cache(maxsize=None)
+def polynomial_kernel(degree: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The linear relations among the degree-d monomials in the 14 standard
+    products that hold as polynomial identities: the canonical (RREF) kernel
+    basis of ``polynomial_rows(degree)``, exact."""
+    ech = linalg.EchelonForm(len(degree_monomials(degree)))
+    ech.add_rows(polynomial_rows(degree))
+    return tuple(tuple(v) for v in ech.nullspace())
+
+
+# ---------------------------------------------------------------------------
+# relation discovery
 
 
 def _monomial_value(exps, values) -> int:
@@ -469,55 +550,68 @@ def _monomial_value(exps, values) -> int:
 
 @lru_cache(maxsize=None)
 def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
-    """Exact kernel of degree-d monomials evaluated on seeded configurations.
+    """The linear relations among the degree-d monomials in the 14 standard
+    products, for degree 1 or 2: proved by polynomial expansion, and
+    cross-checked on seeded samples.
 
-    The kernel is recomputed on an enlarged sample set (at least three times
-    the monomial count) and the result is flagged unstable if it moved; the
-    arithmetic itself is exact, sampling only affects genericity.
+    Proved: ``basis`` and ``dimension`` are ``polynomial_kernel(degree)``,
+    every relation that holds as a polynomial identity and no other.
+
+    Sampled: ``samples_used`` = max(samples, 3 * monomial count) seeded
+    integer configurations, each giving the row of monomial values through
+    ``mu``.  ``stable`` means that every sample row is annihilated by the
+    kernel (exact ints), so the rows lie in the row space of the expansion,
+    and that the first ``samples`` rows have rank monomial count - dimension
+    mod 2**31 - 1.  The rank mod p is a lower bound on the rank over Q, so a
+    true ``stable`` proves that the sampled kernel equals the proved one; an
+    unlucky prime can only make it false.
     """
-    if degree < 1:
-        raise ValueError("degree must be positive")
+    if degree not in (1, 2):
+        raise ValueError("relations are certified in degrees 1 and 2 only")
     monomials = degree_monomials(degree)
     n_mon = len(monomials)
     if samples < n_mon + 5:
         raise ValueError("need at least %d samples for %d monomials"
                          % (n_mon + 5, n_mon))
+    basis = polynomial_kernel(degree)
     rng = SplitMix64(seed)
-    ech = linalg.EchelonForm(n_mon)
-    drawn = 0
-
-    def add_samples(target):
-        nonlocal drawn
-        while drawn < target:
-            config = sample_config(rng)
-            values = _integers(mu_vector(config))
-            ech.add_row([_monomial_value(m, values) for m in monomials])
-            drawn += 1
-
-    add_samples(samples)
-    first_kernel = ech.nullspace()
-    add_samples(max(samples, 3 * n_mon))
-    final_kernel = ech.nullspace()
+    rows = []
+    for _ in range(max(samples, 3 * n_mon)):
+        values = mu_vector(sample_points(rng))
+        rows.append([_monomial_value(m, values) for m in monomials])
+    kernel = [[(i, c) for i, c in enumerate(linalg.integer_row(v)) if c] for v in basis]
+    annihilated = all(sum(c * row[i] for i, c in vec) == 0 for vec in kernel for row in rows)
     return {
         "degree": degree,
         "monomials": monomials,
         "monomial_count": n_mon,
-        "samples_used": drawn,
-        "dimension": len(final_kernel),
-        "basis": tuple(tuple(v) for v in final_kernel),
-        "stable": first_kernel == final_kernel,
+        "samples_used": len(rows),
+        "dimension": len(basis),
+        "basis": basis,
+        "stable": annihilated
+        and linalg.rank_mod_p(rows[:samples], n_mon) == n_mon - len(basis),
     }
 
 
-def mu_function_rank(samples: int = 40, seed: int = 42) -> int:
-    """Rank of all 105 products as functions of the configuration."""
-    rng = SplitMix64(seed)
+def mu_function_rank(samples: int = 40, seed: int = 42) -> int | None:
+    """Rank of all 105 products as functions of the configuration: 14, or
+    None if the bounds below disagree.
+
+    Upper bound: the rank of the 105 x 14 straightening matrix, whose
+    expansions hold as polynomial identities (105 if one fails).  Lower
+    bound: the 14 standard products are independent, the degree-1
+    polynomial kernel being 0.  Cross-check: the products at ``samples``
+    seeded configurations have that rank mod 2**31 - 1.
+    """
     tabs = enumerate_tableaux()
-    rows = []
-    for _ in range(samples):
-        config = sample_config(rng)
-        rows.append(_integers([mu(t, config) for t in tabs]))
-    return linalg.rank(rows, len(tabs))
+    standard = standard_tableaux()
+    matrix = [[dict(straighten(t)).get(s, 0) for s in standard] for t in tabs]
+    upper = linalg.rank(matrix, 14) if _straightening_identities() else len(tabs)
+    lower = 14 - len(polynomial_kernel(1))
+    rng = SplitMix64(seed)
+    rows = [mu_vector(sample_points(rng), tabs) for _ in range(samples)]
+    sampled = linalg.rank_mod_p(rows, len(tabs))
+    return upper if lower == upper == sampled else None
 
 
 def quadric_kernel_s8_stable(seed: int = 42, samples: int = 300) -> bool:

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from octet import checks
 from octet.checks import RunConfig
 
@@ -99,6 +101,22 @@ def test_compute_rejects_flags_it_does_not_read():
     proc = run_cli("compute", "relations", "--degree", "1", "--seed", "5", "--samples", "40")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["degree"] == 1
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_compute_relations_golden(degree):
+    # recorded from the sampled elimination that the polynomial kernel replaced
+    golden = Path(__file__).parent / "golden" / ("relations_degree%d.json" % degree)
+    proc = run_cli("compute", "relations", "--degree", str(degree))
+    assert proc.returncode == 0
+    assert proc.stdout == golden.read_text()
+
+
+def test_compute_relations_offers_certified_degrees_only():
+    for degree in ("3", "4"):
+        proc = run_cli("compute", "relations", "--degree", degree)
+        assert proc.returncode == 2, degree
+        assert "usage:" in proc.stderr and "invalid choice" in proc.stderr, degree
 
 
 def test_compute_fv():

@@ -198,13 +198,20 @@ def test_group_elements_hold_python_ints():
     assert type(f2geom.group_elements()[0][0]) is int
 
 
+def test_group_table_is_shared_and_read_only():
+    table = f2geom._group_table()
+    assert table.shape == (40320, 64) and not table.flags.writeable
+    assert f2geom.group_elements() == tuple(map(tuple, table.tolist()))
+
+
 def test_group_preserves_form_detects_a_broken_element(monkeypatch):
     assert f2geom.group_preserves_form()
     iso, aniso = f2geom.E1, f2geom.ALPHA1
     assert f2geom.q(iso) == 0 and f2geom.q(aniso) == 1
     broken = list(range(64))
     broken[iso], broken[aniso] = aniso, iso
-    group = list(f2geom.group_elements())
-    group[123] = tuple(broken)
-    monkeypatch.setattr(f2geom, "group_elements", lambda: tuple(group))
+    # both group_elements and group_preserves_form read the cached image table
+    table = f2geom._group_table().copy()
+    table[123] = broken
+    monkeypatch.setattr(f2geom, "_group_table", lambda: table)
     assert not f2geom.group_preserves_form()

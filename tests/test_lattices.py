@@ -195,6 +195,18 @@ def test_reflection_identities_other_vector():
     assert all(rep.values())
 
 
+def test_int64_guards_raise_instead_of_wrapping():
+    r = np.zeros(12, dtype=np.int64)
+    r[:3] = (1, -1, 2**40)  # e - f plus an isotropic vector of U(2)
+    assert lat.inner(r, r) == -2
+    with pytest.raises(OverflowError):
+        lat.reflection_identities(r)
+    with pytest.raises(OverflowError):
+        lat._reflection_report(np.vstack([lat._box_vectors(1)[0][:3], r]))
+    with pytest.raises(OverflowError):
+        lat._box(4, 2**60)
+
+
 def test_minus4_scan():
     scan = lat.minus4_vector_scan(3)
     assert scan["ok"]

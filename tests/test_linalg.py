@@ -146,3 +146,39 @@ def test_integer_core_matches_fraction_reference(case):
         assert all(type(x) is int for x in row)
         assert row[col] > 0 and gcd(*row) == 1
         assert all(row[c] == 0 for c in ech._rows if c != col)
+
+
+P31 = linalg.MERSENNE_31
+
+
+def test_rank_mod_p_small_cases():
+    assert linalg.rank_mod_p([[P31]], 1) == 0 < linalg.rank([[P31]], 1)
+    rows = [[1, 2], [3, 6 + P31]]
+    assert linalg.rank_mod_p(rows, 2) == 1 < linalg.rank(rows, 2)
+    assert linalg.rank_mod_p([[1, 2], [3, 4], [5, 6]], 2) == 2
+    assert linalg.rank_mod_p([], 3) == 0
+    assert linalg.rank_mod_p([[2, 4], [1, 2]], 2, p=3) == 1
+    with pytest.raises(ValueError):
+        linalg.rank_mod_p([[1]], 1, p=2**31)
+    with pytest.raises(TypeError):
+        linalg.rank_mod_p([[Fraction(1, 2)]], 1)
+
+
+_big = st.one_of(st.integers(-2**70, 2**70),
+                 st.sampled_from([P31, -P31, 2 * P31, P31 * P31, P31 + 1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(_big, min_size=5, max_size=5), min_size=1, max_size=7))
+def test_rank_mod_p_is_a_lower_bound(rows):
+    assert linalg.rank_mod_p(rows, 5) <= linalg.rank(rows, 5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=6)))
+def test_rank_mod_p_equals_rank_on_small_entries(rows):
+    # Hadamard: a minor of at most 6x6 entries in [-9, 9] is below
+    # (9 * 6**0.5)**6 < 2**31 - 1 in absolute value, so none vanishes mod p
+    ncols = len(rows[0])
+    assert linalg.rank_mod_p(rows, ncols) == linalg.rank(rows, ncols)

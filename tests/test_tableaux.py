@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octet import f2geom, tableaux as tb
+from octet import f2geom, linalg, tableaux as tb
 from octet.sampling import SplitMix64
 
 
@@ -246,7 +246,98 @@ def test_adjacent_transpositions_generate_s8():
     assert len(group) == 40320
 
 
-def test_integer_conversion_rejects_fractions():
-    assert tb._integers([QQ(3), QQ(-4, 1)]) == [3, -4]
-    with pytest.raises(ArithmeticError):
-        tb._integers([QQ(1), QQ(1, 2)])
+def test_sampled_products_are_python_ints():
+    rng = SplitMix64(42)
+    for _ in range(3):
+        points = tb.sample_points(rng)
+        values = tb.mu_vector(points)
+        assert all(type(v) is int for v in values)
+        assert list(values) == list(tb.mu_vector(tb.parse_config(points)))
+
+
+def _evaluate(poly, xs):
+    """A packed-exponent polynomial at the affine coordinates xs."""
+    total = 0
+    for key, coeff in poly.items():
+        term = coeff
+        for i, x in enumerate(xs):
+            term *= x ** ((key >> 2 * i) & 3)
+        total += term
+    return total
+
+
+def test_tableau_polynomial_evaluates_to_mu():
+    rng = SplitMix64(9)
+    points = [tb.sample_points(rng) for _ in range(3)]
+    for t in tb.enumerate_tableaux():
+        poly = tb.tableau_polynomial(t)
+        assert len(poly) == 16 and set(poly.values()) <= {-1, 1}
+        for p in points:
+            assert _evaluate(poly, [x for _, x in p]) == tb.mu(t, p)
+
+
+def test_polynomial_kernel_sizes():
+    rows = tb.polynomial_rows(2)
+    assert len(rows) == 554 and len(set(rows)) == 554
+    assert max(abs(x) for row in rows for x in row) == 16
+    assert all(next(x for x in row if x) > 0 for row in rows)
+    counts = [len(row) - row.count(0) for row in rows]
+    assert counts == sorted(counts)
+    kernel = tb.polynomial_kernel(2)
+    assert len(kernel) == 14
+    assert {c for vec in kernel for c in vec} <= {-1, 0, 1}
+    assert tb.polynomial_kernel(1) == ()
+
+
+def test_relation_discovery_certified_degrees_only():
+    for degree in (0, 3, 4):
+        with pytest.raises(ValueError):
+            tb.relation_discovery(degree, 3000, 42)
+
+
+@pytest.fixture
+def fresh_caches():
+    def clear():
+        for cached in (tb.polynomial_kernel, tb.relation_discovery):
+            cached.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+def test_relation_discovery_feeds_no_sample_row(monkeypatch, fresh_caches):
+    fed = []
+    add_row = linalg.EchelonForm.add_row
+
+    def counting_add_row(self, row):
+        fed.append(tuple(row))
+        return add_row(self, row)
+
+    monkeypatch.setattr(linalg.EchelonForm, "add_row", counting_add_row)
+    rel = tb.relation_discovery(2, 300, 42)
+    assert rel["samples_used"] == 315 and rel["stable"]
+    # every row eliminated exactly is a row of the polynomial expansion
+    assert len(fed) == 554
+    assert fed == tb.polynomial_rows(2)
+
+
+def test_repeated_sample_is_not_stable(monkeypatch, fresh_caches):
+    points = tb.sample_points(SplitMix64(1))
+    monkeypatch.setattr(tb, "sample_points", lambda rng: points)
+    rel = tb.relation_discovery(2, 300, 42)
+    assert rel["dimension"] == 14
+    assert not rel["stable"]
+    assert not tb.relation_discovery(1, 60, 42)["stable"]
+    assert tb.mu_function_rank(samples=40, seed=42) is None
+
+
+def test_sign_flipped_product_is_caught(monkeypatch, fresh_caches):
+    polynomial = tb.tableau_polynomial
+    flipped = tb.standard_tableaux()[5]
+    monkeypatch.setattr(tb, "tableau_polynomial", lambda t: (
+        {k: -c for k, c in polynomial(t).items()} if t == flipped else polynomial(t)))
+    rel = tb.relation_discovery(2, 300, 42)
+    assert rel["dimension"] != 14 or not rel["stable"]
+    # the straightening identities through the flipped product fail too
+    assert not tb.straightening_check(n_samples=2, seed=42)["expansions_match"]
+    assert tb.mu_function_rank(samples=40, seed=42) is None
