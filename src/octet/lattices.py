@@ -29,9 +29,9 @@ norm -4 vectors pairing evenly with N.  The Gram matrix and the isometry
 are block diagonal, so counts over larger boxes convolve per-block norm
 histograms; the materialized unit box is the oracle they are checked against.
 
-Vectors and matrices are numpy int64.  The box builder and the reflection
-report check an entry bound before they multiply, and raise OverflowError
-where a product could wrap.
+Vectors and matrices are numpy int64.  The reflection report checks an
+entry bound before it multiplies, and raises OverflowError where a product
+could wrap.
 """
 
 from __future__ import annotations
@@ -925,13 +925,7 @@ _BLOCK_SLICES = (slice(0, 4), slice(4, 8), slice(8, 12))
 
 def _box(dim: int, bound: int) -> np.ndarray:
     """All integer vectors of length dim with entries in [-bound, bound], one
-    per row, in lexicographic order.
-
-    Scans form Gram, rho and norm products of box vectors of length at most
-    12, each at most 12 (1 + c)^3 bound^2 with c = ``_norm_constant()``; a
-    bound for which that could wrap int64 raises OverflowError up front.
-    """
-    _check_int64(12 * (1 + _norm_constant()) ** 3 * bound ** 2)
+    per row, in lexicographic order."""
     side = np.arange(-bound, bound + 1, dtype=np.int64)
     grids = np.meshgrid(*([side] * dim), indexing="ij", copy=False)
     return np.stack(grids, axis=-1).reshape(-1, dim)

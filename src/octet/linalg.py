@@ -7,8 +7,8 @@ every row is a primitive list of Python ints, so elimination never builds a
 Fraction; Fractions appear only where rows come in with rational entries and
 where results go out.
 
-:func:`rank_mod_p` is exact arithmetic over a prime field F_p in numpy
-int64.  The rank it returns is a lower bound on the rank over Q (a minor
+:func:`rank_mod_p` is exact arithmetic over the prime field F_p,
+p = 2**31 - 1, in numpy int64.  The rank it returns is a lower bound on the rank over Q (a minor
 that vanishes over Q vanishes mod p), so it can certify that rows reach a
 rank, never that they stay below one; an upper bound needs an identity.
 """
@@ -28,8 +28,6 @@ MERSENNE_31 = 2**31 - 1
 def integer_row(row: Sequence) -> list[int]:
     """The row times the lcm of its denominators, as Python ints.  Integers,
     numpy ones too, go through ``index`` so they never wrap; floats raise."""
-    if all(type(x) is int for x in row):
-        return list(row)
     den = lcm(*(index(x.denominator) for x in row if isinstance(x, Fraction)))
     return [index(x.numerator) * (den // index(x.denominator))
             if isinstance(x, Fraction) else index(x) * den for x in row]
@@ -149,15 +147,14 @@ def invert(mat: Sequence[Sequence]) -> list[list[Fraction]]:
     return solve_right(mat, eye)
 
 
-def rank_mod_p(rows: Iterable[Sequence[int]], ncols: int, p: int = MERSENNE_31) -> int:
-    """Rank over F_p (p prime) of integer rows: a lower bound on their rank
-    over Q.
+def rank_mod_p(rows: Iterable[Sequence[int]], ncols: int) -> int:
+    """Rank over F_p, p = 2**31 - 1, of integer rows: a lower bound on their
+    rank over Q.
 
-    Gaussian elimination on residues in [0, p) in numpy int64; with p < 2**31
-    every product of two residues stays below 2**62, so nothing wraps.
+    Gaussian elimination on residues in [0, p) in numpy int64; every product
+    of two residues stays below 2**62, so nothing wraps.
     """
-    if not 2 <= p < 2**31:
-        raise ValueError("the prime must lie in [2, 2**31)")
+    p = MERSENNE_31
     m = np.array([[index(x) % p for x in row] for row in rows],
                  dtype=np.int64).reshape(-1, ncols)
     rank = 0

@@ -203,8 +203,6 @@ def test_int64_guards_raise_instead_of_wrapping():
         lat.reflection_identities(r)
     with pytest.raises(OverflowError):
         lat._reflection_report(np.vstack([lat._box_vectors(1)[0][:3], r]))
-    with pytest.raises(OverflowError):
-        lat._box(4, 2**60)
 
 
 def test_minus4_scan():

@@ -157,9 +157,6 @@ def test_rank_mod_p_small_cases():
     assert linalg.rank_mod_p(rows, 2) == 1 < linalg.rank(rows, 2)
     assert linalg.rank_mod_p([[1, 2], [3, 4], [5, 6]], 2) == 2
     assert linalg.rank_mod_p([], 3) == 0
-    assert linalg.rank_mod_p([[2, 4], [1, 2]], 2, p=3) == 1
-    with pytest.raises(ValueError):
-        linalg.rank_mod_p([[1]], 1, p=2**31)
     with pytest.raises(TypeError):
         linalg.rank_mod_p([[Fraction(1, 2)]], 1)
 

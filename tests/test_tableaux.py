@@ -298,7 +298,8 @@ def test_relation_discovery_certified_degrees_only():
 @pytest.fixture
 def fresh_caches():
     def clear():
-        for cached in (tb.polynomial_kernel, tb.relation_discovery):
+        for cached in (tb.polynomial_kernel, tb.relation_discovery,
+                       tb._straightening_identities):
             cached.cache_clear()
     clear()
     yield
