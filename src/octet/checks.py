@@ -105,9 +105,8 @@ def f2_suite(cfg: RunConfig) -> list[CheckReport]:
     )
     reports.append(_check("f2.pair_census_type_constant", True, stable, "derived"))
 
-    group = f2geom.group_elements()
     gens = f2geom.all_transvections()
-    reports.append(_check("f2.group_order", 40320, len(group), "published"))
+    reports.append(_check("f2.group_order", 40320, f2geom.group_order(), "published"))
     reports.append(_check("f2.transvection_generators", 28, len(set(gens)), "published"))
     involutions = all(f2geom.compose(g, g) == tuple(f2geom.SPACE) for g in gens)
     reports.append(_check("f2.transvections_are_involutions", True, involutions, "derived"))
@@ -288,9 +287,9 @@ def lattice_suite(cfg: RunConfig) -> list[CheckReport]:
                           "published"))
     rho = lattices.order_four_isometry()
     charpoly = lattices.characteristic_polynomial(rho)
-    expected_cp = [Fraction(0)] * 13
+    expected_cp = [0] * 13
     for k in range(7):
-        expected_cp[2 * k] = Fraction(comb(6, k))
+        expected_cp[2 * k] = comb(6, k)
     reports.append(_check("lattice.isometry_fixed_point_free", True,
                           charpoly == expected_cp, "published"))
     herm = lattices.hermitian_gram_checks()

@@ -153,8 +153,7 @@ def compute_relations(args) -> dict:
 
 
 def compute_group(args) -> dict:
-    group = f2geom.group_elements()
-    return {"order": len(group),
+    return {"order": f2geom.group_order(),
             "transvection_generators": len(f2geom.all_transvections()),
             "orbit_sizes": sorted(len(o) for o in f2geom.orbits())}
 

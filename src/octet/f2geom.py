@@ -119,10 +119,17 @@ def _group_table() -> np.ndarray:
     return table
 
 
+def group_order() -> int:
+    """The order of the closure of the 28 transvections (40320), read from
+    the cached image table."""
+    return len(_group_table())
+
+
 def group_elements() -> tuple[Perm, ...]:
     """The closure of the 28 transvections, sorted lexicographically: the
-    rows of the cached image table as tuples of Python ints (order 40320).
-    The tuples take ≈ 22 MB, so they are built per call and not cached."""
+    rows of the cached image table as tuples of Python ints.  The tuples take
+    ≈ 22 MB and are built per call, not cached; ``group_order`` and
+    ``group_preserves_form`` read the table itself."""
     return tuple(map(tuple, _group_table().tolist()))
 
 

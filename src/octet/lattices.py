@@ -1,37 +1,28 @@
 """Integer-lattice calculus: Gram matrices, discriminant forms, the order-4
 isometry and its Gaussian hermitian structure, reflections, and glue.
 
-Lattices are given by integer Gram matrices on a chosen basis; vectors are
-integer coordinate columns.  Discriminant groups are computed through Smith
-normal form over arbitrary-precision integers, and finite quadratic forms
-carry their values as exact rationals (normalized to [0,2) for form values,
-[0,1) for pairings).
+Lattices are integer Gram matrices on a chosen basis; vectors are integer
+coordinate columns.  Discriminant groups come from Smith normal form over
+Python integers.  Every finite quadratic form in use is 2-elementary, so a
+form lives on F2^a in the bitmask idiom of ``f2geom``: integer tables of
+2q mod 4 and 2b mod 2, built from the Gram matrix of the doubled generators,
+on which isomorphisms are searched by table lookups.
 
-The rank-12 lattice of interest is assembled as U + U(2) + D4 + D4 with the
-two D4 blocks realized inside Z^4 (coordinate vectors of even sum, negated
-standard inner product), because the order-4 isometry is defined on those
-coordinates.  Its discriminant group is 2-elementary, so 2G^{-1} is an
-integer matrix and a dual vector y is handled as the integer vector 2y: the
-class of y in the dual mod N is read off by Smith rows mod 2, in batches,
-and carried to the 64-vector model through the split dictionary.
+N = U + U(2) + D4 + D4 has its D4 blocks inside Z^4 (even-sum vectors,
+negated standard product), where the order-4 isometry rho is defined.  As
+2G^{-1} is integral, a dual vector y is handled as the integer vector 2y; its
+class in the dual mod N is read off by Smith rows mod 2, in batches, and
+carried to the 64-vector model through the split dictionary.
 
-The reflection identities of a norm -2 vector r (the pair and the quarter
+The reflection identities of norm -2 vectors r (the pair and the quarter
 reflections built from r and rho r, and the transvection the quarter
-reflection induces on the 64 classes) come from one batched integer report
-over a stack of vectors.  A single vector is the stack of one; the family
-check is the report over every norm -2 vector of the unit box, with no
-subsample.
-
-Box scans run over the integer vectors with coordinates in [-bound, bound],
-all built by ``_box``.  The rank-12 box is materialized only in the cached
-``_box_vectors``, once per bound, which keeps its norm -2 vectors and its
-norm -4 vectors pairing evenly with N.  The Gram matrix and the isometry
-are block diagonal, so counts over larger boxes convolve per-block norm
-histograms; the materialized unit box is the oracle they are checked against.
-
-Vectors and matrices are numpy int64.  The reflection report checks an
-entry bound before it multiplies, and raises OverflowError where a product
-could wrap.
+reflection induces on the 64 classes, compared at the six generator images)
+come from one batched integer report; the family check covers every norm -2
+vector of the unit box.  Box scans run over ``_box``: the rank-12 unit box is
+materialized once, in the cached ``_box_vectors``, and counts over larger
+boxes convolve per-block norm histograms, checked against it.  Vectors and
+matrices are numpy int64; the reflection report raises OverflowError where a
+product could wrap.
 """
 
 from __future__ import annotations
@@ -39,9 +30,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product as iproduct
+from functools import lru_cache, reduce
 from math import prod
+from operator import xor
 
 import numpy as np
 
@@ -301,82 +292,59 @@ def hermite_row_basis(rows, ncols: int) -> list[list[int]]:
 # discriminant forms
 
 
-def _mod(x: Fraction, modulus: int) -> Fraction:
-    return x - (x / modulus).__floor__() * modulus
-
-
 @dataclass(frozen=True)
 class FiniteQuadraticForm:
-    """A finite quadratic form on a product of cyclic groups.
+    """A 2-elementary finite quadratic form on F2^a, as integer tables.
 
-    ``orders[i]`` is the order of generator i; ``q_gens[i]`` its form value in
-    Q/2Z and ``pairings[i][j]`` the symmetric pairing in Q/Z.  Values extend
-    to the whole group by q(sum a_i g_i) = sum a_i^2 q_i + 2 sum_{i<j} a_i a_j p_ij.
+    An element is an a-bit integer x, bit i the coefficient of generator i,
+    and addition is XOR.  ``q4[x] = 2q(x) mod 4`` for the form value q(x) in
+    Q/2Z, and ``b2[x][y] = 2b(x, y) mod 2`` for the pairing b(x, y) in Q/Z;
+    both are integer-valued because 2x = 0 puts q in (1/2)Z/2Z and b in
+    (1/2)Z/Z.
     """
 
-    orders: tuple[int, ...]
-    q_gens: tuple[Fraction, ...]
-    pairings: tuple[tuple[Fraction, ...], ...]
+    q4: tuple[int, ...]
+    b2: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_doubled_gram(cls, gram) -> "FiniteQuadraticForm":
+        """The form whose generators g_i have doubles 2g_i with the even Gram
+        matrix ``gram``: for bit vectors x, y, 2q(x) = x^T gram x / 2 mod 4 and
+        2b(x, y) = x^T gram y / 2 mod 2.  Only gram mod 8 enters, so the
+        products are small int64."""
+        a = len(gram)
+        low = np.array(gram, dtype=object).reshape(a, a) % 8
+        if (low % 2).any():
+            raise ValueError("a doubled Gram matrix of a 2-elementary form is even")
+        bits = (np.arange(1 << a)[:, None] >> np.arange(a)) & 1
+        half = bits @ low.astype(np.int64) @ bits.T // 2
+        return cls(tuple((half.diagonal() % 4).tolist()),
+                   tuple(map(tuple, (half % 2).tolist())))
+
+    @property
+    def rank(self) -> int:
+        """a, the dimension of the group over F2."""
+        return len(self.q4).bit_length() - 1
 
     @property
     def group_order(self) -> int:
-        out = 1
-        for d in self.orders:
-            out *= d
-        return out
+        return len(self.q4)
 
-    def elements(self):
-        return iproduct(*(range(d) for d in self.orders))
-
-    def q(self, elem) -> Fraction:
-        total = QQ(0)
-        k = len(self.orders)
-        for i in range(k):
-            total += elem[i] * elem[i] * self.q_gens[i]
-            for j in range(i + 1, k):
-                total += 2 * elem[i] * elem[j] * self.pairings[i][j]
-        return _mod(total, 2)
-
-    def pairing(self, x, y) -> Fraction:
-        total = QQ(0)
-        k = len(self.orders)
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    # the diagonal pairing is q mod 1
-                    total += x[i] * y[i] * _mod(self.q_gens[i], 1)
-                else:
-                    total += x[i] * y[j] * self.pairings[i][j]
-        return _mod(total, 1)
+    @property
+    def orders(self) -> tuple[int, ...]:
+        return (2,) * self.rank
 
     def neg(self) -> "FiniteQuadraticForm":
-        return FiniteQuadraticForm(
-            orders=self.orders,
-            q_gens=tuple(_mod(-v, 2) for v in self.q_gens),
-            pairings=tuple(tuple(_mod(-p, 1) for p in row) for row in self.pairings),
-        )
-
-    def direct_sum(self, other: "FiniteQuadraticForm") -> "FiniteQuadraticForm":
-        k1, k2 = len(self.orders), len(other.orders)
-        pair = [[QQ(0)] * (k1 + k2) for _ in range(k1 + k2)]
-        for i in range(k1):
-            for j in range(k1):
-                pair[i][j] = self.pairings[i][j]
-        for i in range(k2):
-            for j in range(k2):
-                pair[k1 + i][k1 + j] = other.pairings[i][j]
-        return FiniteQuadraticForm(
-            orders=self.orders + other.orders,
-            q_gens=self.q_gens + other.q_gens,
-            pairings=tuple(tuple(row) for row in pair),
-        )
-
-    def is_two_elementary(self) -> bool:
-        return all(d == 2 for d in self.orders)
+        return FiniteQuadraticForm(tuple(-v % 4 for v in self.q4), self.b2)
 
 
 def discriminant_form(lattice: GramLattice) -> FiniteQuadraticForm:
-    """The finite quadratic form on dual-mod-lattice, via Smith normal form."""
+    """The finite quadratic form on dual-mod-lattice, via Smith normal form.
+
+    The doubled generators of the dual are the columns of V whose invariant
+    factor is 2; their Gram matrix is formed in Python integers.  Raises
+    ValueError unless the discriminant group is 2-elementary.
+    """
     gram = lattice.gram
     det = lattice.det()
     if det == 0:
@@ -384,76 +352,47 @@ def discriminant_form(lattice: GramLattice) -> FiniteQuadraticForm:
     if not lattice.is_even():
         raise ValueError("only even lattices carry a Q/2Z-valued form")
     d, _, v = smith_normal_form(gram)
-    n = gram.shape[0]
-    gens = []
-    orders = []
-    for k in range(n):
-        dk = d[k][k]
-        if dk > 1:
-            orders.append(dk)
-            gens.append([QQ(v[r][k], dk) for r in range(n)])
-    grows = [[int(x) for x in row] for row in gram]
-
-    def ip(x, y):
-        return sum(x[i] * grows[i][j] * y[j] for i in range(n) for j in range(n))
-
-    q_gens = tuple(_mod(ip(g, g), 2) for g in gens)
-    pairings = tuple(
-        tuple(_mod(ip(gi, gj), 1) if i != j else QQ(0)
-              for j, gj in enumerate(gens))
-        for i, gi in enumerate(gens)
-    )
-    form = FiniteQuadraticForm(tuple(orders), q_gens, pairings)
+    if any(d[k][k] > 2 for k in range(lattice.rank)):
+        raise ValueError("the discriminant group of %s is not 2-elementary" % lattice.name)
+    doubled = np.array(v, dtype=object)[:, [k for k in range(lattice.rank) if d[k][k] == 2]]
+    form = FiniteQuadraticForm.from_doubled_gram(doubled.T @ gram.astype(object) @ doubled)
     if form.group_order != abs(det):
         raise ArithmeticError("discriminant group order does not match |det|")
     return form
 
 
 def find_isomorphism(a: FiniteQuadraticForm, b: FiniteQuadraticForm):
-    """Search for a form isomorphism between two 2-elementary forms.
+    """Search for an isomorphism of 2-elementary forms.
 
-    Returns the generator images (as coefficient tuples in b) or None.
-    Backtracking over images preserving generator values and pairings; by
-    bilinearity this forces equality of the forms everywhere.
+    Returns the images in b of the generators of a, as bitmasks, or None.
+    Backtracking extends a linear map one generator g_i at a time: the image
+    of g_i lies outside the span of the earlier images (a bitmask of the
+    span), and q4 must agree on the whole new coset x + g_i.  A complete map
+    thus carries q4 of a onto that of b at every element; it is accepted once
+    b2 is checked at every pair as well.  Forms of different rank or with
+    different counts of each value are not isomorphic, and are not searched.
     """
-    if not (a.is_two_elementary() and b.is_two_elementary()):
-        raise NotImplementedError("isomorphism search implemented for 2-elementary forms")
-    if a.orders != b.orders:
+    if a.rank != b.rank or sorted(a.q4) != sorted(b.q4):
         return None
-    k = len(a.orders)
-    b_elems = [tuple(int(x) for x in elem) for elem in b.elements()]
+    k = a.rank
+    image = [0]  # image[x] for the x spanned by the generators placed so far
 
-    def independent(imgs):
-        bits = [sum(e << i for i, e in enumerate(img)) for img in imgs]
-        return len(f2geom.echelon_basis(bits)) == len(imgs)
-
-    chosen: list[tuple[int, ...]] = []
-
-    def extend(i):
+    def extend(i, span):
         if i == k:
-            return True
-        for cand in b_elems:
-            if all(x == 0 for x in cand):
+            return all(b.b2[image[x]][image[y]] == v
+                       for x, row in enumerate(a.b2) for y, v in enumerate(row))
+        top = 1 << i
+        for cand in range(1, 1 << k):
+            if (span >> cand) & 1 or any(b.q4[image[x] ^ cand] != a.q4[top | x]
+                                         for x in range(top)):
                 continue
-            if b.q(cand) != a.q(tuple(int(j == i) for j in range(k))):
-                continue
-            ok = True
-            for j, prev in enumerate(chosen):
-                want = a.pairings[i][j]
-                if b.pairing(cand, prev) != want:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            chosen.append(cand)
-            if independent(chosen) and extend(i + 1):
+            image.extend([z ^ cand for z in image])
+            if extend(i + 1, span | sum(1 << z for z in image[top:])):
                 return True
-            chosen.pop()
+            del image[top:]
         return False
 
-    if extend(0):
-        return list(chosen)
-    return None
+    return [image[1 << i] for i in range(k)] if extend(0, 1) else None
 
 
 # ---------------------------------------------------------------------------
@@ -471,19 +410,13 @@ class SplitModelDictionary:
     gen_images: tuple[int, ...]
 
     def to_model(self, bits: int) -> int:
-        out = 0
-        for i in range(6):
-            if (bits >> i) & 1:
-                out ^= self.gen_images[i]
-        return out
+        return reduce(xor, (g for i, g in enumerate(self.gen_images) if (bits >> i) & 1), 0)
 
     def inverse_table(self) -> tuple[int, ...]:
-        table = [0] * 64
-        for bits in range(64):
-            table[self.to_model(bits)] = bits
-        if len(set(table)) != 64:
+        table = {self.to_model(bits): bits for bits in range(64)}
+        if len(table) != 64:
             raise ArithmeticError("dictionary is not invertible")
-        return tuple(table)
+        return tuple(table[m] for m in range(64))
 
 
 def identify_with_split_model(form: FiniteQuadraticForm) -> SplitModelDictionary:
@@ -492,16 +425,11 @@ def identify_with_split_model(form: FiniteQuadraticForm) -> SplitModelDictionary
     Raises ValueError when the input has the wrong rank, carries half-integer
     values, or is not split (census 36/28 distinguishes the two classes).
     """
-    if not form.is_two_elementary() or len(form.orders) != 6:
+    if form.rank != 6:
         raise ValueError("need a 2-elementary form of rank 6")
-    q_table = []
-    for bits in range(64):
-        elem = tuple((bits >> i) & 1 for i in range(6))
-        val = form.q(elem)
-        if val.denominator != 1:
-            raise ValueError("form takes half-integer values; not of split type")
-        q_table.append(int(val) % 2)
-    return SplitModelDictionary(f2geom.find_model_isomorphism(q_table))
+    if any(v % 2 for v in form.q4):
+        raise ValueError("form takes half-integer values; not of split type")
+    return SplitModelDictionary(f2geom.find_model_isomorphism([v // 2 for v in form.q4]))
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +457,11 @@ def overlattice(lattice: GramLattice, glue) -> GramLattice:
         return lattice  # glue already inside
     scaled = [[2 * int(i == j) for j in range(n)] for i in range(n)]
     scaled.append([int(2 * x) for x in glue])
-    basis2 = hermite_row_basis(scaled, n)  # basis of 2*(new lattice)
-    new_gram = [[QQ(sum(basis2[a][i] * gram[i][j] * basis2[b][j]
-                        for i in range(n) for j in range(n)), 4)
-                 for b in range(n)] for a in range(n)]
-    if any(x.denominator != 1 for row in new_gram for x in row):
+    basis2 = np.array(hermite_row_basis(scaled, n), dtype=object)  # basis of 2*(new lattice)
+    gram4 = basis2 @ np.array(gram, dtype=object) @ basis2.T
+    if (gram4 % 4).any():
         raise ArithmeticError("overlattice Gram is not integral")
-    out = np.array([[int(x) for x in row] for row in new_gram], dtype=np.int64)
-    result = GramLattice(name=lattice.name + "+glue", gram=out)
+    result = GramLattice(name=lattice.name + "+glue", gram=(gram4 // 4).astype(np.int64))
     if not result.is_even():
         raise ArithmeticError("overlattice is not even")
     return result
@@ -575,10 +500,8 @@ def _rho0_block() -> np.ndarray:
     Ambient action (x1,x2,x3,x4) -> (x2,-x1,x4,-x3), rewritten on basis
     coordinates: the matrix M with M = B^{-T} R B^T for basis rows B.
     """
-    ambient = np.array(
-        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
-        dtype=np.int64,
-    )
+    ambient = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+                       dtype=np.int64)
     basis = _dn_basis(4)
     sol = linalg.solve_right(basis.T, ambient @ basis.T)
     if any(x.denominator != 1 for row in sol for x in row):
@@ -596,21 +519,21 @@ def order_four_isometry() -> np.ndarray:
     return out
 
 
-def characteristic_polynomial(mat: np.ndarray) -> list[Fraction]:
-    """Coefficients of det(tI - M), highest degree first (Faddeev-LeVerrier)."""
-    n = mat.shape[0]
-    a = [[QQ(int(mat[i, j])) for j in range(n)] for i in range(n)]
-    coeffs = [QQ(1)]
-    m = [[QQ(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        # M_k = A M_{k-1} + c_{k-1} I
-        prev = m
-        m = [[sum(a[i][r] * prev[r][j] for r in range(n)) for j in range(n)]
-             for i in range(n)]
-        for i in range(n):
-            m[i][i] += coeffs[-1]
-        trace = sum(sum(a[i][r] * m[r][i] for r in range(n)) for i in range(n))
-        coeffs.append(-trace / k)
+def characteristic_polynomial(mat: np.ndarray) -> list[int]:
+    """Coefficients of det(tI - M), highest degree first (Faddeev-LeVerrier).
+
+    For an integer matrix every M_k and c_k is an integer, so the recursion
+    runs on Python ints; k dividing each trace is checked, not assumed.
+    """
+    a = np.asarray(mat).astype(object)
+    eye = np.eye(len(a), dtype=np.int64).astype(object)
+    coeffs, m = [1], 0 * a
+    for k in range(1, len(a) + 1):
+        m = a @ m + coeffs[-1] * eye  # M_k = A M_{k-1} + c_{k-1} I
+        trace = int(np.trace(a @ m))
+        if trace % k:
+            raise ArithmeticError("trace %d is not divisible by %d" % (trace, k))
+        coeffs.append(-trace // k)
     return coeffs
 
 
@@ -714,6 +637,14 @@ def _class_bits(doubled: np.ndarray):
     return bits.astype(np.uint8), ~(g2 % 2).any(axis=-1)
 
 
+def _generator_images(isometries: np.ndarray):
+    """Class bits (a, 6, 6) of the images of the six discriminant generators
+    under a stack (a, 12, 12) of isometries of N, row j for generator j, and
+    for each isometry whether it keeps the generators in the dual."""
+    images, in_dual = _class_bits(np.swapaxes(isometries @ _snf_data_N()[1], -1, -2))
+    return images, in_dual.all(axis=-1)
+
+
 def _class_tables(isometries: np.ndarray):
     """The permutations of the 64 model vectors induced by a stack (a, 12, 12)
     of isometries of N, as an (a, 64) array, and for each isometry whether it
@@ -722,8 +653,8 @@ def _class_tables(isometries: np.ndarray):
     Entry m XORs the generator images along the class bits of model vector m
     and maps the result through the split dictionary.
     """
-    images, in_dual = _class_bits(np.swapaxes(isometries @ _snf_data_N()[1], -1, -2))
-    return _to_model(_dictionary_bits()[1] @ images), in_dual.all(axis=-1)
+    images, in_dual = _generator_images(isometries)
+    return _to_model(_dictionary_bits()[1] @ images), in_dual
 
 
 def induced_map_on_classes(isometry: np.ndarray):
@@ -737,22 +668,37 @@ def induced_map_on_classes(isometry: np.ndarray):
 @lru_cache(maxsize=None)
 def _transvection_tables():
     """q on the 64 model vectors, and in row alpha the transvection at alpha
-    (all -1 where alpha is isotropic and has none)."""
+    (all -1 where alpha is isotropic and has none).
+
+    Raises ArithmeticError unless every transvection table is XOR-additive,
+    which makes a transvection equal to any F2-linear map agreeing with it on
+    a basis.
+    """
     q = np.array([f2geom.q(a) for a in f2geom.SPACE], dtype=bool)
     tables = np.array([f2geom.transvection(a) if f2geom.q(a) else (-1,) * 64
                        for a in f2geom.SPACE], dtype=np.int64)
+    sums = tables[q][:, np.arange(64)[:, None] ^ np.arange(64)]
+    if not (sums == tables[q][:, :, None] ^ tables[q][:, None, :]).all():
+        raise ArithmeticError("a transvection table is not additive")
     return q, tables
 
 
 def _acts_as_transvection(isometries: np.ndarray, deltas: np.ndarray):
     """Per row: whether the class alpha of delta/2 is anisotropic, and whether
-    the isometry acts on the 64 classes as the transvection at alpha."""
+    the isometry acts on the 64 classes as the transvection at alpha.
+
+    Both maps are F2-linear (the class map is induced by a group map, the
+    transvection tables are checked additive), so they are compared only at
+    the model vectors of the six discriminant generators, a basis.
+    """
     alpha_bits, half_in_dual = _class_bits(deltas)
     alpha = _to_model(alpha_bits)
     q, transvections = _transvection_tables()
     anisotropic = half_in_dual & q[alpha]
-    tables, in_dual = _class_tables(isometries)
-    return anisotropic, anisotropic & in_dual & (tables == transvections[alpha]).all(axis=1)
+    images, in_dual = _generator_images(isometries)
+    basis = list(split_dictionary().gen_images)
+    agree = (_to_model(images) == transvections[alpha][:, basis]).all(axis=1)
+    return anisotropic, anisotropic & in_dual & agree
 
 
 # ---------------------------------------------------------------------------
@@ -1071,16 +1017,11 @@ def reflection_plane_complement(r=E_MINUS_F) -> dict:
     """Rank, signature and discriminant form of the orthogonal complement of
     the span of r and rho(r), compared against U + U(2) + D4 + A1^2."""
     r = np.asarray(r, dtype=np.int64)
-    rho = order_four_isometry()
     gram = lattice_N().gram
-    rr = rho @ r
-    pair_rows = [list(map(int, gram @ r)), list(map(int, gram @ rr))]
-    d, u, v = smith_normal_form(pair_rows)
-    rank_m = sum(1 for k in range(min(2, 12)) if d[k][k] != 0)
-    kernel_cols = [[v[i][j] for i in range(12)] for j in range(rank_m, 12)]
-    basis = np.array(kernel_cols, dtype=np.int64)
-    comp_gram = basis @ gram @ basis.T
-    comp = GramLattice(name="complement", gram=comp_gram)
+    d, _, v = smith_normal_form([gram @ r, gram @ order_four_isometry() @ r])
+    # the trailing columns of V span the vectors orthogonal to r and rho r
+    basis = np.array(v, dtype=np.int64)[:, sum(1 for k in range(2) if d[k][k]):].T
+    comp = GramLattice(name="complement", gram=basis @ gram @ basis.T)
     target = named_lattice("U+U(2)+D4+A1^2")
     iso = find_isomorphism(discriminant_form(comp), discriminant_form(target))
     comp_sig, target_sig = comp.signature(), target.signature()
@@ -1133,8 +1074,6 @@ def table1_checks() -> list[dict]:
             "transcendental_signature": tra_sig,
             "transcendental_ok": tra_sig == (2, tra.rank - 2),
             "disc_complementary": iso is not None,
-            "ok": pic.rank + tra.rank == 22
-            and tra_sig == (2, tra.rank - 2)
-            and iso is not None,
+            "ok": pic.rank + tra.rank == 22 and tra_sig == (2, tra.rank - 2) and iso is not None,
         })
     return out

@@ -224,13 +224,11 @@ def pair_class_form() -> lattices.FiniteQuadraticForm:
 
     Generators are the classes of the pairs (1, j); values follow from the
     rank-one blocks: each pair vector has self intersection -1 mod 2 and two
-    distinct pair vectors sharing one label pair to -1/2 mod 1.
+    distinct pair vectors sharing one label pair to -1/2 mod 1, so the doubled
+    generators have self intersection -4 and pair to -2.
     """
-    q_gens = tuple(QQ(1) for _ in range(6))
-    pairings = tuple(
-        tuple(QQ(0) if i == j else QQ(1, 2) for j in range(6)) for i in range(6)
-    )
-    return lattices.FiniteQuadraticForm((2,) * 6, q_gens, pairings)
+    return lattices.FiniteQuadraticForm.from_doubled_gram(
+        [[-4 if i == j else -2 for j in range(6)] for i in range(6)])
 
 
 @lru_cache(maxsize=None)

@@ -3,12 +3,16 @@
 Everything except criterion 9 is exact arithmetic with no tolerance; the
 numeric inversion-equations check runs at the pinned tolerance 1e-9 and
 series order 20.  Run with ``pytest tests/test_acceptance.py -v -s``.
+The last test compares each suite, run in-process, with its lines of the
+golden report, so a changed line names its suite.
 """
 
+import json
 from fractions import Fraction as QQ
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from octet import checks, f2geom, lattices, qseries, tableaux, weil
 from octet.checks import RunConfig
@@ -184,3 +188,13 @@ def test_criterion_14_determinism():
     second = checks.reports_to_jsonl(checks.run_suite("all", CFG))
     ok = first == second == GOLDEN_REPORT.read_text() and len(first) > 0
     _report(14, "byte-identical reports on repeated default runs, equal to the golden file", ok)
+
+
+@pytest.mark.parametrize("suite", ["f2", "weil", "qseries", "lattice", "tableaux"])
+def test_suite_matches_its_golden_slice(suite):
+    # the in-process oracle per suite: its lines of the golden file, in order
+    lines = GOLDEN_REPORT.read_text().splitlines(keepends=True)
+    assert {json.loads(line)["name"].split(".")[0] for line in lines} == set(checks.SELECTORS) - {"all"}
+    want = [line for line in lines if json.loads(line)["name"].split(".")[0] == suite]
+    assert want
+    assert checks.reports_to_jsonl(checks.run_suite(suite, CFG)) == "".join(want)

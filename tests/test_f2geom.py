@@ -81,7 +81,7 @@ def test_transvection_involution_preserves_form(alpha, x):
 
 def test_group_order_and_orbits():
     group = f2geom.group_elements()
-    assert len(group) == 40320
+    assert len(group) == 40320 == f2geom.group_order()
     assert len(set(group)) == 40320
     identity = tuple(range(64))
     assert identity in group

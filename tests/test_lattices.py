@@ -1,6 +1,7 @@
 from fractions import Fraction as QQ
 from functools import lru_cache
-from math import comb
+from itertools import product as iproduct
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -57,11 +58,11 @@ def test_discriminant_forms():
     assert trivial.group_order == 1
     u2 = lat.discriminant_form(lat.named_lattice("U(2)"))
     assert u2.orders == (2, 2)
-    assert set(u2.q_gens) == {QQ(0)}
-    assert u2.pairings[0][1] == QQ(1, 2)
+    assert u2.q4[1] == u2.q4[2] == 0  # both generators have q = 0
+    assert u2.b2[1][2] == 1  # and pair to 1/2
     a1 = lat.discriminant_form(lat.named_lattice("A1"))
     assert a1.orders == (2,)
-    assert a1.q_gens[0] == QQ(3, 2)  # -1/2 normalized into [0, 2)
+    assert a1.q4[1] == 3  # q = -1/2 = 3/2 in Q/2Z
     d4 = lat.discriminant_form(lat.named_lattice("D4"))
     assert d4.group_order == 4
     n_form = lat.discriminant_form(lat.lattice_N())
@@ -70,28 +71,29 @@ def test_discriminant_forms():
 
 
 def test_polarization_identity():
+    # q(x + y) - q(x) - q(y) = 2b(x, y) in Q/2Z, at every pair of elements
     form = lat.discriminant_form(lat.lattice_N())
-    elems = list(form.elements())[:16]
-    for x in elems[:8]:
-        for y in elems[:8]:
-            s = tuple((a + b) % 2 for a, b in zip(x, y))
-            lhs = (form.q(s) - form.q(x) - form.q(y)) % 2
-            assert lhs == (2 * form.pairing(x, y)) % 2
+    for x in range(64):
+        for y in range(64):
+            lhs = (form.q4[x ^ y] - form.q4[x] - form.q4[y]) % 4
+            assert lhs == 2 * form.b2[x][y]
 
 
 def test_disc_direct_sum_matches():
     both = lat.discriminant_form(lat.named_lattice("U(2)+A1"))
-    pieces = lat.discriminant_form(lat.named_lattice("U(2)")).direct_sum(
-        lat.discriminant_form(lat.named_lattice("A1")))
-    assert lat.find_isomorphism(both, pieces) is not None
+    pieces = _ref_discriminant_form(lat.named_lattice("U(2)")).direct_sum(
+        _ref_discriminant_form(lat.named_lattice("A1")))
+    assert lat.find_isomorphism(both, _as_table(pieces)) is not None
 
 
 def test_split_dictionary_transports_form():
     d = lat.split_dictionary()
     form = lat.discriminant_form(lat.lattice_N())
+    ref = _ref_discriminant_form(lat.lattice_N())
     for bits in range(64):
         elem = tuple((bits >> i) & 1 for i in range(6))
-        assert int(form.q(elem)) % 2 == f2geom.q(d.to_model(bits))
+        assert int(ref.q(elem)) % 2 == f2geom.q(d.to_model(bits))
+        assert form.q4[bits] == 2 * f2geom.q(d.to_model(bits))
 
 
 def test_identify_rejects_wrong_rank():
@@ -141,10 +143,11 @@ def test_order_four_isometry():
     gram = lat.lattice_N().gram
     assert np.array_equal(rho.T @ gram @ rho, gram)
     cp = lat.characteristic_polynomial(rho)
-    expected = [QQ(0)] * 13
+    expected = [0] * 13
     for k in range(7):
-        expected[2 * k] = QQ(comb(6, k))
+        expected[2 * k] = comb(6, k)
     assert cp == expected  # (t^2 + 1)^6: order 4, no fixed vectors
+    assert all(type(c) is int for c in cp)
 
 
 def test_hermitian_grams():
@@ -354,3 +357,236 @@ def test_unit_box_is_built_once(monkeypatch):
     assert lat.minus4_vector_scan(2)["ok"]
     assert lat.minus4_vector_scan(2)["ok"]
     assert calls.count((8, 1)) == 1  # the box is scanned as slices over _box(8, 1)
+
+
+# Reference: finite quadratic forms on products of cyclic groups with
+# Fraction values, the discriminant form by Fraction Gram products, and the
+# backtracking isomorphism search on them, as the lattices module computed
+# them before the F2 tables.
+
+
+def _ref_mod(x, modulus):
+    return x - (x / modulus).__floor__() * modulus
+
+
+class _RefForm:
+    """orders[i] is the order of generator i, q_gens[i] its value in Q/2Z and
+    pairings[i][j] the pairing in Q/Z; q(sum a_i g_i) = sum a_i^2 q_i +
+    2 sum_{i<j} a_i a_j p_ij."""
+
+    def __init__(self, orders, q_gens, pairings):
+        self.orders, self.q_gens, self.pairings = tuple(orders), tuple(q_gens), pairings
+
+    @property
+    def group_order(self):
+        return prod(self.orders)
+
+    def elements(self):
+        return iproduct(*(range(d) for d in self.orders))
+
+    @lru_cache(maxsize=None)  # elements are tuples; each value is computed once
+    def q(self, elem):
+        total = QQ(0)
+        k = len(self.orders)
+        for i in range(k):
+            total += elem[i] * elem[i] * self.q_gens[i]
+            for j in range(i + 1, k):
+                total += 2 * elem[i] * elem[j] * self.pairings[i][j]
+        return _ref_mod(total, 2)
+
+    @lru_cache(maxsize=None)
+    def pairing(self, x, y):
+        total = QQ(0)
+        k = len(self.orders)
+        for i in range(k):
+            for j in range(k):
+                if i == j:
+                    total += x[i] * y[i] * _ref_mod(self.q_gens[i], 1)
+                else:
+                    total += x[i] * y[j] * self.pairings[i][j]
+        return _ref_mod(total, 1)
+
+    def neg(self):
+        return _RefForm(self.orders, [_ref_mod(-v, 2) for v in self.q_gens],
+                        [[_ref_mod(-p, 1) for p in row] for row in self.pairings])
+
+    def direct_sum(self, other):
+        k1, k2 = len(self.orders), len(other.orders)
+        pair = [[QQ(0)] * (k1 + k2) for _ in range(k1 + k2)]
+        for i in range(k1):
+            for j in range(k1):
+                pair[i][j] = self.pairings[i][j]
+        for i in range(k2):
+            for j in range(k2):
+                pair[k1 + i][k1 + j] = other.pairings[i][j]
+        return _RefForm(self.orders + other.orders, self.q_gens + other.q_gens, pair)
+
+
+def _ref_discriminant_form(lattice):
+    gram = lattice.gram
+    d, _, v = lat.smith_normal_form(gram)
+    n = gram.shape[0]
+    gens, orders = [], []
+    for k in range(n):
+        if d[k][k] > 1:
+            orders.append(d[k][k])
+            gens.append([QQ(v[r][k], d[k][k]) for r in range(n)])
+    grows = [[int(x) for x in row] for row in gram]
+
+    def ip(x, y):
+        return sum(x[i] * grows[i][j] * y[j] for i in range(n) for j in range(n))
+
+    q_gens = [_ref_mod(ip(g, g), 2) for g in gens]
+    pairings = [[_ref_mod(ip(gi, gj), 1) if i != j else QQ(0) for j, gj in enumerate(gens)]
+                for i, gi in enumerate(gens)]
+    form = _RefForm(orders, q_gens, pairings)
+    assert form.group_order == abs(lattice.det())
+    return form
+
+
+def _ref_find_isomorphism(a, b):
+    assert set(a.orders) <= {2} and set(b.orders) <= {2}
+    if a.orders != b.orders:
+        return None
+    k = len(a.orders)
+    b_elems = [tuple(int(x) for x in elem) for elem in b.elements()]
+    chosen = []
+
+    def independent(imgs):
+        return len(f2geom.echelon_basis([_bits(img) for img in imgs])) == len(imgs)
+
+    def extend(i):
+        if i == k:
+            return True
+        for cand in b_elems:
+            if not any(cand) or b.q(cand) != a.q(tuple(int(j == i) for j in range(k))):
+                continue
+            if any(b.pairing(cand, prev) != a.pairings[i][j] for j, prev in enumerate(chosen)):
+                continue
+            chosen.append(cand)
+            if independent(chosen) and extend(i + 1):
+                return True
+            chosen.pop()
+        return False
+
+    return list(chosen) if extend(0) else None
+
+
+def _bits(elem):
+    return sum(int(e) << i for i, e in enumerate(elem))
+
+
+def _elem(bits, k):
+    return tuple((bits >> i) & 1 for i in range(k))
+
+
+def _as_table(ref):
+    """The table form of a 2-elementary reference form."""
+    k = len(ref.orders)
+    elems = [_elem(x, k) for x in range(1 << k)]
+    return lat.FiniteQuadraticForm(
+        tuple(int(2 * ref.q(x)) for x in elems),
+        tuple(tuple(int(2 * ref.pairing(x, y)) for y in elems) for x in elems))
+
+
+# direct sums of at most three 2-elementary atoms: discriminant rank <= 6
+atom_sums = st.lists(st.sampled_from(("U", "U(2)", "A1", "A1(-1)", "D4", "D6", "D8",
+                                      "D10", "E8")), min_size=1, max_size=3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(atom_sums)
+def test_tables_match_fraction_reference(atoms):
+    lattice = lat.named_lattice("+".join(atoms))
+    form, ref = lat.discriminant_form(lattice), _ref_discriminant_form(lattice)
+    assert form.orders == ref.orders and form.group_order == ref.group_order
+    neg, ref_neg = form.neg(), ref.neg()
+    for x in ref.elements():
+        assert form.q4[_bits(x)] == 2 * ref.q(x)
+        assert neg.q4[_bits(x)] == 2 * ref_neg.q(x)
+        for y in ref.elements():
+            assert form.b2[_bits(x)][_bits(y)] == 2 * ref.pairing(x, y)
+    # b takes values in {0, 1/2}, where -b = b in Q/Z
+    assert neg.b2 == form.b2
+    assert all(ref_neg.pairings[i][j] == ref.pairings[i][j]
+               for i in range(form.rank) for j in range(form.rank))
+
+
+def _check_isomorphism_verdict(left, right):
+    a, b = (lat.discriminant_form(lat.named_lattice("+".join(x))) for x in (left, right))
+    ref_a, ref_b = (_ref_discriminant_form(lat.named_lattice("+".join(x)))
+                    for x in (left, right))
+    found = lat.find_isomorphism(a, b)
+    assert (found is None) == (_ref_find_isomorphism(ref_a, ref_b) is None)
+    if found is None:
+        return False
+    k = a.rank
+    image = [_elem(0, k)] * (1 << k)
+    for x in range(1, 1 << k):
+        low = (x & -x).bit_length() - 1
+        image[x] = _elem(_bits(image[x & (x - 1)]) ^ found[low], k)
+    # q at every element, and b at every element against each generator,
+    # which fixes the bilinear b everywhere
+    for x in range(1 << k):
+        assert ref_b.q(image[x]) == ref_a.q(_elem(x, k))
+        for j in range(k):
+            assert ref_b.pairing(image[x], image[1 << j]) == ref_a.pairing(_elem(x, k),
+                                                                           _elem(1 << j, k))
+    return True
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_isomorphism_verdicts_match_fraction_reference(data):
+    left = data.draw(atom_sums)
+    # a reordering of the atoms is an isomorphic lattice; a fresh sum may not be
+    right = data.draw(st.one_of(st.permutations(left), atom_sums))
+    verdicts = {_check_isomorphism_verdict(left, right), _check_isomorphism_verdict(right, left)}
+    assert len(verdicts) == 1
+    if sorted(left) == sorted(right):
+        assert verdicts == {True}
+
+
+@pytest.mark.parametrize("left, right, isomorphic", [
+    (["D8"], ["U(2)"], True), (["D4", "D4"], ["U(2)", "U(2)"], True),
+    (["D10", "A1(-1)"], ["D4", "U(2)"], False), (["D4"], ["U(2)"], False),
+    (["A1", "A1(-1)"], ["U(2)"], False), (["D6", "A1"], ["A1(-1)", "A1(-1)", "A1"], True),
+    (["D4", "D4", "U(2)"], ["U(2)", "U(2)", "U(2)"], True),
+    (["D4", "D4", "D4"], ["D6", "D6", "D6"], False)])
+def test_isomorphism_verdicts_across_atoms(left, right, isomorphic):
+    assert _check_isomorphism_verdict(left, right) is isomorphic
+    assert _check_isomorphism_verdict(right, left) is isomorphic
+
+
+def test_flipped_value_is_not_isomorphic():
+    form = lat.discriminant_form(lat.lattice_N())
+    assert lat.find_isomorphism(form, form) is not None
+    q4 = list(form.q4)
+    q4[63] = (q4[63] + 2) % 4
+    flipped = lat.FiniteQuadraticForm(tuple(q4), form.b2)
+    assert lat.find_isomorphism(form, flipped) is None
+    assert lat.find_isomorphism(flipped, form) is None
+
+
+def test_discriminant_form_rejects_non_2_elementary():
+    with pytest.raises(ValueError):
+        lat.discriminant_form(lat.named_lattice("A1(3)"))
+
+
+def test_corrupted_transvection_table_fails_additivity(monkeypatch):
+    alpha = f2geom.ALPHA1
+    basis = lat.split_dictionary().gen_images
+    point = next(x for x in range(1, 64) if x not in basis and x & (x - 1))
+    table = list(f2geom.transvection(alpha))
+    table[point] ^= alpha
+    transvection = f2geom.transvection
+    monkeypatch.setattr(f2geom, "transvection",
+                        lambda a: tuple(table) if a == alpha else transvection(a))
+    lat._transvection_tables.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            lat._transvection_tables()
+    finally:
+        monkeypatch.undo()
+        lat._transvection_tables.cache_clear()
+    assert lat._transvection_tables()[1][alpha].tolist() == list(transvection(alpha))
