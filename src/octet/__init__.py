@@ -16,7 +16,8 @@ Submodules:
   reflections, glue vectors, and box scans.
 - ``tableaux``: pair tableaux, cross-ratio products, the dictionary onto
   totally singular subspaces, straightening, and exact relation discovery.
-- ``checks`` / ``cli``: deterministic verification suites and the
+- ``checks`` / ``cli``: the verification suites as named claims, with the one
+  runner that turns them into deterministic report lines, and the
   command-line front end.
 """
 

@@ -155,7 +155,7 @@ def compute_relations(args) -> dict:
 def compute_group(args) -> dict:
     return {"order": f2geom.group_order(),
             "transvection_generators": len(f2geom.all_transvections()),
-            "orbit_sizes": sorted(len(o) for o in f2geom.orbits())}
+            "orbit_sizes": f2geom.orbit_sizes()}
 
 
 def cmd_compute(args) -> int:

@@ -7,14 +7,15 @@ addition is XOR.  The quadratic form is
 
 and b(x, y) = q(x+y) + q(x) + q(y) is the associated nondegenerate symmetric
 bilinear form.  Subspaces are canonical reduced-echelon tuples of basis
-vectors, so they compare by equality, and every enumeration is deterministic.
+vectors, so they compare by equality; ``all_subspaces`` enumerates these
+bases directly, and every enumeration is deterministic.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -66,6 +67,27 @@ def pair_census(alpha: int) -> dict[tuple[VectorType, int], int]:
     return counts
 
 
+# one vector of each type
+TYPE_REPRESENTATIVES = {VectorType.ZERO: 0, VectorType.ISOTROPIC: E1,
+                        VectorType.ANISOTROPIC: ALPHA1}
+
+
+def pair_census_by_type() -> dict[VectorType, dict[VectorType, tuple[int, int]]]:
+    """Per type of alpha, per type of beta: the counts of beta with
+    b(alpha, beta) = 0 and = 1, at the representative of alpha's type."""
+    out = {}
+    for kind, alpha in TYPE_REPRESENTATIVES.items():
+        table = pair_census(alpha)
+        out[kind] = {t: (table[(t, 0)], table[(t, 1)]) for t in VectorType}
+    return out
+
+
+def pair_census_type_constant() -> bool:
+    """Every vector has the pair census of the representative of its type."""
+    return all(pair_census(v) == pair_census(TYPE_REPRESENTATIVES[classify(v)])
+               for v in SPACE)
+
+
 # ---------------------------------------------------------------------------
 # transvections and the orthogonal group
 
@@ -86,6 +108,10 @@ def all_transvections() -> list[Perm]:
 def compose(g: Perm, h: Perm) -> Perm:
     """g after h."""
     return tuple(g[h[x]] for x in SPACE)
+
+
+def transvections_are_involutions() -> bool:
+    return all(compose(g, g) == SPACE for g in all_transvections())
 
 
 @lru_cache(maxsize=None)
@@ -162,6 +188,11 @@ def orbits(generators: list[Perm] | None = None) -> list[tuple[int, ...]]:
     return result
 
 
+def orbit_sizes() -> list[int]:
+    """Sizes of the orbits of the transvection group, ascending."""
+    return sorted(len(o) for o in orbits())
+
+
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -193,11 +224,20 @@ def span(basis: Subspace) -> list[int]:
 
 @lru_cache(maxsize=None)
 def all_subspaces(dim: int) -> tuple[Subspace, ...]:
-    """All subspaces of the given dimension, canonically ordered."""
+    """All subspaces of the given dimension, canonically ordered.
+
+    The reduced-echelon bases are enumerated directly: a basis is fixed by
+    its pivots p_1 > ... > p_dim, the top bits of its vectors, and vector i
+    is any v with top bit p_i that is zero at the other pivots.
+    """
     if not 0 <= dim <= DIM:
         raise ValueError("dimension out of range")
-    found = {echelon_basis(c) for c in combinations(range(1, 64), dim)}
-    return tuple(sorted(s for s in found if len(s) == dim))
+    found = []
+    for pivots in combinations(range(DIM - 1, -1, -1), dim):
+        mask = sum(1 << p for p in pivots)
+        found += product(*([v for v in range(1 << p, 2 << p) if v & mask == 1 << p]
+                           for p in pivots))
+    return tuple(sorted(found))
 
 
 def is_totally_isotropic(s: Subspace) -> bool:
@@ -223,6 +263,10 @@ def enumerate_isotropic_subspaces(dim: int) -> tuple[Subspace, ...]:
     return tuple(s for s in all_subspaces(dim) if is_totally_isotropic(s))
 
 
+def isotropic_subspace_counts() -> dict[int, int]:
+    return {d: len(enumerate_isotropic_subspaces(d)) for d in (1, 2, 3)}
+
+
 @lru_cache(maxsize=None)
 def enumerate_singular_subspaces() -> tuple[Subspace, ...]:
     return tuple(s for s in all_subspaces(3) if is_singular(s))
@@ -238,6 +282,12 @@ def singular_members(s: Subspace) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return aniso, iso
 
 
+def singular_member_split() -> bool:
+    """Every singular subspace has 4 anisotropic and 4 isotropic vectors."""
+    return all(tuple(map(len, singular_members(s))) == (4, 4)
+               for s in enumerate_singular_subspaces())
+
+
 def kernel_plane(s: Subspace) -> Subspace:
     """The isotropic vectors of a singular subspace form a plane."""
     _, iso = singular_members(s)
@@ -246,6 +296,7 @@ def kernel_plane(s: Subspace) -> Subspace:
     return plane
 
 
+@lru_cache(maxsize=None)
 def isotropic_plane_extensions(plane: Subspace) -> tuple[Subspace, Subspace]:
     """The two maximal totally isotropic subspaces containing a given plane.
 
@@ -269,64 +320,19 @@ def isotropic_plane_extensions(plane: Subspace) -> tuple[Subspace, Subspace]:
     return keyed[0], keyed[1]
 
 
-# ---------------------------------------------------------------------------
-# recognising other models of the same space
+def plane_extension_pairs() -> bool:
+    """The two extensions of each totally isotropic plane differ and meet in
+    the plane."""
+    for plane in enumerate_isotropic_subspaces(2):
+        plus, minus = isotropic_plane_extensions(plane)
+        if plus == minus or set(span(plus)) & set(span(minus)) != set(span(plane)):
+            return False
+    return True
 
 
-def find_model_isomorphism(q_table) -> tuple[int, ...]:
-    """Map another rank-6 model onto this one.
-
-    ``q_table[x]`` gives the form value (0/1) of the vector with coordinate
-    bits ``x`` in the foreign model.  Returns images of the 6 foreign basis
-    vectors in this model such that the linear extension transports the
-    foreign form exactly onto q; raises if the foreign form is not split.
-    """
-    if len(q_table) != 64:
-        raise ValueError("need a rank-6 table of 64 values")
-    if sum(1 for v in q_table if v == 0) != 36:
-        raise ValueError("form is not isomorphic to the split model (census mismatch)")
-
-    def fb(x, y):
-        return (q_table[x ^ y] + q_table[x] + q_table[y]) & 1
-
-    # extract a hyperbolic basis (x1,y1,x2,y2,x3,y3) of the foreign model;
-    # a nonzero vector orthogonal to the previous pairs is automatically
-    # independent of them, so orthogonality is the only constraint needed
-    pairs: list[tuple[int, int]] = []
-
-    def orthogonal_to_pairs(v):
-        return all(fb(v, x) == 0 and fb(v, y) == 0 for x, y in pairs)
-
-    try:
-        for _ in range(3):
-            x = next(v for v in range(1, 64) if q_table[v] == 0
-                     and orthogonal_to_pairs(v))
-            y = next(v for v in range(1, 64) if fb(x, v) == 1
-                     and orthogonal_to_pairs(v))
-            if q_table[y]:
-                y ^= x
-            pairs.append((x, y))
-    except StopIteration:
-        raise ValueError("form is degenerate or not split") from None
-
-    # coordinates w.r.t. the hyperbolic basis: the x_j-coefficient of v is
-    # fb(v, y_j) and the y_j-coefficient is fb(v, x_j)
-    images = []
-    for i in range(6):
-        e = 1 << i
-        coords = 0
-        for j, (x, y) in enumerate(pairs):
-            coords |= fb(e, y) << (2 * j)
-            coords |= fb(e, x) << (2 * j + 1)
-        images.append(coords)
-
-    if len(echelon_basis(images)) != 6:
-        raise ValueError("extracted map is not invertible")
-    for v in range(64):
-        img = 0
-        for i in range(6):
-            if (v >> i) & 1:
-                img ^= images[i]
-        if q(img) != (q_table[v] & 1):
-            raise ValueError("extracted basis fails to transport the form")
-    return tuple(images)
+def maximal_isotropic_by_extension() -> tuple[Subspace, ...]:
+    """The maximal totally isotropic subspaces as the extensions of the
+    totally isotropic planes, sorted: a route independent of the direct
+    enumeration."""
+    return tuple(sorted({ext for plane in enumerate_isotropic_subspaces(2)
+                         for ext in isotropic_plane_extensions(plane)}))

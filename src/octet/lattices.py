@@ -12,7 +12,9 @@ N = U + U(2) + D4 + D4 has its D4 blocks inside Z^4 (even-sum vectors,
 negated standard product), where the order-4 isometry rho is defined.  As
 2G^{-1} is integral, a dual vector y is handled as the integer vector 2y; its
 class in the dual mod N is read off by Smith rows mod 2, in batches, and
-carried to the 64-vector model through the split dictionary.
+carried to the 64-vector model through the split dictionary: the isometry
+that ``find_isomorphism`` finds from the form of N onto the form of the
+model, 2q4 = q and b2 = b of ``f2geom``.
 
 The reflection identities of norm -2 vectors r (the pair and the quarter
 reflections built from r and rho r, and the transvection the quarter
@@ -31,7 +33,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import prod
+from math import comb, prod
 from operator import xor
 
 import numpy as np
@@ -419,17 +421,24 @@ class SplitModelDictionary:
         return tuple(table[m] for m in range(64))
 
 
-def identify_with_split_model(form: FiniteQuadraticForm) -> SplitModelDictionary:
-    """Identify a rank-6 form having values in Z/2Z with the three-plane model.
+@lru_cache(maxsize=None)
+def _split_model_form() -> FiniteQuadraticForm:
+    """The 64-vector model of ``f2geom`` as a form: q4 = 2q and b2 = b."""
+    return FiniteQuadraticForm(tuple(2 * f2geom.q(x) for x in f2geom.SPACE),
+                               tuple(tuple(f2geom.b(x, y) for y in f2geom.SPACE)
+                                     for x in f2geom.SPACE))
 
-    Raises ValueError when the input has the wrong rank, carries half-integer
-    values, or is not split (census 36/28 distinguishes the two classes).
+
+def identify_with_split_model(form: FiniteQuadraticForm) -> SplitModelDictionary:
+    """Identify a form with the three-plane model by ``find_isomorphism``.
+
+    Raises ValueError when there is no isometry: the form has the wrong rank,
+    takes half-integer values, or is not split.
     """
-    if form.rank != 6:
-        raise ValueError("need a 2-elementary form of rank 6")
-    if any(v % 2 for v in form.q4):
-        raise ValueError("form takes half-integer values; not of split type")
-    return SplitModelDictionary(f2geom.find_model_isomorphism([v // 2 for v in form.q4]))
+    images = find_isomorphism(form, _split_model_form())
+    if images is None:
+        raise ValueError("the form is not isomorphic to the split model")
+    return SplitModelDictionary(tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +482,11 @@ def overlattice(lattice: GramLattice, glue) -> GramLattice:
 N_NAME = "U+U(2)+D4+D4"
 M_NAME = "U(2)+D4+D4"
 E_MINUS_F = (1, -1) + (0,) * 10  # a norm -2 vector of N
+
+
+def glued_overlattice() -> GramLattice:
+    """U + A1^8 with the glue vector half the sum of the A1 generators."""
+    return overlattice(named_lattice("U+A1^8"), [0, 0] + [QQ(1, 2)] * 8)
 
 
 @lru_cache(maxsize=None)
@@ -537,6 +551,13 @@ def characteristic_polynomial(mat: np.ndarray) -> list[int]:
     return coeffs
 
 
+def isometry_fixed_point_free() -> bool:
+    """rho has characteristic polynomial (t^2 + 1)^6: it has order 4 and no
+    fixed vector."""
+    return characteristic_polynomial(order_four_isometry()) == [
+        comb(6, k // 2) if k % 2 == 0 else 0 for k in range(13)]
+
+
 # ---------------------------------------------------------------------------
 # hermitian structure
 
@@ -558,8 +579,9 @@ def hermitian_form(x, y) -> tuple[int, int]:
     return inner(x, y), inner(x, rho @ y)
 
 
-def hermitian_gram_checks() -> dict:
-    """The two stated hermitian Gram matrices, computed exactly.
+def hermitian_gram_checks() -> tuple[bool, bool, bool]:
+    """Whether the D4 and the U hermitian Gram matrices are the stated ones,
+    and whether h(x, x) is real for every x.
 
     On the first D4 block the complex basis is (1,-1,0,0), (0,1,-1,0) (our
     basis vectors 1 and 2 of that block); on U + U(2) it is (e, f).
@@ -567,14 +589,10 @@ def hermitian_gram_checks() -> dict:
     eye = np.eye(12, dtype=np.int64)
     d4_gram = [[hermitian_form(x, y) for y in eye[4:6]] for x in eye[4:6]]
     u_gram = [[hermitian_form(x, y) for y in eye[0:2]] for x in eye[0:2]]
-    return {
-        "d4_matrix": d4_gram,
-        "d4_matches": d4_gram == [[(-2, 0), (1, -1)], [(1, 1), (-2, 0)]],
-        "u_matrix": u_gram,
-        "u_matches": u_gram == [[(0, 0), (1, 1)], [(1, -1), (0, 0)]],
-        # h(x, x) is real for every x exactly when rho is skew for G
-        "diagonal_real": _rho_identities()["skew"],
-    }
+    return (d4_gram == [[(-2, 0), (1, -1)], [(1, 1), (-2, 0)]],
+            u_gram == [[(0, 0), (1, 1)], [(1, -1), (0, 0)]],
+            # h(x, x) is real for every x exactly when rho is skew for G
+            _rho_identities()["skew"])
 
 
 # ---------------------------------------------------------------------------
@@ -856,8 +874,6 @@ def phi_map_check() -> dict:
         "into_dual": identities["half_sum_dual"],
         "inverse_identity": collapses,
         "rho_trivial_on_quotient": identities["quotient_trivial"],
-        "quotient_index": index,
-        "classes_hit": len(classes),
         "bijective": index == 64 and set(diag) <= {1, 2} and len(classes) == 64
         and bool(in_dual.all()),
     }
@@ -917,59 +933,53 @@ def _box_norm_count(bound: int, target: int, need_even: bool) -> int:
     return int(counts[offset]) if 0 <= offset < len(counts) else 0
 
 
-def minus4_vector_scan(bound: int = 3) -> dict:
+def _box_counts(bound: int) -> list[int]:
+    """[norm -2 vectors, norm -4 vectors pairing evenly with N] in the box."""
+    return [_box_norm_count(bound, -2, False), _box_norm_count(bound, -4, True)]
+
+
+def minus4_vector_scan(bound: int = 3) -> tuple[dict[str, bool], list[int]]:
     """Exhaustive box verification of the norm -4 / norm -2 correspondence.
 
     The Gram matrix and the isometry are block diagonal, so every per-vector
     condition over the full coordinate box factors through the three blocks:
     the per-block scans below are exhaustive over [-bound, bound]^12 without
-    materializing the 7^12 tuples.  Counts of norm -2 vectors and of norm -4
-    vectors with half-integral duals are recomputed on every call by
-    convolving per-block norm histograms.  The direct scan of the unit box,
+    materializing the 7^12 tuples.  The direct scan of the unit box,
     materialized once per process by ``_box_vectors``, checks the same
-    inclusions vector by vector and cross-checks the convolution.
+    inclusions vector by vector and cross-checks the convolved counts.
+
+    Returns the verdicts on the forward inclusion (r to r + rho r), the
+    converse and the direct scan, and the ``_box_counts`` of the box,
+    recomputed on every call by convolving per-block norm histograms.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
     gram = lattice_N().gram
     rho = order_four_isometry()
-    identities = dict(_rho_identities())
-    checks = dict.fromkeys(("per_block_cross_zero", "per_block_sum_half_dual",
-                            "per_block_glue_parity"), True)
+    identities = _rho_identities()
+    sum_half_dual = glue_parity = True
     pts = _box(4, bound)
     for sl in _BLOCK_SLICES:
         g, r = gram[sl, sl], rho[sl, sl]
         rho_pts = pts @ r.T
         g_pts = pts @ g.T
         even_pair = ~(g_pts % 2).any(axis=1)
-        checks["per_block_cross_zero"] &= not np.einsum("ij,ij->i", g_pts, rho_pts).any()
-        checks["per_block_sum_half_dual"] &= not ((g_pts + rho_pts @ g.T) % 2).any()
-        checks["per_block_glue_parity"] &= not ((pts - rho_pts)[even_pair] % 2).any()
-    direct = _direct_scan(1)
-    return {
-        "bound": bound,
-        "matrix_identities": identities,
-        "block_checks": checks,
-        "minus2_count": _box_norm_count(bound, -2, False),
-        "minus4_glue_count": _box_norm_count(bound, -4, True),
-        "forward_inclusion": checks["per_block_glue_parity"]
-        and identities["skew"] and identities["square_minus_one"],
-        "converse_inclusion": checks["per_block_sum_half_dual"]
-        and identities["skew"],
-        "direct": direct,
-        "direct_counts_match": (direct["minus2_count"] == _box_norm_count(1, -2, False)
-                                and direct["minus4_glue_count"] == _box_norm_count(1, -4, True)),
-        "example": _scan_example(),
-        "ok": all(checks.values()) and direct["all_verified"]
-        and all(identities.values()),
+        sum_half_dual &= not ((g_pts + rho_pts @ g.T) % 2).any()
+        glue_parity &= not ((pts - rho_pts)[even_pair] % 2).any()
+    inclusions = {
+        "forward": glue_parity and identities["skew"] and identities["square_minus_one"],
+        "converse": sum_half_dual and identities["skew"],
+        "direct": _direct_scan(),
     }
+    return inclusions, _box_counts(bound)
 
 
-def _direct_scan(bound: int) -> dict:
-    """Verify the two inclusions vector by vector over the materialized box."""
+def _direct_scan() -> bool:
+    """Verify the two inclusions vector by vector over the materialized unit
+    box, and its counts against the convolved ones."""
     gram = lattice_N().gram
     rho = order_four_isometry()
-    r_vecs, deltas = _box_vectors(bound)
+    r_vecs, deltas = _box_vectors(1)
 
     rho_r = r_vecs @ rho.T
     sums = r_vecs + rho_r
@@ -986,36 +996,16 @@ def _direct_scan(bound: int) -> dict:
     reconstructed = half + (half @ rho.T)
     converse = (integral and bool((half_norms == -2).all())
                 and np.array_equal(reconstructed, deltas))
-    return {
-        "bound": bound,
-        "minus2_count": int(len(r_vecs)),
-        "minus4_glue_count": int(len(deltas)),
-        "forward_verified": forward,
-        "converse_verified": converse,
-        "all_verified": forward and converse,
-    }
-
-
-def _scan_example() -> dict:
-    r = np.array(E_MINUS_F, dtype=np.int64)
-    rho = order_four_isometry()
-    delta = r + rho @ r
-    gram = lattice_N().gram
-    return {
-        "r": [int(x) for x in r],
-        "delta": [int(x) for x in delta],
-        "delta_norm": inner(delta, delta),
-        "delta_half_in_dual": not ((gram @ delta) % 2).any(),
-    }
+    return forward and converse and [len(r_vecs), len(deltas)] == _box_counts(1)
 
 
 # ---------------------------------------------------------------------------
 # complement of a reflection plane (genus-level invariants)
 
 
-def reflection_plane_complement(r=E_MINUS_F) -> dict:
-    """Rank, signature and discriminant form of the orthogonal complement of
-    the span of r and rho(r), compared against U + U(2) + D4 + A1^2."""
+def reflection_plane_complement(r=E_MINUS_F) -> bool:
+    """Whether the orthogonal complement of the span of r and rho(r) has the
+    rank, signature and discriminant form of U + U(2) + D4 + A1^2."""
     r = np.asarray(r, dtype=np.int64)
     gram = lattice_N().gram
     d, _, v = smith_normal_form([gram @ r, gram @ order_four_isometry() @ r])
@@ -1023,18 +1013,8 @@ def reflection_plane_complement(r=E_MINUS_F) -> dict:
     basis = np.array(v, dtype=np.int64)[:, sum(1 for k in range(2) if d[k][k]):].T
     comp = GramLattice(name="complement", gram=basis @ gram @ basis.T)
     target = named_lattice("U+U(2)+D4+A1^2")
-    iso = find_isomorphism(discriminant_form(comp), discriminant_form(target))
-    comp_sig, target_sig = comp.signature(), target.signature()
-    return {
-        "rank": comp.rank,
-        "signature": comp_sig,
-        "expected_signature": target_sig,
-        "det": comp.det(),
-        "expected_det": target.det(),
-        "disc_isomorphic": iso is not None,
-        "ok": comp.rank == 10 and comp_sig == target_sig
-        and iso is not None,
-    }
+    return (comp.rank == target.rank and comp.signature() == target.signature()
+            and find_isomorphism(discriminant_form(comp), discriminant_form(target)) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -1055,25 +1035,12 @@ TABLE1_ROWS = (
 )
 
 
-def table1_checks() -> list[dict]:
-    """Rank sums, signatures and complementary discriminant forms, row by row."""
-    out = []
-    for idx, (pic_name, tra_name) in enumerate(TABLE1_ROWS, start=1):
-        pic = named_lattice(pic_name)
-        tra = named_lattice(tra_name)
-        iso = find_isomorphism(discriminant_form(pic), discriminant_form(tra).neg())
-        pic_sig, tra_sig = pic.signature(), tra.signature()
-        out.append({
-            "row": idx,
-            "picard": pic_name,
-            "transcendental": tra_name,
-            "rank_sum": pic.rank + tra.rank,
-            "rank_sum_ok": pic.rank + tra.rank == 22,
-            "picard_signature": pic_sig,
-            "picard_hyperbolic": pic_sig == (1, pic.rank - 1),
-            "transcendental_signature": tra_sig,
-            "transcendental_ok": tra_sig == (2, tra.rank - 2),
-            "disc_complementary": iso is not None,
-            "ok": pic.rank + tra.rank == 22 and tra_sig == (2, tra.rank - 2) and iso is not None,
-        })
-    return out
+def table1_checks() -> list[bool]:
+    """Per row: the ranks sum to 22, the Picard lattice is hyperbolic, the
+    transcendental lattice has signature (2, rank - 2), and their
+    discriminant forms are complementary."""
+    return [pic.rank + tra.rank == 22
+            and pic.signature() == (1, pic.rank - 1)
+            and tra.signature() == (2, tra.rank - 2)
+            and find_isomorphism(discriminant_form(pic), discriminant_form(tra).neg()) is not None
+            for pic, tra in (map(named_lattice, row) for row in TABLE1_ROWS)]

@@ -5,8 +5,9 @@ stored densely: ``QSeries(low, coeffs)`` holds the coefficient of
 q^((low+i)/2) at ``coeffs[i]``, and its length fixes the truncation.  Every
 coefficient of the three components is an integer on this half grid, which
 is also the serialization contract.  The translation equations are checked
-exactly on coefficients; the inversion equations are checked numerically
-through the eta products, which is the only place a tolerance appears.
+exactly on coefficients; the inversion equations are measured numerically
+through the eta products, whose float residuals are the only inexact values
+(``checks`` judges them against its tolerance).
 """
 
 from __future__ import annotations
@@ -182,6 +183,14 @@ def h_components(order=20) -> HComponents:
                          for s in (a.scale(56), a.scale(-8), a.scale(8) + b)))
 
 
+def component_heads(order=20) -> dict[str, list[str]]:
+    """The first three coefficients of each component, as strings."""
+    comps = h_components(order)
+    return {"h00": [str(comps.h00[n]) for n in range(3)],
+            "h0": [str(comps.h0[n]) for n in range(3)],
+            "h1": [str(comps.h1[QQ(n, 2)]) for n in (-1, 1, 3)]}
+
+
 def verify_T_equations(order=20) -> dict:
     """Exact coefficient-level check of the translation behaviour.
 
@@ -191,15 +200,11 @@ def verify_T_equations(order=20) -> dict:
     """
     comps = h_components(order)
     stray = [e for e, _ in comps.h1.terms() if e.denominator == 1]
-    report = {
-        "h00_integer_exponents": all(e.denominator == 1 for e, _ in comps.h00.terms()),
-        "h0_integer_exponents": all(e.denominator == 1 for e, _ in comps.h0.terms()),
-        "h00_plus_7_h0_is_zero": not (comps.h00 + comps.h0.scale(7)).coeffs,
-        "first_offending_exponent": str(stray[0]) if stray else None,
-        "h1_half_integer_exponents": not stray,
-    }
-    report["ok"] = all(v for k, v in report.items() if k != "first_offending_exponent")
-    return report
+    integral = all(e.denominator == 1 for s in (comps.h00, comps.h0) for e, _ in s.terms())
+    zero_sum = not (comps.h00 + comps.h0.scale(7)).coeffs
+    return {"h00_plus_7_h0_is_zero": zero_sum,
+            "first_offending_exponent": str(stray[0]) if stray else None,
+            "ok": integral and zero_sum and not stray}
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +234,16 @@ def h_numeric(tau: complex) -> tuple[complex, complex, complex]:
     return 56 * a, -8 * a, 8 * a + bq
 
 
-def verify_S_equations_numeric(samples=DEFAULT_SAMPLES, tolerance=1e-9, order=20) -> dict:
-    """Residuals of the three inversion equations at the sample points.
+def verify_S_equations_numeric(samples=DEFAULT_SAMPLES, order=20) -> dict[str, float]:
+    """The largest residual of the three inversion equations at the sample
+    points, and of the eta products against the exact series.
 
     Each component at -1/tau is compared against tau^{-4}/8 times the stated
-    mixing of the components at tau.  Also cross-checks the eta product
-    against the exact series evaluation when Im(tau) >= 1.
+    mixing of the components at tau; the eta products are compared with the
+    exact series evaluation when Im(tau) >= 1.  Whether both lie below a
+    tolerance is for the caller to judge.
     """
-    residuals = {}
-    series_vs_product = 0.0
+    max_residual = series_vs_product = 0.0
     comps = h_components(order)
     for tau in samples:
         tau = complex(tau)
@@ -248,19 +254,13 @@ def verify_S_equations_numeric(samples=DEFAULT_SAMPLES, tolerance=1e-9, order=20
         factor = tau ** -4 / 8
         for i, row in enumerate(S_MIX_ROWS):
             mixed = factor * sum(m * h for m, h in zip(row, here))
-            residuals["tau=%s,component=%d" % (tau, i)] = abs(there[i] - mixed)
+            max_residual = max(max_residual, abs(there[i] - mixed))
         if tau.imag >= 1:
             for series, value in zip((comps.h00, comps.h0, comps.h1), here):
                 series_vs_product = max(series_vs_product,
                                         abs(series.evaluate(tau) - value))
-    worst = max(residuals.values())
-    return {
-        "residuals": {k: float(v) for k, v in sorted(residuals.items())},
-        "max_residual": float(worst),
-        "series_vs_product": float(series_vs_product),
-        "tolerance": float(tolerance),
-        "ok": worst < float(tolerance) and series_vs_product < float(tolerance),
-    }
+    return {"max_residual": float(max_residual),
+            "series_vs_product": float(series_vs_product)}
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +285,9 @@ def assemble_and_reduce() -> dict:
     """Exact check that the matrices respect type-constant vectors.
 
     Applying the inversion matrix to each type indicator must give a
-    type-constant vector; the resulting 3x3 mixing matrix and the diagonal
-    translation signs are returned exactly.
+    type-constant vector; the resulting 3x3 mixing matrix (None if some
+    image is not type-constant) and the diagonal translation signs (None
+    where not constant) are returned exactly.
     """
     types = [f2geom.classify(x) for x in f2geom.SPACE]
     s = weil.rho_S()
@@ -308,23 +309,14 @@ def assemble_and_reduce() -> dict:
         image = t.apply(type_indicator(kind))
         vals = {image[x] for x in f2geom.SPACE if types[x] is kind}
         t_signs.append(next(iter(vals)) if len(vals) == 1 else None)
-    expected = [[Fraction(m, 8) for m in row] for row in S_MIX_ROWS]
-    return {
-        "type_constant": constant,
-        "mixing_matrix": mixing_matrix,
-        "mixing_matches": mixing_matrix == expected,
-        "t_signs": t_signs,
-        "t_signs_match": t_signs == [Fraction(1), Fraction(1), Fraction(-1)],
-    }
+    return {"mixing_matrix": mixing_matrix, "t_signs": t_signs}
 
 
 def mixing_rows_from_pair_census() -> tuple[tuple[int, int, int], ...]:
     """Recover the integer mixing rows as m0 - m1 from the pairing census."""
-    rows = []
-    for rep in (0, f2geom.E1, f2geom.ALPHA1):  # one vector of each type, as in TYPES
-        counts = f2geom.pair_census(rep)
-        rows.append(tuple(counts[(k2, 0)] - counts[(k2, 1)] for k2 in TYPES))
-    return tuple(rows)
+    census = f2geom.pair_census_by_type()
+    return tuple(tuple(census[k1][k2][0] - census[k1][k2][1] for k2 in TYPES)
+                 for k1 in TYPES)
 
 
 # ---------------------------------------------------------------------------
@@ -333,25 +325,13 @@ def mixing_rows_from_pair_census() -> tuple[tuple[int, int, int], ...]:
 
 def borcherds_bookkeeping(order=20) -> dict:
     """Arithmetic cross-checks on the lift's weight and vanishing orders."""
-    comps = h_components(order)
-    constant_term = comps.h00[0]
-    weight = QQ(constant_term, 2)
-    n_singular = len(f2geom.enumerate_singular_subspaces())
+    weight = QQ(h_components(order).h00[0], 2)
     n_aniso = f2geom.census()[VectorType.ANISOTROPIC]
-    product_weight = 4 * n_singular
-    vanishing = Fraction(product_weight, n_aniso)
+    # the product has weight 4 per singular subspace
+    vanishing = QQ(4 * len(f2geom.enumerate_singular_subspaces()), n_aniso)
     quartic_count = vanishing * n_aniso
-    return {
-        "h00_constant_term": constant_term,
-        "weight": weight,
-        "weight_is_28": weight == 28,
-        "product_weight": product_weight,
-        "vanishing_order": vanishing,
-        "vanishing_is_15": vanishing == 15,
-        "quartic_count": quartic_count,
-        "quartic_count_is_420": quartic_count == 420,
-        "factorization_ok": int(quartic_count) == 2**2 * 3 * 5 * 7,
-    }
+    return {"weight": weight, "vanishing_order": vanishing, "quartic_count": quartic_count,
+            "factorization_ok": int(quartic_count) == 2**2 * 3 * 5 * 7}
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +342,12 @@ def serialize_series(series: QSeries) -> dict:
     """JSON document with (doubled exponent, coefficient string) pairs."""
     pairs = [[series.low + i, "%d/1" % c] for i, c in enumerate(series.coeffs) if c]
     return {"half_exponent_pairs": pairs, "truncation_order": str(series.trunc)}
+
+
+def serialization_roundtrip(order=20) -> bool:
+    """Each component survives serialization and deserialization unchanged."""
+    return all(deserialize_series(serialize_series(series)) == series
+               for series in h_components(order))
 
 
 def deserialize_series(doc: dict) -> QSeries:

@@ -390,8 +390,7 @@ def equivariance_check(n_pairs: int = 20, seed: int = 42) -> dict:
             if image != set(f2geom.span(tableau_to_subspace(moved))):
                 intertwine_ok = False
     return {"homomorphism": hom_ok, "intertwines_subspaces": intertwine_ok,
-            "sign_identity": sign_ok, "pairs_tested": n_pairs,
-            "ok": hom_ok and intertwine_ok and sign_ok}
+            "sign_identity": sign_ok}
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +458,7 @@ def straightening_check(n_samples: int = 5, seed: int = 42) -> dict:
          + det2(c[3], c[0]) * det2(c[2], c[1])) == 0
         for c in configs
     )
-    return {"expansions_match": all_ok, "plucker_identity": plucker_ok,
-            "ok": all_ok and plucker_ok}
+    return {"expansions_match": all_ok, "ok": all_ok and plucker_ok}
 
 
 # ---------------------------------------------------------------------------

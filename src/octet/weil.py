@@ -93,6 +93,23 @@ def rho_S() -> RationalMatrix:
     return RationalMatrix(mat, 8)
 
 
+def sl2_relations() -> dict[str, bool]:
+    """The defining relations S^2 = 1 and (ST)^3 = 1, exactly."""
+    s, st, eye = rho_S(), rho_S() @ rho_T(), RationalMatrix.identity(64)
+    return {"s_squared": s @ s == eye, "st_cubed": st @ st @ st == eye}
+
+
+def commutes_with_transvections() -> bool:
+    """rho_S and rho_T commute with the permutation of coordinates by every
+    transvection."""
+    for alpha in f2geom.SPACE:
+        if f2geom.q(alpha):
+            perm = list(f2geom.transvection(alpha))
+            if any((m.num[perm][:, perm] != m.num).any() for m in (rho_S(), rho_T())):
+                return False
+    return True
+
+
 def traces() -> dict[str, Fraction]:
     """Traces of the identity, T, S and ST actions."""
     return {
@@ -148,6 +165,11 @@ def isotropic_sum_vector(iso: Subspace) -> np.ndarray:
 def is_invariant(vec) -> bool:
     """Exact membership test for the fixed space of rho_T and rho_S."""
     return rho_T().fixes(vec) and rho_S().fixes(vec)
+
+
+def isotropic_sums_invariant() -> bool:
+    return all(is_invariant(isotropic_sum_vector(i))
+               for i in f2geom.enumerate_isotropic_subspaces(3))
 
 
 @lru_cache(maxsize=None)
@@ -223,6 +245,28 @@ def minus_one_eigenspace(subspace: Subspace) -> tuple[int, tuple[int, ...] | Non
     return dim, None
 
 
+def antivectors_unique() -> bool:
+    """For each of the 105 singular subspaces, the joint (-1)-eigenspace of its
+    transvections is the line of its signed vector, which is invariant."""
+    for v in f2geom.enumerate_singular_subspaces():
+        fv = singular_vector(v)
+        dim, spanning = minus_one_eigenspace(v)
+        if dim != 1 or spanning not in (fv, tuple(-x for x in fv)) or not is_invariant(fv):
+            return False
+    return True
+
+
+def transvections_negate() -> bool:
+    """The transvection at each anisotropic vector of a singular subspace
+    negates the subspace's signed vector."""
+    for v in f2geom.enumerate_singular_subspaces():
+        fv = singular_vector(v)
+        if any(permute_coordinates(f2geom.transvection(alpha), fv) != tuple(-x for x in fv)
+               for alpha in f2geom.singular_members(v)[0]):
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def space_w_rank() -> int:
     """Rank of the span of the 105 singular-subspace vectors."""
@@ -252,6 +296,12 @@ def fixed_line_dimension() -> int:
         else:
             anchor[tt] = x
     return 64 - ech.rank
+
+
+# three singular subspaces through the plane spanned by alpha1 and alpha2
+EXAMPLE_TRIPLE = tuple(f2geom.echelon_basis([f2geom.ALPHA1, f2geom.ALPHA2, third])
+                       for third in (f2geom.ALPHA3, f2geom.ALPHA1 ^ f2geom.E3,
+                                     f2geom.ALPHA1 ^ f2geom.F3))
 
 
 def triple_sign_identity(v1: Subspace, v2: Subspace, v3: Subspace) -> list[tuple[int, int]]:

@@ -1,0 +1,48 @@
+"""The claim runner of ``octet.checks``: its failure paths, and the shape of
+the module, which names claims and leaves the computing to the domain
+modules."""
+
+import ast
+import json
+from pathlib import Path
+
+from octet import checks, cli, f2geom
+from octet.checks import RunConfig
+
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "verify_all_seed42.jsonl"
+
+
+def test_a_wrong_claim_fails_exactly_its_line(monkeypatch, capsys):
+    monkeypatch.setattr(f2geom, "group_order", lambda: 40319)
+    assert cli.cmd_verify(cli.build_parser().parse_args(["verify", "all"])) == 1
+    got = capsys.readouterr().out.splitlines()
+    want = GOLDEN_REPORT.read_text().splitlines()
+    assert len(got) == len(want)
+    differing = [(g, w) for g, w in zip(got, want) if g != w]
+    assert len(differing) == 1
+    line, golden_line = differing[0]
+    assert json.loads(line) == dict(json.loads(golden_line), status="fail", actual=40319)
+    assert json.loads(line)["name"] == "f2.group_order"
+    assert [json.loads(g)["status"] for g in got].count("fail") == 1
+
+
+def test_the_tolerance_claim_fails_above_its_tolerance():
+    reports = checks.run_suite("qseries", RunConfig(tolerance="1e-20"))
+    failed = [r for r in reports if r.status == "fail"]
+    assert [r.name for r in failed] == ["qseries.inversion_equations_numeric"]
+    assert failed[0].tolerance == "1e-20"
+    assert not checks.all_passed(reports)
+
+
+def test_checks_module_only_wires_claims():
+    tree = ast.parse(Path(checks.__file__).read_text())
+    nodes = list(ast.walk(tree))
+    imported = {alias.name for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.module}
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}
+    assert not [node for node in nodes if isinstance(node, (ast.For, ast.AsyncFor, ast.While))]
+    constructed = [node for node in nodes if isinstance(node, ast.Call)
+                   and "CheckReport" in (getattr(node.func, "id", None),
+                                         getattr(node.func, "attr", None))]
+    assert len(constructed) == 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octet import f2geom
+from octet import f2geom, lattices
 from octet.f2geom import VectorType
 
 vectors = st.integers(0, 63)
@@ -112,6 +112,23 @@ def test_subspace_counts():
     assert len(f2geom.all_subspaces(3)) == 1395
 
 
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+def test_all_subspaces_match_echelon_reduced_combinations(dim):
+    # reference: echelon-reduce every dim-tuple of nonzero vectors
+    found = {f2geom.echelon_basis(c) for c in combinations(range(1, 64), dim)}
+    assert f2geom.all_subspaces(dim) == tuple(sorted(s for s in found if len(s) == dim))
+
+
+@pytest.mark.parametrize("dim, count", [(4, 651), (5, 63), (6, 1)])
+def test_all_subspaces_in_high_dimension(dim, count):
+    subs = f2geom.all_subspaces(dim)
+    assert len(subs) == len(set(subs)) == count
+    assert subs == tuple(sorted(subs))
+    assert all(f2geom.echelon_basis(s) == s and len(s) == dim for s in subs)
+    with pytest.raises(ValueError):
+        f2geom.all_subspaces(7)
+
+
 def test_isotropic_subspaces_are_isotropic():
     for sub in f2geom.enumerate_isotropic_subspaces(3):
         assert all(f2geom.q(v) == 0 for v in f2geom.span(sub))
@@ -164,34 +181,47 @@ def test_enumeration_deterministic():
     assert first == again
 
 
-@given(st.permutations(range(6)))
-def test_model_isomorphism_roundtrip(perm):
-    # scramble the model by a coordinate permutation and a basis change
-    scramble = [0] * 6
-    for i, p in enumerate(perm):
-        scramble[i] = 1 << p
-    table = [0] * 64
-    for v in range(64):
-        img = 0
-        for i in range(6):
-            if (v >> i) & 1:
-                img ^= scramble[i]
-        table[v] = f2geom.q(img)
-    images = f2geom.find_model_isomorphism(table)
-    for v in range(64):
-        img = 0
-        for i in range(6):
-            if (v >> i) & 1:
-                img ^= images[i]
-        assert f2geom.q(img) == table[v]
+def test_maximal_isotropic_by_plane_extension():
+    assert f2geom.maximal_isotropic_by_extension() == f2geom.enumerate_isotropic_subspaces(3)
 
 
-def test_model_isomorphism_rejects_nonsplit():
-    # q = 1 except at 0 on a 2-dim piece makes the census wrong
-    bad = [1] * 64
-    bad[0] = 0
+def _table_form(table):
+    """The 2-elementary form with q = table (values 0/1) on F2^6."""
+    return lattices.FiniteQuadraticForm(
+        tuple(2 * t for t in table),
+        tuple(tuple((table[x ^ y] + table[x] + table[y]) % 2 for y in range(64))
+              for x in range(64)))
+
+
+def _linear(images, v):
+    out = 0
+    for i in range(6):
+        if (v >> i) & 1:
+            out ^= images[i]
+    return out
+
+
+@settings(deadline=None)
+@given(st.permutations(range(6)), st.integers(0, 2**36 - 1))
+def test_split_model_identified_and_q_transported(perm, mixing):
+    # scramble the model by a unipotent basis change and a coordinate permutation
+    unipotent = [(1 << i) | ((mixing >> (6 * i)) & 63) >> (i + 1) << (i + 1)
+                 for i in range(6)]
+    scramble = [_linear([1 << p for p in perm], u) for u in unipotent]
+    assert len(f2geom.echelon_basis(scramble)) == 6
+    table = [f2geom.q(_linear(scramble, v)) for v in range(64)]
+    images = lattices.identify_with_split_model(_table_form(table)).gen_images
+    assert len(f2geom.echelon_basis(images)) == 6
+    for v in range(64):
+        assert f2geom.q(_linear(images, v)) == table[v]
+
+
+def test_split_model_rejects_nonsplit():
+    # the nonsplit form: the first plane anisotropic, x_e1^2 + x_e1 x_f1 + x_f1^2
+    table = [(f2geom.q(v) + bin(v & 3).count("1")) % 2 for v in range(64)]
+    assert sum(table) == 36  # 28 of the 64 vectors are singular, against 36
     with pytest.raises(ValueError):
-        f2geom.find_model_isomorphism(bad)
+        lattices.identify_with_split_model(_table_form(table))
 
 
 def test_group_elements_hold_python_ints():

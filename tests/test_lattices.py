@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octet import f2geom, lattices as lat, linalg
+from octet import checks, f2geom, lattices as lat, linalg
 
 
 def test_named_lattices():
@@ -127,13 +127,14 @@ def test_overlattice_glue():
 
 
 def test_table1_rows():
-    rows = lat.table1_checks()
-    assert len(rows) == 10
-    for row in rows:
-        assert row["rank_sum_ok"], row
-        assert row["transcendental_ok"], row
-        assert row["picard_hyperbolic"], row
-        assert row["disc_complementary"], row
+    assert lat.table1_checks() == [True] * 10
+
+
+def test_table1_fails_on_a_picard_lattice_that_is_not_hyperbolic(monkeypatch):
+    # every lattice reports signature (2, n - 2): each transcendental lattice
+    # keeps its signature, and no Picard lattice is hyperbolic
+    monkeypatch.setattr(lat, "signature", lambda gram: (2, len(gram) - 2))
+    assert lat.table1_checks() == [False] * 10
 
 
 def test_order_four_isometry():
@@ -151,10 +152,8 @@ def test_order_four_isometry():
 
 
 def test_hermitian_grams():
-    res = lat.hermitian_gram_checks()
-    assert res["d4_matches"]
-    assert res["u_matches"]
-    assert res["diagonal_real"]
+    # D4 block matches, U block matches, h(x, x) real
+    assert lat.hermitian_gram_checks() == (True, True, True)
 
 
 def test_hermitian_sesquilinear():
@@ -176,11 +175,8 @@ def test_hermitian_sesquilinear():
 
 def test_phi_map():
     rep = lat.phi_map_check()
-    assert rep["into_dual"]
-    assert rep["inverse_identity"]
-    assert rep["rho_trivial_on_quotient"]
-    assert rep["quotient_index"] == 64
-    assert rep["bijective"]
+    assert rep == dict.fromkeys(("into_dual", "inverse_identity", "rho_trivial_on_quotient",
+                                 "bijective"), True)
 
 
 def test_reflection_identities_default_and_rejects():
@@ -209,29 +205,33 @@ def test_int64_guards_raise_instead_of_wrapping():
 
 
 def test_minus4_scan():
-    scan = lat.minus4_vector_scan(3)
-    assert scan["ok"]
-    assert scan["forward_inclusion"] and scan["converse_inclusion"]
-    assert scan["direct"]["all_verified"]
-    assert scan["direct_counts_match"]
-    assert scan["example"]["delta_norm"] == -4
-    assert scan["example"]["delta_half_in_dual"]
+    inclusions, counts = lat.minus4_vector_scan(3)
+    assert inclusions == {"forward": True, "converse": True, "direct": True}
+    assert counts == [42737426, 958270]
+    # e - f, of norm -2, is one of the vectors the direct scan covers
+    assert (lat._box_vectors(1)[0] == lat.E_MINUS_F).all(axis=1).any()
     with pytest.raises(ValueError):
         lat.minus4_vector_scan(1)
 
 
 def test_scan_counts_at_unit_box_agree_with_direct():
-    direct = lat._direct_scan(1)
-    assert direct["minus2_count"] == lat._box_norm_count(1, -2, False)
-    assert direct["minus4_glue_count"] == lat._box_norm_count(1, -4, True)
+    r_vecs, deltas = lat._box_vectors(1)
+    assert [len(r_vecs), len(deltas)] == lat._box_counts(1)
+    assert lat._direct_scan()
+
+
+def test_direct_scan_fails_when_the_convolved_counts_disagree(monkeypatch):
+    count = lat._box_norm_count
+    monkeypatch.setattr(lat, "_box_norm_count", lambda *args: count(*args) + 1)
+    assert lat.minus4_vector_scan(2)[0] == {"forward": True, "converse": True, "direct": False}
+    reports = {r.name: r for r in checks.run_suite("lattice", checks.RunConfig(box_bound=2))}
+    assert reports["lattice.norm_minus4_correspondence"].status == "fail"
+    assert reports["lattice.norm_minus4_correspondence"].actual["direct"] is False
 
 
 def test_reflection_plane_complement():
-    rep = lat.reflection_plane_complement()
-    assert rep["rank"] == 10
-    assert rep["signature"] == (2, 8)
-    assert rep["disc_isomorphic"]
-    assert rep["ok"]
+    assert lat.named_lattice("U+U(2)+D4+A1^2").signature() == (2, 8)
+    assert lat.reflection_plane_complement()
 
 
 def test_induced_map_of_identity():
@@ -354,8 +354,8 @@ def test_unit_box_is_built_once(monkeypatch):
     monkeypatch.setattr(lat, "_box", counting_box)
     lat._box_vectors.cache_clear()
     assert lat.reflection_family_check()
-    assert lat.minus4_vector_scan(2)["ok"]
-    assert lat.minus4_vector_scan(2)["ok"]
+    assert all(lat.minus4_vector_scan(2)[0].values())
+    assert all(lat.minus4_vector_scan(2)[0].values())
     assert calls.count((8, 1)) == 1  # the box is scanned as slices over _box(8, 1)
 
 

@@ -151,7 +151,7 @@ def test_action_matrix_by_evaluation():
 
 def test_equivariance():
     rep = tb.equivariance_check(n_pairs=6, seed=11)
-    assert rep["ok"]
+    assert rep == {"homomorphism": True, "intertwines_subspaces": True, "sign_identity": True}
 
 
 def test_straightening():
