@@ -122,20 +122,25 @@ def _group_table() -> np.ndarray:
     The group acts linearly, so an element is fixed by its images of the six
     basis vectors, packed 6 bits each into one int64 key with the image of e1
     highest.  The breadth-first closure of the 28 transvections runs on these
-    keys as numpy sets.  An image x is the XOR of the basis images at the bits
-    of x, all at most x, so the first difference of two elements lies at a
-    basis vector and sorted keys are in lexicographic order.
+    keys, kept sorted: fresh distinct candidates are found by binary search
+    and inserted in place.  An image x is the XOR of the basis images at the
+    bits of x, all at most x, so the first difference of two elements lies at
+    a basis vector and sorted keys are in lexicographic order.
     """
     gens = np.array(all_transvections(), dtype=np.int64)
     shifts = 6 * np.arange(DIM - 1, -1, -1, dtype=np.int64)
     weights = 1 << shifts
     identity = np.array(BASIS) @ weights
     frontier = gens[:, BASIS]  # the generators' basis images
-    seen = np.union1d(frontier @ weights, [identity])
+    seen = np.unique(np.append(frontier @ weights, identity))
     while len(frontier):
-        fresh = np.setdiff1d(gens[:, frontier].reshape(-1, DIM) @ weights, seen)
-        seen = np.union1d(seen, fresh)
-        frontier = (fresh[:, None] >> shifts) & 63
+        # keys of g h, g a generator and h in the frontier, one basis image at a time
+        keys = sum(gens[:, images] << s for images, s in zip(frontier.T, shifts)).ravel()
+        keys.sort()
+        pos = np.searchsorted(seen, keys)
+        new = (seen.take(pos, mode="clip") != keys) & np.append(True, keys[1:] != keys[:-1])
+        seen = np.insert(seen, pos[new], keys[new])
+        frontier = (keys[new][:, None] >> shifts) & 63
     basis_images = ((seen[:, None] >> shifts) & 63).astype(np.uint8)
     table = np.zeros((len(seen), 64), dtype=np.uint8)
     for x in range(1, 64):

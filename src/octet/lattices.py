@@ -23,8 +23,10 @@ come from one batched integer report; the family check covers every norm -2
 vector of the unit box.  Box scans run over ``_box``: the rank-12 unit box is
 materialized once, in the cached ``_box_vectors``, and counts over larger
 boxes convolve per-block norm histograms, checked against it.  Vectors and
-matrices are numpy int64; the reflection report raises OverflowError where a
-product could wrap.
+matrices are numpy int64, but the unit-box scan, the class map and the
+reflection report hold integers in float64 and multiply them in BLAS through
+``linalg.exact_matmul``, which raises OverflowError unless n max|x| max|y|
+< 2^53 (n the inner dimension), the bound that keeps every sum exact.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from operator import xor
 import numpy as np
 
 from . import f2geom, linalg
+from .linalg import abs_max, check_float_exact, exact_matmul
 
 QQ = Fraction
 
@@ -650,16 +653,18 @@ def _class_bits(doubled: np.ndarray):
     Smith rows of U applied to Gy, mod 2.  Returns the bits (..., 6) and the
     mask of rows in the dual.
     """
-    g2 = doubled @ lattice_N().gram
-    bits = ((g2 // 2) % 2) @ _snf_data_N()[0].T % 2
-    return bits.astype(np.uint8), ~(g2 % 2).any(axis=-1)
+    g2 = exact_matmul(doubled, lattice_N().gram)
+    gy = np.floor(g2 * 0.5)  # Gy, on the rows in the dual
+    bits = exact_matmul(gy, _snf_data_N()[0].T).astype(np.int64) & 1
+    return bits.astype(np.uint8), (gy + gy == g2).all(axis=-1)
 
 
 def _generator_images(isometries: np.ndarray):
     """Class bits (a, 6, 6) of the images of the six discriminant generators
     under a stack (a, 12, 12) of isometries of N, row j for generator j, and
     for each isometry whether it keeps the generators in the dual."""
-    images, in_dual = _class_bits(np.swapaxes(isometries @ _snf_data_N()[1], -1, -2))
+    images = exact_matmul(isometries, _snf_data_N()[1])
+    images, in_dual = _class_bits(np.swapaxes(images, -1, -2))
     return images, in_dual.all(axis=-1)
 
 
@@ -723,39 +728,6 @@ def _acts_as_transvection(isometries: np.ndarray, deltas: np.ndarray):
 # reflections
 
 
-def _check_int64(bound: int) -> None:
-    """Raise OverflowError unless intermediates bounded by ``bound`` fit int64."""
-    if bound >= 2**63:
-        raise OverflowError("entries too large for int64 arithmetic")
-
-
-@lru_cache(maxsize=None)
-def _norm_constant() -> int:
-    """The largest operator norm (max row or column sum of |entries|) among
-    G, rho and the doubled discriminant generators: no product with one of
-    them grows an entry bound by more than this factor."""
-    mats = (lattice_N().gram, order_four_isometry(), _snf_data_N()[1])
-    return max(int(np.abs(m).sum(axis=axis).max()) for m in mats for axis in (0, 1))
-
-
-def _check_reflection_entries(vecs: np.ndarray) -> None:
-    """Raise OverflowError unless every int64 intermediate of the reflection
-    report of the stack is exact.
-
-    With a the largest l1 norm of a row r and c = ``_norm_constant()``, the
-    doubled quarter reflection 2I + (r - rho r)(Gr)^T + (r + rho r)(G rho r)^T
-    has operator norm at most h = 2 + c(1 + c)^2 a^2, which also bounds the
-    pair reflection, every vector the report forms and c itself.  Each
-    intermediate is a product of at most four such matrices (the fourth power
-    of the quarter reflection), so h^4 bounds every entry and partial sum.
-    """
-    top = max(int(vecs.max(initial=0)), -int(vecs.min(initial=0)))
-    _check_int64(12 * top)  # the l1 norms below are then exact
-    a = int(np.abs(vecs).sum(axis=1).max(initial=0))
-    c = _norm_constant()
-    _check_int64((2 + c * (1 + c) ** 2 * a * a) ** 4)
-
-
 def _reflection_report(vecs) -> dict:
     """The reflection identities of a stack (a, 12) of norm -2 vectors r, each
     the all over the stack.
@@ -765,38 +737,44 @@ def _reflection_report(vecs) -> dict:
     x -> x + <r,x>(r - rho r)/2 + <rho r,x>(r + rho r)/2, integral because
     delta = r + rho r has delta/2 in the dual.  A failed condition (such as a
     non-integral quarter reflection) makes the keys that depend on it False.
-    A stack whose entries could wrap int64 raises OverflowError.
+    Every product goes through ``exact_matmul``; the elementwise work stays
+    within 12ag for a the largest entry of r and rho r and g that of Gr and
+    G rho r, so 12ag >= 2^53 raises OverflowError.
     """
-    vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, 12)
-    _check_reflection_entries(vecs)
     gram = lattice_N().gram
     rho = order_four_isometry()
-    eye = np.eye(12, dtype=np.int64)
-    gr = vecs @ gram
+    eye = np.eye(12)
+    gr = exact_matmul(np.reshape(vecs, (-1, 12)), gram)
+    vecs = np.asarray(vecs, dtype=np.float64).reshape(-1, 12)  # exact: 24|r| < 2^53
+    rr = exact_matmul(vecs, rho.T)
+    grr = exact_matmul(rr, gram)
+    check_float_exact(12 * abs_max(vecs, rr) * abs_max(gr, grr))
     if (np.einsum("ai,ai->a", vecs, gr) != -2).any():
         raise ValueError("reflections are defined at norm -2 vectors")
-    rr = vecs @ rho.T
-    grr = rr @ gram
 
     def outer(x, y):
         return x[:, :, None] * y[:, None, :]
 
     def isometries(mats):
-        return bool((np.swapaxes(mats, 1, 2) @ gram @ mats == gram).all())
+        forms = exact_matmul(exact_matmul(np.swapaxes(mats, 1, 2), gram), mats)
+        return bool((forms == gram).all())
 
-    pair = eye + outer(vecs, gr) + outer(rr, grr)
-    composed = (eye + outer(vecs, gr)) @ (eye + outer(rr, grr))
+    s_r, s_rr = eye + outer(vecs, gr), eye + outer(rr, grr)  # reflections in r, rho r
+    pair = s_r + s_rr - eye
+    composed = exact_matmul(s_r, s_rr)
     orthogonal = not np.einsum("ai,ai->a", vecs, grr).any()
-    quarter, odd = np.divmod(2 * eye + outer(vecs - rr, gr) + outer(vecs + rr, grr), 2)
-    integral = not odd.any()
-    square = quarter @ quarter
+    doubled = 2 * eye + outer(vecs - rr, gr) + outer(vecs + rr, grr)
+    quarter = np.floor(doubled * 0.5)
+    integral = np.array_equal(quarter + quarter, doubled)
+    square = exact_matmul(quarter, quarter)
     anisotropic, transvection = _acts_as_transvection(quarter, vecs + rr)
     return {
         "pair_equals_composition": orthogonal and np.array_equal(pair, composed),
         "quarter_is_isometry": integral and isometries(quarter),
-        "quarter_order_4": integral and bool((square @ square == eye).all())
+        "quarter_order_4": integral and bool((exact_matmul(square, square) == eye).all())
         and not (square == eye).all(axis=(1, 2)).any(),
-        "quarter_commutes_with_rho": integral and np.array_equal(quarter @ rho, rho @ quarter),
+        "quarter_commutes_with_rho": integral and np.array_equal(
+            exact_matmul(quarter, rho), exact_matmul(rho, quarter)),
         "alpha_is_anisotropic": bool(anisotropic.all()),
         "induces_transvection": integral and bool(transvection.all()),
         "pair_is_isometry": isometries(pair),
@@ -805,7 +783,7 @@ def _reflection_report(vecs) -> dict:
 
 def reflection_identities(r=E_MINUS_F) -> dict:
     """Integer-matrix identities for a norm -2 vector (default e - f)."""
-    return _reflection_report(np.asarray(r, dtype=np.int64)[None])
+    return _reflection_report(np.asarray(r)[None])
 
 
 def reflection_family_check(bound: int = 1) -> bool:
@@ -815,10 +793,9 @@ def reflection_family_check(bound: int = 1) -> bool:
     permutation of the 64 classes compared with the transvection table: there
     is no subsample.  The box comes from the cached ``_box_vectors``.
     """
-    vecs = _box_vectors(bound)[0]
-    # slices of 4096 rows keep each (a, 12, 12) stack near 5 MB
-    return all(all(_reflection_report(vecs[i:i + 4096]).values())
-               for i in range(0, len(vecs), 4096))
+    vecs, rows = _box_vectors(bound)[0], 256  # (a, 12, 12) float64 stacks of 295 kB
+    return all(all(_reflection_report(vecs[i:i + rows]).values())
+               for i in range(0, len(vecs), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -896,15 +873,16 @@ def _box(dim: int, bound: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _box_vectors(bound: int) -> tuple[np.ndarray, np.ndarray]:
     """The norm -2 vectors, and the norm -4 vectors pairing evenly with N, of
-    [-bound, bound]^12 (read-only, lexicographic order).  The only place the
-    rank-12 box is scanned, once per bound: one slice per point of the first
-    four coordinates, so the whole box is never held at once."""
+    [-bound, bound]^12 (read-only float64, lexicographic order).  The only
+    place the rank-12 box is scanned, once per bound: one slice per point of
+    the first four coordinates, so the whole box is never held at once."""
     gram = lattice_N().gram
-    tail = _box(8, bound)
+    check_float_exact(12 * bound * 12 * bound * abs_max(gram))  # |x^T G x| for x in the box
+    tail = _box(8, bound).astype(np.float64)
     minus2, minus4 = [], []
     for head in _box(4, bound):
         pts = np.hstack([np.broadcast_to(head, (len(tail), 4)), tail])
-        g_pts = pts @ gram
+        g_pts = exact_matmul(pts, gram)
         norms = np.einsum("ij,ij->i", pts, g_pts)
         four = norms == -4
         minus2.append(pts[norms == -2])
@@ -938,6 +916,10 @@ def _box_counts(bound: int) -> list[int]:
     return [_box_norm_count(bound, -2, False), _box_norm_count(bound, -4, True)]
 
 
+# (2 bound + 1)^4 rows per block scan: at most 31^4 < 2^20, a peak near 230 MB
+MAX_SCAN_BOUND = 15
+
+
 def minus4_vector_scan(bound: int = 3) -> tuple[dict[str, bool], list[int]]:
     """Exhaustive box verification of the norm -4 / norm -2 correspondence.
 
@@ -950,10 +932,11 @@ def minus4_vector_scan(bound: int = 3) -> tuple[dict[str, bool], list[int]]:
 
     Returns the verdicts on the forward inclusion (r to r + rho r), the
     converse and the direct scan, and the ``_box_counts`` of the box,
-    recomputed on every call by convolving per-block norm histograms.
+    recomputed on every call by convolving per-block norm histograms.  A bound
+    outside 2..``MAX_SCAN_BOUND`` raises ValueError before any allocation.
     """
-    if bound < 2:
-        raise ValueError("bound must be at least 2")
+    if not 2 <= bound <= MAX_SCAN_BOUND:
+        raise ValueError("bound must lie in [2, %d]" % MAX_SCAN_BOUND)
     gram = lattice_N().gram
     rho = order_four_isometry()
     identities = _rho_identities()

@@ -11,6 +11,9 @@ where results go out.
 p = 2**31 - 1, in numpy int64.  The rank it returns is a lower bound on the rank over Q (a minor
 that vanishes over Q vanishes mod p), so it can certify that rows reach a
 rank, never that they stay below one; an upper bound needs an identity.
+
+:func:`exact_matmul` multiplies integer arrays in float64 BLAS, exactly: it
+raises OverflowError unless n max|x| max|y| < 2**53 bounds every partial sum.
 """
 
 from __future__ import annotations
@@ -172,3 +175,27 @@ def rank_mod_p(rows: Iterable[Sequence[int]], ncols: int) -> int:
         if rank == len(m):
             break
     return rank
+
+
+def abs_max(*arrays) -> int:
+    """The largest |entry| of the arrays, as a Python int (0 if all are empty)."""
+    return max(max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in arrays)
+
+
+def check_float_exact(bound: int) -> None:
+    """Raise OverflowError unless bound < 2**53: integers up to it are exact in float64."""
+    if bound >= 2**53:
+        raise OverflowError("entries too large for exact float64 arithmetic")
+
+
+def exact_matmul(x, y) -> np.ndarray:
+    """x @ y of integer arrays, multiplied in float64 BLAS; a float64 result.
+
+    Raises OverflowError unless n max|x| max|y| < 2**53 for the inner
+    dimension n.  Under that bound every product and every partial sum is an
+    integer below 2**53 in size, exactly represented, so the result is exact
+    whatever the summation order or FMA use.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    check_float_exact(x.shape[-1] * abs_max(x) * abs_max(y))
+    return np.matmul(x.astype(np.float64, copy=False), y.astype(np.float64, copy=False))

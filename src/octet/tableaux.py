@@ -30,6 +30,8 @@ from math import factorial
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
 from . import f2geom, lattices, linalg
 from .sampling import SplitMix64
 
@@ -527,10 +529,23 @@ def polynomial_rows(degree: int) -> list[tuple[int, ...]]:
 def polynomial_kernel(degree: int) -> tuple[tuple[Fraction, ...], ...]:
     """The linear relations among the degree-d monomials in the 14 standard
     products that hold as polynomial identities: the canonical (RREF) kernel
-    basis of ``polynomial_rows(degree)``, exact."""
-    ech = linalg.EchelonForm(len(degree_monomials(degree)))
-    ech.add_rows(polynomial_rows(degree))
-    return tuple(tuple(v) for v in ech.nullspace())
+    basis of ``polynomial_rows(degree)``, exact.  Rows are fed in blocks of
+    32; a pending row that the kernel of the fed rows annihilates lies in
+    their span and is dropped.  A closing exact product shows that the
+    returned kernel annihilates every row, so it is their whole kernel."""
+    rows = np.array(polynomial_rows(degree))
+    ech = linalg.EchelonForm(rows.shape[1])
+    pending = rows
+    while len(pending):
+        block, pending = pending[:32], pending[32:]
+        ech.add_rows(block.tolist())
+        basis = ech.nullspace()
+        kernel = np.array([linalg.integer_row(v) for v in basis],
+                          dtype=np.int64).reshape(-1, rows.shape[1])
+        pending = pending[linalg.exact_matmul(pending, kernel.T).any(axis=1)]
+    if linalg.exact_matmul(rows, kernel.T).any():
+        raise ArithmeticError("a polynomial row is not annihilated by the kernel")
+    return tuple(map(tuple, basis))
 
 
 # ---------------------------------------------------------------------------

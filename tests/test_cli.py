@@ -40,6 +40,13 @@ def test_verify_unknown_selector_usage_error():
     assert proc.returncode == 2
 
 
+def test_verify_lattice_rejects_an_oversized_bound():
+    proc = run_cli("verify", "lattice", "--bound", "100")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "bound" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_compute_group():
     proc = run_cli("compute", "group")
     assert proc.returncode == 0

@@ -343,6 +343,42 @@ def test_single_vector_report_is_the_stack_of_one():
         lat._reflection_report(np.vstack([vecs, [1, 0] + [0] * 10]))
 
 
+def test_reflection_family_examines_every_box_vector(monkeypatch):
+    report = lat._reflection_report
+    handed = []
+
+    def recording_report(vecs):
+        handed.append(np.array(vecs))
+        return report(vecs)
+
+    monkeypatch.setattr(lat, "_reflection_report", recording_report)
+    assert lat.reflection_family_check()
+    assert sum(map(len, handed)) == lat._box_counts(1)[0] == 20354
+    # each vector once, in box order: no symmetry reduction and no sample
+    assert np.array_equal(np.vstack(handed), lat._box_vectors(1)[0])
+
+
+def test_reflection_report_fails_for_a_wrong_rho(monkeypatch):
+    """Negative control: with rho = -I, rho r = -r is not orthogonal to r, so
+    the pair reflection is not s_r s_{rho r} = 1, and the quarter reflection
+    is s_r, of order 2; both keys must turn False."""
+    vecs = _box_slice()
+    monkeypatch.setattr(lat, "order_four_isometry", lambda: -np.eye(12, dtype=np.int64))
+    report = lat._reflection_report(vecs)
+    assert report["pair_equals_composition"] is False
+    assert report["quarter_order_4"] is False
+
+
+def test_scan_rejects_an_oversized_bound_before_allocating(monkeypatch):
+    def no_box(dim, bound):
+        raise AssertionError("the box was built")
+
+    monkeypatch.setattr(lat, "_box", no_box)
+    for bound in (lat.MAX_SCAN_BOUND + 1, 100, 1):
+        with pytest.raises(ValueError):
+            lat.minus4_vector_scan(bound)
+
+
 def test_unit_box_is_built_once(monkeypatch):
     calls = []
     box = lat._box

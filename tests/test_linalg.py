@@ -179,3 +179,38 @@ def test_rank_mod_p_equals_rank_on_small_entries(rows):
     # (9 * 6**0.5)**6 < 2**31 - 1 in absolute value, so none vanishes mod p
     ncols = len(rows[0])
     assert linalg.rank_mod_p(rows, ncols) == linalg.rank(rows, ncols)
+
+
+def _exact_product_case(rng, below):
+    """Stacks (3, 4, 8) @ (3, 8, 5) with max|x| = max|y| = 2**25, so that
+    8 max|x| max|y| = 2**53, or with max|y| one less, just below the bound.
+    One row and one column are all at the maximum, the worst partial sums."""
+    a, b = 2**25, 2**25 - below
+    x = rng.integers(-a, a + 1, (3, 4, 8))
+    y = rng.integers(-b, b + 1, (3, 8, 5))
+    x[0, 0], y[0, :, 0] = a, b
+    x[1, 1], y[1, :, 2] = -a, b
+    return x, y
+
+
+def test_exact_matmul_matches_python_ints_just_below_the_bound():
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        x, y = _exact_product_case(rng, below=1)
+        got = linalg.exact_matmul(x, y)
+        assert got.dtype == np.float64
+        want = x.astype(object) @ y.astype(object)
+        assert want[0, 0, 0] == 8 * 2**25 * (2**25 - 1)  # 2**53 - 2**28
+        assert got.astype(np.int64).tolist() == want.tolist()
+    # int64 products would be exact here too; the float path must agree
+    assert (linalg.exact_matmul(x, y) == x @ y).all()
+
+
+def test_exact_matmul_raises_at_the_bound():
+    x, y = _exact_product_case(np.random.default_rng(7), below=0)
+    with pytest.raises(OverflowError):
+        linalg.exact_matmul(x, y)
+    with pytest.raises(OverflowError):
+        linalg.exact_matmul(np.array([[2**53]]), np.array([[1]]))
+    # an all-zero factor gives a zero bound: the product is exact whatever x is
+    assert not linalg.exact_matmul(x, np.zeros((8, 2), dtype=np.int64)).any()
