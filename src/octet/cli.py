@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -35,12 +36,13 @@ def _emit(text: str, out: str | None) -> None:
     path = _output_path(out)
     if path is None:
         sys.stdout.write(text)
-    else:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
+        return
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError("cannot write %r: %s" % (path, exc.strerror)) from None
 
 
 def _config_from_args(args) -> RunConfig:
@@ -51,6 +53,16 @@ def _config_from_args(args) -> RunConfig:
         box_bound=args.bound,
         tolerance=args.tolerance,
     )
+
+
+def _tolerance(text: str) -> str:
+    """The --tolerance flag as typed, once it parses to a finite float > 0."""
+    try:
+        if 0 < float(text) < math.inf:
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be a finite number > 0, got %r" % text)
 
 
 def _add_out_flag(parser: argparse.ArgumentParser) -> None:
@@ -64,7 +76,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--order", type=int, default=20)
     parser.add_argument("--samples", type=int, default=300)
     parser.add_argument("--bound", type=int, default=3)
-    parser.add_argument("--tolerance", type=str, default="1e-9")
+    parser.add_argument("--tolerance", type=_tolerance, default="1e-9")
     _add_out_flag(parser)
 
 
@@ -129,8 +141,7 @@ def compute_theta(args) -> dict:
         pairs = json.loads(args.config)
         config = tableaux.parse_config(pairs)
     elif args.affine:
-        xs = [Fraction(x) for x in args.affine.split(",")]
-        config = tableaux.affine_config(xs)
+        config = tableaux.affine_config(args.affine.split(","))
     else:
         raise ValueError("compute theta needs --config or --affine")
     try:

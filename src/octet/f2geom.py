@@ -94,8 +94,10 @@ def pair_census_type_constant() -> bool:
 Perm = tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
 def transvection(alpha: int) -> Perm:
-    """The isometry x -> x + b(x, alpha) * alpha; alpha must be anisotropic."""
+    """The isometry x -> x + b(x, alpha) * alpha; alpha must be anisotropic
+    (cached)."""
     if q(alpha) != 1:
         raise ValueError("transvections are defined only at anisotropic vectors")
     return tuple(x ^ (alpha if b(x, alpha) else 0) for x in SPACE)

@@ -3,9 +3,10 @@
 There are no tolerances anywhere.  The central object is :class:`EchelonForm`,
 an incrementally maintained reduced row echelon form: rows are fed one at a
 time, and it doubles as an exact membership test for row spans.  Inside,
-every row is a primitive list of Python ints, so elimination never builds a
-Fraction; Fractions appear only where rows come in with rational entries and
-where results go out.
+every row is a primitive list of Python ints, so neither elimination nor the
+integer kernel (one primitive vector per free column) builds a Fraction;
+Fractions appear only where rows come in with rational entries and where
+results go out, as in ``nullspace``.
 
 :func:`rank_mod_p` is exact arithmetic over the prime field F_p,
 p = 2**31 - 1, in numpy int64.  The rank it returns is a lower bound on the rank over Q (a minor
@@ -29,8 +30,11 @@ MERSENNE_31 = 2**31 - 1
 
 
 def integer_row(row: Sequence) -> list[int]:
-    """The row times the lcm of its denominators, as Python ints.  Integers,
-    numpy ones too, go through ``index`` so they never wrap; floats raise."""
+    """The row times the lcm of its denominators, as Python ints.  A row of
+    Python ints comes back as it is; other integers, numpy ones too, go
+    through ``index`` so they never wrap; floats raise."""
+    if set(map(type, row)) <= {int}:
+        return list(row)
     den = lcm(*(index(x.denominator) for x in row if isinstance(x, Fraction)))
     return [index(x.numerator) * (den // index(x.denominator))
             if isinstance(x, Fraction) else index(x) * den for x in row]
@@ -106,17 +110,22 @@ class EchelonForm:
         """The RREF rows, ordered by pivot column."""
         return [[Fraction(x, r[col]) for x in r] for col, r in sorted(self._rows.items())]
 
-    def nullspace(self) -> list[list[Fraction]]:
-        """Canonical kernel basis: one vector per free column, unit there."""
-        free = [j for j in range(self.ncols) if j not in self._rows]
+    def integer_kernel(self) -> list[list[int]]:
+        """Kernel basis in Python ints: per free column, in order, the
+        primitive vector that is positive there."""
         basis = []
-        for f in free:
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
+        for f in (j for j in range(self.ncols) if j not in self._rows):
+            v = [0] * self.ncols
+            v[f] = lcm(*(r[p] for p, r in self._rows.items() if r[f]))
             for p, r in self._rows.items():
-                v[p] = Fraction(-r[f], r[p])
-            basis.append(v)
+                v[p] = -r[f] * (v[f] // r[p])
+            basis.append(_primitive(v))
         return basis
+
+    def nullspace(self) -> list[list[Fraction]]:
+        """Canonical kernel basis: ``integer_kernel`` scaled to 1 at each free column."""
+        free = [j for j in range(self.ncols) if j not in self._rows]
+        return [[Fraction(x, v[f]) for x in v] for f, v in zip(free, self.integer_kernel())]
 
 
 def rank(rows: Iterable[Sequence], ncols: int) -> int:
@@ -154,23 +163,23 @@ def rank_mod_p(rows: Iterable[Sequence[int]], ncols: int) -> int:
     """Rank over F_p, p = 2**31 - 1, of integer rows: a lower bound on their
     rank over Q.
 
-    Gaussian elimination on residues in [0, p) in numpy int64; every product
-    of two residues stays below 2**62, so nothing wraps.
+    Gaussian elimination on residues in [0, p) in numpy int64.  A pivot clears
+    only the rows below it that are nonzero in its column, from that column on
+    (the entries skipped are zero): row x with entry a becomes
+    (x + (p - a) * pivot row) mod p, below 2**63 before reduction.
     """
     p = MERSENNE_31
     m = np.array([[index(x) % p for x in row] for row in rows],
                  dtype=np.int64).reshape(-1, ncols)
     rank = 0
     for col in range(ncols):
-        nonzero = np.flatnonzero(m[rank:, col])
+        nonzero = rank + np.flatnonzero(m[rank:, col])
         if not len(nonzero):
             continue
-        pivot = rank + nonzero[0]
-        m[[rank, pivot]] = m[[pivot, rank]]
-        m[rank] = m[rank] * pow(int(m[rank, col]), -1, p) % p
-        below = m[rank + 1:]
-        below -= below[:, col, None] * m[rank] % p
-        below %= p
+        m[[rank, nonzero[0]]] = m[[nonzero[0], rank]]
+        pivot_row = m[rank, col:] * pow(int(m[rank, col]), -1, p) % p
+        hit = nonzero[1:]  # rows the swap left in place
+        m[hit, col:] = (m[hit, col:] + (p - m[hit, col, None]) * pivot_row) % p
         rank += 1
         if rank == len(m):
             break

@@ -18,7 +18,10 @@ the 14 standard products and the 14 quadrics among them are identities of
 these polynomials, and the quadrics are the exact kernel of the expanded
 coefficient matrix.  Seeded integer configurations evaluate the products
 through ``mu`` and cross-check each claim; they tie ``mu`` to the
-expansion and prove nothing the identities do not.
+expansion and prove nothing the identities do not.  Sampled points are
+Python ints, and so is every certificate and kernel; Fractions appear only
+where input is parsed (``parse_config``) and where results are written out
+(``theta_map``, the canonical kernel ``basis``).
 """
 
 from __future__ import annotations
@@ -35,11 +38,9 @@ import numpy as np
 from . import f2geom, lattices, linalg
 from .sampling import SplitMix64
 
-QQ = Fraction
-
 Pair = tuple[int, int]
 Tableau = tuple[Pair, Pair, Pair, Pair]
-Config = tuple[tuple[Fraction, Fraction], ...]
+Config = tuple[tuple[int | Fraction, int | Fraction], ...]  # ints sampled, Fractions parsed
 
 LABELS = (1, 2, 3, 4, 5, 6, 7, 8)
 
@@ -125,8 +126,8 @@ def parse_config(pairs) -> Config:
             isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
         raise ValueError("a configuration is a list of homogeneous coordinate pairs")
     try:
-        config = tuple((QQ(a), QQ(b)) for a, b in pairs)
-    except (TypeError, OverflowError) as exc:
+        config = tuple((Fraction(a), Fraction(b)) for a, b in pairs)
+    except (TypeError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError("coordinates must be rational numbers (%s)" % exc) from None
     if len(config) != 8:
         raise ValueError("a configuration has exactly 8 points")
@@ -318,15 +319,11 @@ def transposition_transvection_check() -> bool:
     return True
 
 
-def sample_points(rng: SplitMix64) -> tuple[tuple[int, int], ...]:
-    """The affine points (1, x) at 8 distinct integers x in [-50, 50], in
-    Python ints.  Distinct points are stable, and mu there is an int."""
-    return tuple((1, x) for x in rng.distinct_integers(8, -50, 50))
-
-
 def sample_config(rng: SplitMix64) -> Config:
-    """The next sampled configuration, in Fraction coordinates."""
-    return parse_config(sample_points(rng))
+    """The next sampled configuration: the affine points (1, x) at 8 distinct
+    integers x in [-50, 50], in Python ints.  Distinct points are stable, and
+    mu there is an int."""
+    return tuple((1, x) for x in rng.distinct_integers(8, -50, 50))
 
 
 def mu_permutation_identity(t: Tableau, sigma, config: Config) -> bool:
@@ -447,12 +444,12 @@ def straightening_check(n_samples: int = 5, seed: int = 42) -> dict:
     rng = SplitMix64(seed)
     configs = [sample_config(rng) for _ in range(n_samples)]
     all_ok = _straightening_identities()
-    for t in enumerate_tableaux():
-        expansion = straighten(t)
-        for c in configs:
-            want = mu(t, c)
-            got = sum(coeff * mu(std, c) for std, coeff in expansion)
-            if want != got:
+    tabs = enumerate_tableaux()
+    position = {t: i for i, t in enumerate(tabs)}
+    for c in configs:
+        values = mu_vector(c, tabs)
+        for t, want in zip(tabs, values):
+            if want != sum(coeff * values[position[std]] for std, coeff in straighten(t)):
                 all_ok = False
     plucker_ok = all(
         (det2(c[1], c[0]) * det2(c[3], c[2])
@@ -530,34 +527,24 @@ def polynomial_kernel(degree: int) -> tuple[tuple[Fraction, ...], ...]:
     """The linear relations among the degree-d monomials in the 14 standard
     products that hold as polynomial identities: the canonical (RREF) kernel
     basis of ``polynomial_rows(degree)``, exact.  Rows are fed in blocks of
-    32; a pending row that the kernel of the fed rows annihilates lies in
-    their span and is dropped.  A closing exact product shows that the
-    returned kernel annihilates every row, so it is their whole kernel."""
+    32; a pending row that the integer kernel of the fed rows annihilates
+    lies in their span and is dropped.  A closing exact product shows that
+    the returned kernel annihilates every row, so it is their whole kernel."""
     rows = np.array(polynomial_rows(degree))
     ech = linalg.EchelonForm(rows.shape[1])
     pending = rows
     while len(pending):
         block, pending = pending[:32], pending[32:]
         ech.add_rows(block.tolist())
-        basis = ech.nullspace()
-        kernel = np.array([linalg.integer_row(v) for v in basis],
-                          dtype=np.int64).reshape(-1, rows.shape[1])
+        kernel = np.array(ech.integer_kernel(), dtype=np.int64).reshape(-1, rows.shape[1])
         pending = pending[linalg.exact_matmul(pending, kernel.T).any(axis=1)]
     if linalg.exact_matmul(rows, kernel.T).any():
         raise ArithmeticError("a polynomial row is not annihilated by the kernel")
-    return tuple(map(tuple, basis))
+    return tuple(map(tuple, ech.nullspace()))
 
 
 # ---------------------------------------------------------------------------
 # relation discovery
-
-
-def _monomial_value(exps, values) -> int:
-    out = 1
-    for e, v in zip(exps, values):
-        if e:
-            out *= v ** e
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -586,11 +573,14 @@ def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
         raise ValueError("need at least %d samples for %d monomials"
                          % (n_mon + 5, n_mon))
     basis = polynomial_kernel(degree)
+    # monomials as index pairs, degree 1 padded with index 14: the constant 1
+    supports = [([i for i, e in enumerate(m) for _ in range(e)] + [14])[:2]
+                for m in monomials]
     rng = SplitMix64(seed)
     rows = []
     for _ in range(max(samples, 3 * n_mon)):
-        values = mu_vector(sample_points(rng))
-        rows.append([_monomial_value(m, values) for m in monomials])
+        values = mu_vector(sample_config(rng)) + (1,)
+        rows.append([values[i] * values[j] for i, j in supports])
     kernel = [[(i, c) for i, c in enumerate(linalg.integer_row(v)) if c] for v in basis]
     annihilated = all(sum(c * row[i] for i, c in vec) == 0 for vec in kernel for row in rows)
     return {
@@ -620,7 +610,7 @@ def mu_function_rank(samples: int = 40, seed: int = 42) -> int | None:
     upper = len(standard) if _straightening_identities() else len(tabs)
     lower = 14 - len(polynomial_kernel(1))
     rng = SplitMix64(seed)
-    rows = [mu_vector(sample_points(rng), tabs) for _ in range(samples)]
+    rows = [mu_vector(sample_config(rng), tabs) for _ in range(samples)]
     sampled = linalg.rank_mod_p(rows, len(tabs))
     return upper if lower == upper == sampled else None
 
@@ -630,12 +620,13 @@ def quadric_kernel_s8_stable(seed: int = 42, samples: int = 300) -> bool:
     transposition (i i+1); these generate S8, so the whole group preserves it."""
     rel = relation_discovery(2, samples, seed)
     monomials = rel["monomials"]
+    kernel = [linalg.integer_row(v) for v in rel["basis"]]
     ech = linalg.EchelonForm(len(monomials))
-    ech.add_rows(rel["basis"])
+    ech.add_rows(kernel)
     mono_index = {m: i for i, m in enumerate(monomials)}
     for sigma in ADJACENT_TRANSPOSITIONS:
         matrix = action_matrix(sigma)
-        for v in rel["basis"]:
+        for v in kernel:
             transformed = _transform_quadric(v, matrix, monomials, mono_index)
             if not ech.contains(transformed):
                 return False
@@ -643,9 +634,9 @@ def quadric_kernel_s8_stable(seed: int = 42, samples: int = 300) -> bool:
 
 
 def _transform_quadric(coeffs, matrix, monomials, mono_index):
-    """Pull a quadratic form back along the linear substitution y = M x."""
+    """Pull an integer quadratic form back along the linear substitution y = M x."""
     n = 14
-    out = [QQ(0)] * len(monomials)
+    out = [0] * len(monomials)
     for value, exps in zip(coeffs, monomials):
         if not value:
             continue

@@ -71,8 +71,10 @@ class RationalMatrix:
         return np.array_equal(self._image(ints), self.den * np.array(ints, dtype=np.int64))
 
 
-def _integer_vector(vec) -> tuple[list[int], int]:
-    """Integers w and a positive d with vec == w / d."""
+def _integer_vector(vec) -> tuple[list[int] | tuple[int, ...], int]:
+    """Integers w and a positive d with vec == w / d (Python ints as they are)."""
+    if set(map(type, vec)) <= {int}:
+        return vec, 1
     fracs = [Fraction(x) for x in vec]
     d = lcm(*(f.denominator for f in fracs))
     return [int(f.numerator) * (d // f.denominator) for f in fracs], d

@@ -164,3 +164,34 @@ def test_cross_process_determinism():
     second = run_cli("verify", "qseries")
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
+
+
+def test_zero_denominator_exits_2_with_message():
+    config = [["1/0", 1]] + [[1, x] for x in range(7)]
+    for args in (["--affine", "1/0,2,3,4,5,6,7,8"], ["--config", json.dumps(config)]):
+        proc = run_cli("compute", "theta", *args)
+        assert proc.returncode == 2, args
+        assert proc.stderr.startswith("error: "), args
+        assert "Traceback" not in proc.stderr, args
+
+
+def test_unwritable_out_exits_2_with_message(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in ("", str(blocker / "group.json"), str(blocker / "sub" / "group.json")):
+        proc = run_cli("compute", "group", "--out", out)
+        assert proc.returncode == 2, out
+        assert proc.stderr.startswith("error: cannot write "), out
+        assert "Traceback" not in proc.stderr, out
+    assert blocker.read_text() == ""
+
+
+def test_verify_rejects_a_nonsensical_tolerance_before_running():
+    for tolerance in ("-1", "0", "nan", "inf", "-inf", "abc"):
+        proc = run_cli("verify", "all", "--tolerance", tolerance)
+        assert proc.returncode == 2, tolerance
+        assert "--tolerance" in proc.stderr and "Traceback" not in proc.stderr, tolerance
+        assert proc.stdout == "", tolerance
+    proc = run_cli("verify", "qseries", "--tolerance", "1e-8")
+    assert proc.returncode == 0
+    assert '"tolerance":"1e-8"' in proc.stdout

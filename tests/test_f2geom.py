@@ -62,6 +62,13 @@ def test_transvection_requires_anisotropic():
         f2geom.transvection(f2geom.E1)
 
 
+def test_transvection_is_cached_and_keeps_rejecting_isotropic_vectors():
+    assert f2geom.transvection(f2geom.ALPHA1) is f2geom.transvection(f2geom.ALPHA1)
+    for _ in range(2):  # lru_cache stores no exception
+        with pytest.raises(ValueError):
+            f2geom.transvection(f2geom.E1)
+
+
 def test_transvection_examples():
     alpha = f2geom.ALPHA1
     t = f2geom.transvection(alpha)

@@ -214,3 +214,73 @@ def test_exact_matmul_raises_at_the_bound():
         linalg.exact_matmul(np.array([[2**53]]), np.array([[1]]))
     # an all-zero factor gives a zero bound: the product is exact whatever x is
     assert not linalg.exact_matmul(x, np.zeros((8, 2), dtype=np.int64)).any()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=6))))
+def test_integer_kernel_is_primitive_and_scales_to_the_nullspace(case):
+    ncols, rows = case
+    ech = linalg.EchelonForm(ncols)
+    ech.add_rows(rows)
+    kernel = ech.integer_kernel()
+    free = [j for j in range(ncols) if j not in ech.pivot_columns]
+    assert len(kernel) == len(free) == ncols - ech.rank
+    for f, vec in zip(free, kernel):
+        assert all(type(x) is int for x in vec)
+        assert gcd(*vec) == 1 and vec[f] > 0
+        assert all(vec[j] == 0 for j in free if j != f)
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
+    assert ech.nullspace() == [[Fraction(x, vec[f]) for x in vec]
+                               for f, vec in zip(free, kernel)]
+
+
+def _reference_rank_mod_p(rows, ncols):
+    """Plain Gaussian elimination over F_p on Python ints, every row and column."""
+    p = P31
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(rank + 1, len(m)):
+            m[i] = [(x - m[i][col] * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.integers(-2, 2), st.integers(-P31, P31)), min_size=n, max_size=n),
+    min_size=1, max_size=8)))
+def test_rank_mod_p_matches_a_plain_reference(rows):
+    # small entries make zero rows and rank-deficient matrices common
+    ncols = len(rows[0])
+    assert linalg.rank_mod_p(rows, ncols) == _reference_rank_mod_p(rows, ncols)
+
+
+def test_rank_mod_p_matches_the_reference_on_zero_and_deficient_rows():
+    rng = np.random.default_rng(3)
+    cases = [[[0] * 5] * 4, [[0, 0, 0]], [[0, 1], [0, 2], [0, 0]]]
+    for _ in range(20):
+        base = rng.integers(-2**40, 2**40, (3, 6)).tolist()
+        mix = rng.integers(-5, 6, (4, 3)).tolist()
+        cases.append(base + [[sum(c * r[j] for c, r in zip(m, base)) for j in range(6)]
+                             for m in mix])
+    for rows in cases:
+        ncols = len(rows[0])
+        assert linalg.rank_mod_p(rows, ncols) == _reference_rank_mod_p(rows, ncols)
+    assert linalg.rank_mod_p(cases[0], 5) == 0
+
+
+def test_integer_row_passes_python_ints_and_checks_the_rest():
+    assert linalg.integer_row((3, -4, 0)) == [3, -4, 0]
+    assert linalg.integer_row([True, 2]) == [1, 2]
+    assert linalg.integer_row(np.array([2**62, 3], dtype=np.int64)) == [2**62, 3]
+    assert linalg.integer_row([Fraction(1, 2), 1]) == [1, 2]
+    with pytest.raises(TypeError):
+        linalg.integer_row([1, 2.0])

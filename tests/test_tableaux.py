@@ -1,4 +1,5 @@
 from fractions import Fraction as QQ
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -218,7 +219,7 @@ def test_relation_discovery_degree2():
         config = tb.sample_config(rng)
         values = tb.mu_vector(config)
         for vec in rel["basis"]:
-            total = sum(c * tb._monomial_value(m, values)
+            total = sum(c * prod(v ** e for v, e in zip(values, m))
                         for c, m in zip(vec, rel["monomials"]))
             assert total == 0
 
@@ -249,7 +250,7 @@ def test_adjacent_transpositions_generate_s8():
 def test_sampled_products_are_python_ints():
     rng = SplitMix64(42)
     for _ in range(3):
-        points = tb.sample_points(rng)
+        points = tb.sample_config(rng)
         values = tb.mu_vector(points)
         assert all(type(v) is int for v in values)
         assert list(values) == list(tb.mu_vector(tb.parse_config(points)))
@@ -268,7 +269,7 @@ def _evaluate(poly, xs):
 
 def test_tableau_polynomial_evaluates_to_mu():
     rng = SplitMix64(9)
-    points = [tb.sample_points(rng) for _ in range(3)]
+    points = [tb.sample_config(rng) for _ in range(3)]
     for t in tb.enumerate_tableaux():
         poly = tb.tableau_polynomial(t)
         assert len(poly) == 16 and set(poly.values()) <= {-1, 1}
@@ -326,20 +327,20 @@ def test_relation_discovery_feeds_no_sample_row(monkeypatch, fresh_caches):
 
 
 def test_polynomial_kernel_certificate_catches_a_wrong_kernel(monkeypatch, fresh_caches):
-    nullspace = linalg.EchelonForm.nullspace
+    integer_kernel = linalg.EchelonForm.integer_kernel
 
-    def padded_nullspace(self):
-        bogus = [QQ(0)] * (self.ncols - 1) + [QQ(1)]
-        return nullspace(self) + [bogus]
+    def padded_kernel(self):
+        bogus = [0] * (self.ncols - 1) + [1]
+        return integer_kernel(self) + [bogus]
 
-    monkeypatch.setattr(linalg.EchelonForm, "nullspace", padded_nullspace)
+    monkeypatch.setattr(linalg.EchelonForm, "integer_kernel", padded_kernel)
     with pytest.raises(ArithmeticError):
         tb.polynomial_kernel(2)
 
 
 def test_repeated_sample_is_not_stable(monkeypatch, fresh_caches):
-    points = tb.sample_points(SplitMix64(1))
-    monkeypatch.setattr(tb, "sample_points", lambda rng: points)
+    points = tb.sample_config(SplitMix64(1))
+    monkeypatch.setattr(tb, "sample_config", lambda rng: points)
     rel = tb.relation_discovery(2, 300, 42)
     assert rel["dimension"] == 14
     assert not rel["stable"]
@@ -357,3 +358,25 @@ def test_sign_flipped_product_is_caught(monkeypatch, fresh_caches):
     # the straightening identities through the flipped product fail too
     assert not tb.straightening_check(n_samples=2, seed=42)["expansions_match"]
     assert tb.mu_function_rank(samples=40, seed=42) is None
+
+
+def test_sampled_certificates_build_no_fraction(monkeypatch, fresh_caches):
+    tb.polynomial_kernel(2)
+    tb.relation_discovery(2, 300, 42)  # warm: quadric_kernel_s8_stable reads it
+    built = []
+    new = QQ.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(QQ, "__new__", counting_new)
+    assert tb.straightening_check()["ok"] and not built
+    assert all(tb.equivariance_check().values()) and not built
+    assert tb.quadric_kernel_s8_stable() and not built
+    tb.relation_discovery.cache_clear()
+    assert tb.relation_discovery(2, 300, 42)["stable"]
+    assert not built
+    # the counter sees Fractions where they belong
+    tb.parse_config([(1, x) for x in range(8)])
+    assert built
