@@ -19,6 +19,9 @@ Submodules:
 - ``checks`` / ``cli``: the verification suites as named claims, with the one
   runner that turns them into deterministic report lines, and the
   command-line front end.
+
+Only ``weil``, ``linalg``, ``lattices`` and ``tableaux`` import numpy, each where first
+used, so ``cli``, ``checks``, ``f2geom`` and ``qseries`` import without it.
 """
 
 __version__ = "0.1.0"

@@ -15,10 +15,11 @@ container is explicitly ordered.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import f2geom, lattices, qseries, tableaux, weil
+from . import f2geom, qseries
 from .f2geom import VectorType
 
 SELECTORS = ("f2", "weil", "qseries", "lattice", "tableaux", "all")
@@ -31,6 +32,14 @@ class RunConfig:
     sample_count: int = 300
     box_bound: int = 3
     tolerance: str = "1e-9"
+
+    def __post_init__(self):
+        try:
+            valid = 0 < float(self.tolerance) < math.inf
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ValueError("tolerance must be a finite number > 0, got %r" % (self.tolerance,))
 
 
 @dataclass
@@ -107,6 +116,7 @@ def f2_suite(cfg: RunConfig):
 
 
 def weil_suite(cfg: RunConfig):
+    from . import weil
     yield ("weil.traces", "published",
            {"E": Fraction(64), "T": Fraction(8), "S": Fraction(8), "ST": Fraction(1)},
            weil.traces())
@@ -161,6 +171,7 @@ def qseries_suite(cfg: RunConfig):
 
 
 def lattice_suite(cfg: RunConfig):
+    from . import lattices
     form_n = lattices.discriminant_form(lattices.lattice_N())
     form_m = lattices.discriminant_form(lattices.lattice_M())
     yield "lattice.disc_group_orders", "published", [2] * 6, form_n.orders
@@ -199,6 +210,7 @@ def lattice_suite(cfg: RunConfig):
 
 
 def tableaux_suite(cfg: RunConfig):
+    from . import tableaux
     yield ("tableaux.counts", "published", [105, 14],
            [len(tableaux.enumerate_tableaux()), len(tableaux.standard_tableaux())])
     yield ("tableaux.count_identities", "derived", [105, 14],

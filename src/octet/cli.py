@@ -3,19 +3,20 @@
 ``octet verify <selector>`` runs a suite and writes one JSON object per check
 (exit code 0 when everything passes, 1 otherwise); ``octet compute <command>``
 emits a single JSON document.  The OCTET_REPORT_DIR environment variable
-redirects relative output paths.
+redirects relative output paths.  Commands import the numpy-backed ``weil`` and
+``tableaux`` where they use them, so ``compute hseries`` and ``subspaces`` load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
-from . import checks, f2geom, qseries, tableaux, weil
+from . import checks, f2geom, qseries
 from .checks import RunConfig
 
 
@@ -23,26 +24,21 @@ def _frac_str(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def _output_path(out: str | None):
+@contextmanager
+def _output(out: str | None):
+    """stdout, or the ``--out`` file opened on entry, so that a bad path fails at once.
+    A relative path is taken below OCTET_REPORT_DIR when that is set."""
     if out is None:
-        return None
-    if os.path.isabs(out):
-        return out
-    base = os.environ.get("OCTET_REPORT_DIR", "")
-    return os.path.join(base, out) if base else out
-
-
-def _emit(text: str, out: str | None) -> None:
-    path = _output_path(out)
-    if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
+    path = os.path.join(os.environ.get("OCTET_REPORT_DIR", ""), out)
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(text)
+        fh = open(path, "w")
     except OSError as exc:
         raise ValueError("cannot write %r: %s" % (path, exc.strerror)) from None
+    with fh:
+        yield fh
 
 
 def _config_from_args(args) -> RunConfig:
@@ -56,13 +52,11 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _tolerance(text: str) -> str:
-    """The --tolerance flag as typed, once it parses to a finite float > 0."""
+    """The --tolerance flag as typed, once ``RunConfig`` accepts it."""
     try:
-        if 0 < float(text) < math.inf:
-            return text
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError("must be a finite number > 0, got %r" % text)
+        return RunConfig(tolerance=text).tolerance
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_out_flag(parser: argparse.ArgumentParser) -> None:
@@ -82,8 +76,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
-    reports = checks.run_suite(args.selector, cfg)
-    _emit(checks.reports_to_jsonl(reports), args.out)
+    with _output(args.out) as fh:
+        reports = checks.run_suite(args.selector, cfg)
+        fh.write(checks.reports_to_jsonl(reports))
     return 0 if checks.all_passed(reports) else 1
 
 
@@ -92,9 +87,11 @@ def cmd_verify(args) -> int:
 
 
 def _parse_subspace(args) -> f2geom.Subspace:
-    if args.generators:
-        gens = [int(x) for x in args.generators.split(",")]
-        sub = f2geom.echelon_basis(gens)
+    if args.generators is not None:
+        gens = args.generators.split(",")
+        if not all(g.strip().isdecimal() and int(g) < 64 for g in gens):
+            raise ValueError("--generators takes patterns in [0, 64), got %r" % args.generators)
+        sub = f2geom.echelon_basis([int(g) for g in gens])
     else:
         singulars = f2geom.enumerate_singular_subspaces()
         if not 0 <= args.index < len(singulars):
@@ -104,6 +101,7 @@ def _parse_subspace(args) -> f2geom.Subspace:
 
 
 def compute_fv(args) -> dict:
+    from . import weil
     sub = _parse_subspace(args)
     vec = weil.singular_vector(sub)
     plane = f2geom.kernel_plane(sub)
@@ -137,6 +135,7 @@ def compute_hseries(args) -> dict:
 
 
 def compute_theta(args) -> dict:
+    from . import tableaux
     if args.config:
         pairs = json.loads(args.config)
         config = tableaux.parse_config(pairs)
@@ -152,6 +151,7 @@ def compute_theta(args) -> dict:
 
 
 def compute_relations(args) -> dict:
+    from . import tableaux
     rel = tableaux.relation_discovery(args.degree, args.samples, args.seed)
     basis = [
         [[list(mono), _frac_str(coeff)]
@@ -174,7 +174,8 @@ def cmd_compute(args) -> int:
                 "hseries": compute_hseries, "theta": compute_theta,
                 "relations": compute_relations, "group": compute_group}
     doc = handlers[args.command](args)
-    _emit(json.dumps(doc, separators=(",", ":")) + "\n", args.out)
+    with _output(args.out) as fh:
+        fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
     return 0
 
 
@@ -235,7 +236,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, tableaux.UnstableConfiguration) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

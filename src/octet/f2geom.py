@@ -8,7 +8,8 @@ addition is XOR.  The quadratic form is
 and b(x, y) = q(x+y) + q(x) + q(y) is the associated nondegenerate symmetric
 bilinear form.  Subspaces are canonical reduced-echelon tuples of basis
 vectors, so they compare by equality; ``all_subspaces`` enumerates these
-bases directly, and every enumeration is deterministic.
+bases directly, and every enumeration is deterministic.  Only the group's image
+table uses numpy, imported inside ``_group_table`` and ``group_preserves_form``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import enum
 from functools import lru_cache
 from itertools import combinations, product
-
-import numpy as np
 
 DIM = 6
 SPACE = tuple(range(64))
@@ -117,7 +116,7 @@ def transvections_are_involutions() -> bool:
 
 
 @lru_cache(maxsize=None)
-def _group_table() -> np.ndarray:
+def _group_table():
     """The 40320 x 64 table of images, row g holding (g(0), ..., g(63)), in
     lexicographic order of rows; read-only uint8, cached for the process.
 
@@ -129,6 +128,7 @@ def _group_table() -> np.ndarray:
     bits of x, all at most x, so the first difference of two elements lies at
     a basis vector and sorted keys are in lexicographic order.
     """
+    import numpy as np
     gens = np.array(all_transvections(), dtype=np.int64)
     shifts = 6 * np.arange(DIM - 1, -1, -1, dtype=np.int64)
     weights = 1 << shifts
@@ -169,6 +169,7 @@ def group_elements() -> tuple[Perm, ...]:
 def group_preserves_form() -> bool:
     """q(g x) == q(x) for every group element g and vector x, as one lookup
     of the q table at the 40320 x 64 table of images."""
+    import numpy as np
     qtable = np.array([q(x) for x in SPACE], dtype=np.uint8)
     return bool((qtable[_group_table()] == qtable).all())
 

@@ -7,7 +7,8 @@ coefficient of the three components is an integer on this half grid, which
 is also the serialization contract.  The translation equations are checked
 exactly on coefficients; the inversion equations are measured numerically
 through the eta products, whose float residuals are the only inexact values
-(``checks`` judges them against its tolerance).
+(``checks`` judges them against its tolerance).  The module imports no numpy:
+only ``assemble_and_reduce`` needs the Weil matrices, and it imports ``weil``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import f2geom, weil
+from . import f2geom
 from .f2geom import VectorType
 
 QQ = Fraction
@@ -289,6 +290,7 @@ def assemble_and_reduce() -> dict:
     image is not type-constant) and the diagonal translation signs (None
     where not constant) are returned exactly.
     """
+    from . import weil
     types = [f2geom.classify(x) for x in f2geom.SPACE]
     s = weil.rho_S()
     t = weil.rho_T()

@@ -6,6 +6,8 @@ import ast
 import json
 from pathlib import Path
 
+import pytest
+
 from octet import checks, cli, f2geom
 from octet.checks import RunConfig
 
@@ -32,6 +34,13 @@ def test_the_tolerance_claim_fails_above_its_tolerance():
     assert [r.name for r in failed] == ["qseries.inversion_equations_numeric"]
     assert failed[0].tolerance == "1e-20"
     assert not checks.all_passed(reports)
+
+
+def test_run_config_refuses_a_nonsensical_tolerance():
+    for tolerance in ("-1", "0", "nan", "inf", "abc"):
+        with pytest.raises(ValueError, match="tolerance"):
+            RunConfig(tolerance=tolerance)
+    assert RunConfig(tolerance="1e-8").tolerance == "1e-8"
 
 
 def test_checks_module_only_wires_claims():

@@ -1,29 +1,30 @@
+import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from octet import checks
+from octet import checks, cli
 from octet.checks import RunConfig
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, env_extra=None):
-    import os
-
+def run_python(*args, env_extra=None):
     env = dict(os.environ)
     # the child imports octet from this checkout, with or without PYTHONPATH set
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "octet.cli", *args],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(*args, env_extra=None):
+    return run_python("-m", "octet.cli", *args, env_extra=env_extra)
 
 
 def test_verify_f2_exit_zero():
@@ -94,10 +95,14 @@ def test_compute_theta():
 def test_compute_misuse_exits_2_with_message():
     for args in (["fv", "--index", "200"], ["fv", "--index", "-1"], ["theta"],
                  ["theta", "--affine", "1,2"], ["theta", "--affine", "1,2,3,4,5,6,7,8,9"],
-                 ["theta", "--config", "[1,2,3,4,5,6,7,8]"]):
+                 ["theta", "--config", "[1,2,3,4,5,6,7,8]"],
+                 # 67 has bit 6 set; an empty list must not fall back to --index 0
+                 ["fv", "--generators", "67,12,48"], ["fv", "--generators="],
+                 ["fv", "--generators", "3,x,48"], ["fv", "--generators=-3,12,48"]):
         proc = run_cli("compute", *args)
         assert proc.returncode == 2, args
         assert proc.stderr.startswith("error: "), args
+        assert "Traceback" not in proc.stderr and proc.stdout == "", args
 
 
 def test_compute_rejects_flags_it_does_not_read():
@@ -195,3 +200,47 @@ def test_verify_rejects_a_nonsensical_tolerance_before_running():
     proc = run_cli("verify", "qseries", "--tolerance", "1e-8")
     assert proc.returncode == 0
     assert '"tolerance":"1e-8"' in proc.stdout
+
+
+def test_verify_out_fails_before_any_suite_runs(monkeypatch, capsys):
+    def run_suite(*args):
+        raise AssertionError("a suite ran before --out was opened")
+
+    monkeypatch.setattr(checks, "run_suite", run_suite)
+    assert cli.main(["verify", "all", "--out", ""]) == 2
+    assert capsys.readouterr().err == "error: cannot write '': No such file or directory\n"
+
+
+# numpy-backed modules: a command that needs none of them must not load them
+HEAVY = ("numpy", "octet.weil", "octet.linalg", "octet.lattices", "octet.tableaux")
+_LOADED = """
+import contextlib, io, sys
+import octet.cli
+heavy, argvs = %r, %r
+loaded = [sorted(m for m in heavy if m in sys.modules)]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in argvs:
+        assert octet.cli.main(argv) == 0, argv
+        loaded.append(sorted(m for m in heavy if m in sys.modules))
+print(loaded)
+"""
+
+
+def _modules_loaded(*argvs):
+    """The HEAVY modules loaded after ``import octet.cli`` and after each
+    command, in one fresh interpreter (pytest itself has numpy loaded)."""
+    proc = run_python("-c", _LOADED % (HEAVY, argvs))
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+def test_numpy_free_commands_load_no_numpy_backed_module():
+    assert _modules_loaded(["compute", "hseries", "--order", "8"],
+                           ["compute", "subspaces", "--singular"]) == [[], [], []]
+
+
+def test_verify_qseries_loads_numpy_and_weil():
+    # positive control: the probe sees a module once a command imports it
+    loaded = _modules_loaded(["verify", "qseries"])
+    assert loaded[0] == []
+    assert {"numpy", "octet.weil"} <= set(loaded[1])
