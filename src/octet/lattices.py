@@ -16,11 +16,11 @@ carried to the 64-vector model through the split dictionary: the isometry
 that ``find_isomorphism`` finds from the form of N onto the form of the
 model, 2q4 = q and b2 = b of ``f2geom``.
 
-The reflection identities of norm -2 vectors r (the pair and the quarter
-reflections built from r and rho r, and the transvection the quarter
-reflection induces on the 64 classes, compared at the six generator images)
-come from one batched integer report; the family check covers every norm -2
-vector of the unit box.  Box scans run over ``_box``: the rank-12 unit box is
+The reflections of a norm -2 vector r (s_r, s_{rho r}, the pair and the
+quarter reflection) are I + V A V^T G, V = [r, rho r], for 2x2 matrices A; as
+rho is skew of square -1 and G(1 + rho) is even, their identities reduce to
+exact 2x2 identities in A: ``reflection_family_check`` covers every norm -2
+vector of N, not a box.  Box scans run over ``_box``: the rank-12 unit box is
 materialized once, in the cached ``_box_vectors``, and counts over larger
 boxes convolve per-block norm histograms, checked against it.  Vectors and
 matrices are numpy int64, but the unit-box scan, the class map and the
@@ -659,25 +659,15 @@ def _class_bits(doubled: np.ndarray):
     return bits.astype(np.uint8), (gy + gy == g2).all(axis=-1)
 
 
-def _generator_images(isometries: np.ndarray):
-    """Class bits (a, 6, 6) of the images of the six discriminant generators
-    under a stack (a, 12, 12) of isometries of N, row j for generator j, and
-    for each isometry whether it keeps the generators in the dual."""
-    images = exact_matmul(isometries, _snf_data_N()[1])
-    images, in_dual = _class_bits(np.swapaxes(images, -1, -2))
-    return images, in_dual.all(axis=-1)
-
-
 def _class_tables(isometries: np.ndarray):
     """The permutations of the 64 model vectors induced by a stack (a, 12, 12)
-    of isometries of N, as an (a, 64) array, and for each isometry whether it
-    keeps the discriminant generators in the dual.
-
-    Entry m XORs the generator images along the class bits of model vector m
-    and maps the result through the split dictionary.
-    """
-    images, in_dual = _generator_images(isometries)
-    return _to_model(_dictionary_bits()[1] @ images), in_dual
+    of isometries of N, as an (a, 64) array, and whether each isometry keeps
+    the six discriminant generators in the dual.  Entry m XORs the class bits
+    of the generator images along the bits of model vector m, mapped through
+    the split dictionary."""
+    images = exact_matmul(isometries, _snf_data_N()[1])
+    images, in_dual = _class_bits(np.swapaxes(images, -1, -2))  # row j: image of generator j
+    return _to_model(_dictionary_bits()[1] @ images), in_dual.all(axis=-1)
 
 
 def induced_map_on_classes(isometry: np.ndarray):
@@ -688,40 +678,17 @@ def induced_map_on_classes(isometry: np.ndarray):
     return tuple(tables[0].tolist())
 
 
-@lru_cache(maxsize=None)
-def _transvection_tables():
-    """q on the 64 model vectors, and in row alpha the transvection at alpha
-    (all -1 where alpha is isotropic and has none).
-
-    Raises ArithmeticError unless every transvection table is XOR-additive,
-    which makes a transvection equal to any F2-linear map agreeing with it on
-    a basis.
-    """
-    q = np.array([f2geom.q(a) for a in f2geom.SPACE], dtype=bool)
-    tables = np.array([f2geom.transvection(a) if f2geom.q(a) else (-1,) * 64
-                       for a in f2geom.SPACE], dtype=np.int64)
-    sums = tables[q][:, np.arange(64)[:, None] ^ np.arange(64)]
-    if not (sums == tables[q][:, :, None] ^ tables[q][:, None, :]).all():
-        raise ArithmeticError("a transvection table is not additive")
-    return q, tables
-
-
 def _acts_as_transvection(isometries: np.ndarray, deltas: np.ndarray):
     """Per row: whether the class alpha of delta/2 is anisotropic, and whether
-    the isometry acts on the 64 classes as the transvection at alpha.
-
-    Both maps are F2-linear (the class map is induced by a group map, the
-    transvection tables are checked additive), so they are compared only at
-    the model vectors of the six discriminant generators, a basis.
-    """
+    the isometry acts on the 64 classes as the transvection at alpha, compared
+    at every class."""
     alpha_bits, half_in_dual = _class_bits(deltas)
-    alpha = _to_model(alpha_bits)
-    q, transvections = _transvection_tables()
-    anisotropic = half_in_dual & q[alpha]
-    images, in_dual = _generator_images(isometries)
-    basis = list(split_dictionary().gen_images)
-    agree = (_to_model(images) == transvections[alpha][:, basis]).all(axis=1)
-    return anisotropic, anisotropic & in_dual & agree
+    alphas = _to_model(alpha_bits).tolist()
+    anisotropic = half_in_dual & np.array([f2geom.q(a) == 1 for a in alphas], dtype=bool)
+    tables, in_dual = _class_tables(isometries)
+    want = np.reshape([f2geom.transvection(a) if f2geom.q(a) else (-1,) * 64 for a in alphas],
+                      (-1, 64))
+    return anisotropic, anisotropic & in_dual & (tables == want).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -730,16 +697,13 @@ def _acts_as_transvection(isometries: np.ndarray, deltas: np.ndarray):
 
 def _reflection_report(vecs) -> dict:
     """The reflection identities of a stack (a, 12) of norm -2 vectors r, each
-    the all over the stack.
-
-    s_r is x -> x + <r,x> r; the pair reflection (epsilon = -1) is
-    x -> x + <r,x> r + <rho r,x> rho r; the quarter reflection (epsilon = i) is
-    x -> x + <r,x>(r - rho r)/2 + <rho r,x>(r + rho r)/2, integral because
-    delta = r + rho r has delta/2 in the dual.  A failed condition (such as a
-    non-integral quarter reflection) makes the keys that depend on it False.
-    Every product goes through ``exact_matmul``; the elementwise work stays
-    within 12ag for a the largest entry of r and rho r and g that of Gr and
-    G rho r, so 12ag >= 2^53 raises OverflowError.
+    key true when it holds at every r, on the integer matrices of the maps of
+    ``reflection_family_check``: the quarter reflection is
+    x -> x + <r,x>(r - rho r)/2 + <rho r,x>(r + rho r)/2.  A failed condition
+    (such as a non-integral quarter reflection) makes the keys that depend on
+    it False.  Every product goes through ``exact_matmul``; the elementwise
+    work stays within 12ag for a the largest entry of r and rho r and g that
+    of Gr and G rho r, so 12ag >= 2^53 raises OverflowError.
     """
     gram = lattice_N().gram
     rho = order_four_isometry()
@@ -786,16 +750,50 @@ def reflection_identities(r=E_MINUS_F) -> dict:
     return _reflection_report(np.asarray(r)[None])
 
 
-def reflection_family_check(bound: int = 1) -> bool:
-    """The reflection identities of every norm -2 vector in [-bound, bound]^12.
+QUARTER_COEFFICIENTS = ((QQ(1, 2), QQ(1, 2)), (QQ(-1, 2), QQ(1, 2)))  # C
 
-    The batched report covers all of them (20354 at bound 1), including the
-    permutation of the 64 classes compared with the transvection table: there
-    is no subsample.  The box comes from the cached ``_box_vectors``.
+
+def reflection_family_check() -> bool:
+    """The reflection identities of every norm -2 vector r of N, by a lemma on
+    the maps M_A = I + V A V^T G, V = [r, rho r]: s_r, s_{rho r}, the pair and
+    the quarter reflection Q have A = diag(1, 0), diag(0, 1), I and C.
+
+    Gamma = V^T G V is -2I at every r, as <r, r> = -2 and rho is skew with
+    rho^2 = -1.  So M_A M_B = M_(A + B + A Gamma B), M_A is an isometry when
+    A + A^T + A^T Gamma A = 0, and A != 0 gives M_A != I (Gamma invertible).
+    rho V = V J and V^T G rho = J V^T G, J = [[0, -1], [1, 0]]: M_A commutes
+    with rho when AJ = JA.  With E = C - [[1, 1], [1, 1]]/2 integral and
+    delta = r + rho r, Q - I = delta <delta, .>/2 + V E V^T G, integral as
+    G(1 + rho) is even; the class alpha of delta/2 has q = (sum of Gamma)/4 =
+    -1, odd, and Q acts on the dual mod N as x -> x + <delta, x> delta/2, that
+    is ``f2geom.transvection(alpha)`` under the split dictionary.  Every step
+    is an identity of rho or of exact 2x2 Fraction matrices.
     """
-    vecs, rows = _box_vectors(bound)[0], 256  # (a, 12, 12) float64 stacks of 295 kB
-    return all(all(_reflection_report(vecs[i:i + rows]).values())
-               for i in range(0, len(vecs), rows))
+    ids = _rho_identities()
+    eye, j, c = (np.array(m, dtype=object) for m in
+                 (((1, 0), (0, 1)), ((0, -1), (1, 0)), QUARTER_COEFFICIENTS))
+    plane, gamma = ids["skew"] and ids["square_minus_one"], -2 * eye  # Gamma at every r
+    injective = plane and gamma[0, 0] * gamma[1, 1] != gamma[0, 1] * gamma[1, 0]
+
+    def compose(a, b):
+        return a + b + a @ gamma @ b
+
+    def isometric(a):
+        return plane and not (a + a.T + a.T @ gamma @ a).any()
+
+    integral = ids["half_sum_dual"] and not ((2 * c - 1) % 2).any()  # 2E even: E integral
+    anisotropic = plane and ids["half_sum_dual"] and QQ(int(gamma.sum()), 4) % 2 == 1
+    return all({
+        "pair_equals_composition": plane and np.array_equal(
+            compose(np.diag([1, 0]), np.diag([0, 1])), eye),
+        "quarter_is_isometry": integral and isometric(c),
+        "quarter_order_4": integral and injective and eye.any()
+        and np.array_equal(compose(c, c), eye) and not compose(eye, eye).any(),
+        "quarter_commutes_with_rho": integral and plane and np.array_equal(c @ j, j @ c),
+        "alpha_is_anisotropic": anisotropic,
+        "induces_transvection": integral and anisotropic,
+        "pair_is_isometry": isometric(eye),
+    }.values())
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,10 @@ def parse_config(pairs) -> Config:
             isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
         raise ValueError("a configuration is a list of homogeneous coordinate pairs")
     try:
+        if any(isinstance(x, bool) for p in pairs for x in p):
+            raise TypeError("a boolean is not a number")
         config = tuple((Fraction(a), Fraction(b)) for a, b in pairs)
-    except (TypeError, OverflowError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError("coordinates must be rational numbers (%s)" % exc) from None
     if len(config) != 8:
         raise ValueError("a configuration has exactly 8 points")

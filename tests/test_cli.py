@@ -103,6 +103,15 @@ def test_compute_misuse_exits_2_with_message():
         assert proc.returncode == 2, args
         assert proc.stderr.startswith("error: "), args
         assert "Traceback" not in proc.stderr and proc.stdout == "", args
+    # a JSON boolean is not read as 1 or 0, and NaN fails like any other
+    # coordinate that is not a rational number
+    rest = ",[0,1],[1,1],[1,2],[1,3],[1,4],[1,5],[1,6]]"
+    for first in ("[true,0]", "[0,false]", "[NaN,1]", "[Infinity,1]", '["x",1]'):
+        proc = run_cli("compute", "theta", "--config", "[" + first + rest)
+        assert proc.returncode == 2, first
+        assert proc.stderr.startswith("error: coordinates must be rational numbers ("), first
+        assert "Traceback" not in proc.stderr and proc.stdout == "", first
+    assert run_cli("compute", "theta", "--config", "[[1,0]" + rest).returncode == 0
 
 
 def test_compute_rejects_flags_it_does_not_read():

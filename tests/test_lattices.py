@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as QQ
 from functools import lru_cache
 from itertools import product as iproduct
@@ -343,7 +344,8 @@ def test_single_vector_report_is_the_stack_of_one():
         lat._reflection_report(np.vstack([vecs, [1, 0] + [0] * 10]))
 
 
-def test_reflection_family_examines_every_box_vector(monkeypatch):
+def _recording_report(monkeypatch):
+    """Wrap ``_reflection_report`` so that every stack handed to it is kept."""
     report = lat._reflection_report
     handed = []
 
@@ -352,10 +354,92 @@ def test_reflection_family_examines_every_box_vector(monkeypatch):
         return report(vecs)
 
     monkeypatch.setattr(lat, "_reflection_report", recording_report)
-    assert lat.reflection_family_check()
+    return handed
+
+
+def _box_sweep(rows=256):
+    """Oracle for the rank-2 lemma: the batched report over every norm -2
+    vector of the unit box, in slices of ``rows``, each key true when it holds
+    at every vector."""
+    vecs = lat._box_vectors(1)[0]
+    reports = [lat._reflection_report(vecs[i:i + rows]) for i in range(0, len(vecs), rows)]
+    return {key: all(rep[key] for rep in reports) for key in reports[0]}
+
+
+def test_reflection_family_examines_every_box_vector(monkeypatch):
+    handed = _recording_report(monkeypatch)
+    sweep = _box_sweep()
     assert sum(map(len, handed)) == lat._box_counts(1)[0] == 20354
     # each vector once, in box order: no symmetry reduction and no sample
     assert np.array_equal(np.vstack(handed), lat._box_vectors(1)[0])
+    # every key holds over the box, as the rank-2 lemma certifies for all of N
+    assert sweep == dict.fromkeys(sweep, True)
+    assert lat.reflection_family_check() is True
+
+
+def _norm_minus2_vectors(count, seed, bound=6):
+    """Seeded norm -2 vectors of N with no rejection: the ten coordinates after
+    (e, f) are drawn from [-bound, bound], leaving norm n; then (e, f) = (a, b)
+    with 2ab = -2 - n, a a divisor of (-2 - n)/2 of either sign (a = 0 and b
+    drawn when n = -2)."""
+    rng = random.Random(seed)
+    gram = lat.lattice_N().gram
+    out = []
+    for _ in range(count):
+        r = np.array([0, 0] + [rng.randint(-bound, bound) for _ in range(10)], dtype=np.int64)
+        m = (-2 - int(r @ gram @ r)) // 2  # N is even, so n is even
+        if m:
+            divisors = [d for d in range(1, abs(m) + 1) if m % d == 0]
+            r[0] = rng.choice(divisors) * rng.choice((1, -1))
+            r[1] = m // r[0]
+        else:
+            r[1] = rng.randint(-bound, bound)
+        out.append(r)
+    return np.array(out)
+
+
+def test_reflection_identities_beyond_the_box():
+    vecs = _norm_minus2_vectors(200, seed=504233)
+    assert (np.einsum("ai,ij,aj->a", vecs, lat.lattice_N().gram, vecs) == -2).all()
+    # most of them lie outside the unit box that the oracle sweep covers
+    assert (np.abs(vecs).max(axis=1) > 1).sum() > 190 and np.abs(vecs[:, 2:]).max() == 6
+    for r in vecs:
+        assert all(lat.reflection_identities(r).values()), r.tolist()
+
+
+@pytest.fixture
+def fresh_rho_identities():
+    """Recompute the cached identities of rho inside the test and after it."""
+    lat._rho_identities.cache_clear()
+    yield
+    lat._rho_identities.cache_clear()
+
+
+@pytest.mark.parametrize("sign", [-1, 1], ids=["minus_identity", "identity"])
+def test_reflection_family_fails_for_a_wrong_rho(monkeypatch, fresh_rho_identities, sign):
+    """Negative control: -I is not skew, and I is not skew and has square I,
+    not -I; the check then returns False, without raising."""
+    monkeypatch.setattr(lat, "order_four_isometry", lambda: sign * np.eye(12, dtype=np.int64))
+    assert lat.reflection_family_check() is False
+    reports = checks.run_suite("lattice", checks.RunConfig(box_bound=2))
+    assert {r.name: r.status for r in reports}["lattice.reflection_family"] == "fail"
+
+
+def test_reflection_family_fails_for_a_perturbed_quarter(monkeypatch):
+    """Negative control: C = [[1/2, 1/2], [1/2, 1/2]] is the reflection in
+    delta = r + rho r, an integral isometry inducing the transvection, but of
+    order 2 and not commuting with rho; only the family line fails."""
+    half = QQ(1, 2)
+    monkeypatch.setattr(lat, "QUARTER_COEFFICIENTS", ((half, half), (half, half)))
+    assert lat.reflection_family_check() is False
+    reports = checks.run_suite("lattice", checks.RunConfig(box_bound=2))
+    assert [r.name for r in reports if r.status == "fail"] == ["lattice.reflection_family"]
+
+
+def test_lattice_suite_hands_the_report_only_e_minus_f(monkeypatch):
+    handed = _recording_report(monkeypatch)
+    assert checks.all_passed(checks.run_suite("lattice", checks.RunConfig(box_bound=2)))
+    assert [stack.tolist() for stack in handed] == [[list(lat.E_MINUS_F)]]
 
 
 def test_reflection_report_fails_for_a_wrong_rho(monkeypatch):
@@ -389,7 +473,6 @@ def test_unit_box_is_built_once(monkeypatch):
 
     monkeypatch.setattr(lat, "_box", counting_box)
     lat._box_vectors.cache_clear()
-    assert lat.reflection_family_check()
     assert all(lat.minus4_vector_scan(2)[0].values())
     assert all(lat.minus4_vector_scan(2)[0].values())
     assert calls.count((8, 1)) == 1  # the box is scanned as slices over _box(8, 1)
@@ -609,20 +692,19 @@ def test_discriminant_form_rejects_non_2_elementary():
         lat.discriminant_form(lat.named_lattice("A1(3)"))
 
 
-def test_corrupted_transvection_table_fails_additivity(monkeypatch):
-    alpha = f2geom.ALPHA1
-    basis = lat.split_dictionary().gen_images
-    point = next(x for x in range(1, 64) if x not in basis and x & (x - 1))
+def test_corrupted_transvection_table_fails_the_report(monkeypatch):
+    # the class map is compared with the transvection at every class, so a
+    # wrong entry off the six generator images turns the key False
+    r = np.array(lat.E_MINUS_F)
+    delta = r + lat.order_four_isometry() @ r
+    alpha = int(lat._to_model(lat._class_bits(delta[None])[0])[0])
+    point = next(x for x in range(1, 64) if x not in lat.split_dictionary().gen_images)
     table = list(f2geom.transvection(alpha))
     table[point] ^= alpha
     transvection = f2geom.transvection
     monkeypatch.setattr(f2geom, "transvection",
                         lambda a: tuple(table) if a == alpha else transvection(a))
-    lat._transvection_tables.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError):
-            lat._transvection_tables()
-    finally:
-        monkeypatch.undo()
-        lat._transvection_tables.cache_clear()
-    assert lat._transvection_tables()[1][alpha].tolist() == list(transvection(alpha))
+    report = lat.reflection_identities()
+    assert report["alpha_is_anisotropic"] and not report["induces_transvection"]
+    monkeypatch.undo()
+    assert all(lat.reflection_identities().values())
