@@ -4,7 +4,8 @@ configurations of 8 points on the projective line.
 Submodules:
 
 - ``f2geom``: the 64-element quadratic space of three hyperbolic planes,
-  its transvections, orthogonal group, and subspace enumerations.
+  its transvections, the orthogonal group O+(6,2) = S8 by its Coxeter
+  presentation, and subspace enumerations.
 - ``weil``: the two 64x64 generator matrices on the group ring, character
   multiplicities, the 15-dimensional invariant space, and the signed
   vectors attached to totally singular subspaces.
@@ -21,7 +22,9 @@ Submodules:
   command-line front end.
 
 Only ``weil``, ``linalg``, ``lattices`` and ``tableaux`` import numpy, each where first
-used, so ``cli``, ``checks``, ``f2geom`` and ``qseries`` import without it.
+used, so ``cli``, ``checks``, ``f2geom`` and ``qseries`` import without it.  In
+``f2geom`` only the explicit group closure ``_group_table`` imports numpy, and no
+command runs it.
 """
 
 __version__ = "0.1.0"

@@ -134,10 +134,25 @@ def compute_hseries(args) -> dict:
             "h1": qseries.serialize_series(comps.h1)}
 
 
+# the default digit limit of int(), which a JSON integer literal meets too
+MAX_DECIMAL_EXPONENT = 4300
+
+
+def _exact_decimal(text: str) -> Fraction:
+    """A JSON number with a fraction or an exponent as an exact Fraction, so
+    that 0.1 is 1/10 and not a binary float.  An exponent beyond
+    ``MAX_DECIMAL_EXPONENT`` is refused before 10**exponent is built."""
+    exponent = text.lower().partition("e")[2]
+    if exponent and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+        raise ValueError("a decimal exponent must lie within ±%d, got %s"
+                         % (MAX_DECIMAL_EXPONENT, text))
+    return Fraction(text)
+
+
 def compute_theta(args) -> dict:
     from . import tableaux
     if args.config:
-        pairs = json.loads(args.config)
+        pairs = json.loads(args.config, parse_float=_exact_decimal)
         config = tableaux.parse_config(pairs)
     elif args.affine:
         config = tableaux.affine_config(args.affine.split(","))

@@ -8,15 +8,19 @@ addition is XOR.  The quadratic form is
 and b(x, y) = q(x+y) + q(x) + q(y) is the associated nondegenerate symmetric
 bilinear form.  Subspaces are canonical reduced-echelon tuples of basis
 vectors, so they compare by equality; ``all_subspaces`` enumerates these
-bases directly, and every enumeration is deterministic.  Only the group's image
-table uses numpy, imported inside ``_group_table`` and ``group_preserves_form``.
+bases directly, and every enumeration is deterministic.  The order of the
+orthogonal group and its action on q are certified from the Coxeter
+presentation of S8 in pure Python.  Only ``_group_table``, the explicit
+40320-element closure that ``group_elements`` lists, uses numpy, imported
+inside it; no check reads it.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
+from math import factorial
 
 DIM = 6
 SPACE = tuple(range(64))
@@ -152,26 +156,69 @@ def _group_table():
     return table
 
 
-def group_order() -> int:
-    """The order of the closure of the 28 transvections (40320), read from
-    the cached image table."""
-    return len(_group_table())
-
-
 def group_elements() -> tuple[Perm, ...]:
     """The closure of the 28 transvections, sorted lexicographically: the
     rows of the cached image table as tuples of Python ints.  The tuples take
-    ≈ 22 MB and are built per call, not cached; ``group_order`` and
-    ``group_preserves_form`` read the table itself."""
+    ≈ 22 MB and are built per call, not cached.  No check reads the closure;
+    ``group_order`` and ``group_preserves_form`` rest on the presentation."""
     return tuple(map(tuple, _group_table().tolist()))
 
 
+def coxeter_relations(gens, compose, identity) -> bool:
+    """Whether g_1, ..., g_n satisfy the Coxeter relations of type A_n, each
+    with exact order: g_i g_j has order m_ij, with m_ii = 1, m_i,i+1 = 3 and
+    m_ij = 2 otherwise.  ``compose(g, h)`` is the product g h."""
+    for i, j in combinations_with_replacement(range(len(gens)), 2):
+        m = 1 if i == j else 3 if j == i + 1 else 2
+        powers = [compose(gens[i], gens[j])]
+        while len(powers) < m:
+            powers.append(compose(powers[-1], powers[0]))
+        if powers[-1] != identity or identity in powers[:-1]:
+            return False
+    return True
+
+
+# Seven anisotropic vectors whose b-Gram matrix is the A7 path:
+# b(c_i, c_j) = 1 exactly when |i - j| = 1.
+COXETER_CHAIN = (3, 13, 19, 39, 11, 7, 27)
+
+
+def coxeter_generators() -> list[Perm]:
+    """The transvections at the vectors of ``COXETER_CHAIN``, in chain order."""
+    return [transvection(a) for a in COXETER_CHAIN]
+
+
+def _presentation_certificate() -> tuple[bool, bool, bool]:
+    """(the generators satisfy the A7 relations, the orbit of the chain under
+    them is all 28 anisotropic vectors, each generator preserves q)."""
+    gens = coxeter_generators()
+    reached = set().union(*(o for o in orbits(gens) if set(o) & set(COXETER_CHAIN)))
+    return (coxeter_relations(gens, compose, SPACE),
+            reached == {a for a in SPACE if q(a)},
+            all(q(g[x]) == q(x) for g in gens for x in SPACE))
+
+
+def group_order() -> int:
+    """The order of the group G generated by the 28 transvections: 8! = 40320
+    when the presentation certificate holds, 0 when it does not.
+
+    The proof.  The transvections t_1..t_7 at ``COXETER_CHAIN`` satisfy the
+    Coxeter relations of S8, so s_i -> t_i is a homomorphism phi: S8 -> G.  It
+    is onto: g t_a g^-1 = t_g(a) for every isometry g, and the orbit of the
+    chain under the t_i is every anisotropic vector, so the image holds all 28
+    transvections.  Its kernel is normal, hence 1, A8 or S8; s1 s2 lies in A8
+    and phi(s1 s2) has order 3, so the kernel is trivial and G is S8.
+    """
+    relations, onto, preserves_q = _presentation_certificate()
+    return factorial(len(COXETER_CHAIN) + 1) if relations and onto and preserves_q else 0
+
+
 def group_preserves_form() -> bool:
-    """q(g x) == q(x) for every group element g and vector x, as one lookup
-    of the q table at the 40320 x 64 table of images."""
-    import numpy as np
-    qtable = np.array([q(x) for x in SPACE], dtype=np.uint8)
-    return bool((qtable[_group_table()] == qtable).all())
+    """q(g x) == q(x) for every g in G and every vector x: the transvections
+    at the chain generate G (their orbit of the chain is every anisotropic
+    vector), and each of them preserves q."""
+    _, onto, preserves_q = _presentation_certificate()
+    return onto and preserves_q
 
 
 def orbits(generators: list[Perm] | None = None) -> list[tuple[int, ...]]:

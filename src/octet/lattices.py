@@ -909,7 +909,7 @@ def _box_norm_count(bound: int, target: int, need_even: bool) -> int:
     return int(counts[offset]) if 0 <= offset < len(counts) else 0
 
 
-def _box_counts(bound: int) -> list[int]:
+def box_counts(bound: int) -> list[int]:
     """[norm -2 vectors, norm -4 vectors pairing evenly with N] in the box."""
     return [_box_norm_count(bound, -2, False), _box_norm_count(bound, -4, True)]
 
@@ -929,9 +929,11 @@ def minus4_vector_scan(bound: int = 3) -> tuple[dict[str, bool], list[int]]:
     inclusions vector by vector and cross-checks the convolved counts.
 
     Returns the verdicts on the forward inclusion (r to r + rho r), the
-    converse and the direct scan, and the ``_box_counts`` of the box,
-    recomputed on every call by convolving per-block norm histograms.  A bound
-    outside 2..``MAX_SCAN_BOUND`` raises ValueError before any allocation.
+    converse and the direct scan, and the ``box_counts`` of the box,
+    recomputed on every call by convolving per-block norm histograms; the
+    determinism claim compares them with a fresh ``box_counts`` call, not with
+    a second scan.  A bound outside 2..``MAX_SCAN_BOUND`` raises ValueError
+    before any allocation.
     """
     if not 2 <= bound <= MAX_SCAN_BOUND:
         raise ValueError("bound must lie in [2, %d]" % MAX_SCAN_BOUND)
@@ -952,32 +954,31 @@ def minus4_vector_scan(bound: int = 3) -> tuple[dict[str, bool], list[int]]:
         "converse": sum_half_dual and identities["skew"],
         "direct": _direct_scan(),
     }
-    return inclusions, _box_counts(bound)
+    return inclusions, box_counts(bound)
 
 
 def _direct_scan() -> bool:
     """Verify the two inclusions vector by vector over the materialized unit
-    box, and its counts against the convolved ones."""
+    box, and its counts against the convolved ones.  Products go through
+    ``exact_matmul``; parity is read as x - 2 floor(x/2) on the float rows."""
     gram = lattice_N().gram
     rho = order_four_isometry()
     r_vecs, deltas = _box_vectors(1)
 
-    rho_r = r_vecs @ rho.T
+    rho_r = exact_matmul(r_vecs, rho.T)
     sums = r_vecs + rho_r
-    sum_norms = np.einsum("ij,jk,ik->i", sums, gram, sums)
-    forward = (bool((sum_norms == -4).all())
-               and not ((sums @ gram.T) % 2).any()
-               and not np.einsum("ij,jk,ik->i", r_vecs, gram, rho_r).any())
+    g_sums = exact_matmul(sums, gram)
+    forward = (bool((np.einsum("ij,ij->i", sums, g_sums) == -4).all())
+               and not (g_sums - 2 * np.floor(g_sums * 0.5)).any()
+               and not np.einsum("ij,ij->i", exact_matmul(r_vecs, gram), rho_r).any())
 
-    rho_d = deltas @ rho.T
-    diff = deltas - rho_d
-    integral = not (diff % 2).any()
-    half = diff // 2
-    half_norms = np.einsum("ij,jk,ik->i", half, gram, half)
-    reconstructed = half + (half @ rho.T)
+    diff = deltas - exact_matmul(deltas, rho.T)
+    half = np.floor(diff * 0.5)
+    integral = np.array_equal(half + half, diff)
+    half_norms = np.einsum("ij,ij->i", half, exact_matmul(half, gram))
     converse = (integral and bool((half_norms == -2).all())
-                and np.array_equal(reconstructed, deltas))
-    return forward and converse and [len(r_vecs), len(deltas)] == _box_counts(1)
+                and np.array_equal(half + exact_matmul(half, rho.T), deltas))
+    return forward and converse and [len(r_vecs), len(deltas)] == box_counts(1)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,27 @@ def test_compute_misuse_exits_2_with_message():
     assert run_cli("compute", "theta", "--config", "[[1,0]" + rest).returncode == 0
 
 
+def test_compute_theta_reads_json_decimals_exactly(capsys):
+    rest = ",[0,1],[1,1],[1,2],[1,3],[1,4],[1,5],[1,6]]"
+
+    def theta(first):
+        code = cli.main(["compute", "theta", "--config", "[" + first + rest])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    exact = theta('["1/10",1]')
+    assert exact[0] == 0 and json.loads(exact[1])["unstable"] is False
+    assert theta("[0.1,1]") == theta("[1e-1,1]") == theta("[10E-2,1]") == exact
+    for first in ("[NaN,1]", "[Infinity,1]", "[-Infinity,1]"):
+        code, out, err = theta(first)
+        assert code == 2 and out == "", first
+        assert err.startswith("error: coordinates must be rational numbers ("), first
+    # refused before 10**exponent is built
+    code, out, err = theta("[1e999999999,1]")
+    assert (code, out) == (2, "")
+    assert err == "error: a decimal exponent must lie within ±4300, got 1e999999999\n"
+
+
 def test_compute_rejects_flags_it_does_not_read():
     for args in (["group", "--seed", "3"], ["fv", "--order", "5"]):
         proc = run_cli("compute", *args)
@@ -245,7 +266,8 @@ def _modules_loaded(*argvs):
 
 def test_numpy_free_commands_load_no_numpy_backed_module():
     assert _modules_loaded(["compute", "hseries", "--order", "8"],
-                           ["compute", "subspaces", "--singular"]) == [[], [], []]
+                           ["compute", "subspaces", "--singular"],
+                           ["compute", "group"], ["verify", "f2"]) == [[], [], [], [], []]
 
 
 def test_verify_qseries_loads_numpy_and_weil():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octet import f2geom, lattices
+from octet import checks, f2geom, lattices
 from octet.f2geom import VectorType
 
 vectors = st.integers(0, 63)
@@ -247,8 +247,70 @@ def test_group_preserves_form_detects_a_broken_element(monkeypatch):
     assert f2geom.q(iso) == 0 and f2geom.q(aniso) == 1
     broken = list(range(64))
     broken[iso], broken[aniso] = aniso, iso
-    # both group_elements and group_preserves_form read the cached image table
-    table = f2geom._group_table().copy()
-    table[123] = broken
-    monkeypatch.setattr(f2geom, "_group_table", lambda: table)
+    # the certificate reads the generators, not the closure
+    gens = f2geom.coxeter_generators()
+    gens[3] = tuple(broken)
+    monkeypatch.setattr(f2geom, "coxeter_generators", lambda: gens)
+    assert not f2geom._presentation_certificate()[2]  # the q check itself
     assert not f2geom.group_preserves_form()
+    assert f2geom.group_order() == 0
+
+
+def test_group_order_fails_for_a_chain_that_breaks_a_braid_relation(monkeypatch):
+    # swapping the first two links keeps every vector anisotropic, but
+    # t_3 t_19 then has order 2 where the A7 relations ask for 3
+    chain = (13, 3) + f2geom.COXETER_CHAIN[2:]
+    monkeypatch.setattr(f2geom, "COXETER_CHAIN", chain)
+    assert not f2geom.coxeter_relations(f2geom.coxeter_generators(), f2geom.compose,
+                                        f2geom.SPACE)
+    reports = {r.name: r for r in checks.run_suite("f2")}
+    assert reports["f2.group_order"].status == "fail"
+    assert reports["f2.group_order"].actual == 0
+    assert [name for name, r in reports.items() if r.status == "fail"] == ["f2.group_order"]
+
+
+def test_group_order_needs_the_chain_to_reach_every_transvection(monkeypatch):
+    # an A6 chain satisfies its relations, but its orbit is 21 of the 28
+    # anisotropic vectors: it generates S7, not the whole group
+    monkeypatch.setattr(f2geom, "COXETER_CHAIN", f2geom.COXETER_CHAIN[:6])
+    gens = f2geom.coxeter_generators()
+    assert f2geom.coxeter_relations(gens, f2geom.compose, f2geom.SPACE)
+    assert f2geom._presentation_certificate() == (True, False, True)
+    assert f2geom.group_order() == 0
+    assert not f2geom.group_preserves_form()
+
+
+def test_coxeter_chain_is_an_a7_path_of_anisotropic_vectors():
+    chain = f2geom.COXETER_CHAIN
+    assert all(f2geom.q(a) == 1 for a in chain)
+    assert [[f2geom.b(x, y) for y in chain] for x in chain] == [
+        [int(abs(i - j) == 1) for j in range(7)] for i in range(7)]
+    assert f2geom._presentation_certificate() == (True, True, True)
+
+
+def _perm_compose(g, h):
+    return tuple(g[x] for x in h)
+
+
+def test_coxeter_relations_ask_for_exact_orders():
+    # the adjacent transpositions of S4 satisfy the A3 relations
+    swaps = [tuple(j + 1 if k == j else j if k == j + 1 else k for k in range(4))
+             for j in range(3)]
+    identity = tuple(range(4))
+    assert f2geom.coxeter_relations(swaps, _perm_compose, identity)
+    # (s1 s1)^3 = 1 holds, but s1 s1 has order 1, not 3
+    assert not f2geom.coxeter_relations([swaps[0], swaps[0]], _perm_compose, identity)
+    # s1 and s3 commute: their product has order 2, not 3, as neighbours
+    assert not f2geom.coxeter_relations([swaps[0], swaps[2]], _perm_compose, identity)
+    # a generator of order 3 breaks m_ii = 1
+    cycle = (1, 2, 0, 3)
+    assert not f2geom.coxeter_relations([cycle], _perm_compose, identity)
+
+
+def test_group_order_matches_the_closure():
+    # the closure is the oracle for the presentation certificate
+    group = f2geom._group_table()
+    assert f2geom.group_order() == len(f2geom.group_elements()) == len(group)
+    qtable = np.array([f2geom.q(x) for x in f2geom.SPACE], dtype=np.uint8)
+    assert (qtable[group] == qtable).all()
+    assert set(f2geom.coxeter_generators()) <= set(f2geom.all_transvections())

@@ -217,8 +217,19 @@ def test_minus4_scan():
 
 def test_scan_counts_at_unit_box_agree_with_direct():
     r_vecs, deltas = lat._box_vectors(1)
-    assert [len(r_vecs), len(deltas)] == lat._box_counts(1)
+    assert [len(r_vecs), len(deltas)] == lat.box_counts(1)
     assert lat._direct_scan()
+
+
+def test_lattice_suite_scans_once(monkeypatch):
+    # the determinism claim recomputes the convolved counts, not the scan
+    calls = []
+    scan = lat.minus4_vector_scan
+    monkeypatch.setattr(lat, "minus4_vector_scan", lambda bound: calls.append(bound) or scan(bound))
+    reports = {r.name: r for r in checks.run_suite("lattice", checks.RunConfig(box_bound=2))}
+    assert calls == [2]
+    assert reports["lattice.scan_counts_deterministic"].status == "pass"
+    assert reports["lattice.scan_counts_deterministic"].actual == lat.box_counts(2)
 
 
 def test_direct_scan_fails_when_the_convolved_counts_disagree(monkeypatch):
@@ -369,7 +380,7 @@ def _box_sweep(rows=256):
 def test_reflection_family_examines_every_box_vector(monkeypatch):
     handed = _recording_report(monkeypatch)
     sweep = _box_sweep()
-    assert sum(map(len, handed)) == lat._box_counts(1)[0] == 20354
+    assert sum(map(len, handed)) == lat.box_counts(1)[0] == 20354
     # each vector once, in box order: no symmetry reduction and no sample
     assert np.array_equal(np.vstack(handed), lat._box_vectors(1)[0])
     # every key holds over the box, as the rank-2 lemma certifies for all of N
