@@ -2,11 +2,14 @@
 isometry and its Gaussian hermitian structure, reflections, and glue.
 
 Lattices are integer Gram matrices on a chosen basis; vectors are integer
-coordinate columns.  Discriminant groups come from Smith normal form over
-Python integers.  Every finite quadratic form in use is 2-elementary, so a
-form lives on F2^a in the bitmask idiom of ``f2geom``: integer tables of
-2q mod 4 and 2b mod 2, built from the Gram matrix of the doubled generators,
-on which isomorphisms are searched by table lookups.
+coordinate columns.  Three integer algorithms on Python ints do the exact
+work: Smith normal form for the discriminant groups, the leading principal
+minors of one fraction-free elimination for det and signature (Jacobi's sign
+rule), and Faddeev-LeVerrier for the characteristic polynomial of rho.
+Every finite quadratic form in use is 2-elementary, so a form lives on F2^a
+in the bitmask idiom of ``f2geom``: integer tables of 2q mod 4 and 2b mod 2,
+built from the Gram matrix of the doubled generators, on which isomorphisms
+are searched by table lookups.
 
 N = U + U(2) + D4 + D4 has its D4 blocks inside Z^4 (even-sum vectors,
 negated standard product), where the order-4 isometry rho is defined.  As
@@ -40,7 +43,7 @@ from operator import xor
 
 import numpy as np
 
-from . import f2geom, linalg
+from . import f2geom
 from .linalg import abs_max, check_float_exact, exact_matmul
 
 QQ = Fraction
@@ -97,7 +100,7 @@ class GramLattice:
         return self.gram.shape[0]
 
     def det(self) -> int:
-        return _int_det(self.gram)
+        return (_leading_minors(self.gram) or [1])[-1]
 
     def is_even(self) -> bool:
         return all(int(self.gram[i, i]) % 2 == 0 for i in range(self.rank))
@@ -127,10 +130,10 @@ def named_lattice(name: str) -> GramLattice:
             gram = int(scale) * gram
         for _ in range(int(power) if power else 1):
             blocks.append(gram)
-    full = direct_sum_grams(blocks)
-    if _int_det(full) == 0:
+    lattice = GramLattice(name=name.replace(" ", ""), gram=direct_sum_grams(blocks))
+    if lattice.det() == 0:
         raise ValueError("degenerate lattice %r" % name)
-    return GramLattice(name=name.replace(" ", ""), gram=full)
+    return lattice
 
 
 def direct_sum_grams(blocks) -> np.ndarray:
@@ -144,63 +147,60 @@ def direct_sum_grams(blocks) -> np.ndarray:
     return out
 
 
-def _int_det(mat: np.ndarray) -> int:
-    """Exact determinant by fraction-free elimination (Bareiss)."""
-    a = [[int(x) for x in row] for row in mat]
+def _leading_minors(gram) -> list[int]:
+    """The leading principal minors d_1, ..., d_n of a symmetric integer
+    matrix after symmetric pivoting, by fraction-free (Bareiss) elimination
+    on Python ints.
+
+    A zero pivot is swapped with a later nonzero diagonal entry, or else row
+    and column j are added to row and column i for some j with a nonzero entry
+    in row i.  Both are congruences by matrices of determinant +-1, so they
+    keep det and inertia, and they act on the trailing block as on the matrix,
+    since its entries are minors bordered by one row and one column.  Once a
+    row of the trailing block vanishes the form is degenerate, and the
+    remaining minors are 0.
+    """
+    a = [[int(x) for x in row] for row in gram]
     n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
-
-
-def signature(gram: np.ndarray) -> tuple[int, int]:
-    """(positive, negative) inertia by exact symmetric diagonalization."""
-    n = gram.shape[0]
-    a = [[QQ(int(gram[i, j])) for j in range(n)] for i in range(n)]
-    pos = neg = 0
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("leading minors are taken of a symmetric matrix")
+    minors, prev = [], 1
     for i in range(n):
         if a[i][i] == 0:
-            j = next((k for k in range(i + 1, n) if a[k][k] != 0), None)
+            j = next((k for k in range(i + 1, n) if a[k][k]), None)
             if j is not None:
                 a[i], a[j] = a[j], a[i]
                 for row in a:
                     row[i], row[j] = row[j], row[i]
             else:
-                j = next((k for k in range(i + 1, n) if a[i][k] != 0), None)
+                j = next((k for k in range(i + 1, n) if a[i][k]), None)
                 if j is None:
-                    raise ValueError("degenerate form")
-                for k in range(n):
-                    a[i][k] += a[j][k]
-                for k in range(n):
-                    a[k][i] += a[k][j]
+                    return minors + [0] * (n - i)
+                a[i] = [x + y for x, y in zip(a[i], a[j])]
+                for row in a:
+                    row[i] += row[j]
         pivot = a[i][i]
         for r in range(i + 1, n):
-            f = a[r][i] / pivot
-            if f:
-                for k in range(n):
-                    a[r][k] -= f * a[i][k]
-                for k in range(n):
-                    a[k][r] -= f * a[k][i]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-    return pos, neg
+            for c in range(i + 1, n):
+                a[r][c] = (a[r][c] * pivot - a[r][i] * a[i][c]) // prev
+        minors.append(pivot)
+        prev = pivot
+    return minors
+
+
+def signature(gram: np.ndarray) -> tuple[int, int]:
+    """(positive, negative) inertia.  By Jacobi's rule, as every leading minor
+    is nonzero, the negative index is the number of sign changes along
+    1, d_1, ..., d_n."""
+    minors = _leading_minors(gram)
+    if 0 in minors:
+        raise ValueError("degenerate form")
+    neg = sum(x * y < 0 for x, y in zip([1] + minors, minors))
+    return len(minors) - neg, neg
 
 
 # ---------------------------------------------------------------------------
-# Smith and Hermite normal forms over Z
+# Smith normal form over Z
 
 
 def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -275,22 +275,6 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
     return a, u, v
-
-
-def hermite_row_basis(rows, ncols: int) -> list[list[int]]:
-    """Basis of the integer row span (full column rank expected)."""
-    d, _, v = smith_normal_form(rows)
-    vinv = linalg.invert(v)
-    basis = []
-    for i in range(min(len(rows), ncols)):
-        di = d[i][i]
-        if di == 0:
-            continue
-        row = [di * vinv[i][j] for j in range(ncols)]
-        if any(x.denominator != 1 for x in row):
-            raise ArithmeticError("non-integer row basis")
-        basis.append([int(x) for x in row])
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +449,14 @@ def overlattice(lattice: GramLattice, glue) -> GramLattice:
         raise ValueError("glue vector has non-even self intersection")
     if any((2 * x).denominator != 1 for x in glue):
         raise ValueError("glue must satisfy 2*glue in the lattice")
-    if all(x.denominator == 1 for x in glue):
+    doubled = [int(2 * (x % 1)) for x in glue]  # 2g' for g' = glue mod Z^n, entries 0 or 1
+    if not any(doubled):
         return lattice  # glue already inside
-    scaled = [[2 * int(i == j) for j in range(n)] for i in range(n)]
-    scaled.append([int(2 * x) for x in glue])
-    basis2 = np.array(hermite_row_basis(scaled, n), dtype=object)  # basis of 2*(new lattice)
+    # e_k = 2g' - (sum of the other e_i with doubled[i] = 1) for the first k
+    # with doubled[k] = 1: the other e_i and g' are a basis of Z^n + Z glue
+    k = doubled.index(1)
+    basis2 = np.array([[2 * int(i == j) for j in range(n)] for i in range(n) if i != k]
+                      + [doubled], dtype=object)  # basis of 2*(new lattice)
     gram4 = basis2 @ np.array(gram, dtype=object) @ basis2.T
     if (gram4 % 4).any():
         raise ArithmeticError("overlattice Gram is not integral")
@@ -514,16 +501,18 @@ def _rho1_block() -> np.ndarray:
 def _rho0_block() -> np.ndarray:
     """Order-4 isometry of the D4 coordinate model on its basis.
 
-    Ambient action (x1,x2,x3,x4) -> (x2,-x1,x4,-x3), rewritten on basis
-    coordinates: the matrix M with M = B^{-T} R B^T for basis rows B.
+    The ambient action R: (x1,x2,x3,x4) -> (x2,-x1,x4,-x3) keeps the even-sum
+    vectors; on basis coordinates it is the matrix M with B^T M = R B^T for
+    basis rows B, an integer identity checked here.
     """
     ambient = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
                        dtype=np.int64)
-    basis = _dn_basis(4)
-    sol = linalg.solve_right(basis.T, ambient @ basis.T)
-    if any(x.denominator != 1 for row in sol for x in row):
-        raise ArithmeticError("isometry does not preserve the sublattice")
-    return np.array([[int(x) for x in row] for row in sol], dtype=np.int64)
+    block = np.array([[-1, 1, 0, 0], [-2, 1, 0, 0], [-1, 0, 0, 1], [-1, 1, -1, 0]],
+                     dtype=np.int64)
+    basis_t = _dn_basis(4).T
+    if not np.array_equal(basis_t @ block, ambient @ basis_t):
+        raise ArithmeticError("the block is not the ambient action on the D4 basis")
+    return block
 
 
 @lru_cache(maxsize=None)
@@ -668,14 +657,6 @@ def _class_tables(isometries: np.ndarray):
     images = exact_matmul(isometries, _snf_data_N()[1])
     images, in_dual = _class_bits(np.swapaxes(images, -1, -2))  # row j: image of generator j
     return _to_model(_dictionary_bits()[1] @ images), in_dual.all(axis=-1)
-
-
-def induced_map_on_classes(isometry: np.ndarray):
-    """The permutation of the 64 model vectors induced by an isometry of N."""
-    tables, in_dual = _class_tables(np.asarray(isometry, dtype=np.int64)[None])
-    if not in_dual[0]:
-        raise ValueError("the map does not preserve the dual lattice")
-    return tuple(tables[0].tolist())
 
 
 def _acts_as_transvection(isometries: np.ndarray, deltas: np.ndarray):

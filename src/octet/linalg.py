@@ -153,12 +153,6 @@ def solve_right(mat: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[F
     return [row[n:] for row in rows[:n]]
 
 
-def invert(mat: Sequence[Sequence]) -> list[list[Fraction]]:
-    n = len(mat)
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    return solve_right(mat, eye)
-
-
 def rank_mod_p(rows: Iterable[Sequence[int]], ncols: int) -> int:
     """Rank over F_p, p = 2**31 - 1, of integer rows: a lower bound on their
     rank over Q.

@@ -268,16 +268,6 @@ def verify_S_equations_numeric(samples=DEFAULT_SAMPLES, order=20) -> dict[str, f
 # exact reduction of the 64-component form to the three types
 
 
-def assemble_form(order=20) -> dict[VectorType, QSeries]:
-    """The 64-component form collapsed to its three distinct components."""
-    return dict(zip(TYPES, h_components(order)))
-
-
-def expand_form(components: dict[VectorType, QSeries]) -> tuple[QSeries, ...]:
-    """All 64 components; the entry at a vector is the series of its type."""
-    return tuple(components[f2geom.classify(x)] for x in f2geom.SPACE)
-
-
 def type_indicator(kind: VectorType) -> list[int]:
     return [1 if f2geom.classify(x) is kind else 0 for x in f2geom.SPACE]
 

@@ -66,11 +66,6 @@ def canonical_tableau(rows) -> tuple[Tableau, int]:
     return tuple(fixed), sign
 
 
-def is_valid_tableau(t: Tableau) -> bool:
-    flat = [x for pair in t for x in pair]
-    return sorted(flat) == list(LABELS)
-
-
 def is_standard(t: Tableau) -> bool:
     seconds = [b for _, b in t]
     return all(x < y for x, y in zip(seconds, seconds[1:]))
@@ -136,34 +131,6 @@ def parse_config(pairs) -> Config:
     if any(a == 0 and b == 0 for a, b in config):
         raise ValueError("homogeneous coordinates must not both vanish")
     return config
-
-
-def _proj_equal(p, q) -> bool:
-    return p[0] * q[1] - p[1] * q[0] == 0
-
-
-def coincidence_profile(config: Config) -> list[int]:
-    groups = []
-    used = [False] * 8
-    for i in range(8):
-        if used[i]:
-            continue
-        size = 1
-        used[i] = True
-        for j in range(i + 1, 8):
-            if not used[j] and _proj_equal(config[i], config[j]):
-                used[j] = True
-                size += 1
-        groups.append(size)
-    return sorted(groups, reverse=True)
-
-
-def is_stable(config: Config) -> bool:
-    return coincidence_profile(config)[0] < 4
-
-
-def is_semistable(config: Config) -> bool:
-    return coincidence_profile(config)[0] < 5
 
 
 def det2(p, q) -> Fraction:

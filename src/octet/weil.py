@@ -6,7 +6,9 @@ The two generator matrices act on rational coordinate vectors indexed by the
 integer numpy matrices with an explicit denominator, so every computation in
 this module is exact; there are no tolerance parameters anywhere.  Matrices
 act on vectors in int64 arithmetic, and an input whose image could leave the
-int64 range raises OverflowError instead of wrapping.
+int64 range raises OverflowError instead of wrapping.  Products of matrices go
+through ``linalg.exact_matmul``, which raises it unless every partial sum
+stays below 2^53.
 """
 
 from __future__ import annotations
@@ -43,14 +45,12 @@ class RationalMatrix:
         return cls(np.eye(n, dtype=np.int64))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(self.num @ other.num, self.den * other.den)
+        product = linalg.exact_matmul(self.num, other.num).astype(np.int64)
+        return RationalMatrix(product, self.den * other.den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self.den == other.den \
             and np.array_equal(self.num, other.num)
-
-    def __hash__(self):
-        return hash((self.num.tobytes(), self.den))
 
     def trace(self) -> Fraction:
         return Fraction(int(self.num.trace()), self.den)

