@@ -14,7 +14,7 @@ Submodules:
   lift.
 - ``lattices``: Gram matrices, Smith normal form, discriminant forms, the
   order-4 fixed-point-free isometry with its Gaussian hermitian structure,
-  reflections, glue vectors, and box scans.
+  reflections, glue vectors, the norm -4 correspondence, and box counts.
 - ``tableaux``: pair tableaux, cross-ratio products, the dictionary onto
   totally singular subspaces, straightening, and exact relation discovery.
 - ``checks`` / ``cli``: the verification suites as named claims, with the one

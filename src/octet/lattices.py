@@ -23,13 +23,14 @@ The reflections of a norm -2 vector r (s_r, s_{rho r}, the pair and the
 quarter reflection) are I + V A V^T G, V = [r, rho r], for 2x2 matrices A; as
 rho is skew of square -1 and G(1 + rho) is even, their identities reduce to
 exact 2x2 identities in A: ``reflection_family_check`` covers every norm -2
-vector of N, not a box.  Box scans run over ``_box``: the rank-12 unit box is
-materialized once, in the cached ``_box_vectors``, and counts over larger
-boxes convolve per-block norm histograms, checked against it.  Vectors and
-matrices are numpy int64, but the unit-box scan, the class map and the
-reflection report hold integers in float64 and multiply them in BLAS through
-``linalg.exact_matmul``, which raises OverflowError unless n max|x| max|y|
-< 2^53 (n the inner dimension), the bound that keeps every sum exact.
+vector of N, not a box.  The norm -4 correspondence r <-> r + rho r and the
+quotient map phi are read off the same integer identities of rho
+(``_rho_identities``), so they too hold for every vector of N.  The one box
+enumerator, ``_box``, feeds only ``box_counts``, which convolves per-block
+norm histograms.  Vectors and matrices are numpy int64, but the class map and
+the reflection report hold integers in float64 and multiply them in BLAS
+through ``linalg.exact_matmul``, which raises OverflowError unless n max|x|
+max|y| < 2^53 (n the inner dimension), the bound that keeps every sum exact.
 """
 
 from __future__ import annotations
@@ -787,8 +788,10 @@ def _rho_identities() -> dict:
 
     skew: rho^T G = -G rho, i.e. <x, rho x> = 0 and h(x, x) real;
     half_sum_dual: G(1 + rho) even, i.e. (x + rho x)/2 lies in the dual;
+    square_minus_one: rho^2 = -1;
     quotient_trivial: (1 - rho) maps the dual into N, i.e. (1 - rho) 2G^{-1}
-    is even, as 2G^{-1} is integral.
+    is even, as 2G^{-1} is integral;
+    round_trip: (1 + rho)(1 - rho) = 2, i.e. phi((1 - rho)x) = x.
     """
     rho = order_four_isometry()
     gram = lattice_N().gram
@@ -798,6 +801,7 @@ def _rho_identities() -> dict:
         "half_sum_dual": not ((gram @ (eye + rho)) % 2).any(),
         "square_minus_one": np.array_equal(rho @ rho, -eye),
         "quotient_trivial": not (((eye - rho) @ _snf_data_N()[2]) % 2).any(),
+        "round_trip": np.array_equal((eye + rho) @ (eye - rho), 2 * eye),
     }
 
 
@@ -808,35 +812,30 @@ def _rho_identities() -> dict:
 def phi_map_check() -> dict:
     """phi(x) = (x + rho x)/2 maps onto the dual and identifies the quotients.
 
-    Exact matrix identities give phi(N) inside the dual and phi((1-i)x) = x;
-    the induced map on the 64 quotient classes is enumerated and must be a
-    bijection.
+    Exact matrix identities give phi(N) inside the dual and phi((1-i)x) = x,
+    so phi induces an F2-linear map from N/(1-i)N, of order the index of
+    (1-i)N = (I - rho)Z^12, to the 64 classes of the dual mod N.  With index
+    64 and invariant factors dividing 2 it is a bijection exactly when the
+    classes of phi(e_1), ..., phi(e_12) span F2^6.
     """
     rho = order_four_isometry()
     eye = np.eye(12, dtype=np.int64)
     identities = _rho_identities()
-    # (1-i)x = x - rho x; phi((1-i)x) = (I + rho)(I - rho)/2 = (I - rho^2)/2 = I
-    collapses = np.array_equal((eye + rho) @ (eye - rho), 2 * eye)
-    # coset representatives of (1-i)Lambda = (I - rho) Z^12
     d, _, _ = smith_normal_form(eye - rho)
     diag = [d[k][k] for k in range(12)]
-    index = prod(diag)
-    # with invariant factors dividing 2, 2Z^12 lies in (I - rho)Z^12, so the
-    # 0/1 vectors meet every coset; 2 phi(x) = x + rho x is an integer vector
-    reps = (np.arange(4096)[:, None] >> np.arange(12)) & 1
-    bits, in_dual = _class_bits(reps + reps @ rho.T)
-    classes = set((bits[in_dual] @ _WEIGHTS).tolist())
+    # row i of I + rho^T is 2 phi(e_i) = e_i + rho e_i
+    bits, in_dual = _class_bits(eye + rho.T)
     return {
         "into_dual": identities["half_sum_dual"],
-        "inverse_identity": collapses,
+        "inverse_identity": identities["round_trip"],
         "rho_trivial_on_quotient": identities["quotient_trivial"],
-        "bijective": index == 64 and set(diag) <= {1, 2} and len(classes) == 64
-        and bool(in_dual.all()),
+        "bijective": prod(diag) == 64 and set(diag) <= {1, 2} and bool(in_dual.all())
+        and len(f2geom.echelon_basis((bits @ _WEIGHTS).tolist())) == 6,
     }
 
 
 # ---------------------------------------------------------------------------
-# box scans
+# the norm -4 correspondence and box counts
 
 _BLOCK_SLICES = (slice(0, 4), slice(4, 8), slice(8, 12))
 
@@ -847,29 +846,6 @@ def _box(dim: int, bound: int) -> np.ndarray:
     side = np.arange(-bound, bound + 1, dtype=np.int64)
     grids = np.meshgrid(*([side] * dim), indexing="ij", copy=False)
     return np.stack(grids, axis=-1).reshape(-1, dim)
-
-
-@lru_cache(maxsize=None)
-def _box_vectors(bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The norm -2 vectors, and the norm -4 vectors pairing evenly with N, of
-    [-bound, bound]^12 (read-only float64, lexicographic order).  The only
-    place the rank-12 box is scanned, once per bound: one slice per point of
-    the first four coordinates, so the whole box is never held at once."""
-    gram = lattice_N().gram
-    check_float_exact(12 * bound * 12 * bound * abs_max(gram))  # |x^T G x| for x in the box
-    tail = _box(8, bound).astype(np.float64)
-    minus2, minus4 = [], []
-    for head in _box(4, bound):
-        pts = np.hstack([np.broadcast_to(head, (len(tail), 4)), tail])
-        g_pts = exact_matmul(pts, gram)
-        norms = np.einsum("ij,ij->i", pts, g_pts)
-        four = norms == -4
-        minus2.append(pts[norms == -2])
-        minus4.append(pts[four][~(g_pts[four] % 2).any(axis=1)])
-    out = (np.vstack(minus2), np.vstack(minus4))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
 
 
 def _box_norm_count(bound: int, target: int, need_even: bool) -> int:
@@ -895,71 +871,42 @@ def box_counts(bound: int) -> list[int]:
     return [_box_norm_count(bound, -2, False), _box_norm_count(bound, -4, True)]
 
 
-# (2 bound + 1)^4 rows per block scan: at most 31^4 < 2^20, a peak near 230 MB
+# (2 bound + 1)^4 rows per block histogram: at most 31^4 < 2^20, and a peak RSS
+# near 122 MB (92 MB above the loaded lattice layer) at bound 15
 MAX_SCAN_BOUND = 15
 
 
 def minus4_vector_scan(bound: int = 3) -> tuple[dict[str, bool], list[int]]:
-    """Exhaustive box verification of the norm -4 / norm -2 correspondence.
+    """The norm -4 / norm -2 correspondence for every vector of N, and the
+    counts of both sides in the box [-bound, bound]^12.
 
-    The Gram matrix and the isometry are block diagonal, so every per-vector
-    condition over the full coordinate box factors through the three blocks:
-    the per-block scans below are exhaustive over [-bound, bound]^12 without
-    materializing the 7^12 tuples.  The direct scan of the unit box,
-    materialized once per process by ``_box_vectors``, checks the same
-    inclusions vector by vector and cross-checks the convolved counts.
+    forward: a norm -2 vector r gives delta = r + rho r of norm -2 + 0 - 2 =
+    -4 (rho skew of square -1), and G delta = G(1 + rho)r is even, so delta/2
+    lies in the dual.  converse: a norm -4 vector delta with delta/2 in the
+    dual is 2G^{-1}(G delta/2), so (1 - rho)delta is even, and r = (1 -
+    rho)delta/2 has norm (-4 - 0 - 4)/4 = -2.  direct: (1 + rho)(1 - rho) = 2,
+    so the two maps are mutually inverse, and G and rho have no entry off the
+    three blocks of ``_BLOCK_SLICES``, under which ``box_counts`` is an exact
+    count by convolution.
 
-    Returns the verdicts on the forward inclusion (r to r + rho r), the
-    converse and the direct scan, and the ``box_counts`` of the box,
-    recomputed on every call by convolving per-block norm histograms; the
-    determinism claim compares them with a fresh ``box_counts`` call, not with
-    a second scan.  A bound outside 2..``MAX_SCAN_BOUND`` raises ValueError
-    before any allocation.
+    The counts are recomputed on every call; the determinism claim compares
+    them with a fresh ``box_counts`` call.  A bound outside
+    2..``MAX_SCAN_BOUND`` raises ValueError before any allocation.
     """
     if not 2 <= bound <= MAX_SCAN_BOUND:
         raise ValueError("bound must lie in [2, %d]" % MAX_SCAN_BOUND)
-    gram = lattice_N().gram
-    rho = order_four_isometry()
     identities = _rho_identities()
-    sum_half_dual = glue_parity = True
-    pts = _box(4, bound)
+    plane = identities["skew"] and identities["square_minus_one"]
+    on_blocks = np.zeros((12, 12), dtype=bool)
     for sl in _BLOCK_SLICES:
-        g, r = gram[sl, sl], rho[sl, sl]
-        rho_pts = pts @ r.T
-        g_pts = pts @ g.T
-        even_pair = ~(g_pts % 2).any(axis=1)
-        sum_half_dual &= not ((g_pts + rho_pts @ g.T) % 2).any()
-        glue_parity &= not ((pts - rho_pts)[even_pair] % 2).any()
+        on_blocks[sl, sl] = True
+    off_blocks = lattice_N().gram[~on_blocks].any() or order_four_isometry()[~on_blocks].any()
     inclusions = {
-        "forward": glue_parity and identities["skew"] and identities["square_minus_one"],
-        "converse": sum_half_dual and identities["skew"],
-        "direct": _direct_scan(),
+        "forward": plane and identities["half_sum_dual"],
+        "converse": plane and identities["quotient_trivial"],
+        "direct": identities["round_trip"] and not off_blocks,
     }
     return inclusions, box_counts(bound)
-
-
-def _direct_scan() -> bool:
-    """Verify the two inclusions vector by vector over the materialized unit
-    box, and its counts against the convolved ones.  Products go through
-    ``exact_matmul``; parity is read as x - 2 floor(x/2) on the float rows."""
-    gram = lattice_N().gram
-    rho = order_four_isometry()
-    r_vecs, deltas = _box_vectors(1)
-
-    rho_r = exact_matmul(r_vecs, rho.T)
-    sums = r_vecs + rho_r
-    g_sums = exact_matmul(sums, gram)
-    forward = (bool((np.einsum("ij,ij->i", sums, g_sums) == -4).all())
-               and not (g_sums - 2 * np.floor(g_sums * 0.5)).any()
-               and not np.einsum("ij,ij->i", exact_matmul(r_vecs, gram), rho_r).any())
-
-    diff = deltas - exact_matmul(deltas, rho.T)
-    half = np.floor(diff * 0.5)
-    integral = np.array_equal(half + half, diff)
-    half_norms = np.einsum("ij,ij->i", half, exact_matmul(half, gram))
-    converse = (integral and bool((half_norms == -2).all())
-                and np.array_equal(half + exact_matmul(half, rho.T), deltas))
-    return forward and converse and [len(r_vecs), len(deltas)] == box_counts(1)
 
 
 # ---------------------------------------------------------------------------

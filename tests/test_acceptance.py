@@ -160,7 +160,7 @@ def test_criterion_11_lattice_suite():
           and all(refl.values()) and family
           and all(inclusions.values()))
     _report(11, "lattice suite (dictionary, glue, table rows, isometry, "
-                "reflections, box scan)", ok)
+                "reflections, norm -4 correspondence)", ok)
 
 
 def test_criterion_12_tableaux():

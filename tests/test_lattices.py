@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as QQ
 from functools import lru_cache
 from itertools import product as iproduct
@@ -293,23 +294,92 @@ def test_int64_guards_raise_instead_of_wrapping():
     with pytest.raises(OverflowError):
         lat.reflection_identities(r)
     with pytest.raises(OverflowError):
-        lat._reflection_report(np.vstack([lat._box_vectors(1)[0][:3], r]))
+        lat._reflection_report(np.vstack([_unit_box_vectors()[0][:3], r]))
+
+
+# Oracle: the unit box materialized and the norm -4 correspondence checked
+# vector by vector over it, and the per-block parity sweep over a larger box,
+# as the lattices module computed them before the identities of rho.
+
+
+@lru_cache(maxsize=None)
+def _unit_box_vectors():
+    """The norm -2 vectors, and the norm -4 vectors pairing evenly with N, of
+    [-1, 1]^12 (read-only float64, lexicographic order), over ``lat._box``, the
+    enumerator of ``box_counts``: one slice per point of the first four
+    coordinates, so the whole box is never held at once."""
+    gram = lat.lattice_N().gram
+    tail = lat._box(8, 1).astype(np.float64)
+    minus2, minus4 = [], []
+    for head in lat._box(4, 1):
+        pts = np.hstack([np.broadcast_to(head, (len(tail), 4)), tail])
+        g_pts = linalg.exact_matmul(pts, gram)
+        norms = np.einsum("ij,ij->i", pts, g_pts)
+        four = norms == -4
+        minus2.append(pts[norms == -2])
+        minus4.append(pts[four][~(g_pts[four] % 2).any(axis=1)])
+    out = (np.vstack(minus2), np.vstack(minus4))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _direct_scan():
+    """Both inclusions of the correspondence vector by vector over the unit
+    box, and its counts against the convolved ``box_counts(1)``.  Parity is
+    read as x - 2 floor(x/2) on the float rows."""
+    gram = lat.lattice_N().gram
+    rho = lat.order_four_isometry()
+    r_vecs, deltas = _unit_box_vectors()
+
+    rho_r = linalg.exact_matmul(r_vecs, rho.T)
+    sums = r_vecs + rho_r
+    g_sums = linalg.exact_matmul(sums, gram)
+    forward = (bool((np.einsum("ij,ij->i", sums, g_sums) == -4).all())
+               and not (g_sums - 2 * np.floor(g_sums * 0.5)).any()
+               and not np.einsum("ij,ij->i", linalg.exact_matmul(r_vecs, gram), rho_r).any())
+
+    diff = deltas - linalg.exact_matmul(deltas, rho.T)
+    half = np.floor(diff * 0.5)
+    integral = np.array_equal(half + half, diff)
+    half_norms = np.einsum("ij,ij->i", half, linalg.exact_matmul(half, gram))
+    converse = (integral and bool((half_norms == -2).all())
+                and np.array_equal(half + linalg.exact_matmul(half, rho.T), deltas))
+    return forward and converse and [len(r_vecs), len(deltas)] == lat.box_counts(1)
+
+
+def _block_parity_sweep(bound):
+    """Per block over [-bound, bound]^4, hence over the whole box as G and rho
+    are block diagonal: whether G(x + rho x) is even at every x, and whether
+    x - rho x is even at every x pairing evenly with N."""
+    gram, rho = lat.lattice_N().gram, lat.order_four_isometry()
+    pts = lat._box(4, bound)
+    sum_half_dual = glue_parity = True
+    for sl in lat._BLOCK_SLICES:
+        g, r = gram[sl, sl], rho[sl, sl]
+        rho_pts, g_pts = pts @ r.T, pts @ g.T
+        sum_half_dual &= not ((g_pts + rho_pts @ g.T) % 2).any()
+        glue_parity &= not ((pts - rho_pts)[~(g_pts % 2).any(axis=1)] % 2).any()
+    return sum_half_dual, glue_parity
 
 
 def test_minus4_scan():
     inclusions, counts = lat.minus4_vector_scan(3)
     assert inclusions == {"forward": True, "converse": True, "direct": True}
     assert counts == [42737426, 958270]
+    # the identities, for every vector, agree with the bound-3 parity sweep
+    assert _block_parity_sweep(3) == (True, True)
     # e - f, of norm -2, is one of the vectors the direct scan covers
-    assert (lat._box_vectors(1)[0] == lat.E_MINUS_F).all(axis=1).any()
+    assert (_unit_box_vectors()[0] == lat.E_MINUS_F).all(axis=1).any()
     with pytest.raises(ValueError):
         lat.minus4_vector_scan(1)
 
 
 def test_scan_counts_at_unit_box_agree_with_direct():
-    r_vecs, deltas = lat._box_vectors(1)
+    r_vecs, deltas = _unit_box_vectors()
     assert [len(r_vecs), len(deltas)] == lat.box_counts(1)
-    assert lat._direct_scan()
+    assert len(r_vecs) == 20354
+    assert _direct_scan()
 
 
 def test_lattice_suite_scans_once(monkeypatch):
@@ -324,12 +394,12 @@ def test_lattice_suite_scans_once(monkeypatch):
 
 
 def test_direct_scan_fails_when_the_convolved_counts_disagree(monkeypatch):
+    # the correspondence is proved for every vector, so only the oracle's
+    # vector-by-vector count sees a wrong convolution
     count = lat._box_norm_count
     monkeypatch.setattr(lat, "_box_norm_count", lambda *args: count(*args) + 1)
-    assert lat.minus4_vector_scan(2)[0] == {"forward": True, "converse": True, "direct": False}
-    reports = {r.name: r for r in checks.run_suite("lattice", checks.RunConfig(box_bound=2))}
-    assert reports["lattice.norm_minus4_correspondence"].status == "fail"
-    assert reports["lattice.norm_minus4_correspondence"].actual["direct"] is False
+    assert not _direct_scan()
+    assert all(lat.minus4_vector_scan(2)[0].values())
 
 
 def test_reflection_plane_complement():
@@ -400,7 +470,7 @@ def _reference_reflections(r):
 
 def _box_slice():
     """A deterministic slice of the norm -2 vectors of the unit box."""
-    return lat._box_vectors(1)[0][::509]
+    return _unit_box_vectors()[0][::509]
 
 
 def test_class_tables_match_fraction_reference():
@@ -462,7 +532,7 @@ def _box_sweep(rows=256):
     """Oracle for the rank-2 lemma: the batched report over every norm -2
     vector of the unit box, in slices of ``rows``, each key true when it holds
     at every vector."""
-    vecs = lat._box_vectors(1)[0]
+    vecs = _unit_box_vectors()[0]
     reports = [lat._reflection_report(vecs[i:i + rows]) for i in range(0, len(vecs), rows)]
     return {key: all(rep[key] for rep in reports) for key in reports[0]}
 
@@ -472,7 +542,7 @@ def test_reflection_family_examines_every_box_vector(monkeypatch):
     sweep = _box_sweep()
     assert sum(map(len, handed)) == lat.box_counts(1)[0] == 20354
     # each vector once, in box order: no symmetry reduction and no sample
-    assert np.array_equal(np.vstack(handed), lat._box_vectors(1)[0])
+    assert np.array_equal(np.vstack(handed), _unit_box_vectors()[0])
     # every key holds over the box, as the rank-2 lemma certifies for all of N
     assert sweep == dict.fromkeys(sweep, True)
     assert lat.reflection_family_check() is True
@@ -526,6 +596,63 @@ def test_reflection_family_fails_for_a_wrong_rho(monkeypatch, fresh_rho_identiti
     assert {r.name: r.status for r in reports}["lattice.reflection_family"] == "fail"
 
 
+@pytest.mark.parametrize("sign", [-1, 1], ids=["minus_identity", "identity"])
+def test_correspondence_and_phi_fail_for_a_wrong_rho(monkeypatch, fresh_rho_identities, sign):
+    """Negative control: +-I is not skew, and (1 + rho)(1 - rho) = 0, so every
+    key of the correspondence turns False and both report lines fail."""
+    monkeypatch.setattr(lat, "order_four_isometry", lambda: sign * np.eye(12, dtype=np.int64))
+    assert lat.minus4_vector_scan(2)[0] == dict.fromkeys(("forward", "converse", "direct"), False)
+    assert lat.phi_map_check()["inverse_identity"] is False
+    statuses = {r.name: r.status for r in checks.run_suite("lattice", checks.RunConfig(box_bound=2))}
+    assert statuses["lattice.norm_minus4_correspondence"] == "fail"
+    assert statuses["lattice.half_sum_quotient_map"] == "fail"
+
+
+def _phi_bijective_by_enumeration():
+    """Oracle for ``phi_map_check``: with invariant factors of I - rho dividing
+    2, the 4096 0/1 vectors meet every coset of (1 - rho)Z^12, and phi is
+    bijective when their images, all in the dual, reach all 64 classes."""
+    rho = lat.order_four_isometry()
+    reps = (np.arange(4096)[:, None] >> np.arange(12)) & 1
+    bits, in_dual = lat._class_bits(reps + reps @ rho.T)
+    return bool(in_dual.all()) and len(set((bits @ (1 << np.arange(6))).tolist())) == 64
+
+
+def test_phi_bijection_by_generators_agrees_with_the_coset_sweep():
+    assert lat.phi_map_check()["bijective"] is _phi_bijective_by_enumeration() is True
+
+
+@pytest.mark.parametrize("column", [0, 5])
+def test_phi_bijection_fails_for_a_lost_class_bit(monkeypatch, column):
+    """Negative control: with one class bit read as 0, phi reaches only 32
+    classes; the generators and the coset sweep must both see it."""
+    class_bits = lat._class_bits
+
+    def lossy(doubled):
+        bits, in_dual = class_bits(doubled)
+        bits = bits.copy()
+        bits[..., column] = 0
+        return bits, in_dual
+
+    monkeypatch.setattr(lat, "_class_bits", lossy)
+    assert lat.phi_map_check()["bijective"] is _phi_bijective_by_enumeration() is False
+
+
+def test_lattice_suite_allocates_no_unit_box():
+    # the parent materialized the unit box here, an 11.6 MB tracemalloc peak;
+    # every cache of the module is cleared so the suite runs cold
+    for fn in vars(lat).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    tracemalloc.start()
+    try:
+        assert checks.all_passed(checks.run_suite("lattice", checks.RunConfig()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_reflection_family_fails_for_a_perturbed_quarter(monkeypatch):
     """Negative control: C = [[1/2, 1/2], [1/2, 1/2]] is the reflection in
     delta = r + rho r, an integral isometry inducing the transvection, but of
@@ -562,21 +689,6 @@ def test_scan_rejects_an_oversized_bound_before_allocating(monkeypatch):
     for bound in (lat.MAX_SCAN_BOUND + 1, 100, 1):
         with pytest.raises(ValueError):
             lat.minus4_vector_scan(bound)
-
-
-def test_unit_box_is_built_once(monkeypatch):
-    calls = []
-    box = lat._box
-
-    def counting_box(dim, bound):
-        calls.append((dim, bound))
-        return box(dim, bound)
-
-    monkeypatch.setattr(lat, "_box", counting_box)
-    lat._box_vectors.cache_clear()
-    assert all(lat.minus4_vector_scan(2)[0].values())
-    assert all(lat.minus4_vector_scan(2)[0].values())
-    assert calls.count((8, 1)) == 1  # the box is scanned as slices over _box(8, 1)
 
 
 # Reference: finite quadratic forms on products of cyclic groups with
