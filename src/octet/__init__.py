@@ -21,10 +21,11 @@ Submodules:
   runner that turns them into deterministic report lines, and the
   command-line front end.
 
-Only ``weil``, ``linalg``, ``lattices`` and ``tableaux`` import numpy, each where first
-used, so ``cli``, ``checks``, ``f2geom`` and ``qseries`` import without it.  In
-``f2geom`` only the explicit group closure ``_group_table`` imports numpy, and no
-command runs it.
+Every exact computation runs on Python ints and Fractions, so none can wrap
+or round; the inversion residuals of ``qseries`` are the only floats.  No
+module imports numpy.  ``cli`` imports ``weil``,
+``lattices`` and ``tableaux`` where a command first uses them, so commands
+that need none of them start without loading them.
 """
 
 __version__ = "0.1.0"

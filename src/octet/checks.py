@@ -34,6 +34,9 @@ class RunConfig:
     tolerance: str = "1e-9"
 
     def __post_init__(self):
+        # the sampler reads a seed as 64 bits; a wider one would alias another
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2**64), got %d" % self.seed)
         try:
             valid = 0 < float(self.tolerance) < math.inf
         except (TypeError, ValueError):

@@ -3,8 +3,9 @@
 ``octet verify <selector>`` runs a suite and writes one JSON object per check
 (exit code 0 when everything passes, 1 otherwise); ``octet compute <command>``
 emits a single JSON document.  The OCTET_REPORT_DIR environment variable
-redirects relative output paths.  Commands import the numpy-backed ``weil`` and
-``tableaux`` where they use them, so ``compute hseries`` and ``subspaces`` load no numpy.
+redirects relative output paths.  ``weil``, ``lattices`` and ``tableaux`` are
+imported where a command first uses them, so that ``compute hseries``,
+``subspaces`` and ``group`` start without loading them.
 """
 
 from __future__ import annotations
@@ -59,6 +60,14 @@ def _tolerance(text: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _seed(text: str) -> int:
+    """The --seed flag, once ``RunConfig`` accepts it."""
+    try:
+        return RunConfig(seed=int(text)).seed
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default=None,
                         help="output file (relative paths honor OCTET_REPORT_DIR)")
@@ -66,7 +75,7 @@ def _add_out_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """The RunConfig fields, for ``verify``."""
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=_seed, default=42)
     parser.add_argument("--order", type=int, default=20)
     parser.add_argument("--samples", type=int, default=300)
     parser.add_argument("--bound", type=int, default=3)
@@ -235,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     relations = csub.add_parser("relations", help="exact relation kernel")
     relations.add_argument("--degree", type=int, default=2, choices=(1, 2))
-    relations.add_argument("--seed", type=int, default=42)
+    relations.add_argument("--seed", type=_seed, default=42)
     relations.add_argument("--samples", type=int, default=300)
     _add_out_flag(relations)
 

@@ -10,9 +10,8 @@ bilinear form.  Subspaces are canonical reduced-echelon tuples of basis
 vectors, so they compare by equality; ``all_subspaces`` enumerates these
 bases directly, and every enumeration is deterministic.  The order of the
 orthogonal group and its action on q are certified from the Coxeter
-presentation of S8 in pure Python.  Only ``_group_table``, the explicit
-40320-element closure that ``group_elements`` lists, uses numpy, imported
-inside it; no check reads it.
+presentation of S8; no check reads the explicit 40320-element closure that
+``group_elements`` lists.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import enum
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import factorial
+from operator import itemgetter
 
 DIM = 6
 SPACE = tuple(range(64))
@@ -120,48 +120,22 @@ def transvections_are_involutions() -> bool:
 
 
 @lru_cache(maxsize=None)
-def _group_table():
-    """The 40320 x 64 table of images, row g holding (g(0), ..., g(63)), in
-    lexicographic order of rows; read-only uint8, cached for the process.
-
-    The group acts linearly, so an element is fixed by its images of the six
-    basis vectors, packed 6 bits each into one int64 key with the image of e1
-    highest.  The breadth-first closure of the 28 transvections runs on these
-    keys, kept sorted: fresh distinct candidates are found by binary search
-    and inserted in place.  An image x is the XOR of the basis images at the
-    bits of x, all at most x, so the first difference of two elements lies at
-    a basis vector and sorted keys are in lexicographic order.
-    """
-    import numpy as np
-    gens = np.array(all_transvections(), dtype=np.int64)
-    shifts = 6 * np.arange(DIM - 1, -1, -1, dtype=np.int64)
-    weights = 1 << shifts
-    identity = np.array(BASIS) @ weights
-    frontier = gens[:, BASIS]  # the generators' basis images
-    seen = np.unique(np.append(frontier @ weights, identity))
-    while len(frontier):
-        # keys of g h, g a generator and h in the frontier, one basis image at a time
-        keys = sum(gens[:, images] << s for images, s in zip(frontier.T, shifts)).ravel()
-        keys.sort()
-        pos = np.searchsorted(seen, keys)
-        new = (seen.take(pos, mode="clip") != keys) & np.append(True, keys[1:] != keys[:-1])
-        seen = np.insert(seen, pos[new], keys[new])
-        frontier = (keys[new][:, None] >> shifts) & 63
-    basis_images = ((seen[:, None] >> shifts) & 63).astype(np.uint8)
-    table = np.zeros((len(seen), 64), dtype=np.uint8)
-    for x in range(1, 64):
-        low = x & -x
-        table[:, x] = table[:, x ^ low] ^ basis_images[:, low.bit_length() - 1]
-    table.flags.writeable = False
-    return table
-
-
 def group_elements() -> tuple[Perm, ...]:
-    """The closure of the 28 transvections, sorted lexicographically: the
-    rows of the cached image table as tuples of Python ints.  The tuples take
-    ≈ 22 MB and are built per call, not cached.  No check reads the closure;
-    ``group_order`` and ``group_preserves_form`` rest on the presentation."""
-    return tuple(map(tuple, _group_table().tolist()))
+    """The closure of the 28 transvections, sorted lexicographically, cached;
+    no check reads it.  It runs on the images of the six basis vectors, which
+    fix a linear map.  The image of x is the XOR of the basis images at the
+    bits of x, all at most x, so sorted basis images sort the elements."""
+    gens, seen, frontier = all_transvections(), {BASIS}, {BASIS}
+    while frontier:  # breadth first: g h for g a generator and h in the frontier
+        frontier = {pick(g) for h in frontier for pick in [itemgetter(*h)] for g in gens} - seen
+        seen |= frontier
+    elements = []
+    for images in sorted(seen):
+        table = [0]  # the images of the x below 2^k, once basis image k is added
+        for image in images:
+            table += [x ^ image for x in table]
+        elements.append(tuple(table))
+    return tuple(elements)
 
 
 def coxeter_relations(gens, compose, identity) -> bool:

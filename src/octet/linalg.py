@@ -1,6 +1,7 @@
 """Exact linear algebra over the rationals, by fraction-free integer elimination.
 
-There are no tolerances anywhere.  The central object is :class:`EchelonForm`,
+There are no tolerances anywhere, and every number is a Python int or a
+Fraction, so no arithmetic wraps or rounds.  The central object is :class:`EchelonForm`,
 an incrementally maintained reduced row echelon form: rows are fed one at a
 time, and it doubles as an exact membership test for row spans.  Inside,
 every row is a primitive list of Python ints, so neither elimination nor the
@@ -9,22 +10,23 @@ Fractions appear only where rows come in with rational entries and where
 results go out, as in ``nullspace``.
 
 :func:`rank_mod_p` is exact arithmetic over the prime field F_p,
-p = 2**31 - 1, in numpy int64.  The rank it returns is a lower bound on the rank over Q (a minor
+p = 2**31 - 1.  The rank it returns is a lower bound on the rank over Q (a minor
 that vanishes over Q vanishes mod p), so it can certify that rows reach a
 rank, never that they stay below one; an upper bound needs an identity.
 
-:func:`exact_matmul` multiplies integer arrays in float64 BLAS, exactly: it
-raises OverflowError unless n max|x| max|y| < 2**53 bounds every partial sum.
+:func:`matmul` is the integer matrix product, and :func:`nonzero_products`
+tells which rows of a product are nonzero.  They and ``rank_mod_p`` pack a
+row into one int, one fixed-width slot per entry, so that a row operation is
+one big-int multiply-add.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
-from operator import index
+from operator import index, mul
 from typing import Iterable, Sequence
-
-import numpy as np
 
 MERSENNE_31 = 2**31 - 1
 
@@ -153,52 +155,76 @@ def solve_right(mat: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[F
     return [row[n:] for row in rows[:n]]
 
 
-def rank_mod_p(rows: Iterable[Sequence[int]], ncols: int) -> int:
+def _pack(row: Sequence[int], width: int) -> int:
+    """The entries in slots of ``width`` bits, entry j in slot j (signed)."""
+    packed = 0
+    for x in reversed(row):
+        packed = (packed << width) + x
+    return packed
+
+
+def _unpack(packed: int, n: int, width: int) -> list[int]:
+    """The n entries of a packed row, each of size below 2**(width - 1)."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    out = []
+    for _ in range(n):
+        x = packed & mask
+        if x >= half:
+            x -= 1 << width
+        out.append(x)
+        packed = (packed - x) >> width
+    return out
+
+
+def _packed_products(a, b) -> tuple[list[int], int]:
+    """The rows of a @ b, each a sum of packed rows of b over the nonzero
+    entries of a row of a, in slots that hold k max|a| max|b| (k = len(b))."""
+    bound = len(b)
+    for mat in (a, b):
+        bound *= max((max(max(row), -min(row)) for row in mat if row), default=0)
+    width = bound.bit_length() + 1
+    packed = [_pack(row, width) for row in b]
+    return [sum(map(mul, compress(row, row), compress(packed, row))) for row in a], width
+
+
+def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """a @ b for integer matrices given as rows, as a tuple of int tuples."""
+    sums, width = _packed_products(a, b)
+    zero = (0,) * (len(b[0]) if b else 0)
+    return tuple(tuple(_unpack(s, len(zero), width)) if s else zero for s in sums)
+
+
+def nonzero_products(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[bool]:
+    """Per row of a: whether its row of a @ b is nonzero, without unpacking it."""
+    return [bool(s) for s in _packed_products(a, b)[0]]
+
+
+def rank_mod_p(rows: Iterable[Sequence[int]], ncols: int, upper: int | None = None) -> int:
     """Rank over F_p, p = 2**31 - 1, of integer rows: a lower bound on their
-    rank over Q.
+    rank over Q.  Rows are fed one at a time until the rank reaches ``upper``
+    (default ``ncols``), an upper bound the caller has proved.
 
-    Gaussian elimination on residues in [0, p) in numpy int64.  A pivot clears
-    only the rows below it that are nonzero in its column, from that column on
-    (the entries skipped are zero): row x with entry a becomes
-    (x + (p - a) * pivot row) mod p, below 2**63 before reduction.
-    """
+    Pivot rows are packed, with residues in [0, p), 1 at the pivot and 0
+    before it.  A new row adds (p - a) times each pivot row, in column order,
+    for the residue a in its column: below p**2 < 2**62 per slot and pivot, so
+    slots of 63 + log2(ncols) bits, in whole bytes, never carry."""
     p = MERSENNE_31
-    m = np.array([[index(x) % p for x in row] for row in rows],
-                 dtype=np.int64).reshape(-1, ncols)
-    rank = 0
-    for col in range(ncols):
-        nonzero = rank + np.flatnonzero(m[rank:, col])
-        if not len(nonzero):
-            continue
-        m[[rank, nonzero[0]]] = m[[nonzero[0], rank]]
-        pivot_row = m[rank, col:] * pow(int(m[rank, col]), -1, p) % p
-        hit = nonzero[1:]  # rows the swap left in place
-        m[hit, col:] = (m[hit, col:] + (p - m[hit, col, None]) * pivot_row) % p
-        rank += 1
-        if rank == len(m):
+    size = (63 + ncols.bit_length() + 7) // 8
+    width, mask = 8 * size, (1 << 8 * size) - 1
+    pivots: dict[int, int] = {}
+    for row in rows:
+        if len(pivots) >= (ncols if upper is None else upper):
             break
-    return rank
-
-
-def abs_max(*arrays) -> int:
-    """The largest |entry| of the arrays, as a Python int (0 if all are empty)."""
-    return max(max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in arrays)
-
-
-def check_float_exact(bound: int) -> None:
-    """Raise OverflowError unless bound < 2**53: integers up to it are exact in float64."""
-    if bound >= 2**53:
-        raise OverflowError("entries too large for exact float64 arithmetic")
-
-
-def exact_matmul(x, y) -> np.ndarray:
-    """x @ y of integer arrays, multiplied in float64 BLAS; a float64 result.
-
-    Raises OverflowError unless n max|x| max|y| < 2**53 for the inner
-    dimension n.  Under that bound every product and every partial sum is an
-    integer below 2**53 in size, exactly represented, so the result is exact
-    whatever the summation order or FMA use.
-    """
-    x, y = np.asarray(x), np.asarray(y)
-    check_float_exact(x.shape[-1] * abs_max(x) * abs_max(y))
-    return np.matmul(x.astype(np.float64, copy=False), y.astype(np.float64, copy=False))
+        packed = _pack([index(x) % p for x in row], width)
+        for col in sorted(pivots):
+            a = (packed >> width * col & mask) % p
+            if a:
+                packed += (p - a) * pivots[col]
+        data = packed.to_bytes(size * ncols, "little")
+        residues = [int.from_bytes(data[k:k + size], "little") % p
+                    for k in range(0, len(data), size)]
+        lead = next((j for j, x in enumerate(residues) if x), None)
+        if lead is not None:
+            inverse = pow(residues[lead], -1, p)
+            pivots[lead] = _pack([x * inverse % p for x in residues], width)
+    return len(pivots)

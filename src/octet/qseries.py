@@ -7,8 +7,8 @@ coefficient of the three components is an integer on this half grid, which
 is also the serialization contract.  The translation equations are checked
 exactly on coefficients; the inversion equations are measured numerically
 through the eta products, whose float residuals are the only inexact values
-(``checks`` judges them against its tolerance).  The module imports no numpy:
-only ``assemble_and_reduce`` needs the Weil matrices, and it imports ``weil``.
+(``checks`` judges them against its tolerance).  Only ``assemble_and_reduce``
+needs the Weil matrices, and it imports ``weil`` where it runs.
 """
 
 from __future__ import annotations

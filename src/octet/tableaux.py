@@ -33,8 +33,6 @@ from math import factorial
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
 from . import f2geom, lattices, linalg
 from .sampling import SplitMix64
 
@@ -345,9 +343,7 @@ def equivariance_check(n_pairs: int = 20, seed: int = 42) -> dict:
         m_sigma = action_matrix(sigma)
         m_tau = action_matrix(tau)
         m_comp = action_matrix(composed)
-        product = [[sum(m_sigma[i][k] * m_tau[k][j] for k in range(14))
-                    for j in range(14)] for i in range(14)]
-        if product != m_comp:
+        if linalg.matmul(m_sigma, m_tau) != tuple(map(tuple, m_comp)):
             hom_ok = False
         g_sigma = induced_model_map(sigma)
         for t in tabs[:12]:
@@ -497,17 +493,22 @@ def polynomial_kernel(degree: int) -> tuple[tuple[Fraction, ...], ...]:
     products that hold as polynomial identities: the canonical (RREF) kernel
     basis of ``polynomial_rows(degree)``, exact.  Rows are fed in blocks of
     32; a pending row that the integer kernel of the fed rows annihilates
-    lies in their span and is dropped.  A closing exact product shows that
-    the returned kernel annihilates every row, so it is their whole kernel."""
-    rows = np.array(polynomial_rows(degree))
-    ech = linalg.EchelonForm(rows.shape[1])
-    pending = rows
-    while len(pending):
-        block, pending = pending[:32], pending[32:]
-        ech.add_rows(block.tolist())
-        kernel = np.array(ech.integer_kernel(), dtype=np.int64).reshape(-1, rows.shape[1])
-        pending = pending[linalg.exact_matmul(pending, kernel.T).any(axis=1)]
-    if linalg.exact_matmul(rows, kernel.T).any():
+    lies in their span and is dropped.  Pending rows are tested in order, 32
+    at a time, only until the next block is full.  A closing check that the
+    returned kernel annihilates every row shows that it is their whole kernel."""
+    rows = polynomial_rows(degree)
+    ech = linalg.EchelonForm(len(rows[0]))
+    block, pending = rows[:32], rows[32:]
+    while block:
+        ech.add_rows(block)
+        kernel = tuple(zip(*ech.integer_kernel()))  # one column per kernel vector
+        block = []
+        while pending and len(block) < 32:
+            chunk, pending = pending[:32], pending[32:]
+            hits = linalg.nonzero_products(chunk, kernel)
+            block += [row for row, hit in zip(chunk, hits) if hit]
+        block, pending = block[:32], block[32:] + pending
+    if any(linalg.nonzero_products(rows, kernel)):
         raise ArithmeticError("a polynomial row is not annihilated by the kernel")
     return tuple(map(tuple, ech.nullspace()))
 
@@ -529,9 +530,9 @@ def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
     integer configurations, each giving the row of monomial values through
     ``mu``.  ``stable`` means that every sample row is annihilated by the
     kernel (exact ints), so the rows lie in the row space of the expansion,
-    and that the first ``samples`` rows have rank monomial count - dimension
-    mod 2**31 - 1.  The rank mod p is a lower bound on the rank over Q, so a
-    true ``stable`` proves that the sampled kernel equals the proved one; an
+    and that the first ``samples`` rows reach rank monomial count - dimension
+    mod 2**31 - 1, where elimination stops.  The rank mod p is a lower bound
+    on the rank over Q, so a true ``stable`` proves that the sampled kernel equals the proved one; an
     unlucky prime can only make it false.
     """
     if degree not in (1, 2):
@@ -550,8 +551,8 @@ def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
     for _ in range(max(samples, 3 * n_mon)):
         values = mu_vector(sample_config(rng)) + (1,)
         rows.append([values[i] * values[j] for i, j in supports])
-    kernel = [[(i, c) for i, c in enumerate(linalg.integer_row(v)) if c] for v in basis]
-    annihilated = all(sum(c * row[i] for i, c in vec) == 0 for vec in kernel for row in rows)
+    kernel = tuple(zip(*map(linalg.integer_row, basis)))
+    annihilated = not any(linalg.nonzero_products(rows, kernel))
     return {
         "degree": degree,
         "monomials": monomials,
@@ -560,7 +561,7 @@ def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
         "dimension": len(basis),
         "basis": basis,
         "stable": annihilated
-        and linalg.rank_mod_p(rows[:samples], n_mon) == n_mon - len(basis),
+        and linalg.rank_mod_p(rows[:samples], n_mon, n_mon - len(basis)) == n_mon - len(basis),
     }
 
 
@@ -580,7 +581,7 @@ def mu_function_rank(samples: int = 40, seed: int = 42) -> int | None:
     lower = 14 - len(polynomial_kernel(1))
     rng = SplitMix64(seed)
     rows = [mu_vector(sample_config(rng), tabs) for _ in range(samples)]
-    sampled = linalg.rank_mod_p(rows, len(tabs))
+    sampled = linalg.rank_mod_p(rows, len(tabs), upper)
     return upper if lower == upper == sampled else None
 
 

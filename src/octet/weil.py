@@ -3,12 +3,9 @@
 The two generator matrices act on rational coordinate vectors indexed by the
 64 vectors of the quadratic space: rho_T is diagonal with entries
 (-1)^q(alpha), and rho_S has entries (-1)^b(beta, alpha)/8.  Both are kept as
-integer numpy matrices with an explicit denominator, so every computation in
-this module is exact; there are no tolerance parameters anywhere.  Matrices
-act on vectors in int64 arithmetic, and an input whose image could leave the
-int64 range raises OverflowError instead of wrapping.  Products of matrices go
-through ``linalg.exact_matmul``, which raises it unless every partial sum
-stays below 2^53.
+rows of Python ints over one denominator, so every computation in this module
+is exact; there are no tolerance parameters anywhere, and no entry can wrap.
+Products of matrices go through ``linalg.matmul``.
 """
 
 from __future__ import annotations
@@ -16,88 +13,82 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-import numpy as np
+from operator import itemgetter
 
 from . import f2geom, linalg
 from .f2geom import Subspace
 
 
 class RationalMatrix:
-    """An exact rational matrix stored as integer numpy data over one denominator."""
+    """An exact rational matrix: rows of Python ints over one denominator,
+    with the columns kept beside them for ``apply``."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "cols")
 
     def __init__(self, num, den: int = 1):
-        num = np.asarray(num, dtype=np.int64)
+        num = tuple(tuple(row) for row in num)
         if den < 0:
-            num, den = -num, -den
+            num, den = tuple(tuple(-x for x in row) for row in num), -den
         if den == 0:
             raise ZeroDivisionError
-        g = gcd(int(np.gcd.reduce(np.abs(num), axis=None)), den)
+        g = gcd(*(x for row in num for x in row), den)
         if g > 1:
-            num, den = num // g, den // g
+            num, den = tuple(tuple(x // g for x in row) for row in num), den // g
         self.num = num
         self.den = den
+        self.cols = tuple(zip(*num))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(np.eye(n, dtype=np.int64))
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        product = linalg.exact_matmul(self.num, other.num).astype(np.int64)
-        return RationalMatrix(product, self.den * other.den)
+        return RationalMatrix(linalg.matmul(self.num, other.num), self.den * other.den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalMatrix) and self.den == other.den \
-            and np.array_equal(self.num, other.num)
+            and self.num == other.num
 
     def trace(self) -> Fraction:
-        return Fraction(int(self.num.trace()), self.den)
+        return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
 
-    def _image(self, ints: list[int]) -> np.ndarray:
-        """num @ ints in int64, refusing inputs whose sums could wrap."""
-        scale = max(int(np.abs(self.num).max()), self.den)
-        if scale * sum(abs(x) for x in ints) >= 2**63:
-            raise OverflowError("vector entries too large for int64 arithmetic")
-        return self.num @ np.array(ints, dtype=np.int64)
+    def _image(self, ints) -> list[int]:
+        """num @ ints, a column at a time over the nonzero entries of ints."""
+        out = [0] * len(self.num)
+        for x, col in zip(ints, self.cols):
+            if x:
+                out = [y + x * c for y, c in zip(out, col)]
+        return out
 
     def apply(self, vec) -> list[Fraction]:
-        ints, d = _integer_vector(vec)
-        return [Fraction(int(x), self.den * d) for x in self._image(ints)]
+        d = lcm(*(x.denominator for x in vec if isinstance(x, Fraction)))
+        return [Fraction(x, self.den * d) for x in self._image(linalg.integer_row(vec))]
 
     def fixes(self, vec) -> bool:
-        ints, _ = _integer_vector(vec)
-        return np.array_equal(self._image(ints), self.den * np.array(ints, dtype=np.int64))
-
-
-def _integer_vector(vec) -> tuple[list[int] | tuple[int, ...], int]:
-    """Integers w and a positive d with vec == w / d (Python ints as they are)."""
-    if set(map(type, vec)) <= {int}:
-        return vec, 1
-    fracs = [Fraction(x) for x in vec]
-    d = lcm(*(f.denominator for f in fracs))
-    return [int(f.numerator) * (d // f.denominator) for f in fracs], d
+        ints = linalg.integer_row(vec)
+        return self._image(ints) == [self.den * x for x in ints]
 
 
 @lru_cache(maxsize=None)
 def rho_T() -> RationalMatrix:
-    diag = [(-1) ** f2geom.q(a) for a in f2geom.SPACE]
-    return RationalMatrix(np.diag(diag))
+    return RationalMatrix([[(-1) ** f2geom.q(a) if a == x else 0 for x in f2geom.SPACE]
+                           for a in f2geom.SPACE])
 
 
 @lru_cache(maxsize=None)
 def rho_S() -> RationalMatrix:
-    mat = np.array(
-        [[(-1) ** f2geom.b(beta, alpha) for alpha in f2geom.SPACE] for beta in f2geom.SPACE],
-        dtype=np.int64,
-    )
-    return RationalMatrix(mat, 8)
+    return RationalMatrix(
+        [[(-1) ** f2geom.b(beta, alpha) for alpha in f2geom.SPACE] for beta in f2geom.SPACE], 8)
+
+
+@lru_cache(maxsize=None)
+def rho_ST() -> RationalMatrix:
+    return rho_S() @ rho_T()
 
 
 def sl2_relations() -> dict[str, bool]:
     """The defining relations S^2 = 1 and (ST)^3 = 1, exactly."""
-    s, st, eye = rho_S(), rho_S() @ rho_T(), RationalMatrix.identity(64)
+    s, st, eye = rho_S(), rho_ST(), RationalMatrix.identity(64)
     return {"s_squared": s @ s == eye, "st_cubed": st @ st @ st == eye}
 
 
@@ -106,8 +97,8 @@ def commutes_with_transvections() -> bool:
     transvection."""
     for alpha in f2geom.SPACE:
         if f2geom.q(alpha):
-            perm = list(f2geom.transvection(alpha))
-            if any((m.num[perm][:, perm] != m.num).any() for m in (rho_S(), rho_T())):
+            pick = itemgetter(*f2geom.transvection(alpha))  # rows, then columns
+            if any(tuple(map(pick, pick(m.num))) != m.num for m in (rho_S(), rho_T())):
                 return False
     return True
 
@@ -118,7 +109,7 @@ def traces() -> dict[str, Fraction]:
         "E": Fraction(64),
         "T": rho_T().trace(),
         "S": rho_S().trace(),
-        "ST": (rho_S() @ rho_T()).trace(),
+        "ST": rho_ST().trace(),
     }
 
 
@@ -147,9 +138,8 @@ def character_decomposition() -> tuple[int, int, int]:
 
 def _fixed_space_rows() -> list[list[int]]:
     """Integer rows cutting out the joint fixed space of rho_T and rho_S."""
-    eye = np.eye(64, dtype=np.int64)
-    return [[int(x) for x in row]
-            for rho in (rho_T(), rho_S()) for row in rho.num - rho.den * eye]
+    return [[x - rho.den * (i == j) for j, x in enumerate(row)]
+            for rho in (rho_T(), rho_S()) for i, row in enumerate(rho.num)]
 
 
 @lru_cache(maxsize=None)
@@ -158,10 +148,9 @@ def invariant_subspace() -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(v) for v in linalg.nullspace(_fixed_space_rows(), 64))
 
 
-def isotropic_sum_vector(iso: Subspace) -> np.ndarray:
-    vec = np.zeros(64, dtype=np.int64)
-    vec[list(f2geom.span(iso))] = 1
-    return vec
+def isotropic_sum_vector(iso: Subspace) -> list[int]:
+    members = set(f2geom.span(iso))
+    return [int(x in members) for x in f2geom.SPACE]
 
 
 def is_invariant(vec) -> bool:
@@ -308,12 +297,6 @@ EXAMPLE_TRIPLE = tuple(f2geom.echelon_basis([f2geom.ALPHA1, f2geom.ALPHA2, third
 
 def triple_sign_identity(v1: Subspace, v2: Subspace, v3: Subspace) -> list[tuple[int, int]]:
     """Sign pairs (s2, s3) with f1 - s2*f2 == s3*f3, f1 fixed canonical."""
-    f1 = np.array(singular_vector(v1))
-    f2v = np.array(singular_vector(v2))
-    f3 = np.array(singular_vector(v3))
-    hits = []
-    for s2 in (1, -1):
-        for s3 in (1, -1):
-            if np.array_equal(f1 - s2 * f2v, s3 * f3):
-                hits.append((s2, s3))
-    return hits
+    f1, f2v, f3 = (singular_vector(v) for v in (v1, v2, v3))
+    return [(s2, s3) for s2 in (1, -1) for s3 in (1, -1)
+            if all(x - s2 * y == s3 * z for x, y, z in zip(f1, f2v, f3))]

@@ -141,7 +141,7 @@ def test_criterion_11_lattice_suite():
     m_form = lattices.discriminant_form(lattices.lattice_M())
     over = lattices.glued_overlattice()
     table = lattices.table1_checks()
-    rho = lattices.order_four_isometry()
+    rho = np.array(lattices.order_four_isometry())
     eye = np.eye(12, dtype=np.int64)
     d4_matches, u_matches, _ = lattices.hermitian_gram_checks()
     phi = lattices.phi_map_check()

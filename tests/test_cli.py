@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import octet
 from octet import checks, cli
 from octet.checks import RunConfig
 
@@ -241,7 +242,8 @@ def test_verify_out_fails_before_any_suite_runs(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: cannot write '': No such file or directory\n"
 
 
-# numpy-backed modules: a command that needs none of them must not load them
+# modules that ``cli`` imports where a command first uses them, and numpy,
+# which no command loads: a command that needs none of them must not load them
 HEAVY = ("numpy", "octet.weil", "octet.linalg", "octet.lattices", "octet.tableaux")
 _LOADED = """
 import contextlib, io, sys
@@ -270,8 +272,50 @@ def test_numpy_free_commands_load_no_numpy_backed_module():
                            ["compute", "group"], ["verify", "f2"]) == [[], [], [], [], []]
 
 
-def test_verify_qseries_loads_numpy_and_weil():
+def test_verify_qseries_loads_weil_and_no_numpy():
     # positive control: the probe sees a module once a command imports it
     loaded = _modules_loaded(["verify", "qseries"])
     assert loaded[0] == []
-    assert {"numpy", "octet.weil"} <= set(loaded[1])
+    assert "octet.weil" in loaded[1] and "numpy" not in loaded[1]
+
+
+def test_no_command_loads_numpy():
+    loaded = _modules_loaded(["verify", "all"], ["compute", "fv"], ["compute", "subspaces"],
+                             ["compute", "hseries", "--order", "8"],
+                             ["compute", "theta", "--affine", "1,2,3,4,5,6,7,8"],
+                             ["compute", "relations", "--degree", "1"], ["compute", "group"])
+    assert "octet.lattices" in loaded[1]  # verify all has run every suite
+    assert not [names for names in loaded if "numpy" in names]
+
+
+def test_no_module_imports_numpy():
+    imported = set()
+    for path in Path(octet.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+    assert {"fractions", "linalg"} <= imported  # the walk sees absolute and relative imports
+    assert not {name for name in imported if name.split(".")[0] == "numpy"}
+
+
+def test_seed_outside_64_bits_exits_2_before_running(monkeypatch, capsys):
+    # the sampler reads a seed mod 2**64: these would alias --seed 42, or run
+    # silently with a negative seed
+    def run_suite(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(checks, "run_suite", run_suite)
+    for seed in ("18446744073709551658", "-18446744073709551574", "-1", str(2**64)):
+        for argv in (["verify", "tableaux", "--seed", seed],
+                     ["compute", "relations", "--seed", seed]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2 and out == "", argv
+            assert err.endswith("error: argument --seed: seed must lie in [0, 2**64), got %s\n"
+                                % seed), argv
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\), got -1"):
+        RunConfig(seed=-1)
+    assert RunConfig(seed=2**64 - 1).seed == 2**64 - 1

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -235,8 +236,46 @@ def test_group_elements_hold_python_ints():
     assert type(f2geom.group_elements()[0][0]) is int
 
 
+@lru_cache(maxsize=None)
+def _group_table():
+    """Oracle for ``group_elements``: the 40320 x 64 table of images, row g
+    holding (g(0), ..., g(63)), in lexicographic order of rows; read-only
+    uint8, as the f2geom module computed it in numpy before its pure-Python
+    closure.
+
+    The group acts linearly, so an element is fixed by its images of the six
+    basis vectors, packed 6 bits each into one int64 key with the image of e1
+    highest.  The breadth-first closure of the 28 transvections runs on these
+    keys, kept sorted: fresh distinct candidates are found by binary search
+    and inserted in place.
+    """
+    gens = np.array(f2geom.all_transvections(), dtype=np.int64)
+    shifts = 6 * np.arange(f2geom.DIM - 1, -1, -1, dtype=np.int64)
+    weights = 1 << shifts
+    identity = np.array(f2geom.BASIS) @ weights
+    frontier = gens[:, f2geom.BASIS]  # the generators' basis images
+    seen = np.unique(np.append(frontier @ weights, identity))
+    while len(frontier):
+        # keys of g h, g a generator and h in the frontier, one basis image at a time
+        keys = sum(gens[:, images] << s for images, s in zip(frontier.T, shifts)).ravel()
+        keys.sort()
+        pos = np.searchsorted(seen, keys)
+        new = (seen.take(pos, mode="clip") != keys) & np.append(True, keys[1:] != keys[:-1])
+        seen = np.insert(seen, pos[new], keys[new])
+        frontier = (keys[new][:, None] >> shifts) & 63
+    basis_images = ((seen[:, None] >> shifts) & 63).astype(np.uint8)
+    table = np.zeros((len(seen), 64), dtype=np.uint8)
+    for x in range(1, 64):
+        low = x & -x
+        table[:, x] = table[:, x ^ low] ^ basis_images[:, low.bit_length() - 1]
+    table.flags.writeable = False
+    return table
+
+
 def test_group_table_is_shared_and_read_only():
-    table = f2geom._group_table()
+    # cached: every call hands out the same tuple of tuples
+    assert f2geom.group_elements() is f2geom.group_elements()
+    table = _group_table()
     assert table.shape == (40320, 64) and not table.flags.writeable
     assert f2geom.group_elements() == tuple(map(tuple, table.tolist()))
 
@@ -309,7 +348,7 @@ def test_coxeter_relations_ask_for_exact_orders():
 
 def test_group_order_matches_the_closure():
     # the closure is the oracle for the presentation certificate
-    group = f2geom._group_table()
+    group = _group_table()
     assert f2geom.group_order() == len(f2geom.group_elements()) == len(group)
     qtable = np.array([f2geom.q(x) for x in f2geom.SPACE], dtype=np.uint8)
     assert (qtable[group] == qtable).all()

@@ -14,10 +14,10 @@ from octet import checks, f2geom, lattices as lat, linalg
 
 
 def test_named_lattices():
-    assert lat.named_lattice("U").gram.tolist() == [[0, 1], [1, 0]]
-    assert lat.named_lattice("U(2)").gram.tolist() == [[0, 2], [2, 0]]
-    assert lat.named_lattice("A1").gram.tolist() == [[-2]]
-    assert lat.named_lattice("A1(-1)").gram.tolist() == [[2]]
+    assert lat.named_lattice("U").gram == ((0, 1), (1, 0))
+    assert lat.named_lattice("U(2)").gram == ((0, 2), (2, 0))
+    assert lat.named_lattice("A1").gram == ((-2,),)
+    assert lat.named_lattice("A1(-1)").gram == ((2,),)
     assert lat.named_lattice("D4").det() == 4
     assert lat.named_lattice("E8").det() == 1
     assert lat.named_lattice("U+A1^2").rank == 4
@@ -61,7 +61,7 @@ def test_det_and_signature_match_the_characteristic_polynomial(mat):
     # matrix has real eigenvalues, Descartes' rule of signs counts them exactly
     cp = lat.characteristic_polynomial(mat)
     n = len(mat)
-    gram = np.array(mat, dtype=np.int64)
+    gram = tuple(map(tuple, mat))
     assert lat.GramLattice("g", gram).det() == (-1) ** n * cp[-1]
     if cp[-1] == 0:
         with pytest.raises(ValueError, match="degenerate"):
@@ -90,7 +90,7 @@ def test_lattice_invariants_build_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(QQ, "__new__", counting_new)
-    assert lat._rho0_block().shape == (4, 4)
+    assert len(lat._rho0_block()) == 4
     assert lat.table1_checks() == [True] * 10
     assert lat.reflection_plane_complement()
     assert lat.lattice_N().signature() == (2, 10)
@@ -225,10 +225,10 @@ def test_table1_fails_on_a_picard_lattice_that_is_not_hyperbolic(monkeypatch):
 
 def test_order_four_isometry():
     rho = lat.order_four_isometry()
-    eye = np.eye(12, dtype=np.int64)
-    assert np.array_equal(rho @ rho, -eye)
-    gram = lat.lattice_N().gram
-    assert np.array_equal(rho.T @ gram @ rho, gram)
+    assert all(type(x) is int for row in rho for x in row)
+    rho_a, gram = np.array(rho), np.array(lat.lattice_N().gram)
+    assert np.array_equal(rho_a @ rho_a, -np.eye(12, dtype=np.int64))
+    assert np.array_equal(rho_a.T @ gram @ rho_a, gram)
     cp = lat.characteristic_polynomial(rho)
     expected = [0] * 13
     for k in range(7):
@@ -250,16 +250,17 @@ def test_hermitian_grams():
 
 
 def test_hermitian_sesquilinear():
-    rho = lat.order_four_isometry()
+    rho = np.array(lat.order_four_isometry())
     for i in (0, 1, 4, 8):
         for j in (0, 2, 5, 9):
             x = np.zeros(12, dtype=np.int64)
             y = np.zeros(12, dtype=np.int64)
             x[i] = 1
             y[j] = 1
+            x, y = x.tolist(), y.tolist()
             a, b = lat.hermitian_form(x, y)
             # h(i*x, y) = i*h(x, y): (a + bi) -> (-b + ai)
-            ai, bi = lat.hermitian_form(rho @ x, y)
+            ai, bi = lat.hermitian_form((rho @ x).tolist(), y)
             assert (ai, bi) == (-b, a)
             # hermitian symmetry: h(y, x) is the conjugate
             ac, bc = lat.hermitian_form(y, x)
@@ -280,21 +281,199 @@ def test_reflection_identities_default_and_rejects():
 
 
 def test_reflection_identities_other_vector():
-    r = np.zeros(12, dtype=np.int64)
-    r[4] = 1  # first D4 basis vector has norm -2
+    r = (0,) * 4 + (1,) + (0,) * 7  # the first D4 basis vector has norm -2
     assert lat.inner(r, r) == -2
     rep = lat.reflection_identities(r)
     assert all(rep.values())
 
 
 def test_int64_guards_raise_instead_of_wrapping():
-    r = np.zeros(12, dtype=np.int64)
-    r[:3] = (1, -1, 2**40)  # e - f plus an isotropic vector of U(2)
+    # e - f plus an isotropic vector of U(2): Python ints give every identity
+    # exactly, where the float64 oracle refuses the vector
+    r = (1, -1, 2**40) + (0,) * 9
     assert lat.inner(r, r) == -2
+    assert all(lat.reflection_identities(r).values())
     with pytest.raises(OverflowError):
-        lat.reflection_identities(r)
+        _batch_reflection_report(np.vstack([_unit_box_vectors()[0][:3], r]))
+
+
+# Oracle: the float64 product, the box enumerator, and the batched class map
+# and reflection report on stacks of numpy arrays, as the lattices module
+# computed them before its single-vector Python-int form.  The unit-box
+# sweep runs on them.
+
+
+def exact_matmul(x, y):
+    """x @ y of integer arrays, multiplied in float64 BLAS; a float64 result.
+
+    Raises OverflowError unless n max|x| max|y| < 2**53 for the inner
+    dimension n.  Under that bound every product and every partial sum is an
+    integer below 2**53 in size, exactly represented, so the result is exact
+    whatever the summation order or FMA use.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    _check_float_exact(x.shape[-1] * _abs_max(x) * _abs_max(y))
+    return np.matmul(x.astype(np.float64, copy=False), y.astype(np.float64, copy=False))
+
+
+def _abs_max(*arrays):
+    return max(max(int(a.max(initial=0)), -int(a.min(initial=0))) for a in arrays)
+
+
+def _check_float_exact(bound):
+    if bound >= 2**53:
+        raise OverflowError("entries too large for exact float64 arithmetic")
+
+
+def _gram():
+    return np.array(lat.lattice_N().gram, dtype=np.int64)
+
+
+def _rho():
+    return np.array(lat.order_four_isometry(), dtype=np.int64)
+
+
+def _box(dim, bound):
+    """All integer vectors of length dim with entries in [-bound, bound], one
+    per row, in lexicographic order."""
+    side = np.arange(-bound, bound + 1, dtype=np.int64)
+    grids = np.meshgrid(*([side] * dim), indexing="ij", copy=False)
+    return np.stack(grids, axis=-1).reshape(-1, dim)
+
+
+def _box_norm_count(bound, target, need_even):
+    """Vectors of norm target in [-bound, bound]^12, optionally only those
+    pairing evenly with N, counted by convolving per-block norm histograms
+    over the materialized block box."""
+    gram = _gram()
+    pts = _box(4, bound)
+    counts = np.ones(1, dtype=np.int64)
+    offset = target
+    for sl in lat._BLOCK_SLICES:
+        g = gram[sl, sl]
+        norms = np.einsum("ij,jk,ik->i", pts, g, pts)
+        if need_even:
+            norms = norms[~((pts @ g.T) % 2).any(axis=1)]
+        lo = int(norms.min())
+        counts = np.convolve(counts, np.bincount(norms - lo))
+        offset -= lo
+    return int(counts[offset]) if 0 <= offset < len(counts) else 0
+
+
+_BITS = ((np.arange(64)[:, None] >> np.arange(6)) & 1).astype(np.uint8)  # row x: bits of x
+_WEIGHTS = 1 << np.arange(6)
+
+
+def _dictionary_bits():
+    """The split dictionary over F2: row i of the first matrix is the model
+    vector of generator i; row m of the second holds the class bits of model
+    vector m."""
+    dictionary = lat.split_dictionary()
+    return _BITS[list(dictionary.gen_images)], _BITS[list(dictionary.inverse_table())]
+
+
+def _to_model(bits):
+    """Model vectors (as ints 0..63) of classes given by their bits (..., 6)."""
+    return (bits @ _dictionary_bits()[0] % 2) @ _WEIGHTS
+
+
+def _batch_class_bits(doubled):
+    """Class bits (..., 6) of dual vectors y given as the integer rows 2y,
+    shape (..., 12), and the mask of rows in the dual."""
+    g2 = exact_matmul(doubled, _gram())
+    gy = np.floor(g2 * 0.5)  # Gy, on the rows in the dual
+    bits = exact_matmul(gy, np.array(lat._snf_data_N()[0]).T).astype(np.int64) & 1
+    return bits.astype(np.uint8), (gy + gy == g2).all(axis=-1)
+
+
+def _batch_class_tables(isometries):
+    """The permutations (a, 64) of the model vectors induced by a stack
+    (a, 12, 12) of isometries, and whether each keeps the six discriminant
+    generators in the dual."""
+    images = exact_matmul(isometries, np.array(lat._snf_data_N()[1]).T)
+    images, in_dual = _batch_class_bits(np.swapaxes(images, -1, -2))  # row j: image of generator j
+    return _to_model(_dictionary_bits()[1] @ images), in_dual.all(axis=-1)
+
+
+def _batch_acts_as_transvection(isometries, deltas):
+    """Per row: whether the class alpha of delta/2 is anisotropic, and whether
+    the isometry acts on the 64 classes as the transvection at alpha."""
+    alpha_bits, half_in_dual = _batch_class_bits(deltas)
+    alphas = _to_model(alpha_bits).tolist()
+    anisotropic = half_in_dual & np.array([f2geom.q(a) == 1 for a in alphas], dtype=bool)
+    tables, in_dual = _batch_class_tables(isometries)
+    want = np.reshape([f2geom.transvection(a) if f2geom.q(a) else (-1,) * 64 for a in alphas],
+                      (-1, 64))
+    return anisotropic, anisotropic & in_dual & (tables == want).all(axis=1)
+
+
+def _batch_reflection_report(vecs):
+    """``lat.reflection_identities`` over a stack (a, 12) of norm -2 vectors,
+    each key true when it holds at every vector.  The elementwise work stays
+    within 12ag for a the largest entry of r and rho r and g that of Gr and
+    G rho r, so 12ag >= 2^53 raises OverflowError."""
+    gram, rho = _gram(), _rho()
+    eye = np.eye(12)
+    gr = exact_matmul(np.reshape(vecs, (-1, 12)), gram)
+    vecs = np.asarray(vecs, dtype=np.float64).reshape(-1, 12)  # exact: 24|r| < 2^53
+    rr = exact_matmul(vecs, rho.T)
+    grr = exact_matmul(rr, gram)
+    _check_float_exact(12 * _abs_max(vecs, rr) * _abs_max(gr, grr))
+    if (np.einsum("ai,ai->a", vecs, gr) != -2).any():
+        raise ValueError("reflections are defined at norm -2 vectors")
+
+    def outer(x, y):
+        return x[:, :, None] * y[:, None, :]
+
+    def isometries(mats):
+        forms = exact_matmul(exact_matmul(np.swapaxes(mats, 1, 2), gram), mats)
+        return bool((forms == gram).all())
+
+    s_r, s_rr = eye + outer(vecs, gr), eye + outer(rr, grr)  # reflections in r, rho r
+    pair = s_r + s_rr - eye
+    composed = exact_matmul(s_r, s_rr)
+    orthogonal = not np.einsum("ai,ai->a", vecs, grr).any()
+    doubled = 2 * eye + outer(vecs - rr, gr) + outer(vecs + rr, grr)
+    quarter = np.floor(doubled * 0.5)
+    integral = np.array_equal(quarter + quarter, doubled)
+    square = exact_matmul(quarter, quarter)
+    anisotropic, transvection = _batch_acts_as_transvection(quarter, vecs + rr)
+    return {
+        "pair_equals_composition": orthogonal and np.array_equal(pair, composed),
+        "quarter_is_isometry": integral and isometries(quarter),
+        "quarter_order_4": integral and bool((exact_matmul(square, square) == eye).all())
+        and not (square == eye).all(axis=(1, 2)).any(),
+        "quarter_commutes_with_rho": integral and np.array_equal(
+            exact_matmul(quarter, rho), exact_matmul(rho, quarter)),
+        "alpha_is_anisotropic": bool(anisotropic.all()),
+        "induces_transvection": integral and bool(transvection.all()),
+        "pair_is_isometry": isometries(pair),
+    }
+
+
+def test_exact_matmul_oracle_raises_at_the_bound():
     with pytest.raises(OverflowError):
-        lat._reflection_report(np.vstack([_unit_box_vectors()[0][:3], r]))
+        exact_matmul(np.array([[2**53]]), np.array([[1]]))
+    x = np.full((3, 8), 2**25)
+    below = exact_matmul(x, np.full((8, 2), 2**25 - 1))
+    assert below.tolist() == [[8 * 2**25 * (2**25 - 1)] * 2] * 3
+    with pytest.raises(OverflowError):
+        exact_matmul(x, np.full((8, 2), 2**25))
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4, 5])
+def test_box_counts_match_the_numpy_convolution(bound):
+    assert lat.box_counts(bound) == [_box_norm_count(bound, -2, False),
+                                     _box_norm_count(bound, -4, True)]
+
+
+def test_equal_blocks_share_one_histogram(monkeypatch):
+    built = []
+    histograms = lat._block_histograms
+    monkeypatch.setattr(lat, "_block_histograms",
+                        lambda g, bound: built.append(g) or histograms(g, bound))
+    lat.box_counts(2)
+    assert len(built) == 2 and built[0] != built[1]
 
 
 # Oracle: the unit box materialized and the norm -4 correspondence checked
@@ -305,15 +484,15 @@ def test_int64_guards_raise_instead_of_wrapping():
 @lru_cache(maxsize=None)
 def _unit_box_vectors():
     """The norm -2 vectors, and the norm -4 vectors pairing evenly with N, of
-    [-1, 1]^12 (read-only float64, lexicographic order), over ``lat._box``, the
-    enumerator of ``box_counts``: one slice per point of the first four
-    coordinates, so the whole box is never held at once."""
-    gram = lat.lattice_N().gram
-    tail = lat._box(8, 1).astype(np.float64)
+    [-1, 1]^12 (read-only float64, lexicographic order), over ``_box``: one
+    slice per point of the first four coordinates, so the whole box is never
+    held at once."""
+    gram = _gram()
+    tail = _box(8, 1).astype(np.float64)
     minus2, minus4 = [], []
-    for head in lat._box(4, 1):
+    for head in _box(4, 1):
         pts = np.hstack([np.broadcast_to(head, (len(tail), 4)), tail])
-        g_pts = linalg.exact_matmul(pts, gram)
+        g_pts = exact_matmul(pts, gram)
         norms = np.einsum("ij,ij->i", pts, g_pts)
         four = norms == -4
         minus2.append(pts[norms == -2])
@@ -328,23 +507,22 @@ def _direct_scan():
     """Both inclusions of the correspondence vector by vector over the unit
     box, and its counts against the convolved ``box_counts(1)``.  Parity is
     read as x - 2 floor(x/2) on the float rows."""
-    gram = lat.lattice_N().gram
-    rho = lat.order_four_isometry()
+    gram, rho = _gram(), _rho()
     r_vecs, deltas = _unit_box_vectors()
 
-    rho_r = linalg.exact_matmul(r_vecs, rho.T)
+    rho_r = exact_matmul(r_vecs, rho.T)
     sums = r_vecs + rho_r
-    g_sums = linalg.exact_matmul(sums, gram)
+    g_sums = exact_matmul(sums, gram)
     forward = (bool((np.einsum("ij,ij->i", sums, g_sums) == -4).all())
                and not (g_sums - 2 * np.floor(g_sums * 0.5)).any()
-               and not np.einsum("ij,ij->i", linalg.exact_matmul(r_vecs, gram), rho_r).any())
+               and not np.einsum("ij,ij->i", exact_matmul(r_vecs, gram), rho_r).any())
 
-    diff = deltas - linalg.exact_matmul(deltas, rho.T)
+    diff = deltas - exact_matmul(deltas, rho.T)
     half = np.floor(diff * 0.5)
     integral = np.array_equal(half + half, diff)
-    half_norms = np.einsum("ij,ij->i", half, linalg.exact_matmul(half, gram))
+    half_norms = np.einsum("ij,ij->i", half, exact_matmul(half, gram))
     converse = (integral and bool((half_norms == -2).all())
-                and np.array_equal(half + linalg.exact_matmul(half, rho.T), deltas))
+                and np.array_equal(half + exact_matmul(half, rho.T), deltas))
     return forward and converse and [len(r_vecs), len(deltas)] == lat.box_counts(1)
 
 
@@ -352,8 +530,8 @@ def _block_parity_sweep(bound):
     """Per block over [-bound, bound]^4, hence over the whole box as G and rho
     are block diagonal: whether G(x + rho x) is even at every x, and whether
     x - rho x is even at every x pairing evenly with N."""
-    gram, rho = lat.lattice_N().gram, lat.order_four_isometry()
-    pts = lat._box(4, bound)
+    gram, rho = _gram(), _rho()
+    pts = _box(4, bound)
     sum_half_dual = glue_parity = True
     for sl in lat._BLOCK_SLICES:
         g, r = gram[sl, sl], rho[sl, sl]
@@ -396,10 +574,15 @@ def test_lattice_suite_scans_once(monkeypatch):
 def test_direct_scan_fails_when_the_convolved_counts_disagree(monkeypatch):
     # the correspondence is proved for every vector, so only the oracle's
     # vector-by-vector count sees a wrong convolution
-    count = lat._box_norm_count
-    monkeypatch.setattr(lat, "_box_norm_count", lambda *args: count(*args) + 1)
+    count = lat._convolved_count
+    monkeypatch.setattr(lat, "_convolved_count", lambda *args: count(*args) + 1)
     assert not _direct_scan()
     assert all(lat.minus4_vector_scan(2)[0].values())
+
+
+def _scalar(k):
+    """k times the 12 x 12 identity."""
+    return tuple(tuple(k * (i == j) for j in range(12)) for i in range(12))
 
 
 def test_reflection_plane_complement():
@@ -408,10 +591,8 @@ def test_reflection_plane_complement():
 
 
 def test_induced_map_of_identity():
-    mats = np.stack([np.eye(12, dtype=np.int64), lat.order_four_isometry()])
-    tables, in_dual = lat._class_tables(mats)
-    assert tables.tolist() == [list(range(64))] * 2
-    assert in_dual.all()
+    for isometry in (_scalar(1), lat.order_four_isometry()):
+        assert lat._class_table(isometry) == (tuple(range(64)), True)
 
 
 # Reference: the class map by Fractions, one dual vector at a time, and the
@@ -432,7 +613,7 @@ def _reference_snf():
 def _reference_class_bits(dual_vector):
     gram = lat.lattice_N().gram
     y = [QQ(x) for x in dual_vector]
-    gy = [sum(QQ(int(gram[i, j])) * y[j] for j in range(12)) for i in range(12)]
+    gy = [sum(QQ(gram[i][j]) * y[j] for j in range(12)) for i in range(12)]
     assert all(c.denominator == 1 for c in gy)
     bits = 0
     for pos, row in enumerate(_reference_snf()[0]):
@@ -441,6 +622,7 @@ def _reference_class_bits(dual_vector):
 
 
 def _reference_induced_map(isometry):
+    isometry = np.asarray(isometry)
     images = [_reference_class_bits([sum(QQ(int(isometry[i, j])) * gen[j] for j in range(12))
                                      for i in range(12)])
               for gen in _reference_snf()[1]]
@@ -458,8 +640,7 @@ def _reference_induced_map(isometry):
 
 def _reference_reflections(r):
     """(pair reflection, quarter reflection) of a norm -2 vector."""
-    rho = lat.order_four_isometry()
-    gram = lat.lattice_N().gram
+    rho, gram = _rho(), _gram()
     eye = np.eye(12, dtype=np.int64)
     rr = rho @ r
     pair = eye + np.outer(r, gram @ r) + np.outer(rr, gram @ rr)
@@ -468,78 +649,76 @@ def _reference_reflections(r):
     return pair, doubled // 2
 
 
+def _ints(array):
+    """An integer array, float64 ones too, as nested lists of Python ints."""
+    return np.asarray(array).astype(np.int64).tolist()
+
+
 def _box_slice():
     """A deterministic slice of the norm -2 vectors of the unit box."""
     return _unit_box_vectors()[0][::509]
 
 
 def test_class_tables_match_fraction_reference():
-    rho = lat.order_four_isometry()
+    rho = _rho()
     mats = [np.eye(12, dtype=np.int64), rho]
     mats += [_reference_reflections(r)[1] for r in _box_slice()]
     want = [_reference_induced_map(m) for m in mats]
     assert want[0] == want[1] == tuple(range(64))
-    tables, in_dual = lat._class_tables(np.stack(mats))
+    tables, in_dual = _batch_class_tables(np.stack(mats))
     assert tables.tolist() == [list(t) for t in want]
     assert in_dual.all()
+    assert [lat._class_table(_ints(m)) for m in mats] == [(t, True) for t in want]
     # the alpha of each quarter reflection, against the Fraction class map
     deltas = np.stack([r + rho @ r for r in _box_slice()])
-    bits, half_in_dual = lat._class_bits(deltas)
+    bits, half_in_dual = _batch_class_bits(deltas)
     assert half_in_dual.all()
-    assert (bits @ (1 << np.arange(6))).tolist() == [
-        _reference_class_bits([QQ(int(x), 2) for x in d]) for d in deltas]
-    ginv = linalg.solve_right(lat.lattice_N().gram.tolist(), np.eye(12, dtype=np.int64).tolist())
-    assert lat._snf_data_N()[2].tolist() == [[2 * x for x in row] for row in ginv]
+    want = [_reference_class_bits([QQ(int(x), 2) for x in d]) for d in deltas]
+    assert (bits @ (1 << np.arange(6))).tolist() == want
+    assert [lat._class_bits(_ints(d)) for d in deltas] == [(w, True) for w in want]
+    ginv = linalg.solve_right(lat.lattice_N().gram, np.eye(12, dtype=np.int64).tolist())
+    assert [list(row) for row in lat._snf_data_N()[2]] == [[2 * x for x in row] for row in ginv]
 
 
 def test_pair_reflection_is_not_a_transvection():
     vecs = _box_slice()
-    rho = lat.order_four_isometry()
     pairs, quarters = (np.stack(m) for m in zip(*map(_reference_reflections, vecs)))
-    deltas = vecs + vecs @ rho.T
+    deltas = vecs + vecs @ _rho().T
     # the pair reflection is s_r s_{rho r}, trivial on the dual mod N
     assert _reference_induced_map(pairs[0]) == tuple(range(64))
-    anisotropic, induces = lat._acts_as_transvection(pairs, deltas)
+    anisotropic, induces = _batch_acts_as_transvection(pairs, deltas)
     assert anisotropic.all() and not induces.any()
-    anisotropic, induces = lat._acts_as_transvection(quarters, deltas)
+    anisotropic, induces = _batch_acts_as_transvection(quarters, deltas)
     assert anisotropic.all() and induces.all()
+    for pair, quarter, delta in zip(_ints(pairs), _ints(quarters), _ints(deltas)):
+        assert lat._acts_as_transvection(pair, delta) == (True, False)
+        assert lat._acts_as_transvection(quarter, delta) == (True, True)
 
 
 def test_single_vector_report_is_the_stack_of_one():
     vecs = _box_slice()[:4]
     for r in vecs:
-        assert lat.reflection_identities(r) == lat._reflection_report(r[None])
-        assert all(lat.reflection_identities(r).values())
-    assert all(lat._reflection_report(vecs).values())
+        assert lat.reflection_identities(_ints(r)) == _batch_reflection_report(r[None])
+        assert all(lat.reflection_identities(_ints(r)).values())
+    assert all(_batch_reflection_report(vecs).values())
     with pytest.raises(ValueError):
-        lat._reflection_report(np.vstack([vecs, [1, 0] + [0] * 10]))
-
-
-def _recording_report(monkeypatch):
-    """Wrap ``_reflection_report`` so that every stack handed to it is kept."""
-    report = lat._reflection_report
-    handed = []
-
-    def recording_report(vecs):
-        handed.append(np.array(vecs))
-        return report(vecs)
-
-    monkeypatch.setattr(lat, "_reflection_report", recording_report)
-    return handed
+        _batch_reflection_report(np.vstack([vecs, [1, 0] + [0] * 10]))
+    with pytest.raises(ValueError):
+        lat.reflection_identities([1, 0] + [0] * 10)
 
 
 def _box_sweep(rows=256):
     """Oracle for the rank-2 lemma: the batched report over every norm -2
     vector of the unit box, in slices of ``rows``, each key true when it holds
-    at every vector."""
+    at every vector; and the slices, in order."""
     vecs = _unit_box_vectors()[0]
-    reports = [lat._reflection_report(vecs[i:i + rows]) for i in range(0, len(vecs), rows)]
-    return {key: all(rep[key] for rep in reports) for key in reports[0]}
+    slices = [vecs[i:i + rows] for i in range(0, len(vecs), rows)]
+    reports = [_batch_reflection_report(s) for s in slices]
+    return {key: all(rep[key] for rep in reports) for key in reports[0]}, slices
 
 
-def test_reflection_family_examines_every_box_vector(monkeypatch):
-    handed = _recording_report(monkeypatch)
-    sweep = _box_sweep()
+def test_reflection_family_examines_every_box_vector():
+    sweep, handed = _box_sweep()
     assert sum(map(len, handed)) == lat.box_counts(1)[0] == 20354
     # each vector once, in box order: no symmetry reduction and no sample
     assert np.array_equal(np.vstack(handed), _unit_box_vectors()[0])
@@ -554,7 +733,7 @@ def _norm_minus2_vectors(count, seed, bound=6):
     with 2ab = -2 - n, a a divisor of (-2 - n)/2 of either sign (a = 0 and b
     drawn when n = -2)."""
     rng = random.Random(seed)
-    gram = lat.lattice_N().gram
+    gram = _gram()
     out = []
     for _ in range(count):
         r = np.array([0, 0] + [rng.randint(-bound, bound) for _ in range(10)], dtype=np.int64)
@@ -571,11 +750,11 @@ def _norm_minus2_vectors(count, seed, bound=6):
 
 def test_reflection_identities_beyond_the_box():
     vecs = _norm_minus2_vectors(200, seed=504233)
-    assert (np.einsum("ai,ij,aj->a", vecs, lat.lattice_N().gram, vecs) == -2).all()
+    assert (np.einsum("ai,ij,aj->a", vecs, _gram(), vecs) == -2).all()
     # most of them lie outside the unit box that the oracle sweep covers
     assert (np.abs(vecs).max(axis=1) > 1).sum() > 190 and np.abs(vecs[:, 2:]).max() == 6
     for r in vecs:
-        assert all(lat.reflection_identities(r).values()), r.tolist()
+        assert all(lat.reflection_identities(r.tolist()).values()), r.tolist()
 
 
 @pytest.fixture
@@ -590,7 +769,7 @@ def fresh_rho_identities():
 def test_reflection_family_fails_for_a_wrong_rho(monkeypatch, fresh_rho_identities, sign):
     """Negative control: -I is not skew, and I is not skew and has square I,
     not -I; the check then returns False, without raising."""
-    monkeypatch.setattr(lat, "order_four_isometry", lambda: sign * np.eye(12, dtype=np.int64))
+    monkeypatch.setattr(lat, "order_four_isometry", lambda: _scalar(sign))
     assert lat.reflection_family_check() is False
     reports = checks.run_suite("lattice", checks.RunConfig(box_bound=2))
     assert {r.name: r.status for r in reports}["lattice.reflection_family"] == "fail"
@@ -600,7 +779,7 @@ def test_reflection_family_fails_for_a_wrong_rho(monkeypatch, fresh_rho_identiti
 def test_correspondence_and_phi_fail_for_a_wrong_rho(monkeypatch, fresh_rho_identities, sign):
     """Negative control: +-I is not skew, and (1 + rho)(1 - rho) = 0, so every
     key of the correspondence turns False and both report lines fail."""
-    monkeypatch.setattr(lat, "order_four_isometry", lambda: sign * np.eye(12, dtype=np.int64))
+    monkeypatch.setattr(lat, "order_four_isometry", lambda: _scalar(sign))
     assert lat.minus4_vector_scan(2)[0] == dict.fromkeys(("forward", "converse", "direct"), False)
     assert lat.phi_map_check()["inverse_identity"] is False
     statuses = {r.name: r.status for r in checks.run_suite("lattice", checks.RunConfig(box_bound=2))}
@@ -608,13 +787,12 @@ def test_correspondence_and_phi_fail_for_a_wrong_rho(monkeypatch, fresh_rho_iden
     assert statuses["lattice.half_sum_quotient_map"] == "fail"
 
 
-def _phi_bijective_by_enumeration():
+def _phi_bijective_by_enumeration(class_bits=_batch_class_bits):
     """Oracle for ``phi_map_check``: with invariant factors of I - rho dividing
     2, the 4096 0/1 vectors meet every coset of (1 - rho)Z^12, and phi is
     bijective when their images, all in the dual, reach all 64 classes."""
-    rho = lat.order_four_isometry()
     reps = (np.arange(4096)[:, None] >> np.arange(12)) & 1
-    bits, in_dual = lat._class_bits(reps + reps @ rho.T)
+    bits, in_dual = class_bits(reps + reps @ _rho().T)
     return bool(in_dual.all()) and len(set((bits @ (1 << np.arange(6))).tolist())) == 64
 
 
@@ -628,14 +806,18 @@ def test_phi_bijection_fails_for_a_lost_class_bit(monkeypatch, column):
     classes; the generators and the coset sweep must both see it."""
     class_bits = lat._class_bits
 
-    def lossy(doubled):
-        bits, in_dual = class_bits(doubled)
+    def lossy_stack(doubled):
+        bits, in_dual = _batch_class_bits(doubled)
         bits = bits.copy()
         bits[..., column] = 0
         return bits, in_dual
 
+    def lossy(doubled):
+        bits, in_dual = class_bits(doubled)
+        return bits & ~(1 << column), in_dual
+
     monkeypatch.setattr(lat, "_class_bits", lossy)
-    assert lat.phi_map_check()["bijective"] is _phi_bijective_by_enumeration() is False
+    assert lat.phi_map_check()["bijective"] is _phi_bijective_by_enumeration(lossy_stack) is False
 
 
 def test_lattice_suite_allocates_no_unit_box():
@@ -665,9 +847,13 @@ def test_reflection_family_fails_for_a_perturbed_quarter(monkeypatch):
 
 
 def test_lattice_suite_hands_the_report_only_e_minus_f(monkeypatch):
-    handed = _recording_report(monkeypatch)
+    handed = []
+    identities = lat.reflection_identities
+    monkeypatch.setattr(lat, "reflection_identities",
+                        lambda *args: handed.append(args) or identities(*args))
     assert checks.all_passed(checks.run_suite("lattice", checks.RunConfig(box_bound=2)))
-    assert [stack.tolist() for stack in handed] == [[list(lat.E_MINUS_F)]]
+    assert handed == [()]  # the default vector, e - f
+    assert identities.__defaults__ == (lat.E_MINUS_F,)
 
 
 def test_reflection_report_fails_for_a_wrong_rho(monkeypatch):
@@ -675,17 +861,17 @@ def test_reflection_report_fails_for_a_wrong_rho(monkeypatch):
     the pair reflection is not s_r s_{rho r} = 1, and the quarter reflection
     is s_r, of order 2; both keys must turn False."""
     vecs = _box_slice()
-    monkeypatch.setattr(lat, "order_four_isometry", lambda: -np.eye(12, dtype=np.int64))
-    report = lat._reflection_report(vecs)
-    assert report["pair_equals_composition"] is False
-    assert report["quarter_order_4"] is False
+    monkeypatch.setattr(lat, "order_four_isometry", lambda: _scalar(-1))
+    for report in (_batch_reflection_report(vecs), lat.reflection_identities(_ints(vecs[0]))):
+        assert report["pair_equals_composition"] is False
+        assert report["quarter_order_4"] is False
 
 
 def test_scan_rejects_an_oversized_bound_before_allocating(monkeypatch):
-    def no_box(dim, bound):
-        raise AssertionError("the box was built")
+    def no_histogram(g, bound):
+        raise AssertionError("a histogram was built")
 
-    monkeypatch.setattr(lat, "_box", no_box)
+    monkeypatch.setattr(lat, "_block_histograms", no_histogram)
     for bound in (lat.MAX_SCAN_BOUND + 1, 100, 1):
         with pytest.raises(ValueError):
             lat.minus4_vector_scan(bound)
@@ -757,7 +943,7 @@ class _RefForm:
 def _ref_discriminant_form(lattice):
     gram = lattice.gram
     d, _, v = lat.smith_normal_form(gram)
-    n = gram.shape[0]
+    n = len(gram)
     gens, orders = [], []
     for k in range(n):
         if d[k][k] > 1:
@@ -909,8 +1095,8 @@ def test_corrupted_transvection_table_fails_the_report(monkeypatch):
     # the class map is compared with the transvection at every class, so a
     # wrong entry off the six generator images turns the key False
     r = np.array(lat.E_MINUS_F)
-    delta = r + lat.order_four_isometry() @ r
-    alpha = int(lat._to_model(lat._class_bits(delta[None])[0])[0])
+    delta = r + _rho() @ r
+    alpha = lat.split_dictionary().to_model(lat._class_bits(delta.tolist())[0])
     point = next(x for x in range(1, 64) if x not in lat.split_dictionary().gen_images)
     table = list(f2geom.transvection(alpha))
     table[point] ^= alpha

@@ -182,39 +182,26 @@ def test_rank_mod_p_equals_rank_on_small_entries(rows):
     assert linalg.rank_mod_p(rows, ncols) == linalg.rank(rows, ncols)
 
 
-def _exact_product_case(rng, below):
-    """Stacks (3, 4, 8) @ (3, 8, 5) with max|x| = max|y| = 2**25, so that
-    8 max|x| max|y| = 2**53, or with max|y| one less, just below the bound.
-    One row and one column are all at the maximum, the worst partial sums."""
-    a, b = 2**25, 2**25 - below
-    x = rng.integers(-a, a + 1, (3, 4, 8))
-    y = rng.integers(-b, b + 1, (3, 8, 5))
-    x[0, 0], y[0, :, 0] = a, b
-    x[1, 1], y[1, :, 2] = -a, b
-    return x, y
+def _plain_product(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
-def test_exact_matmul_matches_python_ints_just_below_the_bound():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        x, y = _exact_product_case(rng, below=1)
-        got = linalg.exact_matmul(x, y)
-        assert got.dtype == np.float64
-        want = x.astype(object) @ y.astype(object)
-        assert want[0, 0, 0] == 8 * 2**25 * (2**25 - 1)  # 2**53 - 2**28
-        assert got.astype(np.int64).tolist() == want.tolist()
-    # int64 products would be exact here too; the float path must agree
-    assert (linalg.exact_matmul(x, y) == x @ y).all()
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 6), st.integers(1, 6), st.data())
+def test_matmul_matches_the_plain_product(n, k, m, data):
+    # entries up to 2**70, where int64 and float64 products would both be wrong
+    entries = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+    a = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n))
+    b = data.draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=k, max_size=k))
+    assert linalg.matmul(a, b) == _plain_product(a, b)
 
 
-def test_exact_matmul_raises_at_the_bound():
-    x, y = _exact_product_case(np.random.default_rng(7), below=0)
-    with pytest.raises(OverflowError):
-        linalg.exact_matmul(x, y)
-    with pytest.raises(OverflowError):
-        linalg.exact_matmul(np.array([[2**53]]), np.array([[1]]))
-    # an all-zero factor gives a zero bound: the product is exact whatever x is
-    assert not linalg.exact_matmul(x, np.zeros((8, 2), dtype=np.int64)).any()
+def test_matmul_is_exact_at_the_slot_boundary():
+    # the second column attains k max|a| max|b| = 2**53, the bound that sizes the slots
+    a, b = [[2**25] * 8] * 3, [[2**25 - 1, -(2**25)]] * 8
+    assert linalg.matmul(a, b) == ((8 * 2**25 * (2**25 - 1), -(2**53)),) * 3
+    assert linalg.matmul(a, [[0, 0]] * 8) == ((0, 0),) * 3
+    assert linalg.matmul([], b) == ()
 
 
 @settings(max_examples=80, deadline=None)
@@ -276,6 +263,13 @@ def test_rank_mod_p_matches_the_reference_on_zero_and_deficient_rows():
         ncols = len(rows[0])
         assert linalg.rank_mod_p(rows, ncols) == _reference_rank_mod_p(rows, ncols)
     assert linalg.rank_mod_p(cases[0], 5) == 0
+
+
+def test_rank_mod_p_stops_at_the_upper_bound():
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], "never read"]
+    assert linalg.rank_mod_p(rows, 3, upper=2) == 2
+    assert linalg.rank_mod_p(rows[:3], 3, upper=5) == 3
+    assert linalg.rank_mod_p([[0, 0, 0], [1, 1, 1]], 3, upper=1) == 1
 
 
 def test_integer_row_passes_python_ints_and_checks_the_rest():

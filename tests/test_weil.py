@@ -48,18 +48,15 @@ def test_apply_matches_fraction_loop():
 
 def test_apply_never_wraps():
     # int64 would wrap the exact entry 2**61 * 8 of num @ v to 0
-    with pytest.raises(OverflowError):
-        weil.rho_S().apply([2**58] * 64)
-    with pytest.raises(OverflowError):
-        weil.is_invariant([2**58] * 64)
+    assert weil.rho_S().apply([2**58] * 64)[0] == 2**61
+    assert weil.is_invariant([2**58] * 64) is weil.is_invariant([1] * 64) is False
     assert weil.rho_S().apply([2**50] * 64)[0] == 2**53
 
 
 def test_products_never_wrap():
     # int64 would wrap the exact entries 2 * 2**80 of this product to 0
-    big = weil.RationalMatrix(np.full((2, 2), 2**40))
-    with pytest.raises(OverflowError):
-        big @ big
+    big = weil.RationalMatrix([[2**40] * 2] * 2)
+    assert (big @ big).num == ((2**81, 2**81), (2**81, 2**81))
     assert weil.sl2_relations() == {"s_squared": True, "st_cubed": True}
     assert weil.traces() == {"E": 64, "T": 8, "S": 8, "ST": 1}
 
@@ -152,5 +149,5 @@ def test_permutation_action_commutes_with_matrices():
     s = weil.rho_S()
     for alpha in (f2geom.ALPHA1, f2geom.ALPHA1 ^ f2geom.E2):
         perm = list(f2geom.transvection(alpha))
-        permuted = s.num[perm, :][:, perm]
-        assert (permuted == s.num).all()
+        num = np.array(s.num)
+        assert (num[perm, :][:, perm] == num).all()
