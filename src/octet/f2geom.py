@@ -6,7 +6,10 @@ addition is XOR.  The quadratic form is
     q(x) = x_e1*x_f1 + x_e2*x_f2 + x_e3*x_f3
 
 and b(x, y) = q(x+y) + q(x) + q(y) is the associated nondegenerate symmetric
-bilinear form.  Subspaces are canonical reduced-echelon tuples of basis
+bilinear form.  An F2-linear map from F2^k is one 2^k-entry table, built by
+``linear_table`` from the images of the basis vectors; spans, group
+elements and the dictionaries of the lattice and tableaux models are such
+tables.  Subspaces are canonical reduced-echelon tuples of basis
 vectors, so they compare by equality; ``all_subspaces`` enumerates these
 bases directly, and every enumeration is deterministic.  The order of the
 orthogonal group and its action on q are certified from the Coxeter
@@ -92,9 +95,26 @@ def pair_census_type_constant() -> bool:
 
 
 # ---------------------------------------------------------------------------
-# transvections and the orthogonal group
+# linear maps, transvections and the orthogonal group
 
 Perm = tuple[int, ...]
+
+
+def linear_table(images) -> tuple[int, ...]:
+    """The F2-linear map with the given images of the basis vectors, as its
+    table: entry x is the XOR of the images at the bits of x.  The entries
+    below 2^j depend on the first j images only."""
+    table = [0]
+    for image in images:
+        table += [x ^ image for x in table]
+    return tuple(table)
+
+
+def induced_permutation(dictionary, images) -> Perm:
+    """The permutation d(x) -> d(L x) of the model vectors, for the linear map
+    L with the given images of the basis vectors and a bijective table d."""
+    moved = linear_table(images)
+    return tuple(dictionary[moved[x]] for x in sorted(SPACE, key=dictionary.__getitem__))
 
 
 @lru_cache(maxsize=None)
@@ -129,13 +149,7 @@ def group_elements() -> tuple[Perm, ...]:
     while frontier:  # breadth first: g h for g a generator and h in the frontier
         frontier = {pick(g) for h in frontier for pick in [itemgetter(*h)] for g in gens} - seen
         seen |= frontier
-    elements = []
-    for images in sorted(seen):
-        table = [0]  # the images of the x below 2^k, once basis image k is added
-        for image in images:
-            table += [x ^ image for x in table]
-        elements.append(tuple(table))
-    return tuple(elements)
+    return tuple(map(linear_table, sorted(seen)))
 
 
 def coxeter_relations(gens, compose, identity) -> bool:
@@ -245,10 +259,7 @@ def echelon_basis(vectors) -> Subspace:
 
 
 def span(basis: Subspace) -> list[int]:
-    out = [0]
-    for v in basis:
-        out += [x ^ v for x in out]
-    return sorted(out)
+    return sorted(linear_table(basis))
 
 
 @lru_cache(maxsize=None)

@@ -3,11 +3,10 @@ isometry and its Gaussian hermitian structure, reflections, and glue.
 
 Lattices are integer Gram matrices on a chosen basis; vectors are integer
 coordinate columns.  Matrices are tuples of rows and every entry is a Python
-int, so no product can wrap; products go through ``linalg.matmul``.  Three
+int, so no product can wrap; products go through ``linalg.matmul``.  Two
 integer algorithms do the exact work: Smith normal form for the discriminant
-groups, the leading principal minors of one fraction-free elimination for
-det and signature (Jacobi's sign rule), and Faddeev-LeVerrier for the
-characteristic polynomial of rho.  Every finite quadratic form in use is
+groups, and the leading principal minors of one fraction-free elimination for
+det and signature (Jacobi's sign rule).  Every finite quadratic form in use is
 2-elementary, so a form lives on F2^a in the bitmask idiom of ``f2geom``:
 integer tables of 2q mod 4 and 2b mod 2, built from the Gram matrix of the
 doubled generators, on which isomorphisms are searched by table lookups.
@@ -16,9 +15,9 @@ N = U + U(2) + D4 + D4 has its D4 blocks inside Z^4 (even-sum vectors,
 negated standard product), where the order-4 isometry rho is defined.  As
 2G^{-1} is integral, a dual vector y is handled as the integer vector 2y; its
 class in the dual mod N is read off by Smith rows mod 2, and carried to the
-64-vector model through the split dictionary: the isometry that
-``find_isomorphism`` finds from the form of N onto the form of the model,
-2q4 = q and b2 = b of ``f2geom``.
+64-vector model through the split dictionary: the 64-entry
+``f2geom.linear_table`` of the isometry that ``find_isomorphism`` finds from
+the form of N onto the form of the model, 2q4 = q and b2 = b of ``f2geom``.
 
 The reflections of a norm -2 vector r (s_r, s_{rho r}, the pair and the
 quarter reflection) are I + V A V^T G, V = [r, rho r], for 2x2 matrices A; as
@@ -37,9 +36,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import comb, prod
-from operator import mul, xor
+from functools import lru_cache
+from math import prod
+from operator import mul
 
 from . import f2geom
 from .linalg import matmul
@@ -320,10 +319,10 @@ class FiniteQuadraticForm:
             raise ValueError("a doubled Gram matrix of a 2-elementary form is even")
         # bit j of gen_rows[i] is 2b(g_i, g_j) = gram[i][j] / 2 mod 2
         gen_rows = [sum((x // 2 % 2) << j for j, x in enumerate(row)) for row in gram]
-        q4, rows = [0], [0]  # per element x: 2q(x) mod 4, and 2b(x, .) as a bitmask
+        rows = f2geom.linear_table(gen_rows)  # per element x: 2b(x, .) as a bitmask
+        q4 = [0]  # per element x below 2^i: 2q(x) mod 4
         for i, row in enumerate(gram):
             q4 += [(v + row[i] // 2 + 2 * (r >> i & 1)) % 4 for v, r in zip(q4, rows)]
-            rows += [r ^ gen_rows[i] for r in rows]
         parity = _parity_rows(len(gram))
         return cls(tuple(q4), tuple(parity[r] for r in rows))
 
@@ -388,49 +387,26 @@ def find_isomorphism(a: FiniteQuadraticForm, b: FiniteQuadraticForm):
     """
     if a.rank != b.rank or sorted(a.q4) != sorted(b.q4):
         return None
-    k = a.rank
-    image = [0]  # image[x] for the x spanned by the generators placed so far
 
-    def extend(i, span):
-        if i == k:
-            return all(b.b2[image[x]][image[y]] == v
-                       for x, row in enumerate(a.b2) for y, v in enumerate(row))
-        top = 1 << i
-        for cand in range(1, 1 << k):
-            if (span >> cand) & 1 or any(b.q4[image[x] ^ cand] != a.q4[top | x]
-                                         for x in range(top)):
-                continue
-            image.extend([z ^ cand for z in image])
-            if extend(i + 1, span | sum(1 << z for z in image[top:])):
-                return True
-            del image[top:]
-        return False
+    def extend(images, span):
+        image = f2geom.linear_table(images)  # on the span of the generators placed so far
+        if len(images) == a.rank:
+            return images if all(b.b2[image[x]][image[y]] == v
+                                 for x, row in enumerate(a.b2) for y, v in enumerate(row)) else None
+        top = len(image)
+        for cand in range(1, len(b.q4)):
+            if not (span >> cand) & 1 and all(b.q4[image[x] ^ cand] == a.q4[top | x]
+                                              for x in range(top)):
+                found = extend(images + [cand], span | sum(1 << (z ^ cand) for z in image))
+                if found is not None:
+                    return found
+        return None
 
-    return [image[1 << i] for i in range(k)] if extend(0, 1) else None
+    return extend([], 1)
 
 
 # ---------------------------------------------------------------------------
 # the split-model dictionary
-
-
-@dataclass(frozen=True)
-class SplitModelDictionary:
-    """Linear identification of a rank-6 2-elementary form with the fixed model.
-
-    ``gen_images[i]`` is the model vector for generator i of the source form;
-    coefficient bit patterns map through XOR.
-    """
-
-    gen_images: tuple[int, ...]
-
-    def to_model(self, bits: int) -> int:
-        return reduce(xor, (g for i, g in enumerate(self.gen_images) if (bits >> i) & 1), 0)
-
-    def inverse_table(self) -> tuple[int, ...]:
-        table = {self.to_model(bits): bits for bits in range(64)}
-        if len(table) != 64:
-            raise ArithmeticError("dictionary is not invertible")
-        return tuple(table[m] for m in range(64))
 
 
 @lru_cache(maxsize=None)
@@ -441,8 +417,9 @@ def _split_model_form() -> FiniteQuadraticForm:
                                      for x in f2geom.SPACE))
 
 
-def identify_with_split_model(form: FiniteQuadraticForm) -> SplitModelDictionary:
-    """Identify a form with the three-plane model by ``find_isomorphism``.
+def identify_with_split_model(form: FiniteQuadraticForm) -> tuple[int, ...]:
+    """Identify a form with the three-plane model by ``find_isomorphism``: the
+    64-entry table whose entry x is the model vector of the element x.
 
     Raises ValueError when there is no isometry: the form has the wrong rank,
     takes half-integer values, or is not split.
@@ -450,7 +427,7 @@ def identify_with_split_model(form: FiniteQuadraticForm) -> SplitModelDictionary
     images = find_isomorphism(form, _split_model_form())
     if images is None:
         raise ValueError("the form is not isomorphic to the split model")
-    return SplitModelDictionary(tuple(images))
+    return f2geom.linear_table(images)
 
 
 # ---------------------------------------------------------------------------
@@ -548,28 +525,10 @@ def order_four_isometry() -> Matrix:
     return out
 
 
-def characteristic_polynomial(mat) -> list[int]:
-    """Coefficients of det(tI - M), highest degree first (Faddeev-LeVerrier).
-
-    For an integer matrix every M_k and c_k is an integer, so the recursion
-    runs on Python ints; k dividing each trace is checked, not assumed.
-    """
-    n = len(mat)
-    coeffs, am = [1], _eye(n, 0)  # am = A M_k
-    for k in range(1, n + 1):
-        am = matmul(mat, _add(am, _eye(n, coeffs[-1])))  # M_k = A M_{k-1} + c_{k-1} I
-        trace = sum(row[i] for i, row in enumerate(am))
-        if trace % k:
-            raise ArithmeticError("trace %d is not divisible by %d" % (trace, k))
-        coeffs.append(-trace // k)
-    return coeffs
-
-
 def isometry_fixed_point_free() -> bool:
-    """rho has characteristic polynomial (t^2 + 1)^6: it has order 4 and no
-    fixed vector."""
-    return characteristic_polynomial(order_four_isometry()) == [
-        comb(6, k // 2) if k % 2 == 0 else 0 for k in range(13)]
+    """rho^2 = -1: then rho has order 4, and rho x = x gives x = rho^2 x = -x,
+    so x = 0."""
+    return _rho_identities()["square_minus_one"]
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +592,9 @@ def _snf_data_N():
 
 
 @lru_cache(maxsize=None)
-def split_dictionary() -> SplitModelDictionary:
+def split_dictionary() -> tuple[int, ...]:
+    """The model vector of each of the 64 classes of the dual mod N, indexed
+    by class bits."""
     return identify_with_split_model(discriminant_form(lattice_N()))
 
 
@@ -652,11 +613,7 @@ def _class_table(isometry) -> tuple[tuple[int, ...], bool]:
     (through the split dictionary), and whether it keeps the six
     discriminant generators in the dual."""
     images = [_class_bits(_image(isometry, gen)) for gen in _snf_data_N()[1]]
-    span = [0]  # the images of the classes below 2^j, once generator j is added
-    for bits, _ in images:
-        span += [x ^ bits for x in span]
-    dictionary = split_dictionary()
-    return (tuple(dictionary.to_model(span[c]) for c in dictionary.inverse_table()),
+    return (f2geom.induced_permutation(split_dictionary(), [bits for bits, _ in images]),
             all(in_dual for _, in_dual in images))
 
 
@@ -665,7 +622,7 @@ def _acts_as_transvection(isometry, delta) -> tuple[bool, bool]:
     isometry acts on the 64 classes as the transvection at alpha, compared
     at every class."""
     bits, half_in_dual = _class_bits(delta)
-    alpha = split_dictionary().to_model(bits)
+    alpha = split_dictionary()[bits]
     anisotropic = half_in_dual and f2geom.q(alpha) == 1
     table, in_dual = _class_table(isometry)
     return anisotropic, anisotropic and in_dual and table == f2geom.transvection(alpha)
@@ -794,21 +751,21 @@ def phi_map_check() -> dict:
 
     Exact matrix identities give phi(N) inside the dual and phi((1-i)x) = x,
     so phi induces an F2-linear map from N/(1-i)N, of order the index of
-    (1-i)N = (I - rho)Z^12, to the 64 classes of the dual mod N.  With index
-    64 and invariant factors dividing 2 it is a bijection exactly when the
-    classes of phi(e_1), ..., phi(e_12) span F2^6.
+    (1-i)N = (I - rho)Z^12, to the 64 classes of the dual mod N.  As
+    (1 + rho)(1 - rho) = 2, every invariant factor of I - rho divides 2; as
+    rho(1 - rho) = 1 + rho and rho^2 = -1 gives det rho = +-1, det(1 - rho)^2 =
+    det 2I = 2^12, so the index is 64.  The map is then a bijection exactly
+    when the classes of phi(e_1), ..., phi(e_12) span F2^6.
     """
     rho = order_four_isometry()
     identities = _rho_identities()
-    d, _, _ = smith_normal_form(_add(_eye(12), _scaled(-1, rho)))
-    diag = [d[k][k] for k in range(12)]
     # column i of I + rho is 2 phi(e_i) = e_i + rho e_i
     classes = [_class_bits(col) for col in _transpose(_add(_eye(12), rho))]
     return {
         "into_dual": identities["half_sum_dual"],
         "inverse_identity": identities["round_trip"],
         "rho_trivial_on_quotient": identities["quotient_trivial"],
-        "bijective": prod(diag) == 64 and set(diag) <= {1, 2}
+        "bijective": identities["square_minus_one"] and identities["round_trip"]
         and all(in_dual for _, in_dual in classes)
         and len(f2geom.echelon_basis([bits for bits, _ in classes])) == 6,
     }
@@ -893,7 +850,7 @@ def minus4_vector_scan(bound: int = 3) -> tuple[dict[str, bool], list[int]]:
     count by convolution.
 
     The counts are recomputed on every call; the determinism claim compares
-    them with a fresh ``box_counts`` call.  A bound outside
+    them with the counts recorded in ``checks.BOX_COUNTS``.  A bound outside
     2..``MAX_SCAN_BOUND`` raises ValueError before any count.
     """
     if not 2 <= bound <= MAX_SCAN_BOUND:

@@ -33,8 +33,8 @@ class QSeries:
     Coefficients are complete for every exponent below the truncation
     ``trunc = (low + len(coeffs))/2``; arithmetic tracks the truncation of
     results.  Leading zeros are stripped on construction, so ``low`` is twice
-    the valuation, the zero series has no coefficients, and equal series have
-    equal fields.
+    the lowest exponent with a nonzero coefficient, the zero series has no
+    coefficients, and equal series have equal fields.
     """
 
     __slots__ = ("low", "coeffs")
@@ -68,10 +68,6 @@ class QSeries:
         i = 2 * e - self.low
         return self.coeffs[int(i)] if i.denominator == 1 and i >= 0 else 0
 
-    def valuation(self) -> Fraction:
-        """Smallest exponent with nonzero coefficient (trunc if none)."""
-        return QQ(self.low, 2)
-
     def __add__(self, other: "QSeries") -> "QSeries":
         low = min(self.low, other.low)
         end = min(self.low + len(self.coeffs), other.low + len(other.coeffs))
@@ -90,7 +86,7 @@ class QSeries:
         return QSeries(self.low + operator.index(steps), self.coeffs)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
-        # the product is known as far as the shorter factor beyond its valuation
+        # the product is known as far as the shorter factor beyond its lowest exponent
         a, b = self.coeffs, other.coeffs
         n = min(len(a), len(b))
         out = [sum(map(operator.mul, a[:k + 1], b[k::-1])) for k in range(n)]

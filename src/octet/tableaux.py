@@ -165,27 +165,18 @@ def theta_map(config: Config) -> tuple[Fraction, ...]:
 # all-ones vector theta is the relation, so classes of even-weight vectors
 # modulo theta form a 64-element quadratic space with q = (weight/2) mod 2.
 # Representatives are normalized to have bit 7 clear, and the class group is
-# coordinatized by the classes of the pairs (1, j+1) for j = 1..6.
+# coordinatized by the classes of the pairs (1, j+1) for j = 1..6: bits 1..6
+# of the representative.  The 64-entry table ``theta_model_dictionary`` maps
+# these coordinates to the model vectors of ``f2geom``.
 
 _THETA8 = 0xFF
 
 
-def _class_rep(x: int) -> int:
+def _class_coords(x: int) -> int:
+    """The coordinates of the class of an even-weight vector x."""
     if bin(x).count("1") % 2:
         raise ValueError("only even-weight vectors lie in the kernel space")
-    return x if not (x >> 7) & 1 else x ^ _THETA8
-
-
-def _class_coords(x: int) -> int:
-    rep = _class_rep(x)
-    return (rep >> 1) & 0x3F
-
-
-def _coords_to_rep(bits: int) -> int:
-    rep = bits << 1
-    if bin(rep).count("1") % 2:
-        rep |= 1
-    return rep
+    return ((x ^ _THETA8 if x >> 7 & 1 else x) >> 1) & 0x3F
 
 
 @lru_cache(maxsize=None)
@@ -202,13 +193,14 @@ def pair_class_form() -> lattices.FiniteQuadraticForm:
 
 
 @lru_cache(maxsize=None)
-def theta_model_dictionary() -> lattices.SplitModelDictionary:
+def theta_model_dictionary() -> tuple[int, ...]:
+    """The model vector of each class, indexed by its coordinates."""
     dictionary = lattices.identify_with_split_model(pair_class_form())
-    # cross-check against the weight description of the quotient form
-    for bits in range(64):
-        rep = _coords_to_rep(bits)
-        weight_q = (bin(rep).count("1") // 2) % 2
-        if f2geom.q(dictionary.to_model(bits)) != weight_q:
+    # cross-check against the weight description of the quotient form, at the
+    # 64 representatives: the even-weight vectors with bit 7 clear
+    for rep in range(128):
+        weight = bin(rep).count("1")
+        if weight % 2 == 0 and f2geom.q(dictionary[_class_coords(rep)]) != weight // 2 % 2:
             raise ArithmeticError("dictionary disagrees with the weight form")
     return dictionary
 
@@ -219,7 +211,7 @@ def pair_mask(pair: Pair) -> int:
 
 
 def label_vector_in_model(pair: Pair) -> int:
-    return theta_model_dictionary().to_model(_class_coords(pair_mask(pair)))
+    return theta_model_dictionary()[_class_coords(pair_mask(pair))]
 
 
 def tableau_to_subspace(t: Tableau) -> f2geom.Subspace:
@@ -260,18 +252,11 @@ def permute_config(config: Config, sigma) -> Config:
 
 
 def induced_model_map(sigma) -> tuple[int, ...]:
-    """Permutation of the 64 model vectors induced by a permutation of labels."""
-    dictionary = theta_model_dictionary()
-    inverse = dictionary.inverse_table()
-    table = [0] * 64
-    for vec in range(64):
-        rep = _coords_to_rep(inverse[vec])
-        permuted = 0
-        for i in range(8):
-            if (rep >> i) & 1:
-                permuted |= 1 << sigma[i]
-        table[vec] = dictionary.to_model(_class_coords(permuted))
-    return tuple(table)
+    """Permutation of the 64 model vectors induced by a 0-based permutation of
+    labels: it moves generator j, the class of the pair (1, j + 2), to the
+    class of the pair at slots sigma(0), sigma(j + 1)."""
+    return f2geom.induced_permutation(theta_model_dictionary(), [
+        _class_coords(1 << sigma[0] | 1 << sigma[j + 1]) for j in range(6)])
 
 
 def transposition_transvection_check() -> bool:

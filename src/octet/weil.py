@@ -270,23 +270,15 @@ def fixed_line_dimension() -> int:
 
     The group generated by the transvections is transitive on each of the
     three vector types, so its fixed vectors are exactly the type-constant
-    ones; those conditions are intersected exactly with the fixed space of
-    rho_T and rho_S.
+    ones.  A combination sum c_v v of the cached basis of the fixed space of
+    rho_T and rho_S is type-constant when sum c_v (v[x] - v[a]) = 0 at every
+    x, for a the representative of the type of x: one row per x, one column
+    per basis vector.
     """
-    ech = linalg.EchelonForm(64)
-    ech.add_rows(_fixed_space_rows())
-    # v_x = v_y whenever x and y share a type
-    anchor = {}
-    for x in f2geom.SPACE:
-        tt = f2geom.classify(x)
-        if tt in anchor:
-            row = [0] * 64
-            row[anchor[tt]] = 1
-            row[x] = -1
-            ech.add_row(row)
-        else:
-            anchor[tt] = x
-    return 64 - ech.rank
+    basis = invariant_subspace()
+    anchor = f2geom.TYPE_REPRESENTATIVES
+    rows = [[v[x] - v[anchor[f2geom.classify(x)]] for v in basis] for x in f2geom.SPACE]
+    return len(basis) - linalg.rank(rows, len(basis))
 
 
 # three singular subspaces through the plane spanned by alpha1 and alpha2

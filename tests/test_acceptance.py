@@ -149,7 +149,7 @@ def test_criterion_11_lattice_suite():
     family = lattices.reflection_family_check()
     inclusions, _ = lattices.minus4_vector_scan(CFG.box_bound)
     ok = (n_form.orders == (2,) * 6
-          and len(set(dictionary.gen_images)) == 6
+          and len(set(dictionary)) == 64
           and lattices.find_isomorphism(m_form, n_form.neg()) is not None
           and lattices.find_isomorphism(lattices.discriminant_form(over),
                                         m_form) is not None

@@ -218,10 +218,30 @@ def test_split_model_identified_and_q_transported(perm, mixing):
     scramble = [_linear([1 << p for p in perm], u) for u in unipotent]
     assert len(f2geom.echelon_basis(scramble)) == 6
     table = [f2geom.q(_linear(scramble, v)) for v in range(64)]
-    images = lattices.identify_with_split_model(_table_form(table)).gen_images
+    dictionary = lattices.identify_with_split_model(_table_form(table))
+    images = [dictionary[1 << i] for i in range(6)]
     assert len(f2geom.echelon_basis(images)) == 6
     for v in range(64):
-        assert f2geom.q(_linear(images, v)) == table[v]
+        assert dictionary[v] == _linear(images, v)
+        assert f2geom.q(dictionary[v]) == table[v]
+
+
+@given(st.lists(vectors, max_size=6))
+def test_linear_table_is_the_xor_at_the_bits(images):
+    table = f2geom.linear_table(images)
+    assert len(table) == 2 ** len(images)
+    assert list(table) == [_linear(images + [0] * 6, x) for x in range(len(table))]
+    assert f2geom.span(images) == sorted(table)
+
+
+@settings(deadline=None)
+@given(st.permutations(range(64)), st.permutations(range(6)))
+def test_induced_permutation_conjugates_by_the_dictionary(dictionary, perm):
+    images = [1 << p for p in perm]  # a coordinate permutation L
+    inverse = {m: x for x, m in enumerate(dictionary)}
+    want = tuple(dictionary[_linear(images, inverse[m])] for m in range(64))
+    assert f2geom.induced_permutation(tuple(dictionary), images) == want
+    assert f2geom.induced_permutation(tuple(dictionary), f2geom.BASIS) == f2geom.SPACE
 
 
 def test_split_model_rejects_nonsplit():

@@ -45,6 +45,22 @@ def symmetric_matrices(draw):
     return mat
 
 
+def _characteristic_polynomial(mat):
+    """Oracle: the coefficients of det(tI - M), highest degree first, by the
+    Faddeev-LeVerrier recursion M_k = A M_(k-1) + c_(k-1) I, c_k = -tr(A M_k)/k.
+    For an integer matrix every M_k and c_k is an integer, so it runs on
+    Python ints; k dividing each trace is checked, not assumed."""
+    n = len(mat)
+    coeffs, am = [1], [[0] * n for _ in range(n)]  # am = A M_k
+    for k in range(1, n + 1):
+        m = [[x + coeffs[-1] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(am)]
+        am = linalg.matmul(mat, m)
+        trace = sum(row[i] for i, row in enumerate(am))
+        assert trace % k == 0
+        coeffs.append(-trace // k)
+    return coeffs
+
+
 def _sign_changes(coeffs):
     signs = [c > 0 for c in coeffs if c]
     return sum(a != b for a, b in zip(signs, signs[1:]))
@@ -59,7 +75,7 @@ def _sign_changes(coeffs):
 def test_det_and_signature_match_the_characteristic_polynomial(mat):
     # det(tI - G) = sum c_k t^(n-k): det G = (-1)^n c_n, and as a symmetric
     # matrix has real eigenvalues, Descartes' rule of signs counts them exactly
-    cp = lat.characteristic_polynomial(mat)
+    cp = _characteristic_polynomial(mat)
     n = len(mat)
     gram = tuple(map(tuple, mat))
     assert lat.GramLattice("g", gram).det() == (-1) ** n * cp[-1]
@@ -112,8 +128,8 @@ def test_smith_normal_form_properties(mat):
     prod = np.array(u) @ np.array(mat) @ np.array(v)
     assert prod.tolist() == [row[:] for row in d]
     # unimodular: det = (-1)^n c_n of the characteristic polynomial is +-1
-    assert lat.characteristic_polynomial(u)[-1] in (1, -1)
-    assert lat.characteristic_polynomial(v)[-1] in (1, -1)
+    assert _characteristic_polynomial(u)[-1] in (1, -1)
+    assert _characteristic_polynomial(v)[-1] in (1, -1)
     diag = [d[i][i] for i in range(3)]
     assert all(x >= 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
@@ -162,8 +178,8 @@ def test_split_dictionary_transports_form():
     ref = _ref_discriminant_form(lat.lattice_N())
     for bits in range(64):
         elem = tuple((bits >> i) & 1 for i in range(6))
-        assert int(ref.q(elem)) % 2 == f2geom.q(d.to_model(bits))
-        assert form.q4[bits] == 2 * f2geom.q(d.to_model(bits))
+        assert int(ref.q(elem)) % 2 == f2geom.q(d[bits])
+        assert form.q4[bits] == 2 * f2geom.q(d[bits])
 
 
 def test_identify_rejects_wrong_rank():
@@ -178,7 +194,7 @@ def test_m_is_complementary():
     form_n = lat.discriminant_form(lat.lattice_N())
     assert lat.find_isomorphism(form_m, form_n.neg()) is not None
     # values lie in Z/2Z, so negation changes nothing up to isomorphism
-    assert lat.identify_with_split_model(form_m).gen_images
+    assert len(set(lat.identify_with_split_model(form_m))) == 64
 
 
 def test_overlattice_glue():
@@ -229,12 +245,16 @@ def test_order_four_isometry():
     rho_a, gram = np.array(rho), np.array(lat.lattice_N().gram)
     assert np.array_equal(rho_a @ rho_a, -np.eye(12, dtype=np.int64))
     assert np.array_equal(rho_a.T @ gram @ rho_a, gram)
-    cp = lat.characteristic_polynomial(rho)
-    expected = [0] * 13
-    for k in range(7):
-        expected[2 * k] = comb(6, k)
-    assert cp == expected  # (t^2 + 1)^6: order 4, no fixed vectors
+    cp = _characteristic_polynomial(rho)
+    assert cp == _T2_PLUS_1_TO_THE_6  # order 4, no fixed vectors
     assert all(type(c) is int for c in cp)
+    # phi's domain N/(1 - rho)N is F2^6: the invariant factors of I - rho
+    d, _, _ = lat.smith_normal_form([[int(i == j) - x for j, x in enumerate(row)]
+                                     for i, row in enumerate(rho)])
+    assert [d[k][k] for k in range(12)] == [1] * 6 + [2] * 6
+
+
+_T2_PLUS_1_TO_THE_6 = [comb(6, k // 2) if k % 2 == 0 else 0 for k in range(13)]
 
 
 def test_rho0_block_is_checked_against_the_ambient_action(monkeypatch):
@@ -369,7 +389,8 @@ def _dictionary_bits():
     vector of generator i; row m of the second holds the class bits of model
     vector m."""
     dictionary = lat.split_dictionary()
-    return _BITS[list(dictionary.gen_images)], _BITS[list(dictionary.inverse_table())]
+    inverse = {m: bits for bits, m in enumerate(dictionary)}
+    return _BITS[[dictionary[1 << i] for i in range(6)]], _BITS[[inverse[m] for m in range(64)]]
 
 
 def _to_model(bits):
@@ -461,10 +482,10 @@ def test_exact_matmul_oracle_raises_at_the_bound():
         exact_matmul(x, np.full((8, 2), 2**25))
 
 
-@pytest.mark.parametrize("bound", [2, 3, 4, 5])
+@pytest.mark.parametrize("bound", sorted(checks.BOX_COUNTS))
 def test_box_counts_match_the_numpy_convolution(bound):
-    assert lat.box_counts(bound) == [_box_norm_count(bound, -2, False),
-                                     _box_norm_count(bound, -4, True)]
+    assert lat.box_counts(bound) == checks.BOX_COUNTS[bound] == [
+        _box_norm_count(bound, -2, False), _box_norm_count(bound, -4, True)]
 
 
 def test_equal_blocks_share_one_histogram(monkeypatch):
@@ -561,14 +582,26 @@ def test_scan_counts_at_unit_box_agree_with_direct():
 
 
 def test_lattice_suite_scans_once(monkeypatch):
-    # the determinism claim recomputes the convolved counts, not the scan
-    calls = []
-    scan = lat.minus4_vector_scan
+    # the determinism claim reads the counts of the scan, so the suite runs
+    # the scan, and the convolution, once
+    calls, counted = [], []
+    scan, counts = lat.minus4_vector_scan, lat.box_counts
     monkeypatch.setattr(lat, "minus4_vector_scan", lambda bound: calls.append(bound) or scan(bound))
+    monkeypatch.setattr(lat, "box_counts", lambda bound: counted.append(bound) or counts(bound))
     reports = {r.name: r for r in checks.run_suite("lattice", checks.RunConfig(box_bound=2))}
-    assert calls == [2]
-    assert reports["lattice.scan_counts_deterministic"].status == "pass"
-    assert reports["lattice.scan_counts_deterministic"].actual == lat.box_counts(2)
+    assert calls == counted == [2]
+    report = reports["lattice.scan_counts_deterministic"]
+    assert report.status == "pass" and report.actual == report.expected == counts(2)
+
+
+def test_scan_counts_line_fails_for_a_wrong_convolution(monkeypatch):
+    # the counts are compared with the recorded table, one entry per bound
+    # the scan accepts, so a convolution off by one fails exactly that line
+    assert sorted(checks.BOX_COUNTS) == list(range(2, lat.MAX_SCAN_BOUND + 1))
+    count = lat._convolved_count
+    monkeypatch.setattr(lat, "_convolved_count", lambda *args: count(*args) + 1)
+    reports = checks.run_suite("lattice", checks.RunConfig(box_bound=2))
+    assert [r.name for r in reports if r.status == "fail"] == ["lattice.scan_counts_deterministic"]
 
 
 def test_direct_scan_fails_when_the_convolved_counts_disagree(monkeypatch):
@@ -627,14 +660,14 @@ def _reference_induced_map(isometry):
                                      for i in range(12)])
               for gen in _reference_snf()[1]]
     dictionary = lat.split_dictionary()
-    inv = dictionary.inverse_table()
+    inv = {m: bits for bits, m in enumerate(dictionary)}
     table = []
     for model_vec in range(64):
         img = 0
         for i in range(6):
             if (inv[model_vec] >> i) & 1:
                 img ^= images[i]
-        table.append(dictionary.to_model(img))
+        table.append(dictionary[img])
     return tuple(table)
 
 
@@ -784,6 +817,23 @@ def test_correspondence_and_phi_fail_for_a_wrong_rho(monkeypatch, fresh_rho_iden
     assert lat.phi_map_check()["inverse_identity"] is False
     statuses = {r.name: r.status for r in checks.run_suite("lattice", checks.RunConfig(box_bound=2))}
     assert statuses["lattice.norm_minus4_correspondence"] == "fail"
+    assert statuses["lattice.half_sum_quotient_map"] == "fail"
+
+
+def test_fixed_point_free_and_phi_fail_for_a_rho_with_fixed_vectors(monkeypatch,
+                                                                     fresh_rho_identities):
+    """Negative control: rho on U + U(2) and the first D4 block, and the
+    identity on the second, is an isometry of N with fixed vectors; its
+    square is not -1, so both lines fail."""
+    wrong = lat.direct_sum_grams([lat._rho1_block(), lat._rho0_block(), lat._eye(4)])
+    gram = lat.lattice_N().gram
+    assert linalg.matmul(linalg.matmul(lat._transpose(wrong), gram), wrong) == gram
+    assert _characteristic_polynomial(wrong) != _T2_PLUS_1_TO_THE_6
+    monkeypatch.setattr(lat, "order_four_isometry", lambda: wrong)
+    assert lat.isometry_fixed_point_free() is False
+    assert lat.phi_map_check()["bijective"] is False
+    statuses = {r.name: r.status for r in checks.run_suite("lattice", checks.RunConfig(box_bound=2))}
+    assert statuses["lattice.isometry_fixed_point_free"] == "fail"
     assert statuses["lattice.half_sum_quotient_map"] == "fail"
 
 
@@ -1096,8 +1146,9 @@ def test_corrupted_transvection_table_fails_the_report(monkeypatch):
     # wrong entry off the six generator images turns the key False
     r = np.array(lat.E_MINUS_F)
     delta = r + _rho() @ r
-    alpha = lat.split_dictionary().to_model(lat._class_bits(delta.tolist())[0])
-    point = next(x for x in range(1, 64) if x not in lat.split_dictionary().gen_images)
+    dictionary = lat.split_dictionary()
+    alpha = dictionary[lat._class_bits(delta.tolist())[0]]
+    point = next(x for x in range(1, 64) if x not in {dictionary[1 << i] for i in range(6)})
     table = list(f2geom.transvection(alpha))
     table[point] ^= alpha
     transvection = f2geom.transvection

@@ -82,7 +82,7 @@ def test_pair_class_form_matches_weight_description():
     form = tb.pair_class_form()
     assert form.orders == (2,) * 6
     dictionary = tb.theta_model_dictionary()
-    assert len(set(dictionary.gen_images)) == 6
+    assert len(set(dictionary)) == 64
     # every pair class is anisotropic
     for i in range(1, 9):
         for j in range(i + 1, 9):
@@ -109,6 +109,21 @@ def test_transposition_transvection_dictionary():
     assert tb.transposition_transvection_check()
 
 
+def _reference_induced_model_map(sigma):
+    """Reference: each model vector pulled back to its class representative
+    with bit 7 clear, relabelled bit by bit, and pushed forward again, as the
+    tableaux module computed the map before the linear tables."""
+    dictionary = tb.theta_model_dictionary()
+    inverse = {m: bits for bits, m in enumerate(dictionary)}
+    table = []
+    for vec in range(64):
+        rep = inverse[vec] << 1
+        rep |= bin(rep).count("1") % 2  # the representative of even weight
+        permuted = sum(1 << sigma[i] for i in range(8) if (rep >> i) & 1)
+        table.append(dictionary[tb._class_coords(permuted)])
+    return tuple(table)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.permutations(range(8)))
 def test_induced_map_is_isometry(sigma):
@@ -116,6 +131,15 @@ def test_induced_map_is_isometry(sigma):
     assert sorted(table) == list(range(64))
     for v in range(64):
         assert f2geom.q(table[v]) == f2geom.q(v)
+    assert table == _reference_induced_model_map(sigma)
+
+
+def test_class_coords_refuse_odd_weight_and_identify_theta():
+    with pytest.raises(ValueError):
+        tb._class_coords(0b1)
+    for x in range(256):
+        if bin(x).count("1") % 2 == 0:
+            assert tb._class_coords(x) == tb._class_coords(x ^ 0xFF)
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,5 +1,5 @@
 """The benchmark tracer's targets name functions that exist, and every other
-module-level function of ``octet`` has a caller in ``octet``.
+module-level function and class method of ``octet`` has a caller in ``octet``.
 
 A target that no longer resolves is reported absent by the tracer and nulls
 its per-layer metric while the run still exits 0, so a rename or deletion of
@@ -52,11 +52,21 @@ def _names(node):
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _functions(tree):
+    """The module-level functions and the class methods of a module; dunder
+    methods are left out, since the interpreter calls them implicitly."""
+    for node in tree.body:
+        for fn in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(fn, ast.FunctionDef) and not (fn.name.startswith("__")
+                                                        and fn.name.endswith("__")):
+                yield fn
+
+
 def test_every_module_function_is_called_or_traced():
     trees = [ast.parse(path.read_text()) for path in Path(octet.__file__).parent.glob("*.py")]
     refs = sum(map(_names, trees), Counter())
-    uncalled = {fn.name for tree in trees for fn in tree.body
-                if isinstance(fn, ast.FunctionDef) and refs[fn.name] == _names(fn)[fn.name]}
+    uncalled = {fn.name for tree in trees for fn in _functions(tree)
+                if refs[fn.name] == _names(fn)[fn.name]}
     traced = {path.split(".")[-1] for _, _, path in _tracer().TARGETS}
     assert sorted(uncalled - traced) == []
     # kept only because the benchmark tracer wraps them
