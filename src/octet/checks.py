@@ -43,6 +43,12 @@ class RunConfig:
             valid = False
         if not valid:
             raise ValueError("tolerance must be a finite number > 0, got %r" % (self.tolerance,))
+        # refused here, before any suite runs, as the scan and the series refuse them too
+        if self.box_bound not in BOX_COUNTS:
+            raise ValueError("bound must lie in [%d, %d], got %d"
+                             % (min(BOX_COUNTS), max(BOX_COUNTS), self.box_bound))
+        if self.series_order < 3:
+            raise ValueError("order must be at least 3, got %d" % self.series_order)
 
 
 @dataclass

@@ -147,15 +147,24 @@ def compute_hseries(args) -> dict:
 MAX_DECIMAL_EXPONENT = 4300
 
 
-def _exact_decimal(text: str) -> Fraction:
-    """A JSON number with a fraction or an exponent as an exact Fraction, so
-    that 0.1 is 1/10 and not a binary float.  An exponent beyond
-    ``MAX_DECIMAL_EXPONENT`` is refused before 10**exponent is built."""
-    exponent = text.lower().partition("e")[2]
-    if exponent and abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+def _bounded_exponent(text: str) -> str:
+    """The text of a number, once its decimal exponent, if it has one, lies
+    within ``MAX_DECIMAL_EXPONENT``: so that Fraction never builds 10**exponent
+    for a huge one.  Text that is no number is left for Fraction to refuse."""
+    try:
+        exponent = int(text.lower().partition("e")[2])
+    except ValueError:
+        return text
+    if abs(exponent) > MAX_DECIMAL_EXPONENT:
         raise ValueError("a decimal exponent must lie within ±%d, got %s"
                          % (MAX_DECIMAL_EXPONENT, text))
-    return Fraction(text)
+    return text
+
+
+def _exact_decimal(text: str) -> Fraction:
+    """A JSON number with a fraction or an exponent as an exact Fraction, so
+    that 0.1 is 1/10 and not a binary float."""
+    return Fraction(_bounded_exponent(text))
 
 
 def compute_theta(args) -> dict:
@@ -164,7 +173,7 @@ def compute_theta(args) -> dict:
         pairs = json.loads(args.config, parse_float=_exact_decimal)
         config = tableaux.parse_config(pairs)
     elif args.affine:
-        config = tableaux.affine_config(args.affine.split(","))
+        config = tableaux.affine_config(map(_bounded_exponent, args.affine.split(",")))
     else:
         raise ValueError("compute theta needs --config or --affine")
     try:

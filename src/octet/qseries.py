@@ -8,7 +8,8 @@ is also the serialization contract.  The translation equations are checked
 exactly on coefficients; the inversion equations are measured numerically
 through the eta products, whose float residuals are the only inexact values
 (``checks`` judges them against its tolerance).  Only ``assemble_and_reduce``
-needs the Weil matrices, and it imports ``weil`` where it runs.
+needs the Weil representation: it reads the sign tables t and H of ``weil``,
+which it imports where it runs, and keeps its values Fractions.
 """
 
 from __future__ import annotations
@@ -264,40 +265,32 @@ def verify_S_equations_numeric(samples=DEFAULT_SAMPLES, order=20) -> dict[str, f
 # exact reduction of the 64-component form to the three types
 
 
-def type_indicator(kind: VectorType) -> list[int]:
-    return [1 if f2geom.classify(x) is kind else 0 for x in f2geom.SPACE]
-
-
 def assemble_and_reduce() -> dict:
-    """Exact check that the matrices respect type-constant vectors.
+    """Exact check that the Weil matrices respect type-constant vectors.
 
-    Applying the inversion matrix to each type indicator must give a
-    type-constant vector; the resulting 3x3 mixing matrix (None if some
-    image is not type-constant) and the diagonal translation signs (None
-    where not constant) are returned exactly.
+    rho_S = H/8 applied to each type indicator, the sum of the columns of H
+    at that type over 8, must give a type-constant vector; the resulting 3x3
+    mixing matrix (None if some image is not type-constant) and the diagonal
+    translation signs t (None where not constant) are returned as Fractions.
     """
     from . import weil
     types = [f2geom.classify(x) for x in f2geom.SPACE]
-    s = weil.rho_S()
-    t = weil.rho_T()
     mixing = []
-    constant = True
     for col_kind in TYPES:
-        image = s.apply(type_indicator(col_kind))
         seen = {}
-        for x, val in enumerate(image):
-            seen.setdefault(types[x], set()).add(val)
+        for kind, row in zip(types, weil.b_signs()):
+            image = Fraction(sum(x for x, k in zip(row, types) if k is col_kind), 8)
+            seen.setdefault(kind, set()).add(image)
         if any(len(vals) != 1 for vals in seen.values()):
-            constant = False
+            mixing = None
             break
         mixing.append([next(iter(seen[row_kind])) for row_kind in TYPES])
-    mixing_matrix = [list(col) for col in zip(*mixing)] if constant else None
     t_signs = []
     for kind in TYPES:
-        image = t.apply(type_indicator(kind))
-        vals = {image[x] for x in f2geom.SPACE if types[x] is kind}
+        vals = {Fraction(t) for t, k in zip(weil.q_signs(), types) if k is kind}
         t_signs.append(next(iter(vals)) if len(vals) == 1 else None)
-    return {"mixing_matrix": mixing_matrix, "t_signs": t_signs}
+    return {"mixing_matrix": None if mixing is None else [list(col) for col in zip(*mixing)],
+            "t_signs": t_signs}
 
 
 def mixing_rows_from_pair_census() -> tuple[tuple[int, int, int], ...]:

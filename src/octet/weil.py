@@ -1,10 +1,11 @@
 """The Weil representation of SL(2, Z/2Z) on the 64-dimensional group ring.
 
-The two generator matrices act on rational coordinate vectors indexed by the
-64 vectors of the quadratic space: rho_T is diagonal with entries
-(-1)^q(alpha), and rho_S has entries (-1)^b(beta, alpha)/8.  Both are kept as
-rows of Python ints over one denominator, so every computation in this module
-is exact; there are no tolerance parameters anywhere, and no entry can wrap.
+Both generators are read from two cached integer tables over the 64 vectors
+of the quadratic space: the signs t[alpha] = (-1)^q(alpha), so that
+rho_T = diag(t), and the symmetric +-1 matrix H[beta][alpha] =
+(-1)^b(beta, alpha), so that rho_S = H/8.  Every computation in this module
+works on these Python ints (and Fractions where a result goes out), so it is
+exact: there are no tolerance parameters anywhere, and no entry can wrap.
 Products of matrices go through ``linalg.matmul``.
 """
 
@@ -12,112 +13,69 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 from operator import itemgetter
 
 from . import f2geom, linalg
 from .f2geom import Subspace
 
 
-class RationalMatrix:
-    """An exact rational matrix: rows of Python ints over one denominator,
-    with the columns kept beside them for ``apply``."""
-
-    __slots__ = ("num", "den", "cols")
-
-    def __init__(self, num, den: int = 1):
-        num = tuple(tuple(row) for row in num)
-        if den < 0:
-            num, den = tuple(tuple(-x for x in row) for row in num), -den
-        if den == 0:
-            raise ZeroDivisionError
-        g = gcd(*(x for row in num for x in row), den)
-        if g > 1:
-            num, den = tuple(tuple(x // g for x in row) for row in num), den // g
-        self.num = num
-        self.den = den
-        self.cols = tuple(zip(*num))
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(linalg.matmul(self.num, other.num), self.den * other.den)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.den == other.den \
-            and self.num == other.num
-
-    def trace(self) -> Fraction:
-        return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
-
-    def _image(self, ints) -> list[int]:
-        """num @ ints, a column at a time over the nonzero entries of ints."""
-        out = [0] * len(self.num)
-        for x, col in zip(ints, self.cols):
-            if x:
-                out = [y + x * c for y, c in zip(out, col)]
-        return out
-
-    def apply(self, vec) -> list[Fraction]:
-        d = lcm(*(x.denominator for x in vec if isinstance(x, Fraction)))
-        return [Fraction(x, self.den * d) for x in self._image(linalg.integer_row(vec))]
-
-    def fixes(self, vec) -> bool:
-        ints = linalg.integer_row(vec)
-        return self._image(ints) == [self.den * x for x in ints]
+@lru_cache(maxsize=None)
+def q_signs() -> tuple[int, ...]:
+    """t[alpha] = (-1)^q(alpha), the diagonal of rho_T."""
+    return tuple((-1) ** f2geom.q(alpha) for alpha in f2geom.SPACE)
 
 
 @lru_cache(maxsize=None)
-def rho_T() -> RationalMatrix:
-    return RationalMatrix([[(-1) ** f2geom.q(a) if a == x else 0 for x in f2geom.SPACE]
-                           for a in f2geom.SPACE])
+def b_signs() -> tuple[tuple[int, ...], ...]:
+    """H[beta][alpha] = (-1)^b(beta, alpha), which is symmetric; rho_S = H/8."""
+    return tuple(tuple((-1) ** f2geom.b(beta, alpha) for alpha in f2geom.SPACE)
+                 for beta in f2geom.SPACE)
 
 
-@lru_cache(maxsize=None)
-def rho_S() -> RationalMatrix:
-    return RationalMatrix(
-        [[(-1) ** f2geom.b(beta, alpha) for alpha in f2geom.SPACE] for beta in f2geom.SPACE], 8)
-
-
-@lru_cache(maxsize=None)
-def rho_ST() -> RationalMatrix:
-    return rho_S() @ rho_T()
+def _scalar(c: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(c * (i == j) for j in f2geom.SPACE) for i in f2geom.SPACE)
 
 
 def sl2_relations() -> dict[str, bool]:
-    """The defining relations S^2 = 1 and (ST)^3 = 1, exactly."""
-    s, st, eye = rho_S(), rho_ST(), RationalMatrix.identity(64)
-    return {"s_squared": s @ s == eye, "st_cubed": st @ st @ st == eye}
+    """The defining relations S^2 = 1 and (ST)^3 = 1, exactly, as H.H = 64 I
+    and (8 rho_S rho_T)^3 = 512 I; 8 rho_S rho_T is H with column alpha
+    multiplied by t[alpha]."""
+    h, t = b_signs(), q_signs()
+    st = [[x * s for x, s in zip(row, t)] for row in h]
+    return {"s_squared": linalg.matmul(h, h) == _scalar(64),
+            "st_cubed": linalg.matmul(linalg.matmul(st, st), st) == _scalar(512)}
 
 
 def commutes_with_transvections() -> bool:
     """rho_S and rho_T commute with the permutation of coordinates by every
     transvection."""
+    h, t = b_signs(), q_signs()
     for alpha in f2geom.SPACE:
         if f2geom.q(alpha):
             pick = itemgetter(*f2geom.transvection(alpha))  # rows, then columns
-            if any(tuple(map(pick, pick(m.num))) != m.num for m in (rho_S(), rho_T())):
+            if pick(t) != t or tuple(map(pick, pick(h))) != h:
                 return False
     return True
 
 
 def traces() -> dict[str, Fraction]:
     """Traces of the identity, T, S and ST actions."""
+    h, t = b_signs(), q_signs()
     return {
         "E": Fraction(64),
-        "T": rho_T().trace(),
-        "S": rho_S().trace(),
-        "ST": rho_ST().trace(),
+        "T": Fraction(sum(t)),
+        "S": Fraction(sum(row[i] for i, row in enumerate(h)), 8),
+        "ST": Fraction(sum(row[i] * t[i] for i, row in enumerate(h)), 8),
     }
 
 
-def character_decomposition() -> tuple[int, int, int]:
+def character_decomposition() -> tuple[int | Fraction, ...]:
     """Multiplicities of the three irreducible characters of SL(2, Z/2Z).
 
     The group is symmetric of degree 3; conjugacy classes have sizes 1, 3, 2
-    with T in the involution class and ST in the 3-cycle class.
+    with T in the involution class and ST in the 3-cycle class.  A
+    multiplicity that is not an integer, which no representation has, comes
+    back as its Fraction, so that a broken table fails the claim.
     """
     t = traces()
     chi = (t["E"], t["T"], t["ST"])
@@ -126,9 +84,7 @@ def character_decomposition() -> tuple[int, int, int]:
     mult = []
     for row in table:
         m = sum(Fraction(s) * c * v for s, c, v in zip(sizes, chi, row)) / 6
-        if m.denominator != 1:
-            raise ArithmeticError("character inner product is not integral")
-        mult.append(int(m))
+        mult.append(int(m) if m.denominator == 1 else m)
     return tuple(mult)
 
 
@@ -137,9 +93,10 @@ def character_decomposition() -> tuple[int, int, int]:
 
 
 def _fixed_space_rows() -> list[list[int]]:
-    """Integer rows cutting out the joint fixed space of rho_T and rho_S."""
-    return [[x - rho.den * (i == j) for j, x in enumerate(row)]
-            for rho in (rho_T(), rho_S()) for i, row in enumerate(rho.num)]
+    """Integer rows cutting out the joint fixed space of rho_T and rho_S:
+    those of rho_T - I, then those of H - 8I."""
+    return [[(x - 1) * (i == j) for j in f2geom.SPACE] for i, x in enumerate(q_signs())] \
+        + [[x - 8 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(b_signs())]
 
 
 @lru_cache(maxsize=None)
@@ -153,9 +110,20 @@ def isotropic_sum_vector(iso: Subspace) -> list[int]:
     return [int(x in members) for x in f2geom.SPACE]
 
 
+def _image(ints) -> list[int]:
+    """H @ ints: H is symmetric, so the sum of its rows at the nonzero entries."""
+    out = [0] * 64
+    for x, row in zip(ints, b_signs()):
+        if x:
+            out = [y + x * c for y, c in zip(out, row)]
+    return out
+
+
 def is_invariant(vec) -> bool:
     """Exact membership test for the fixed space of rho_T and rho_S."""
-    return rho_T().fixes(vec) and rho_S().fixes(vec)
+    ints = linalg.integer_row(vec)
+    return all(t == 1 or not x for t, x in zip(q_signs(), ints)) \
+        and _image(ints) == [8 * x for x in ints]
 
 
 def isotropic_sums_invariant() -> bool:
@@ -201,39 +169,25 @@ def minus_one_eigenspace(subspace: Subspace) -> tuple[int, tuple[int, ...] | Non
     """
     aniso, _ = f2geom.singular_members(subspace)
     perms = [f2geom.transvection(a) for a in aniso]
-    assignment: dict[int, int] = {}
-    component_vectors = []
-    dim = 0
+    components = []  # (signs on the component, whether they are consistent)
     for start in range(64):
-        if start in assignment:
+        if any(start in comp for comp, _ in components):
             continue
-        comp = {start: 1}
-        stack = [start]
-        alive = True
+        comp, stack, alive = {start: 1}, [start], True
         while stack:
             x = stack.pop()
             for p in perms:
                 y = p[x]
-                want = -comp[x]
-                if y == x:
-                    alive = False  # v[x] = -v[x] forces zero on the component
-                elif y in comp:
-                    if comp[y] != want:
-                        alive = False
-                else:
-                    comp[y] = want
+                if y not in comp:
+                    comp[y] = -comp[x]
                     stack.append(y)
-        for x in comp:
-            assignment[x] = comp[x]
-        if alive:
-            dim += 1
-            component_vectors.append(comp)
-    if dim == 1:
-        vec = [0] * 64
-        for x, sgn in component_vectors[0].items():
-            vec[x] = sgn
-        return dim, tuple(vec)
-    return dim, None
+                elif comp[y] != -comp[x]:
+                    alive = False  # y == x too: v[x] = -v[x] forces zero on the component
+        components.append((comp, alive))
+    consistent = [comp for comp, alive in components if alive]
+    if len(consistent) != 1:
+        return len(consistent), None
+    return 1, tuple(consistent[0].get(x, 0) for x in f2geom.SPACE)
 
 
 def antivectors_unique() -> bool:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from octet import checks, f2geom, lattices, qseries, tableaux, weil
+from octet import checks, f2geom, lattices, linalg, qseries, tableaux, weil
 from octet.checks import RunConfig
 from octet.f2geom import VectorType
 
@@ -66,11 +66,17 @@ def test_criterion_03_group_closure():
 
 
 def test_criterion_04_weil_relations_and_traces():
-    s, t = weil.rho_S(), weil.rho_T()
-    eye = weil.RationalMatrix.identity(64)
-    st = s @ t
+    # rho_S = H/8 and rho_T = diag(t): S^2 = (ST)^3 = 1 reads H.H = 64 I and
+    # (H diag(t))^3 = 512 I
+    h, t = weil.b_signs(), weil.q_signs()
+    st = [[x * s for x, s in zip(row, t)] for row in h]
+
+    def scalar(c):
+        return tuple(tuple(c * (i == j) for j in range(64)) for i in range(64))
+
     tr = weil.traces()
-    ok = (s @ s == eye and st @ st @ st == eye
+    ok = (linalg.matmul(h, h) == scalar(64)
+          and linalg.matmul(linalg.matmul(st, st), st) == scalar(512)
           and (tr["E"], tr["T"], tr["ST"]) == (64, 8, 1))
     _report(4, "matrix relations and traces (64, 8, 1)", ok)
 

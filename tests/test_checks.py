@@ -36,6 +36,14 @@ def test_the_tolerance_claim_fails_above_its_tolerance():
     assert not checks.all_passed(reports)
 
 
+def test_seed_7_passes_every_golden_line():
+    reports = checks.run_suite("all", RunConfig(seed=7))
+    want = [json.loads(line)["name"] for line in GOLDEN_REPORT.read_text().splitlines()]
+    assert len(want) == 62
+    assert [r.name for r in reports] == want
+    assert [r.name for r in reports if r.status != "pass"] == []
+
+
 def test_run_config_refuses_a_nonsensical_tolerance():
     for tolerance in ("-1", "0", "nan", "inf", "abc"):
         with pytest.raises(ValueError, match="tolerance"):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,17 +16,18 @@ from octet.checks import RunConfig
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(*args, env_extra=None):
+def run_python(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     # the child imports octet from this checkout, with or without PYTHONPATH set
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
-def run_cli(*args, env_extra=None):
-    return run_python("-m", "octet.cli", *args, env_extra=env_extra)
+def run_cli(*args, env_extra=None, timeout=None):
+    return run_python("-m", "octet.cli", *args, env_extra=env_extra, timeout=timeout)
 
 
 def test_verify_f2_exit_zero():
@@ -136,6 +138,22 @@ def test_compute_theta_reads_json_decimals_exactly(capsys):
     assert err == "error: a decimal exponent must lie within ±4300, got 1e999999999\n"
 
 
+def test_compute_theta_affine_refuses_a_huge_exponent_at_once():
+    # without the guard, Fraction builds 10**50000000 and runs for minutes
+    start = time.monotonic()
+    proc = run_cli("compute", "theta", "--affine", "1e50000000,2,3,4,5,6,7,8", timeout=20)
+    assert time.monotonic() - start < 5
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: a decimal exponent must lie within ±4300, got 1e50000000\n"
+    # what is no number at all still reaches parse_config's message
+    for first in ("1/0", "a", "1ex"):
+        proc = run_cli("compute", "theta", "--affine", first + ",2,3,4,5,6,7,8", timeout=20)
+        assert (proc.returncode, proc.stdout) == (2, ""), first
+        assert proc.stderr.startswith("error: coordinates must be rational numbers ("), first
+    proc = run_cli("compute", "theta", "--affine", "1e-2,2,3,4,5,6,7,8", timeout=20)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["unstable"] is False
+
+
 def test_compute_rejects_flags_it_does_not_read():
     for args in (["group", "--seed", "3"], ["fv", "--order", "5"]):
         proc = run_cli("compute", *args)
@@ -240,6 +258,24 @@ def test_verify_out_fails_before_any_suite_runs(monkeypatch, capsys):
     monkeypatch.setattr(checks, "run_suite", run_suite)
     assert cli.main(["verify", "all", "--out", ""]) == 2
     assert capsys.readouterr().err == "error: cannot write '': No such file or directory\n"
+
+
+def test_verify_refuses_a_bound_or_order_before_any_suite_runs(monkeypatch, capsys):
+    def run_suite(*args):
+        raise AssertionError("a suite ran before the run configuration was checked")
+
+    monkeypatch.setattr(checks, "run_suite", run_suite)
+    for argv, message in ((["verify", "all", "--bound", "16"], "bound must lie in [2, 15], got 16"),
+                          (["verify", "f2", "--bound", "16"], "bound must lie in [2, 15], got 16"),
+                          (["verify", "lattice", "--bound", "1"], "bound must lie in [2, 15], got 1"),
+                          (["verify", "all", "--order", "2"], "order must be at least 3, got 2")):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr() == ("", "error: %s\n" % message), argv
+    for field, value in (("box_bound", 16), ("box_bound", 1), ("series_order", 2)):
+        with pytest.raises(ValueError):
+            RunConfig(**{field: value})
+    assert (RunConfig(box_bound=2, series_order=3).box_bound, RunConfig(box_bound=15).box_bound) \
+        == (2, 15)
 
 
 # modules that ``cli`` imports where a command first uses them, and numpy,

@@ -1,9 +1,18 @@
+import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from octet import f2geom, linalg, weil
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "verify_all_seed42.jsonl"
 
 
 def test_traces():
@@ -11,22 +20,36 @@ def test_traces():
     assert tr == {"E": 64, "T": 8, "S": 8, "ST": 1}
 
 
+def _fraction_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _eye(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
 def test_generator_relations():
-    s, t = weil.rho_S(), weil.rho_T()
-    eye = weil.RationalMatrix.identity(64)
-    assert s @ s == eye
-    st = s @ t
-    assert st @ st @ st == eye
-    assert t @ t == eye
+    # rho_S = H/8 and rho_T = diag(t) as Fraction matrices, multiplied plainly
+    h, t = weil.b_signs(), weil.q_signs()
+    s = [[Fraction(x, 8) for x in row] for row in h]
+    tm = [[Fraction(x * (i == j)) for j in range(64)] for i, x in enumerate(t)]
+    eye = _eye(64)
+    assert _fraction_product(s, s) == eye
+    st = _fraction_product(s, tm)
+    assert _fraction_product(_fraction_product(st, st), st) == eye
+    assert _fraction_product(tm, tm) == eye
+    assert weil.sl2_relations() == {"s_squared": True, "st_cubed": True}
 
 
 def test_matrix_entry_shapes():
-    t = weil.rho_T()
-    assert t.den == 1
-    assert sorted(set(np.diag(t.num))) == [-1, 1]
-    s = weil.rho_S()
-    assert s.den == 8
-    assert set(np.unique(s.num)) == {-1, 1}
+    t = weil.q_signs()
+    assert len(t) == 64 and sorted(set(t)) == [-1, 1]
+    assert t == tuple((-1) ** f2geom.q(a) for a in f2geom.SPACE)
+    h = weil.b_signs()
+    assert len(h) == 64 and all(len(row) == 64 for row in h)
+    assert {x for row in h for x in row} == {-1, 1}
+    assert h == tuple(zip(*h))  # symmetric
+    assert h[0] == (1,) * 64
 
 
 def test_character_decomposition():
@@ -36,27 +59,33 @@ def test_character_decomposition():
 
 
 def test_apply_matches_fraction_loop():
-    rng = np.random.default_rng(3)
+    # the sparse image H @ v of the integer row of v, against H/8, diag(t)
+    # and (H/8) diag(t) applied entry by entry in Fractions
+    rng = random.Random(3)
+    h, t = weil.b_signs(), weil.q_signs()
     vectors = [list(v) for v in weil.invariant_subspace()[:3]]
-    vectors.append([Fraction(int(x), int(d)) for x, d in
-                    zip(rng.integers(-50, 50, 64), rng.integers(1, 9, 64))])
-    for mat in (weil.rho_S(), weil.rho_T(), weil.rho_S() @ weil.rho_T()):
-        for vec in vectors:
-            want = [sum(int(c) * x for c, x in zip(row, vec)) / mat.den for row in mat.num]
-            assert mat.apply(vec) == want
+    vectors.append([Fraction(rng.randrange(-50, 50), rng.randrange(1, 9)) for _ in range(64)])
+    for vec in vectors:
+        den = lcm(*(Fraction(x).denominator for x in vec))
+        ints = linalg.integer_row(vec)
+        assert ints == [x * den for x in vec]
+        s_vec = [sum(Fraction(c, 8) * x for c, x in zip(row, vec)) for row in h]
+        t_vec = [s * x for s, x in zip(t, vec)]
+        st_vec = [sum(Fraction(c, 8) * x for c, x in zip(row, t_vec)) for row in h]
+        assert [Fraction(y, 8 * den) for y in weil._image(ints)] == s_vec
+        assert [Fraction(y, 8 * den) for y in weil._image([s * x for s, x in zip(t, ints)])] \
+            == st_vec
+        assert weil.is_invariant(vec) == (s_vec == t_vec == vec)
 
 
 def test_apply_never_wraps():
-    # int64 would wrap the exact entry 2**61 * 8 of num @ v to 0
-    assert weil.rho_S().apply([2**58] * 64)[0] == 2**61
+    # int64 would wrap the exact entry 2**61 * 8 of H @ v to 0
+    assert weil._image([2**58] * 64)[0] == 2**61 * 8
     assert weil.is_invariant([2**58] * 64) is weil.is_invariant([1] * 64) is False
-    assert weil.rho_S().apply([2**50] * 64)[0] == 2**53
+    assert weil._image([2**50] * 64)[0] == 2**53 * 8
 
 
 def test_products_never_wrap():
-    # int64 would wrap the exact entries 2 * 2**80 of this product to 0
-    big = weil.RationalMatrix([[2**40] * 2] * 2)
-    assert (big @ big).num == ((2**81, 2**81), (2**81, 2**81))
     assert weil.sl2_relations() == {"s_squared": True, "st_cubed": True}
     assert weil.traces() == {"E": 64, "T": 8, "S": 8, "ST": 1}
 
@@ -165,8 +194,40 @@ def test_construction_equivariant_up_to_sign():
 
 
 def test_permutation_action_commutes_with_matrices():
-    s = weil.rho_S()
+    h, t = weil.b_signs(), weil.q_signs()
     for alpha in (f2geom.ALPHA1, f2geom.ALPHA1 ^ f2geom.E2):
-        perm = list(f2geom.transvection(alpha))
-        num = np.array(s.num)
-        assert (num[perm, :][:, perm] == num).all()
+        perm = f2geom.transvection(alpha)
+        assert [[h[perm[i]][perm[j]] for j in range(64)] for i in range(64)] == list(map(list, h))
+        assert [t[perm[i]] for i in range(64)] == list(t)
+    assert weil.commutes_with_transvections()
+
+
+_BROKEN_RUN = """
+from octet import checks, weil
+%s
+print(checks.reports_to_jsonl(checks.run_suite("all")), end="")
+"""
+
+
+@pytest.mark.parametrize("patch, relations_failing", [
+    ("h = [list(row) for row in weil.b_signs()]; h[1][2] *= -1\n"
+     "weil.b_signs = lambda: tuple(map(tuple, h))", {"weil.s_squared", "weil.st_cubed"}),
+    ("t = list(weil.q_signs()); t[5] *= -1\n"
+     "weil.q_signs = lambda: tuple(t)", {"weil.st_cubed"}),
+], ids=["flipped_h_entry", "flipped_t_sign"])
+def test_a_broken_weil_table_fails_its_lines(patch, relations_failing):
+    # a fresh interpreter, so that no table or basis cached from the broken
+    # one is seen by another test
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _BROKEN_RUN % patch],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    got, want = proc.stdout.splitlines(), GOLDEN_REPORT.read_text().splitlines()
+    assert [json.loads(line)["name"] for line in got] == [json.loads(line)["name"] for line in want]
+    status = {doc["name"]: doc["status"] for doc in map(json.loads, got)}
+    assert {name for name in ("weil.s_squared", "weil.st_cubed")
+            if status[name] == "fail"} == relations_failing
+    assert [line for line in got if line.startswith('{"name":"f2.')] \
+        == [line for line in want if line.startswith('{"name":"f2.')]
+    assert sum(line.startswith('{"name":"f2.') for line in want) == 13
