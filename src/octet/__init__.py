@@ -23,9 +23,9 @@ Submodules:
 
 Every exact computation runs on Python ints and Fractions, so none can wrap
 or round; the inversion residuals of ``qseries`` are the only floats.  No
-module imports numpy.  ``cli`` imports ``weil``,
-``lattices`` and ``tableaux`` where a command first uses them, so commands
-that need none of them start without loading them.
+module imports numpy or dataclasses.  ``cli`` and
+``checks`` import every domain module where a command or a suite first uses
+it, so a command loads only the modules it runs.
 """
 
 __version__ = "0.1.0"

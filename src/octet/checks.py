@@ -9,31 +9,37 @@ passes the claim when they are equal.  The numeric inversion claim alone
 carries a fifth field, its tolerance, and passes when every value it shows
 lies below it.  Identical run configurations give byte-identical reports:
 all randomness is seeded through the run configuration and every serialized
-container is explicitly ordered.
+container is explicitly ordered.  ``RunConfig`` and ``CheckReport`` are
+immutable NamedTuples, and each suite imports its domain modules where it
+runs, so that importing this module loads none of them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
-
-from . import f2geom, qseries
-from .f2geom import VectorType
+from typing import NamedTuple
 
 SELECTORS = ("f2", "weil", "qseries", "lattice", "tableaux", "all")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunFields(NamedTuple):
     seed: int = 42
     series_order: int = 20
     sample_count: int = 300
     box_bound: int = 3
     tolerance: str = "1e-9"
 
-    def __post_init__(self):
+
+class RunConfig(_RunFields):
+    """The fields of one run, refused on construction unless they make sense."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # the sampler reads a seed as 64 bits; a wider one would alias another
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2**64), got %d" % self.seed)
@@ -49,10 +55,10 @@ class RunConfig:
                              % (min(BOX_COUNTS), max(BOX_COUNTS), self.box_bound))
         if self.series_order < 3:
             raise ValueError("order must be at least 3, got %d" % self.series_order)
+        return self
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     status: str
     expected: object
@@ -84,7 +90,7 @@ def _plain(value):
     """Convert values to JSON-stable primitives (sorted, stringified exacts)."""
     if isinstance(value, Fraction):
         return "%d/%d" % (value.numerator, value.denominator)
-    if isinstance(value, VectorType):
+    if isinstance(value, Enum):
         return value.value
     if isinstance(value, dict):
         return dict(sorted((str(_plain(k)), _plain(v)) for k, v in value.items()))
@@ -100,6 +106,7 @@ def _plain(value):
 
 
 def f2_suite(cfg: RunConfig):
+    from . import f2geom
     yield "f2.vector_census", "published", {"00": 1, "0": 35, "1": 28}, f2geom.census()
     yield ("f2.pair_census", "published",
            {"00": {"00": (1, 0), "0": (35, 0), "1": (28, 0)},
@@ -125,7 +132,7 @@ def f2_suite(cfg: RunConfig):
 
 
 def weil_suite(cfg: RunConfig):
-    from . import weil
+    from . import f2geom, weil
     yield ("weil.traces", "published",
            {"E": Fraction(64), "T": Fraction(8), "S": Fraction(8), "ST": Fraction(1)},
            weil.traces())
@@ -150,6 +157,7 @@ def weil_suite(cfg: RunConfig):
 
 
 def qseries_suite(cfg: RunConfig):
+    from . import qseries
     order = cfg.series_order
     yield ("qseries.component_heads", "published",
            {"h00": ["56", "896", "8064"], "h0": ["-8", "-128", "-1152"],

@@ -3,9 +3,9 @@
 ``octet verify <selector>`` runs a suite and writes one JSON object per check
 (exit code 0 when everything passes, 1 otherwise); ``octet compute <command>``
 emits a single JSON document.  The OCTET_REPORT_DIR environment variable
-redirects relative output paths.  ``weil``, ``lattices`` and ``tableaux`` are
-imported where a command first uses them, so that ``compute hseries``,
-``subspaces`` and ``group`` start without loading them.
+redirects relative output paths.  At import this module loads ``checks``
+alone; each command imports the domain modules it uses, and each ``verify``
+suite its own, so ``compute hseries`` loads ``qseries`` and nothing else.
 """
 
 from __future__ import annotations
@@ -17,12 +17,17 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from . import checks, f2geom, qseries
+from . import checks
 from .checks import RunConfig
 
 
 def _frac_str(x: Fraction) -> str:
-    return "%d/%d" % (x.numerator, x.denominator)
+    try:
+        return "%d/%d" % (x.numerator, x.denominator)
+    except ValueError:  # Python's digit limit on int output, which no exponent guard bounds
+        raise ValueError("an output value has more than %d digits in its numerator or "
+                         "denominator, the limit of integer output"
+                         % sys.get_int_max_str_digits()) from None
 
 
 @contextmanager
@@ -95,7 +100,8 @@ def cmd_verify(args) -> int:
 # compute subcommands
 
 
-def _parse_subspace(args) -> f2geom.Subspace:
+def _parse_subspace(args):
+    from . import f2geom
     if args.generators is not None:
         gens = args.generators.split(",")
         if not all(g.strip().isdecimal() and int(g) < 64 for g in gens):
@@ -110,7 +116,7 @@ def _parse_subspace(args) -> f2geom.Subspace:
 
 
 def compute_fv(args) -> dict:
-    from . import weil
+    from . import f2geom, weil
     sub = _parse_subspace(args)
     vec = weil.singular_vector(sub)
     plane = f2geom.kernel_plane(sub)
@@ -125,6 +131,7 @@ def compute_fv(args) -> dict:
 
 
 def compute_subspaces(args) -> dict:
+    from . import f2geom
     if args.singular:
         subs = f2geom.enumerate_singular_subspaces()
         kind = "singular"
@@ -136,6 +143,7 @@ def compute_subspaces(args) -> dict:
 
 
 def compute_hseries(args) -> dict:
+    from . import qseries
     comps = qseries.h_components(args.order)
     return {"order": args.order,
             "h00": qseries.serialize_series(comps.h00),
@@ -197,6 +205,7 @@ def compute_relations(args) -> dict:
 
 
 def compute_group(args) -> dict:
+    from . import f2geom
     return {"order": f2geom.group_order(),
             "transvection_generators": len(f2geom.all_transvections()),
             "orbit_sizes": f2geom.orbit_sizes()}

@@ -6,10 +6,12 @@ addition is XOR.  The quadratic form is
     q(x) = x_e1*x_f1 + x_e2*x_f2 + x_e3*x_f3
 
 and b(x, y) = q(x+y) + q(x) + q(y) is the associated nondegenerate symmetric
-bilinear form.  An F2-linear map from F2^k is one 2^k-entry table, built by
-``linear_table`` from the images of the basis vectors; spans, group
-elements and the dictionaries of the lattice and tableaux models are such
-tables.  Subspaces are canonical reduced-echelon tuples of basis
+bilinear form.  Both are tables built once at import: ``Q_TABLE`` holds q,
+``B_TABLE`` the rows of b read off it by that identity, and every loop over
+the space reads them.  An F2-linear map from F2^k is one 2^k-entry table,
+built by ``linear_table`` from the images of the basis vectors; spans,
+group elements and the dictionaries of the lattice and tableaux models are
+such tables.  Subspaces are canonical reduced-echelon tuples of basis
 vectors, so they compare by equality; ``all_subspaces`` enumerates these
 bases directly, and every enumeration is deterministic.  The order of the
 orthogonal group and its action on q are certified from the Coxeter
@@ -35,41 +37,49 @@ ALPHA1, ALPHA2, ALPHA3 = E1 | F1, E2 | F2, E3 | F3
 _E_BITS = 0b010101  # the e-coordinate positions
 
 
+# q(x): the parity of the hyperbolic pairs (e_i, f_i) both set in x
+Q_TABLE = tuple(bin(x & (x >> 1) & _E_BITS).count("1") & 1 for x in SPACE)
+# row x: b(x, y) = q(x+y) + q(x) + q(y) for every y
+B_TABLE = tuple(tuple(Q_TABLE[x ^ y] ^ Q_TABLE[x] ^ Q_TABLE[y] for y in SPACE) for x in SPACE)
+
+
 def q(x: int) -> int:
     """Quadratic form value in F2."""
-    return bin(x & (x >> 1) & _E_BITS).count("1") & 1
+    return Q_TABLE[x]
 
 
 def b(x: int, y: int) -> int:
     """Polarized bilinear form b(x,y) = q(x+y) + q(x) + q(y)."""
-    swapped = ((y & _E_BITS) << 1) | ((y >> 1) & _E_BITS)
-    return bin(x & swapped).count("1") & 1
+    return B_TABLE[x][y]
 
 
 class VectorType(enum.Enum):
+    """The three types, in the order of the components h00, h0, h1."""
     ZERO = "00"
     ISOTROPIC = "0"
     ANISOTROPIC = "1"
 
 
+_TYPE_TABLE = (VectorType.ZERO,) + tuple(
+    VectorType.ANISOTROPIC if Q_TABLE[v] else VectorType.ISOTROPIC for v in SPACE[1:])
+
+
 def classify(v: int) -> VectorType:
-    if v == 0:
-        return VectorType.ZERO
-    return VectorType.ANISOTROPIC if q(v) else VectorType.ISOTROPIC
+    return _TYPE_TABLE[v]
 
 
 def census() -> dict[VectorType, int]:
     counts = {t: 0 for t in VectorType}
-    for v in SPACE:
-        counts[classify(v)] += 1
+    for kind in _TYPE_TABLE:
+        counts[kind] += 1
     return counts
 
 
 def pair_census(alpha: int) -> dict[tuple[VectorType, int], int]:
     """For fixed alpha, count beta by (type of beta, b(alpha, beta))."""
     counts = {(t, e): 0 for t in VectorType for e in (0, 1)}
-    for beta in SPACE:
-        counts[(classify(beta), b(alpha, beta))] += 1
+    for key in zip(_TYPE_TABLE, B_TABLE[alpha]):
+        counts[key] += 1
     return counts
 
 
@@ -123,11 +133,11 @@ def transvection(alpha: int) -> Perm:
     (cached)."""
     if q(alpha) != 1:
         raise ValueError("transvections are defined only at anisotropic vectors")
-    return tuple(x ^ (alpha if b(x, alpha) else 0) for x in SPACE)
+    return tuple(x ^ (alpha if bit else 0) for x, bit in zip(SPACE, B_TABLE[alpha]))
 
 
 def all_transvections() -> list[Perm]:
-    return [transvection(a) for a in SPACE if q(a) == 1]
+    return [transvection(a) for a in SPACE if Q_TABLE[a]]
 
 
 def compose(g: Perm, h: Perm) -> Perm:
@@ -182,8 +192,8 @@ def _presentation_certificate() -> tuple[bool, bool, bool]:
     gens = coxeter_generators()
     reached = set().union(*(o for o in orbits(gens) if set(o) & set(COXETER_CHAIN)))
     return (coxeter_relations(gens, compose, SPACE),
-            reached == {a for a in SPACE if q(a)},
-            all(q(g[x]) == q(x) for g in gens for x in SPACE))
+            reached == {a for a in SPACE if Q_TABLE[a]},
+            all(Q_TABLE[g[x]] == Q_TABLE[x] for g in gens for x in SPACE))
 
 
 def group_order() -> int:
@@ -281,20 +291,15 @@ def all_subspaces(dim: int) -> tuple[Subspace, ...]:
 
 
 def is_totally_isotropic(s: Subspace) -> bool:
-    basis = list(s)
-    return all(q(v) == 0 for v in basis) and all(
-        b(u, v) == 0 for u, v in combinations(basis, 2)
-    )
+    return not any(Q_TABLE[v] for v in s) and not any(
+        B_TABLE[u][v] for u, v in combinations(s, 2))
 
 
 def is_singular(s: Subspace) -> bool:
     """True for 3-dim subspaces where b vanishes but q does not."""
-    basis = list(s)
-    if len(basis) != 3:
+    if len(s) != 3 or any(B_TABLE[u][v] for u, v in combinations(s, 2)):
         return False
-    if any(b(u, v) for u, v in combinations(basis, 2)):
-        return False
-    return any(q(v) for v in basis)
+    return any(Q_TABLE[v] for v in s)
 
 
 def enumerate_isotropic_subspaces(dim: int) -> tuple[Subspace, ...]:
@@ -317,8 +322,8 @@ def singular_members(s: Subspace) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if not is_singular(s):
         raise ValueError("not a maximal totally singular subspace")
     vecs = span(s)
-    aniso = tuple(v for v in vecs if q(v))
-    iso = tuple(v for v in vecs if not q(v))
+    aniso = tuple(v for v in vecs if Q_TABLE[v])
+    iso = tuple(v for v in vecs if not Q_TABLE[v])
     return aniso, iso
 
 
@@ -348,10 +353,8 @@ def isotropic_plane_extensions(plane: Subspace) -> tuple[Subspace, Subspace]:
         raise ValueError("need a totally isotropic plane")
     inside = set(span(plane))
     exts = set()
-    for v in SPACE:
-        if v in inside or q(v):
-            continue
-        if all(b(v, u) == 0 for u in plane):
+    for v, qv, bu, bw in zip(SPACE, Q_TABLE, B_TABLE[plane[0]], B_TABLE[plane[1]]):
+        if not (qv or bu or bw or v in inside):
             ext = echelon_basis(plane + (v,))
             if is_totally_isotropic(ext):
                 exts.add(ext)

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from operator import mul
+from typing import NamedTuple
 
 from . import f2geom
 from .linalg import matmul
@@ -105,8 +105,7 @@ _E8_CARTAN = (
 )
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class GramLattice(NamedTuple):
     name: str
     gram: Matrix
 
@@ -293,8 +292,7 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
 # discriminant forms
 
 
-@dataclass(frozen=True)
-class FiniteQuadraticForm:
+class FiniteQuadraticForm(NamedTuple):
     """A 2-elementary finite quadratic form on F2^a, as integer tables.
 
     An element is an a-bit integer x, bit i the coefficient of generator i,
@@ -412,9 +410,7 @@ def find_isomorphism(a: FiniteQuadraticForm, b: FiniteQuadraticForm):
 @lru_cache(maxsize=None)
 def _split_model_form() -> FiniteQuadraticForm:
     """The 64-vector model of ``f2geom`` as a form: q4 = 2q and b2 = b."""
-    return FiniteQuadraticForm(tuple(2 * f2geom.q(x) for x in f2geom.SPACE),
-                               tuple(tuple(f2geom.b(x, y) for y in f2geom.SPACE)
-                                     for x in f2geom.SPACE))
+    return FiniteQuadraticForm(tuple(2 * bit for bit in f2geom.Q_TABLE), f2geom.B_TABLE)
 
 
 def identify_with_split_model(form: FiniteQuadraticForm) -> tuple[int, ...]:

@@ -7,9 +7,12 @@ coefficient of the three components is an integer on this half grid, which
 is also the serialization contract.  The translation equations are checked
 exactly on coefficients; the inversion equations are measured numerically
 through the eta products, whose float residuals are the only inexact values
-(``checks`` judges them against its tolerance).  Only ``assemble_and_reduce``
-needs the Weil representation: it reads the sign tables t and H of ``weil``,
-which it imports where it runs, and keeps its values Fractions.
+(``checks`` judges them against its tolerance).  Only the three functions
+that read the 64 vectors import ``f2geom``, where they run, so that ``compute
+hseries`` never loads it; they take the types in the order of
+``f2geom.VectorType``, that of h00, h0, h1.  ``assemble_and_reduce`` also reads
+the sign tables t and H of ``weil``, imported there too, and keeps its values
+Fractions.
 """
 
 from __future__ import annotations
@@ -20,12 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import f2geom
-from .f2geom import VectorType
-
 QQ = Fraction
-# the three vector types in the order of the components h00, h0, h1
-TYPES = (VectorType.ZERO, VectorType.ISOTROPIC, VectorType.ANISOTROPIC)
 
 
 class QSeries:
@@ -273,10 +271,10 @@ def assemble_and_reduce() -> dict:
     mixing matrix (None if some image is not type-constant) and the diagonal
     translation signs t (None where not constant) are returned as Fractions.
     """
-    from . import weil
+    from . import f2geom, weil
     types = [f2geom.classify(x) for x in f2geom.SPACE]
     mixing = []
-    for col_kind in TYPES:
+    for col_kind in f2geom.VectorType:
         seen = {}
         for kind, row in zip(types, weil.b_signs()):
             image = Fraction(sum(x for x, k in zip(row, types) if k is col_kind), 8)
@@ -284,9 +282,9 @@ def assemble_and_reduce() -> dict:
         if any(len(vals) != 1 for vals in seen.values()):
             mixing = None
             break
-        mixing.append([next(iter(seen[row_kind])) for row_kind in TYPES])
+        mixing.append([next(iter(seen[row_kind])) for row_kind in f2geom.VectorType])
     t_signs = []
-    for kind in TYPES:
+    for kind in f2geom.VectorType:
         vals = {Fraction(t) for t, k in zip(weil.q_signs(), types) if k is kind}
         t_signs.append(next(iter(vals)) if len(vals) == 1 else None)
     return {"mixing_matrix": None if mixing is None else [list(col) for col in zip(*mixing)],
@@ -295,9 +293,10 @@ def assemble_and_reduce() -> dict:
 
 def mixing_rows_from_pair_census() -> tuple[tuple[int, int, int], ...]:
     """Recover the integer mixing rows as m0 - m1 from the pairing census."""
+    from . import f2geom
     census = f2geom.pair_census_by_type()
-    return tuple(tuple(census[k1][k2][0] - census[k1][k2][1] for k2 in TYPES)
-                 for k1 in TYPES)
+    return tuple(tuple(census[k1][k2][0] - census[k1][k2][1] for k2 in f2geom.VectorType)
+                 for k1 in f2geom.VectorType)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +305,9 @@ def mixing_rows_from_pair_census() -> tuple[tuple[int, int, int], ...]:
 
 def borcherds_bookkeeping(order=20) -> dict:
     """Arithmetic cross-checks on the lift's weight and vanishing orders."""
+    from . import f2geom
     weight = QQ(h_components(order).h00[0], 2)
-    n_aniso = f2geom.census()[VectorType.ANISOTROPIC]
+    n_aniso = f2geom.census()[f2geom.VectorType.ANISOTROPIC]
     # the product has weight 4 per singular subspace
     vanishing = QQ(4 * len(f2geom.enumerate_singular_subspaces()), n_aniso)
     quartic_count = vanishing * n_aniso

@@ -22,14 +22,13 @@ from .f2geom import Subspace
 @lru_cache(maxsize=None)
 def q_signs() -> tuple[int, ...]:
     """t[alpha] = (-1)^q(alpha), the diagonal of rho_T."""
-    return tuple((-1) ** f2geom.q(alpha) for alpha in f2geom.SPACE)
+    return tuple((-1) ** bit for bit in f2geom.Q_TABLE)
 
 
 @lru_cache(maxsize=None)
 def b_signs() -> tuple[tuple[int, ...], ...]:
     """H[beta][alpha] = (-1)^b(beta, alpha), which is symmetric; rho_S = H/8."""
-    return tuple(tuple((-1) ** f2geom.b(beta, alpha) for alpha in f2geom.SPACE)
-                 for beta in f2geom.SPACE)
+    return tuple(tuple((-1) ** bit for bit in row) for row in f2geom.B_TABLE)
 
 
 def _scalar(c: int) -> tuple[tuple[int, ...], ...]:

@@ -51,6 +51,27 @@ def test_run_config_refuses_a_nonsensical_tolerance():
     assert RunConfig(tolerance="1e-8").tolerance == "1e-8"
 
 
+def test_run_config_and_reports_are_immutable_values():
+    cfg = RunConfig(seed=7, box_bound=2)
+    with pytest.raises(AttributeError):
+        cfg.seed = 8
+    with pytest.raises(AttributeError):
+        cfg.extra = 1
+    assert cfg == RunConfig(7, 20, 300, 2, "1e-9") and hash(cfg) == hash(RunConfig(7, box_bound=2))
+    assert cfg != RunConfig(seed=8, box_bound=2)
+    assert RunConfig() == RunConfig(**{}) and hash(RunConfig()) == hash(RunConfig())
+    for fields in ({"box_bound": 16}, {"series_order": 2}, {"tolerance": "0"}):
+        with pytest.raises(ValueError):
+            RunConfig(**fields)
+    # a report hashes when its values do, as f2.group_order's integers
+    report = next(r for r in checks.run_suite("f2", cfg) if r.name == "f2.group_order")
+    with pytest.raises(AttributeError):
+        report.status = "fail"
+    rebuilt = checks.CheckReport(*report)
+    assert report == rebuilt and hash(report) == hash(rebuilt)
+    assert report.tolerance is None
+
+
 def test_checks_module_only_wires_claims():
     tree = ast.parse(Path(checks.__file__).read_text())
     nodes = list(ast.walk(tree))

@@ -154,6 +154,21 @@ def test_compute_theta_affine_refuses_a_huge_exponent_at_once():
     assert proc.returncode == 0 and json.loads(proc.stdout)["unstable"] is False
 
 
+def test_compute_theta_refuses_an_output_beyond_the_digit_limit():
+    # 10**4300 passes the exponent guard, but a coordinate with its digits
+    # cannot be printed under Python's default limit of 4300 digits
+    message = ("error: an output value has more than 4300 digits in its numerator or "
+               "denominator, the limit of integer output\n")
+    points = ",".join("[1,%d]" % x for x in range(2, 9))
+    for args in (["--affine", "1e4300,2,3,4,5,6,7,8"], ["--config", "[[1e4300,1],%s]" % points]):
+        proc = run_cli("compute", "theta", *args, timeout=20)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message), args
+    proc = run_cli("compute", "theta", "--affine", "1e1000,2,3,4,5,6,7,8", timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    coordinates = json.loads(proc.stdout)["coordinates"]
+    assert max(len(c) for c in coordinates) > 1000
+
+
 def test_compute_rejects_flags_it_does_not_read():
     for args in (["group", "--seed", "3"], ["fv", "--order", "5"]):
         proc = run_cli("compute", *args)
@@ -294,10 +309,10 @@ print(loaded)
 """
 
 
-def _modules_loaded(*argvs):
-    """The HEAVY modules loaded after ``import octet.cli`` and after each
+def _modules_loaded(*argvs, watched=HEAVY):
+    """The watched modules loaded after ``import octet.cli`` and after each
     command, in one fresh interpreter (pytest itself has numpy loaded)."""
-    proc = run_python("-c", _LOADED % (HEAVY, argvs))
+    proc = run_python("-c", _LOADED % (watched, argvs))
     assert proc.returncode == 0, proc.stderr
     return ast.literal_eval(proc.stdout)
 
@@ -324,7 +339,25 @@ def test_no_command_loads_numpy():
     assert not [names for names in loaded if "numpy" in names]
 
 
-def test_no_module_imports_numpy():
+# the stdlib modules a dataclass declaration loads, and every module of the package
+COLD_WATCHED = ("dataclasses", "inspect") + tuple(sorted(
+    "octet." + path.stem for path in Path(octet.__file__).parent.glob("*.py")
+    if path.stem != "__init__"))
+
+
+def test_cold_start_loads_only_what_the_command_runs():
+    after_import, after_hseries, after_verify_all = _modules_loaded(
+        ["compute", "hseries", "--order", "8"], ["verify", "all"], watched=COLD_WATCHED)
+    assert after_import == ["octet.checks", "octet.cli"]
+    assert after_hseries == ["octet.checks", "octet.cli", "octet.qseries"]
+    # positive control: the probe sees each domain module once a command imports it
+    assert {"octet.f2geom", "octet.qseries", "octet.weil", "octet.linalg", "octet.lattices",
+            "octet.tableaux"} <= set(after_verify_all)
+    assert not {"dataclasses", "inspect"} & set(after_verify_all)
+
+
+def _src_imports() -> set[str]:
+    """Every module name an ``import`` or ``from ... import`` of ``src/octet`` names."""
     imported = set()
     for path in Path(octet.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -332,8 +365,19 @@ def test_no_module_imports_numpy():
                 imported |= {alias.name for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module)
+    return imported
+
+
+def test_no_module_imports_numpy():
+    imported = _src_imports()
     assert {"fractions", "linalg"} <= imported  # the walk sees absolute and relative imports
     assert not {name for name in imported if name.split(".")[0] == "numpy"}
+
+
+def test_no_module_imports_dataclasses():
+    imported = _src_imports()
+    assert "typing" in imported  # the walk sees where the NamedTuple classes come from
+    assert "dataclasses" not in imported
 
 
 def test_seed_outside_64_bits_exits_2_before_running(monkeypatch, capsys):

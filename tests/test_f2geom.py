@@ -38,6 +38,31 @@ def test_bilinearity(x, y, z):
     assert f2geom.b(x ^ y, z) == (f2geom.b(x, z) + f2geom.b(y, z)) % 2
 
 
+def test_tables_match_the_coordinate_formulas():
+    # q = sum x_ei x_fi and b = sum x_ei y_fi + x_fi y_ei over the three planes,
+    # coordinate by coordinate, against the tables that q, b and classify read
+    def bit(x, i):
+        return x >> i & 1
+
+    planes = ((0, 1), (2, 3), (4, 5))
+    for x in range(64):
+        assert f2geom.Q_TABLE[x] == f2geom.q(x) == sum(bit(x, e) * bit(x, f)
+                                                       for e, f in planes) % 2
+        assert f2geom.classify(x) is (VectorType.ZERO if x == 0 else
+                                      VectorType.ANISOTROPIC if f2geom.Q_TABLE[x] else
+                                      VectorType.ISOTROPIC)
+        for y in range(64):
+            want = sum(bit(x, e) * bit(y, f) + bit(x, f) * bit(y, e) for e, f in planes) % 2
+            assert f2geom.B_TABLE[x][y] == f2geom.b(x, y) == want
+    for alpha in range(64):
+        census = f2geom.pair_census(alpha)
+        for kind in VectorType:
+            for e in (0, 1):
+                assert census[(kind, e)] == sum(1 for beta in range(64)
+                                                if f2geom.classify(beta) is kind
+                                                and f2geom.b(alpha, beta) == e)
+
+
 def test_nondegenerate():
     for x in range(1, 64):
         assert any(f2geom.b(x, y) for y in range(64))

@@ -25,6 +25,24 @@ def test_named_lattices():
         lat.named_lattice("Z9")
 
 
+def test_lattices_and_forms_are_immutable_hashable_values():
+    n, form = lat.lattice_N(), lat.discriminant_form(lat.lattice_N())
+    for value, field in ((n, "gram"), (form, "q4")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, ())
+    rebuilt = lat.GramLattice(n.name, tuple(map(tuple, n.gram)))
+    assert rebuilt == n and hash(rebuilt) == hash(n) and rebuilt.det() == n.det()
+    again = lat.discriminant_form(lat.GramLattice(n.name, n.gram))
+    assert again == form and hash(again) == hash(form) and again is not form
+
+    @lru_cache(maxsize=None)
+    def negated(f):
+        return f.neg()
+
+    assert negated(form) is negated(again) and negated.cache_info().hits == 1
+    assert negated(form.neg()) == form
+
+
 def test_signatures():
     assert lat.named_lattice("U").signature() == (1, 1)
     assert lat.named_lattice("D4").signature() == (0, 4)
