@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -155,10 +156,15 @@ def compute_hseries(args) -> dict:
 MAX_DECIMAL_EXPONENT = 4300
 
 
-def _bounded_exponent(text: str) -> str:
-    """The text of a number, once its decimal exponent, if it has one, lies
-    within ``MAX_DECIMAL_EXPONENT``: so that Fraction never builds 10**exponent
-    for a huge one.  Text that is no number is left for Fraction to refuse."""
+def _bounded_number(text: str) -> str:
+    """The text of a number, once no run of its digits passes Python's digit
+    limit on int input and its decimal exponent, if it has one, lies within
+    ``MAX_DECIMAL_EXPONENT``: so that Fraction never builds 10**exponent for a
+    huge one.  Text that is no number is left for Fraction to refuse."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(map(len, re.findall(r"\d+", text)), default=0) > limit:
+        raise ValueError("a number has more than %d digits in a row, the limit of integer input"
+                         % limit)
     try:
         exponent = int(text.lower().partition("e")[2])
     except ValueError:
@@ -170,18 +176,18 @@ def _bounded_exponent(text: str) -> str:
 
 
 def _exact_decimal(text: str) -> Fraction:
-    """A JSON number with a fraction or an exponent as an exact Fraction, so
-    that 0.1 is 1/10 and not a binary float."""
-    return Fraction(_bounded_exponent(text))
+    """A JSON number as an exact Fraction, so that 0.1 is 1/10 and not a
+    binary float."""
+    return Fraction(_bounded_number(text))
 
 
 def compute_theta(args) -> dict:
     from . import tableaux
     if args.config:
-        pairs = json.loads(args.config, parse_float=_exact_decimal)
+        pairs = json.loads(args.config, parse_float=_exact_decimal, parse_int=_exact_decimal)
         config = tableaux.parse_config(pairs)
     elif args.affine:
-        config = tableaux.affine_config(map(_bounded_exponent, args.affine.split(",")))
+        config = tableaux.affine_config(map(_bounded_number, args.affine.split(",")))
     else:
         raise ValueError("compute theta needs --config or --affine")
     try:

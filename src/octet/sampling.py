@@ -42,11 +42,3 @@ class SplitMix64:
                 seen.add(x)
                 out.append(x)
         return out
-
-    def permutation(self, n: int) -> tuple[int, ...]:
-        """Fisher-Yates shuffle of 0..n-1."""
-        arr = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
-            arr[i], arr[j] = arr[j], arr[i]
-        return tuple(arr)

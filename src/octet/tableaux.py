@@ -16,12 +16,13 @@ prod (x_b - x_a) over its pairs; it has degree 1 in each point, so the
 affine chart loses nothing.  Straightening expansions, the independence of
 the 14 standard products and the 14 quadrics among them are identities of
 these polynomials, and the quadrics are the exact kernel of the expanded
-coefficient matrix.  Seeded integer configurations evaluate the products
-through ``mu`` and cross-check each claim; they tie ``mu`` to the
-expansion and prove nothing the identities do not.  Sampled points are
-Python ints, and so is every certificate and kernel; Fractions appear only
-where input is parsed (``parse_config``) and where results are written out
-(``theta_map``, the canonical kernel ``basis``).
+coefficient matrix.  The S8 claims are certified on the seven adjacent
+transpositions, which generate S8.  Seeded integer configurations evaluate
+the products through ``mu`` and cross-check the other claims; they tie
+``mu`` to the expansion and prove nothing the identities do not.  Sampled
+points are Python ints, and so is every certificate and kernel; Fractions
+appear only where input is parsed (``parse_config``) and where results are
+written out (``theta_map``, the canonical kernel ``basis``).
 """
 
 from __future__ import annotations
@@ -243,14 +244,6 @@ def apply_permutation(t: Tableau, sigma) -> tuple[Tableau, int]:
     return canonical_tableau(rows)
 
 
-def permute_config(config: Config, sigma) -> Config:
-    """Move the point with label i to slot sigma(i)."""
-    out = [None] * 8
-    for i in range(8):
-        out[sigma[i]] = config[i]
-    return tuple(out)
-
-
 def induced_model_map(sigma) -> tuple[int, ...]:
     """Permutation of the 64 model vectors induced by a 0-based permutation of
     labels: it moves generator j, the class of the pair (1, j + 2), to the
@@ -278,12 +271,6 @@ def sample_config(rng: SplitMix64) -> Config:
     return tuple((1, x) for x in rng.distinct_integers(8, -50, 50))
 
 
-def mu_permutation_identity(t: Tableau, sigma, config: Config) -> bool:
-    """mu of the relabelled tableau at c equals the sign times mu at the moved c."""
-    relabelled, sign = apply_permutation(t, sigma)
-    return mu(relabelled, permute_config(config, sigma)) == sign * mu(t, config)
-
-
 # the transpositions (i i+1), as 0-based permutations; they generate S8
 ADJACENT_TRANSPOSITIONS = tuple(
     tuple(i + 1 if j == i else i if j == i + 1 else j for j in range(8))
@@ -292,7 +279,8 @@ ADJACENT_TRANSPOSITIONS = tuple(
 
 def action_matrix(sigma) -> list[list[int]]:
     """The exact 14x14 integer matrix M of the permutation action on standard
-    products: M applied to mu_vector(c) gives mu_vector(permute_config(c, sigma)).
+    products: M applied to mu_vector(c) gives mu_vector at c with the point of
+    label i moved to slot sigma(i).
 
     Moving the points by sigma evaluates each standard product at the
     tableau relabelled by sigma^-1, so row i is the signed straightening of
@@ -313,31 +301,40 @@ def action_matrix(sigma) -> list[list[int]]:
     return matrix
 
 
-def equivariance_check(n_pairs: int = 20, seed: int = 42) -> dict:
-    """Exact homomorphism and intertwining checks on sampled permutations."""
-    rng = SplitMix64(seed)
-    hom_ok = True
-    intertwine_ok = True
-    sign_ok = True
+def equivariance_check() -> dict:
+    """The S8 claims at all 105 tableaux t, certified on the seven adjacent
+    transpositions s, which generate S8.  Write (R_s t, sign) for
+    apply_permutation(t, s).  ``sign_identity``: sign * tableau_polynomial(t)
+    with the two variables of s swapped is tableau_polynomial(R_s t), and
+    relabellings compose with their signs multiplying.
+    ``intertwines_subspaces``: induced_model_map(s) carries V(t) onto
+    V(R_s t), and both sides are actions of S8.  ``homomorphism``: the seven
+    action matrices satisfy the A7 Coxeter relations, ``sign_identity``
+    holds, the straightening expansions are polynomial identities and
+    ``polynomial_kernel(1)`` is empty.  By the last three, action_matrix(sigma)
+    is the matrix of the substitution moving the points by sigma in a basis of
+    independent functions, for all 40,320 sigma, so it is multiplicative.
+    """
     tabs = enumerate_tableaux()
-    config = sample_config(rng)
-    for _ in range(n_pairs):
-        sigma = rng.permutation(8)
-        tau = rng.permutation(8)
-        composed = tuple(sigma[tau[i]] for i in range(8))
-        m_sigma = action_matrix(sigma)
-        m_tau = action_matrix(tau)
-        m_comp = action_matrix(composed)
-        if linalg.matmul(m_sigma, m_tau) != tuple(map(tuple, m_comp)):
-            hom_ok = False
-        g_sigma = induced_model_map(sigma)
-        for t in tabs[:12]:
-            if not mu_permutation_identity(t, sigma, config):
+    spans = {t: frozenset(f2geom.span(tableau_to_subspace(t))) for t in tabs}
+    sign_ok = intertwine_ok = True
+    for i, s in enumerate(ADJACENT_TRANSPOSITIONS):
+        g = induced_model_map(s)
+        both = 5 << 2 * i  # the low bits of the 2-bit exponent fields of slots i and i + 1
+        for t in tabs:
+            moved, sign = apply_permutation(t, s)
+            # the two fields trade places: each is XORed with their difference
+            swapped = {k ^ ((k >> 2 * i ^ k >> 2 * i + 2) & 3) * both: sign * c
+                       for k, c in tableau_polynomial(t).items()}
+            if swapped != tableau_polynomial(moved):
                 sign_ok = False
-            moved, _ = apply_permutation(t, sigma)
-            image = {g_sigma[v] for v in f2geom.span(tableau_to_subspace(t))}
-            if image != set(f2geom.span(tableau_to_subspace(moved))):
+            if frozenset(g[v] for v in spans[t]) != spans[moved]:
                 intertwine_ok = False
+    identity = tuple(tuple(int(i == j) for j in range(14)) for i in range(14))
+    coxeter_ok = f2geom.coxeter_relations(
+        [action_matrix(s) for s in ADJACENT_TRANSPOSITIONS], linalg.matmul, identity)
+    hom_ok = (coxeter_ok and sign_ok and _straightening_identities()
+              and polynomial_kernel(1) == ())
     return {"homomorphism": hom_ok, "intertwines_subspaces": intertwine_ok,
             "sign_identity": sign_ok}
 
@@ -502,7 +499,6 @@ def polynomial_kernel(degree: int) -> tuple[tuple[Fraction, ...], ...]:
 # relation discovery
 
 
-@lru_cache(maxsize=None)
 def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
     """The linear relations among the degree-d monomials in the 14 standard
     products, for degree 1 or 2: proved by polynomial expansion, and
@@ -570,12 +566,11 @@ def mu_function_rank(samples: int = 40, seed: int = 42) -> int | None:
     return upper if lower == upper == sampled else None
 
 
-def quadric_kernel_s8_stable(seed: int = 42, samples: int = 300) -> bool:
+def quadric_kernel_s8_stable() -> bool:
     """The degree-2 kernel is carried into itself by each adjacent
     transposition (i i+1); these generate S8, so the whole group preserves it."""
-    rel = relation_discovery(2, samples, seed)
-    monomials = rel["monomials"]
-    kernel = [linalg.integer_row(v) for v in rel["basis"]]
+    monomials = degree_monomials(2)
+    kernel = [linalg.integer_row(v) for v in polynomial_kernel(2)]
     ech = linalg.EchelonForm(len(monomials))
     ech.add_rows(kernel)
     mono_index = {m: i for i, m in enumerate(monomials)}

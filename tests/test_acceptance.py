@@ -171,12 +171,12 @@ def test_criterion_11_lattice_suite():
 
 def test_criterion_12_tableaux():
     bij = tableaux.subspace_bijection_check()
-    eq = tableaux.equivariance_check(n_pairs=20, seed=CFG.seed)
+    eq = tableaux.equivariance_check()
     ok = (len(tableaux.enumerate_tableaux()) == 105
           and len(tableaux.standard_tableaux()) == 14
           and bij["injective"] and bij["image_matches"]
           and eq["homomorphism"] and eq["intertwines_subspaces"])
-    _report(12, "counts (105, 14); bijection; equivariance on 20 pairs", ok)
+    _report(12, "counts (105, 14); bijection; equivariance on the seven generators", ok)
 
 
 def test_criterion_13_relations():

@@ -51,6 +51,19 @@ def test_run_config_refuses_a_nonsensical_tolerance():
     assert RunConfig(tolerance="1e-8").tolerance == "1e-8"
 
 
+def test_run_config_refuses_fewer_samples_than_the_quadric_search_needs():
+    from octet import tableaux
+    # checks holds the bound as a literal, so that it imports no domain module
+    assert checks.MIN_SAMPLES == len(tableaux.degree_monomials(2)) + 5
+    message = "need at least 110 samples for 105 monomials"
+    with pytest.raises(ValueError, match=message):
+        RunConfig(sample_count=checks.MIN_SAMPLES - 1)
+    with pytest.raises(ValueError, match=message):
+        tableaux.relation_discovery(2, checks.MIN_SAMPLES - 1)
+    reports = checks.run_suite("tableaux", RunConfig(sample_count=checks.MIN_SAMPLES))
+    assert [r.status for r in reports] == ["pass"] * 12
+
+
 def test_run_config_and_reports_are_immutable_values():
     cfg = RunConfig(seed=7, box_bound=2)
     with pytest.raises(AttributeError):

@@ -115,6 +115,18 @@ def test_compute_misuse_exits_2_with_message():
         assert proc.stderr.startswith("error: coordinates must be rational numbers ("), first
         assert "Traceback" not in proc.stderr and proc.stdout == "", first
     assert run_cli("compute", "theta", "--config", "[[1,0]" + rest).returncode == 0
+    # a JSON integer literal, or an affine coordinate, beyond Python's digit
+    # limit on int input
+    big = "1" + "0" * 4300
+    for flag, value in (("--config", "[[1," + big + "]" + rest),
+                        ("--affine", big + ",2,3,4,5,6,7,8")):
+        proc = run_cli("compute", "theta", flag, value)
+        assert (proc.returncode, proc.stdout) == (2, ""), flag
+        assert proc.stderr == ("error: a number has more than 4300 digits in a row, "
+                               "the limit of integer input\n"), flag
+    # 4,300 digits are read, and then only the output limit refuses them
+    proc = run_cli("compute", "theta", "--config", "[[1," + big[:4300] + "]" + rest)
+    assert proc.stderr.startswith("error: an output value has more than 4300 digits"), proc.stderr
 
 
 def test_compute_theta_reads_json_decimals_exactly(capsys):
@@ -283,14 +295,18 @@ def test_verify_refuses_a_bound_or_order_before_any_suite_runs(monkeypatch, caps
     for argv, message in ((["verify", "all", "--bound", "16"], "bound must lie in [2, 15], got 16"),
                           (["verify", "f2", "--bound", "16"], "bound must lie in [2, 15], got 16"),
                           (["verify", "lattice", "--bound", "1"], "bound must lie in [2, 15], got 1"),
-                          (["verify", "all", "--order", "2"], "order must be at least 3, got 2")):
+                          (["verify", "all", "--order", "2"], "order must be at least 3, got 2"),
+                          (["verify", "all", "--samples", "109"],
+                           "need at least 110 samples for 105 monomials")):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr() == ("", "error: %s\n" % message), argv
-    for field, value in (("box_bound", 16), ("box_bound", 1), ("series_order", 2)):
+    for field, value in (("box_bound", 16), ("box_bound", 1), ("series_order", 2),
+                         ("sample_count", 109)):
         with pytest.raises(ValueError):
             RunConfig(**{field: value})
     assert (RunConfig(box_bound=2, series_order=3).box_bound, RunConfig(box_bound=15).box_bound) \
         == (2, 15)
+    assert RunConfig(sample_count=110).sample_count == 110
 
 
 # modules that ``cli`` imports where a command first uses them, and numpy,

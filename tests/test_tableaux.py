@@ -142,12 +142,35 @@ def test_class_coords_refuse_odd_weight_and_identify_theta():
             assert tb._class_coords(x) == tb._class_coords(x ^ 0xFF)
 
 
+def _permute_config(config, sigma):
+    """Move the point with label i to slot sigma(i)."""
+    out = [None] * 8
+    for i in range(8):
+        out[sigma[i]] = config[i]
+    return tuple(out)
+
+
+def _mu_permutation_identity(t, sigma, config):
+    """mu of the relabelled tableau at the moved c equals the sign times mu at c."""
+    relabelled, sign = tb.apply_permutation(t, sigma)
+    return tb.mu(relabelled, _permute_config(config, sigma)) == sign * tb.mu(t, config)
+
+
+def _shuffle(rng, n):
+    """Fisher-Yates shuffle of 0..n-1 drawn from a seeded SplitMix64."""
+    arr = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        arr[i], arr[j] = arr[j], arr[i]
+    return tuple(arr)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.permutations(range(8)), st.integers(0, 104))
 def test_mu_sign_identity(sigma, idx):
     config = tb.affine_config([2, 5, -3, 11, 17, -20, 31, 44])
     t = tb.enumerate_tableaux()[idx]
-    assert tb.mu_permutation_identity(t, tuple(sigma), config)
+    assert _mu_permutation_identity(t, tuple(sigma), config)
 
 
 def test_action_matrix_identity_permutation():
@@ -166,17 +189,72 @@ def test_action_matrix_transposition_12():
 def test_action_matrix_by_evaluation():
     rng = SplitMix64(5)
     configs = [tb.sample_config(rng) for _ in range(3)]
-    for sigma in tb.ADJACENT_TRANSPOSITIONS + (rng.permutation(8),):
+    for sigma in tb.ADJACENT_TRANSPOSITIONS + (_shuffle(rng, 8),):
         matrix = tb.action_matrix(sigma)
         for c in configs:
             values = tb.mu_vector(c)
             image = [sum(m * v for m, v in zip(row, values)) for row in matrix]
-            assert image == list(tb.mu_vector(tb.permute_config(c, sigma)))
+            assert image == list(tb.mu_vector(_permute_config(c, sigma)))
+
+
+EQUIVARIANT = {"homomorphism": True, "intertwines_subspaces": True, "sign_identity": True}
 
 
 def test_equivariance():
-    rep = tb.equivariance_check(n_pairs=6, seed=11)
-    assert rep == {"homomorphism": True, "intertwines_subspaces": True, "sign_identity": True}
+    assert tb.equivariance_check() == EQUIVARIANT
+
+
+def test_equivariance_on_seeded_pairs():
+    """The sampled route as an oracle: on 20 seeded pairs the action matrices
+    and the induced model maps compose, the sign identity holds at a sampled
+    configuration and g_sigma intertwines the subspaces."""
+    rng = SplitMix64(42)
+    config = tb.sample_config(rng)
+    tabs = tb.enumerate_tableaux()
+    for _ in range(20):
+        sigma, tau = _shuffle(rng, 8), _shuffle(rng, 8)
+        composed = tuple(sigma[tau[i]] for i in range(8))
+        assert linalg.matmul(tb.action_matrix(sigma), tb.action_matrix(tau)) \
+            == tuple(map(tuple, tb.action_matrix(composed)))
+        g_sigma, g_tau = tb.induced_model_map(sigma), tb.induced_model_map(tau)
+        assert tb.induced_model_map(composed) == tuple(g_sigma[g_tau[v]] for v in range(64))
+        for t in tabs[:12]:
+            assert _mu_permutation_identity(t, sigma, config)
+            moved, _ = tb.apply_permutation(t, sigma)
+            image = {g_sigma[v] for v in f2geom.span(tb.tableau_to_subspace(t))}
+            assert image == set(f2geom.span(tb.tableau_to_subspace(moved)))
+
+
+def test_a_sign_flipped_generator_matrix_fails_homomorphism(monkeypatch):
+    action_matrix = tb.action_matrix
+    flipped = tb.ADJACENT_TRANSPOSITIONS[3]
+
+    def patched(sigma):
+        matrix = action_matrix(sigma)
+        if tuple(sigma) == flipped:
+            col = next(j for j, x in enumerate(matrix[5]) if x)
+            matrix[5][col] = -matrix[5][col]
+        return matrix
+
+    monkeypatch.setattr(tb, "action_matrix", patched)
+    assert tb.equivariance_check() == dict(EQUIVARIANT, homomorphism=False)
+
+
+def test_a_flipped_product_fails_the_sign_identity(monkeypatch, fresh_caches):
+    polynomial = tb.tableau_polynomial
+    flipped = tb.enumerate_tableaux()[40]
+    monkeypatch.setattr(tb, "tableau_polynomial", lambda t: (
+        {k: -c for k, c in polynomial(t).items()} if t == flipped else polynomial(t)))
+    rep = tb.equivariance_check()
+    assert not rep["sign_identity"] and not rep["homomorphism"]
+    assert rep["intertwines_subspaces"]
+
+
+def test_a_scrambled_dictionary_fails_the_intertwining(monkeypatch):
+    scrambled = list(tb.theta_model_dictionary())
+    scrambled[7], scrambled[11] = scrambled[11], scrambled[7]
+    monkeypatch.setattr(tb, "theta_model_dictionary", lambda: tuple(scrambled))
+    assert tb.equivariance_check() == dict(EQUIVARIANT, intertwines_subspaces=False)
 
 
 def test_straightening():
@@ -222,6 +300,12 @@ def test_relation_discovery_degree1():
     assert rel["stable"]
 
 
+def test_relation_discovery_hands_each_caller_its_own_result():
+    first = tb.relation_discovery(1, 60, 42)
+    first["dimension"] = 99
+    assert tb.relation_discovery(1, 60, 42)["dimension"] == 0
+
+
 def test_relation_discovery_requires_enough_samples():
     with pytest.raises(ValueError):
         tb.relation_discovery(2, 50, 42)
@@ -253,7 +337,7 @@ def test_mu_rank():
 
 
 def test_quadric_kernel_stable_under_action():
-    assert tb.quadric_kernel_s8_stable(seed=42, samples=300)
+    assert tb.quadric_kernel_s8_stable()
 
 
 def test_adjacent_transpositions_generate_s8():
@@ -323,8 +407,7 @@ def test_relation_discovery_certified_degrees_only():
 @pytest.fixture
 def fresh_caches():
     def clear():
-        for cached in (tb.polynomial_kernel, tb.relation_discovery,
-                       tb._straightening_identities):
+        for cached in (tb.polynomial_kernel, tb._straightening_identities):
             cached.cache_clear()
     clear()
     yield
@@ -385,8 +468,7 @@ def test_sign_flipped_product_is_caught(monkeypatch, fresh_caches):
 
 
 def test_sampled_certificates_build_no_fraction(monkeypatch, fresh_caches):
-    tb.polynomial_kernel(2)
-    tb.relation_discovery(2, 300, 42)  # warm: quadric_kernel_s8_stable reads it
+    tb.polynomial_kernel(2)  # warm: quadric_kernel_s8_stable reads it
     built = []
     new = QQ.__new__
 
@@ -398,7 +480,6 @@ def test_sampled_certificates_build_no_fraction(monkeypatch, fresh_caches):
     assert tb.straightening_check()["ok"] and not built
     assert all(tb.equivariance_check().values()) and not built
     assert tb.quadric_kernel_s8_stable() and not built
-    tb.relation_discovery.cache_clear()
     assert tb.relation_discovery(2, 300, 42)["stable"]
     assert not built
     # the counter sees Fractions where they belong
