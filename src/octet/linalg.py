@@ -136,10 +136,14 @@ def rank(rows: Iterable[Sequence], ncols: int) -> int:
     return ech.rank
 
 
-def nullspace(rows: Iterable[Sequence], ncols: int) -> list[list[Fraction]]:
-    ech = EchelonForm(ncols)
-    ech.add_rows(rows)
-    return ech.nullspace()
+def free_column_basis(ech: EchelonForm) -> list[list[Fraction]]:
+    """The canonical kernel basis, as ``EchelonForm.nullspace`` gives it, of
+    any system whose solution space is the span of the rows fed to ``ech``
+    with their columns reversed: the RREF rows, unreversed, ordered by their
+    last nonzero column.  The kernel vector of free column f is 1 there and
+    0 at the other free columns and at every later one, so reversed it is
+    the RREF row with pivot f of the reversed span."""
+    return [row[::-1] for row in reversed(ech.rows())]
 
 
 def solve_right(mat: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[Fraction]]:

@@ -13,16 +13,21 @@ the three-term exchange relation.
 Claims about the products as functions are proved by polynomial identity.
 At the affine points (1, x_i) a product is the integer polynomial
 prod (x_b - x_a) over its pairs; it has degree 1 in each point, so the
-affine chart loses nothing.  Straightening expansions, the independence of
-the 14 standard products and the 14 quadrics among them are identities of
-these polynomials, and the quadrics are the exact kernel of the expanded
-coefficient matrix.  The S8 claims are certified on the seven adjacent
+affine chart loses nothing.  Straightening expansions and the independence
+of the 14 standard products are identities of these polynomials.  The 14
+quadrics among the standard products are built, not solved for: the simple
+binomial ``SEED_BINOMIAL`` expands to zero, and the action matrices of S8,
+substitutions once the straightening identities hold, carry it to a span
+of 14 relations, the lower bound.  The upper bound is counted: seeded
+configurations give the 105 quadratic monomials rank 91, so there are at
+most 105 - 91 = 14.  The S8 claims are certified on the seven adjacent
 transpositions, which generate S8.  Seeded integer configurations evaluate
-the products through ``mu`` and cross-check the other claims; they tie
-``mu`` to the expansion and prove nothing the identities do not.  Sampled
-points are Python ints, and so is every certificate and kernel; Fractions
-appear only where input is parsed (``parse_config``) and where results are
-written out (``theta_map``, the canonical kernel ``basis``).
+the products through ``mu``; apart from that upper bound they cross-check
+the other claims, tie ``mu`` to the expansion and prove nothing the
+identities do not.  Sampled points are Python ints, and so is every
+certificate and kernel; Fractions appear only where input is parsed
+(``parse_config``) and where results are written out (``theta_map``, the
+canonical kernel ``basis``).
 """
 
 from __future__ import annotations
@@ -501,20 +506,23 @@ def polynomial_kernel(degree: int) -> tuple[tuple[Fraction, ...], ...]:
 
 def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
     """The linear relations among the degree-d monomials in the 14 standard
-    products, for degree 1 or 2: proved by polynomial expansion, and
-    cross-checked on seeded samples.
+    products, for degree 1 or 2, in the canonical (RREF) kernel basis.
 
-    Proved: ``basis`` and ``dimension`` are ``polynomial_kernel(degree)``,
-    every relation that holds as a polynomial identity and no other.
+    Degree 1: ``basis`` is ``polynomial_kernel(1)``, every relation that
+    holds as a polynomial identity and no other; it is empty.  Degree 2:
+    ``basis`` is the span ``quadric_closure`` builds, relations by
+    construction and a lower bound on the kernel, or empty when the closure
+    is not certified.
 
     Sampled: ``samples_used`` = max(samples, 3 * monomial count) seeded
     integer configurations, each giving the row of monomial values through
     ``mu``.  ``stable`` means that every sample row is annihilated by the
-    kernel (exact ints), so the rows lie in the row space of the expansion,
-    and that the first ``samples`` rows reach rank monomial count - dimension
-    mod 2**31 - 1, where elimination stops.  The rank mod p is a lower bound
-    on the rank over Q, so a true ``stable`` proves that the sampled kernel equals the proved one; an
-    unlucky prime can only make it false.
+    basis (exact ints), and that the first ``samples`` rows reach rank
+    monomial count - dimension mod 2**31 - 1, where elimination stops.  The
+    rank mod p is a lower bound on the rank over Q, so the kernel has at
+    most ``dimension`` vectors: the upper bound by counting, and a true
+    ``stable`` proves that the basis spans the whole kernel.  An unlucky
+    prime can only make it false.
     """
     if degree not in (1, 2):
         raise ValueError("relations are certified in degrees 1 and 2 only")
@@ -523,7 +531,7 @@ def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
     if samples < n_mon + 5:
         raise ValueError("need at least %d samples for %d monomials"
                          % (n_mon + 5, n_mon))
-    basis = polynomial_kernel(degree)
+    basis = polynomial_kernel(1) if degree == 1 else quadric_closure()[0]
     # monomials as index pairs, degree 1 padded with index 14: the constant 1
     supports = [([i for i, e in enumerate(m) for _ in range(e)] + [14])[:2]
                 for m in monomials]
@@ -566,42 +574,72 @@ def mu_function_rank(samples: int = 40, seed: int = 42) -> int | None:
     return upper if lower == upper == sampled else None
 
 
+# the simple binomial x_0 x_6 - x_1 x_5 in the 0-based standard products, as
+# (index pair, coefficient): both monomials multiply the same eight minors
+# [12][34][56][78][13][24][57][68]
+SEED_BINOMIAL = (((0, 6), 1), ((1, 5), -1))
+
+
+@lru_cache(maxsize=None)
+def quadric_closure() -> tuple[tuple[tuple[Fraction, ...], ...], bool]:
+    """The span of the S8-orbit of ``SEED_BINOMIAL`` among the degree-2
+    monomials, in the canonical (RREF) kernel basis, and whether it is
+    certified: the seed expands to zero and the straightening expansions
+    are polynomial identities, so each action matrix is the substitution
+    moving the points and carries relations to relations.  Uncertified,
+    nothing is built.  The generator images of each vector that enlarged
+    the span are fed, breadth first, to one echelon form with reversed
+    columns until none enlarges it; the span then holds its own images, so
+    S8 preserves it.  ``linalg.free_column_basis`` reads off the basis.
+    The orbit generates the whole ideal of relations (Howard, Millson,
+    Snowden and Vakil, Duke Math. J. 146, 2009).
+    """
+    position = quadric_positions()
+    standard = standard_tableaux()
+    seed = [0] * len(position)
+    expansion: dict[int, int] = {}
+    for (a, b), coeff in SEED_BINOMIAL:
+        seed[position[min(a, b), max(a, b)]] += coeff
+        for key, c in _poly_mul(tableau_polynomial(standard[a]),
+                                tableau_polynomial(standard[b])).items():
+            expansion[key] = expansion.get(key, 0) + coeff * c
+    if any(expansion.values()) or not _straightening_identities():
+        return (), False
+    matrices = [action_matrix(s) for s in ADJACENT_TRANSPOSITIONS]
+    ech = linalg.EchelonForm(len(position))
+    frontier = [seed] if ech.add_row(seed[::-1]) else []
+    while frontier:
+        images = [_transform_quadric(v, m) for v in frontier for m in matrices]
+        frontier = [w for w in images if ech.add_row(w[::-1])]
+    return tuple(map(tuple, linalg.free_column_basis(ech))), True
+
+
 def quadric_kernel_s8_stable() -> bool:
-    """The degree-2 kernel is carried into itself by each adjacent
-    transposition (i i+1); these generate S8, so the whole group preserves it."""
-    monomials = degree_monomials(2)
-    kernel = [linalg.integer_row(v) for v in polynomial_kernel(2)]
-    ech = linalg.EchelonForm(len(monomials))
-    ech.add_rows(kernel)
-    mono_index = {m: i for i, m in enumerate(monomials)}
-    for sigma in ADJACENT_TRANSPOSITIONS:
-        matrix = action_matrix(sigma)
-        for v in kernel:
-            transformed = _transform_quadric(v, matrix, monomials, mono_index)
-            if not ech.contains(transformed):
-                return False
-    return True
+    """The degree-2 relations are carried into themselves by S8: the span
+    ``quadric_closure`` builds is closed under the seven adjacent
+    transpositions, which generate S8, and consists of relations when it is
+    certified.  It is the whole kernel by the upper bound of
+    ``relation_discovery(2)``, when that is ``stable``."""
+    return quadric_closure()[1]
 
 
-def _transform_quadric(coeffs, matrix, monomials, mono_index):
-    """Pull an integer quadratic form back along the linear substitution y = M x."""
-    n = 14
-    out = [0] * len(monomials)
-    for value, exps in zip(coeffs, monomials):
-        if not value:
-            continue
-        support = [i for i, e in enumerate(exps) for _ in range(e)]
-        a, b = support  # degree 2
-        for i in range(n):
-            mi = matrix[a][i]
-            if not mi:
-                continue
-            for j in range(n):
-                mj = matrix[b][j]
-                if not mj:
-                    continue
-                key = [0] * n
-                key[i] += 1
-                key[j] += 1
-                out[mono_index[tuple(key)]] += value * mi * mj
+@lru_cache(maxsize=None)
+def quadric_positions() -> Mapping[tuple[int, int], int]:
+    """The position of the monomial x_a x_b in ``degree_monomials(2)``,
+    keyed by (a, b) with a <= b, in that order (read-only, cached)."""
+    return MappingProxyType({tuple(i for i, e in enumerate(exps) for _ in range(e)): k
+                             for k, exps in enumerate(degree_monomials(2))})
+
+
+def _transform_quadric(coeffs, matrix) -> list[int]:
+    """Pull an integer quadratic form on the monomials of
+    ``quadric_positions()`` back along the linear substitution y = M x."""
+    position = quadric_positions()
+    support = [[(i, x) for i, x in enumerate(row) if x] for row in matrix]
+    out = [0] * len(position)
+    for value, (a, b) in zip(coeffs, position):
+        if value:
+            for i, mi in support[a]:
+                for j, mj in support[b]:
+                    out[position[min(i, j), max(i, j)]] += value * mi * mj
     return out

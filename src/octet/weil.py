@@ -14,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
+from types import MappingProxyType
+from typing import Mapping
 
 from . import f2geom, linalg
 from .f2geom import Subspace
@@ -35,14 +37,16 @@ def _scalar(c: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c * (i == j) for j in f2geom.SPACE) for i in f2geom.SPACE)
 
 
-def sl2_relations() -> dict[str, bool]:
+@lru_cache(maxsize=None)
+def sl2_relations() -> Mapping[str, bool]:
     """The defining relations S^2 = 1 and (ST)^3 = 1, exactly, as H.H = 64 I
     and (8 rho_S rho_T)^3 = 512 I; 8 rho_S rho_T is H with column alpha
-    multiplied by t[alpha]."""
+    multiplied by t[alpha] (read-only, cached)."""
     h, t = b_signs(), q_signs()
     st = [[x * s for x, s in zip(row, t)] for row in h]
-    return {"s_squared": linalg.matmul(h, h) == _scalar(64),
-            "st_cubed": linalg.matmul(linalg.matmul(st, st), st) == _scalar(512)}
+    return MappingProxyType({
+        "s_squared": linalg.matmul(h, h) == _scalar(64),
+        "st_cubed": linalg.matmul(linalg.matmul(st, st), st) == _scalar(512)})
 
 
 def commutes_with_transvections() -> bool:
@@ -91,17 +95,28 @@ def character_decomposition() -> tuple[int | Fraction, ...]:
 # invariant vectors
 
 
-def _fixed_space_rows() -> list[list[int]]:
-    """Integer rows cutting out the joint fixed space of rho_T and rho_S:
-    those of rho_T - I, then those of H - 8I."""
-    return [[(x - 1) * (i == j) for j in f2geom.SPACE] for i, x in enumerate(q_signs())] \
-        + [[x - 8 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(b_signs())]
-
-
 @lru_cache(maxsize=None)
 def invariant_subspace() -> tuple[tuple[Fraction, ...], ...]:
-    """Canonical basis of the joint fixed space of rho_T and rho_S."""
-    return tuple(tuple(v) for v in linalg.nullspace(_fixed_space_rows(), 64))
+    """Canonical basis of the joint fixed space of rho_T and rho_S, spanned
+    by maximal isotropic sums; empty unless the two bounds below meet.
+
+    Lower bound by construction: the span of the 30 maximal isotropic sums
+    that pass ``is_invariant``.  Upper bound by counting: once the relations
+    of SL(2, Z/2Z) hold, the joint fixed space is the trivial isotypic part
+    of the representation, whose dimension is the trivial multiplicity of
+    ``character_decomposition``.  When the rank of the span reaches it, the
+    span is the whole fixed space, and the basis is the one elimination of
+    the 128 rows of rho_T - I and H - 8I gives (``linalg.free_column_basis``).
+    """
+    ech = linalg.EchelonForm(64)
+    for iso in f2geom.enumerate_isotropic_subspaces(3):
+        vec = isotropic_sum_vector(iso)
+        # a sum in the span of invariant ones is invariant, and adds nothing
+        if not ech.contains(vec[::-1]) and is_invariant(vec):
+            ech.add_row(vec[::-1])
+    if not all(sl2_relations().values()) or ech.rank != character_decomposition()[0]:
+        return ()
+    return tuple(map(tuple, linalg.free_column_basis(ech)))
 
 
 def isotropic_sum_vector(iso: Subspace) -> list[int]:
@@ -169,8 +184,9 @@ def minus_one_eigenspace(subspace: Subspace) -> tuple[int, tuple[int, ...] | Non
     aniso, _ = f2geom.singular_members(subspace)
     perms = [f2geom.transvection(a) for a in aniso]
     components = []  # (signs on the component, whether they are consistent)
+    seen: set[int] = set()
     for start in range(64):
-        if any(start in comp for comp, _ in components):
+        if start in seen:
             continue
         comp, stack, alive = {start: 1}, [start], True
         while stack:
@@ -182,6 +198,7 @@ def minus_one_eigenspace(subspace: Subspace) -> tuple[int, tuple[int, ...] | Non
                     stack.append(y)
                 elif comp[y] != -comp[x]:
                     alive = False  # y == x too: v[x] = -v[x] forces zero on the component
+        seen.update(comp)
         components.append((comp, alive))
     consistent = [comp for comp, alive in components if alive]
     if len(consistent) != 1:

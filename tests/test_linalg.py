@@ -9,10 +9,16 @@ from hypothesis import strategies as st
 from octet import linalg
 
 
+def _nullspace(rows, ncols):
+    ech = linalg.EchelonForm(ncols)
+    ech.add_rows(rows)
+    return ech.nullspace()
+
+
 def test_rank_and_nullspace_small():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert linalg.rank(rows, 3) == 2
-    ns = linalg.nullspace(rows, 3)
+    ns = _nullspace(rows, 3)
     assert len(ns) == 1
     for row in rows:
         assert sum(Fraction(a) * b for a, b in zip(row, ns[0])) == 0
@@ -53,7 +59,7 @@ def test_floats_rejected():
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4),
                 min_size=1, max_size=6))
 def test_nullspace_annihilates_rows(rows):
-    ns = linalg.nullspace(rows, 4)
+    ns = _nullspace(rows, 4)
     for vec in ns:
         for row in rows:
             assert sum(Fraction(a) * b for a, b in zip(row, vec)) == 0
@@ -279,3 +285,23 @@ def test_integer_row_passes_python_ints_and_checks_the_rest():
     assert linalg.integer_row([Fraction(1, 2), 1]) == [1, 2]
     with pytest.raises(TypeError):
         linalg.integer_row([1, 2.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=6),
+    st.lists(st.lists(st.integers(-3, 3), max_size=6), max_size=6))))
+def test_free_column_basis_reads_the_nullspace_off_any_spanning_set(case):
+    # the span of the kernel, fed reversed as combinations of its integer
+    # basis with zero and repeated members among them, gives back the
+    # canonical nullspace
+    ncols, rows, weights = case
+    ech = linalg.EchelonForm(ncols)
+    ech.add_rows(rows)
+    kernel = ech.integer_kernel()
+    spanning = kernel + [[sum(w * v[j] for w, v in zip(ws, kernel)) for j in range(ncols)]
+                         for ws in weights]
+    spanning.reverse()
+    span = linalg.EchelonForm(ncols)
+    span.add_rows(v[::-1] for v in spanning)
+    assert linalg.free_column_basis(span) == ech.nullspace()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octet import f2geom, linalg, tableaux as tb
+from octet import checks, f2geom, linalg, tableaux as tb
 from octet.sampling import SplitMix64
 
 
@@ -340,6 +340,59 @@ def test_quadric_kernel_stable_under_action():
     assert tb.quadric_kernel_s8_stable()
 
 
+def test_quadric_closure_is_the_polynomial_kernel():
+    # oracle: the 554 expanded rows eliminated, vector for vector
+    basis, certified = tb.quadric_closure()
+    assert certified and len(basis) == 14
+    assert basis == tb.polynomial_kernel(2)
+    assert tb.relation_discovery(2, 300, 42)["basis"] == basis
+
+
+def _kernel_stable_by_contains():
+    """Oracle: each generator image of each vector of polynomial_kernel(2)
+    lies in its span, as the S8 claim was checked before it read the closure."""
+    kernel = [linalg.integer_row(v) for v in tb.polynomial_kernel(2)]
+    ech = linalg.EchelonForm(105)
+    ech.add_rows(kernel)
+    return all(ech.contains(tb._transform_quadric(v, tb.action_matrix(s)))
+               for s in tb.ADJACENT_TRANSPOSITIONS for v in kernel)
+
+
+def test_closure_flag_agrees_with_the_contains_loop():
+    assert tb.quadric_kernel_s8_stable() is _kernel_stable_by_contains() is True
+    # the closure property itself, read off the returned basis
+    basis = [linalg.integer_row(v) for v in tb.quadric_closure()[0]]
+    ech = linalg.EchelonForm(105)
+    ech.add_rows(basis)
+    assert all(ech.contains(tb._transform_quadric(v, tb.action_matrix(s)))
+               for s in tb.ADJACENT_TRANSPOSITIONS for v in basis)
+
+
+def test_transform_quadric_is_the_pullback():
+    # Q'(x) = Q(M x) at integer points, for a random form and matrix
+    rng = SplitMix64(11)
+    draw = lambda: rng.integer(-9, 9)
+    position = tb.quadric_positions()
+    coeffs = [draw() for _ in position]
+    matrix = [[draw() * (draw() > 3) for _ in range(14)] for _ in range(14)]
+    pulled = tb._transform_quadric(coeffs, matrix)
+    for _ in range(3):
+        x = [draw() for _ in range(14)]
+        y = [sum(m * v for m, v in zip(row, x)) for row in matrix]
+        value = lambda form, z: sum(c * z[a] * z[b] for c, (a, b) in zip(form, position))
+        assert value(pulled, x) == value(coeffs, y)
+
+
+def test_quadric_positions_follow_the_monomials():
+    position = tb.quadric_positions()
+    assert len(position) == 105
+    for (a, b), k in position.items():
+        exps = [0] * 14
+        exps[a] += 1
+        exps[b] += 1
+        assert a <= b and tb.degree_monomials(2)[k] == tuple(exps)
+
+
 def test_adjacent_transpositions_generate_s8():
     group = {tuple(range(8))}
     frontier = list(group)
@@ -407,7 +460,7 @@ def test_relation_discovery_certified_degrees_only():
 @pytest.fixture
 def fresh_caches():
     def clear():
-        for cached in (tb.polynomial_kernel, tb._straightening_identities):
+        for cached in (tb.polynomial_kernel, tb._straightening_identities, tb.quadric_closure):
             cached.cache_clear()
     clear()
     yield
@@ -425,12 +478,20 @@ def test_relation_discovery_feeds_no_sample_row(monkeypatch, fresh_caches):
     monkeypatch.setattr(linalg.EchelonForm, "add_row", counting_add_row)
     rel = tb.relation_discovery(2, 300, 42)
     assert rel["samples_used"] == 315 and rel["stable"]
-    # every row eliminated exactly is a row of the polynomial expansion, in
-    # its order; rows already in the span of the fed ones are not fed
-    rows = tb.polynomial_rows(2)
-    assert 105 - 14 <= len(fed) < len(rows) == 554
-    positions = [rows.index(row) for row in fed]
-    assert positions == sorted(set(positions))
+    # every row eliminated exactly is, with its columns reversed, the seed
+    # binomial or a generator image of a row fed before it: the seed, and the
+    # seven images of each of the 14 rows that enlarged the span
+    monomials = tb.degree_monomials(2)
+    matrices = [tb.action_matrix(s) for s in tb.ADJACENT_TRANSPOSITIONS]
+    seed = [0] * 105
+    seed[monomials.index((1, 0, 0, 0, 0, 0, 1) + (0,) * 7)] = 1
+    seed[monomials.index((0, 1, 0, 0, 0, 1) + (0,) * 8)] = -1
+    images = set()
+    for k, row in enumerate(fed):
+        row = list(row[::-1])
+        assert row == seed if k == 0 else tuple(row) in images
+        images.update(tuple(tb._transform_quadric(row, m)) for m in matrices)
+    assert len(fed) == 1 + 7 * 14
 
 
 def test_polynomial_kernel_certificate_catches_a_wrong_kernel(monkeypatch, fresh_caches):
@@ -468,7 +529,7 @@ def test_sign_flipped_product_is_caught(monkeypatch, fresh_caches):
 
 
 def test_sampled_certificates_build_no_fraction(monkeypatch, fresh_caches):
-    tb.polynomial_kernel(2)  # warm: quadric_kernel_s8_stable reads it
+    tb.quadric_closure()  # warm: quadric_kernel_s8_stable and relation_discovery read it
     built = []
     new = QQ.__new__
 
@@ -485,3 +546,26 @@ def test_sampled_certificates_build_no_fraction(monkeypatch, fresh_caches):
     # the counter sees Fractions where they belong
     tb.parse_config([(1, x) for x in range(8)])
     assert built
+
+
+@pytest.mark.parametrize("seed", [(((0, 6), 1), ((1, 4), -1)), (((0, 6), 1), ((1, 5), 1))],
+                         ids=["moved_monomial", "flipped_sign"])
+def test_a_perturbed_seed_binomial_fails_the_degree2_kernel(monkeypatch, fresh_caches, seed):
+    monkeypatch.setattr(tb, "SEED_BINOMIAL", seed)
+    reports = checks.run_suite("tableaux")
+    assert {r.name for r in reports if r.status == "fail"} \
+        == {"tableaux.degree2_kernel", "tableaux.quadrics_s8_stable"}
+    assert tb.quadric_closure() == ((), False)
+
+
+def test_verify_all_expands_no_degree2_row(monkeypatch, fresh_caches):
+    degrees = []
+    polynomial_rows = tb.polynomial_rows
+
+    def recording_rows(degree):
+        degrees.append(degree)
+        return polynomial_rows(degree)
+
+    monkeypatch.setattr(tb, "polynomial_rows", recording_rows)
+    assert checks.all_passed(checks.run_suite("all"))
+    assert degrees == [1]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from octet import f2geom, linalg, weil
+from octet import checks, f2geom, linalg, weil
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_REPORT = Path(__file__).parent / "golden" / "verify_all_seed42.jsonl"
@@ -149,12 +149,55 @@ def test_antivector_unique_for_all_105():
         assert spanning in (vec, tuple(-x for x in vec))
 
 
+def _fixed_space_rows():
+    """Integer rows cutting out the joint fixed space of rho_T and rho_S:
+    those of rho_T - I, then those of H - 8I."""
+    return [[(x - 1) * (i == j) for j in f2geom.SPACE] for i, x in enumerate(weil.q_signs())] \
+        + [[x - 8 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(weil.b_signs())]
+
+
+def test_invariant_basis_is_the_nullspace_of_the_fixed_space_rows():
+    # oracle: the 128 x 64 system eliminated, as the weil module solved it
+    # before it built the space from the isotropic sums
+    ech = linalg.EchelonForm(64)
+    ech.add_rows(_fixed_space_rows())
+    assert ech.rank == 64 - 15
+    assert weil.invariant_subspace() == tuple(map(tuple, ech.nullspace()))
+
+
+@pytest.fixture
+def fresh_weil_caches():
+    def clear():
+        for cached in (weil.sl2_relations, weil.invariant_subspace):
+            cached.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+@pytest.mark.parametrize("row, col, sums_rank", [(1, 0, 14), (3, 0, 15), (3, 3, 15)],
+                         ids=["sums_rank_drops", "relations_fail", "count_not_integral"])
+def test_a_flipped_h_entry_fails_the_invariant_count(monkeypatch, fresh_weil_caches,
+                                                     row, col, sums_rank):
+    h = [list(r) for r in weil.b_signs()]
+    h[row][col] *= -1
+    monkeypatch.setattr(weil, "b_signs", lambda: tuple(map(tuple, h)))
+    passing = [v for v in map(weil.isotropic_sum_vector, f2geom.enumerate_isotropic_subspaces(3))
+               if weil.is_invariant(v)]
+    # a full rank of the sums alone would not catch the middle flip: the
+    # count is the upper bound only for a representation
+    assert linalg.rank(passing, 64) == sums_rank
+    status = {r.name: r.status for r in checks.run_suite("weil")}
+    assert status["weil.invariant_dimension"] == "fail"
+    assert weil.invariant_subspace() == ()
+
+
 def _fixed_line_dimension_by_elimination():
     """Oracle: the 128 rows of the fixed space of rho_T and rho_S and the 61
     type-constancy rows v_a - v_x, eliminated together over 64 columns, as
     the weil module computed the dimension before it read the cached basis."""
     ech = linalg.EchelonForm(64)
-    ech.add_rows(weil._fixed_space_rows())
+    ech.add_rows(_fixed_space_rows())
     anchor = {}
     for x in f2geom.SPACE:
         tt = f2geom.classify(x)
