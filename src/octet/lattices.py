@@ -5,11 +5,12 @@ Lattices are integer Gram matrices on a chosen basis; vectors are integer
 coordinate columns.  Matrices are tuples of rows and every entry is a Python
 int, so no product can wrap; products go through ``linalg.matmul``.  Two
 integer algorithms do the exact work: Smith normal form for the discriminant
-groups, and the leading principal minors of one fraction-free elimination for
-det and signature (Jacobi's sign rule).  Every finite quadratic form in use is
-2-elementary, so a form lives on F2^a in the bitmask idiom of ``f2geom``:
-integer tables of 2q mod 4 and 2b mod 2, built from the Gram matrix of the
-doubled generators, on which isomorphisms are searched by table lookups.
+groups, and the leading principal minors of one fraction-free elimination,
+once per Gram matrix, for det and signature (Jacobi's sign rule).  Every
+finite quadratic form in use is 2-elementary, so a form lives on F2^a in the
+bitmask idiom of ``f2geom``: integer tables of 2q mod 4 and 2b mod 2, built
+from the Gram matrix of the doubled generators, on which isomorphisms are
+searched by table lookups.
 
 N = U + U(2) + D4 + D4 has its D4 blocks inside Z^4 (even-sum vectors,
 negated standard product), where the order-4 isometry rho is defined.  As
@@ -114,7 +115,7 @@ class GramLattice(NamedTuple):
         return len(self.gram)
 
     def det(self) -> int:
-        return (_leading_minors(self.gram) or [1])[-1]
+        return (_gram_minors(self.gram) or (1,))[-1]
 
     def is_even(self) -> bool:
         return all(row[i] % 2 == 0 for i, row in enumerate(self.gram))
@@ -199,14 +200,21 @@ def _leading_minors(gram) -> list[int]:
     return minors
 
 
+@lru_cache(maxsize=None)
+def _gram_minors(gram: Matrix) -> tuple[int, ...]:
+    """``_leading_minors`` of a Gram matrix given as int tuples, eliminated
+    once per matrix (cached): det, signature and discriminant_form read them."""
+    return tuple(_leading_minors(gram))
+
+
 def signature(gram) -> tuple[int, int]:
     """(positive, negative) inertia.  By Jacobi's rule, as every leading minor
     is nonzero, the negative index is the number of sign changes along
     1, d_1, ..., d_n."""
-    minors = _leading_minors(gram)
+    minors = _gram_minors(tuple(map(tuple, gram)))
     if 0 in minors:
         raise ValueError("degenerate form")
-    neg = sum(x * y < 0 for x, y in zip([1] + minors, minors))
+    neg = sum(x * y < 0 for x, y in zip((1,) + minors, minors))
     return len(minors) - neg, neg
 
 

@@ -12,19 +12,23 @@ results go out, as in ``nullspace``.
 :func:`rank_mod_p` is exact arithmetic over the prime field F_p,
 p = 2**31 - 1.  The rank it returns is a lower bound on the rank over Q (a minor
 that vanishes over Q vanishes mod p), so it can certify that rows reach a
-rank, never that they stay below one; an upper bound needs an identity.
+rank, never that they stay below one; an upper bound needs an identity.  It
+packs the residues of a row into one int, in linear time, and reduces it on
+a shrinking remainder, shifting away each column's slot once it is cleared;
+it draws no further row once the rank reaches the bound its caller proved.
 
-:func:`matmul` is the integer matrix product, and :func:`nonzero_products`
-tells which rows of a product are nonzero.  They and ``rank_mod_p`` pack a
-row into one int, one fixed-width slot per entry, so that a row operation is
-one big-int multiply-add.
+:func:`matmul` is the integer matrix product, :func:`nonzero_products`
+tells which rows of a product are nonzero, and :func:`product_is_scalar`
+whether a product of matrices is a scalar matrix.  They pack a row into one
+int, one fixed-width slot per entry, so that a row operation is one big-int
+multiply-add; the last two read no product entry back out.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import index, mul
 from typing import Iterable, Sequence
 
@@ -180,55 +184,98 @@ def _unpack(packed: int, n: int, width: int) -> list[int]:
     return out
 
 
-def _packed_products(a, b) -> tuple[list[int], int]:
-    """The rows of a @ b, each a sum of packed rows of b over the nonzero
-    entries of a row of a, in slots that hold k max|a| max|b| (k = len(b))."""
-    bound = len(b)
-    for mat in (a, b):
-        bound *= max((max(max(row), -min(row)) for row in mat if row), default=0)
-    width = bound.bit_length() + 1
-    packed = [_pack(row, width) for row in b]
-    return [sum(map(mul, compress(row, row), compress(packed, row))) for row in a], width
+def _max_abs(mat) -> int:
+    rows = [row for row in mat if row]
+    return max(max(map(max, rows), default=0), -min(map(min, rows), default=0))
+
+
+def _packed_products(mats, floor: int = 0) -> tuple[list[int], int]:
+    """The rows of the product of the integer matrices ``mats``, left to
+    right, packed: the rows of the last are packed and multiplied from the
+    left by the others, each product row a sum of packed rows over the
+    nonzero entries of a row.  Slots hold ``floor`` and every entry of the
+    product, which is at most the inner dimensions times the max|entry| of
+    each matrix, all multiplied."""
+    bound = prod(len(mat) for mat in mats[1:]) * prod(map(_max_abs, mats))
+    width = max(bound, floor).bit_length() + 1
+    packed = [_pack(row, width) for row in mats[-1]]
+    for mat in reversed(mats[:-1]):
+        packed = [sum(map(mul, compress(row, row), compress(packed, row))) for row in mat]
+    return packed, width
 
 
 def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """a @ b for integer matrices given as rows, as a tuple of int tuples."""
-    sums, width = _packed_products(a, b)
+    sums, width = _packed_products((a, b))
     zero = (0,) * (len(b[0]) if b else 0)
     return tuple(tuple(_unpack(s, len(zero), width)) if s else zero for s in sums)
 
 
 def nonzero_products(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[bool]:
     """Per row of a: whether its row of a @ b is nonzero, without unpacking it."""
-    return [bool(s) for s in _packed_products(a, b)[0]]
+    return [bool(s) for s in _packed_products((a, b))[0]]
+
+
+def product_is_scalar(mats: Sequence[Sequence[Sequence[int]]], c: int) -> bool:
+    """Whether the product of the square integer matrices ``mats``, left to
+    right, is c times the identity, compared row by row as packed ints: row
+    i of cI packs to c in slot i.  Slots hold every entry of both sides, so
+    equal packed rows are equal rows."""
+    sums, width = _packed_products(mats, abs(c))
+    return sums == [c << width * i for i in range(len(sums))]
+
+
+def _pack_residues(residues: Iterable[int], size: int) -> int:
+    """Nonnegative entries in slots of ``size`` bytes, entry j in slot j, in
+    time linear in the row: their bytes, joined."""
+    return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in residues), "little")
 
 
 def rank_mod_p(rows: Iterable[Sequence[int]], ncols: int, upper: int | None = None) -> int:
     """Rank over F_p, p = 2**31 - 1, of integer rows: a lower bound on their
-    rank over Q.  Rows are fed one at a time until the rank reaches ``upper``
-    (default ``ncols``), an upper bound the caller has proved.
+    rank over Q.  Rows are drawn one at a time, and none once the rank
+    reaches ``upper`` (default ``ncols``), an upper bound the caller has proved.
 
-    Pivot rows are packed, with residues in [0, p), 1 at the pivot and 0
-    before it.  A new row adds (p - a) times each pivot row, in column order,
-    for the residue a in its column: below p**2 < 2**62 per slot and pivot, so
-    slots of 63 + log2(ncols) bits, in whole bytes, never carry."""
+    A row is packed, one slot per column, with residues in [0, p), and
+    reduced on a shrinking remainder whose low slot is the current column c:
+    a nonzero residue a there is cleared by adding (p - a) times the pivot
+    row of c, and the slot is shifted away.  Reduction ends when the
+    remainder is 0, or at the first column whose residue a is nonzero and
+    which has no pivot row: the remainder's residues times 1/a become its
+    pivot row, stored from c on, with 1 in its low slot.  Every slot stays
+    nonnegative, so a shift drops the low slot exactly, even when it holds a
+    nonzero multiple of p; each pivot adds below p**2 < 2**62 to a slot, so
+    slots of 63 + log2(ncols) bits, in whole bytes, never carry.  Rows are
+    packed and residues read off through bytes, in time linear in the row.
+    """
     p = MERSENNE_31
+    upper = ncols if upper is None else upper
     size = (63 + ncols.bit_length() + 7) // 8
     width, mask = 8 * size, (1 << 8 * size) - 1
-    pivots: dict[int, int] = {}
+    pivots = [0] * ncols  # per column: its pivot row from that column on, or 0
+    rank = 0
+    if upper <= 0:
+        return rank
     for row in rows:
-        if len(pivots) >= (ncols if upper is None else upper):
-            break
-        packed = _pack([index(x) % p for x in row], width)
-        for col in sorted(pivots):
-            a = (packed >> width * col & mask) % p
+        if len(row) != ncols:
+            raise ValueError("row length %d != %d" % (len(row), ncols))
+        packed = _pack_residues([index(x) % p for x in row], size)
+        col = 0
+        while packed:
+            a = (packed & mask) % p
             if a:
-                packed += (p - a) * pivots[col]
-        data = packed.to_bytes(size * ncols, "little")
-        residues = [int.from_bytes(data[k:k + size], "little") % p
-                    for k in range(0, len(data), size)]
-        lead = next((j for j, x in enumerate(residues) if x), None)
-        if lead is not None:
-            inverse = pow(residues[lead], -1, p)
-            pivots[lead] = _pack([x * inverse % p for x in residues], width)
-    return len(pivots)
+                pivot = pivots[col]
+                if not pivot:
+                    data = packed.to_bytes(size * (ncols - col), "little")
+                    inverse = pow(a, -1, p)
+                    pivots[col] = _pack_residues(
+                        [int.from_bytes(data[k:k + size], "little") * inverse % p
+                         for k in range(0, len(data), size)], size)
+                    rank += 1
+                    if rank == upper:
+                        return rank
+                    break
+                packed += (p - a) * pivot
+            packed >>= width
+            col += 1
+    return rank

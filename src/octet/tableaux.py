@@ -22,12 +22,12 @@ of 14 relations, the lower bound.  The upper bound is counted: seeded
 configurations give the 105 quadratic monomials rank 91, so there are at
 most 105 - 91 = 14.  The S8 claims are certified on the seven adjacent
 transpositions, which generate S8.  Seeded integer configurations evaluate
-the products through ``mu``; apart from that upper bound they cross-check
-the other claims, tie ``mu`` to the expansion and prove nothing the
-identities do not.  Sampled points are Python ints, and so is every
-certificate and kernel; Fractions appear only where input is parsed
-(``parse_config``) and where results are written out (``theta_map``, the
-canonical kernel ``basis``).
+the products through ``mu_vector``, from their 28 minors; apart from that
+upper bound they cross-check the other claims, tie the products to the
+expansion and prove nothing the identities do not.  Sampled points are
+Python ints, and so is every certificate and kernel; Fractions appear only
+where input is parsed (``parse_config``) and where results are written out
+(``theta_map``, the canonical kernel ``basis``).
 """
 
 from __future__ import annotations
@@ -141,18 +141,21 @@ def det2(p, q) -> Fraction:
     return p[0] * q[1] - p[1] * q[0]
 
 
-def mu(t: Tableau, config: Config) -> Fraction | int:
-    """Product of the four 2x2 minors picked out by the tableau's pairs, in
-    the coordinates' own arithmetic (ints at integer points)."""
-    value = 1
-    for a, b in t:
-        value *= det2(config[a - 1], config[b - 1])
-    return value
+# the 28 label pairs a < b, one 2x2 minor each
+_PAIRS = tuple((a, b) for a in LABELS for b in LABELS if a < b)
 
 
-def mu_vector(config: Config, tabs=None) -> tuple[Fraction, ...]:
+def mu_vector(config: Config, tabs=None) -> tuple[Fraction | int, ...]:
+    """The product of the four 2x2 minors picked out by the pairs of each
+    canonical tableau (default: the 14 standard ones), in the coordinates'
+    own arithmetic (ints at integer points).  The 28 minors of the
+    configuration are computed once."""
     tabs = standard_tableaux() if tabs is None else tabs
-    return tuple(mu(t, config) for t in tabs)
+    minors = {}
+    for a, b in _PAIRS:  # det2, inlined
+        (x, y), (z, w) = config[a - 1], config[b - 1]
+        minors[a, b] = x * w - y * z
+    return tuple(minors[p] * minors[q] * minors[r] * minors[s] for p, q, r, s in tabs)
 
 
 def theta_map(config: Config) -> tuple[Fraction, ...]:
@@ -272,7 +275,7 @@ def transposition_transvection_check() -> bool:
 def sample_config(rng: SplitMix64) -> Config:
     """The next sampled configuration: the affine points (1, x) at 8 distinct
     integers x in [-50, 50], in Python ints.  Distinct points are stable, and
-    mu there is an int."""
+    every product there is an int."""
     return tuple((1, x) for x in rng.distinct_integers(8, -50, 50))
 
 
@@ -431,9 +434,9 @@ def _poly_mul(f: Mapping[int, int], g: Mapping[int, int]) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def tableau_polynomial(t: Tableau) -> Mapping[int, int]:
-    """mu(t) at the affine points (1, x_i): the product of x_b - x_a over the
-    pairs (a, b) of t, whose 16 monomials have coefficients +-1 (read-only,
-    cached)."""
+    """The product of t at the affine points (1, x_i), as a polynomial: the
+    product of x_b - x_a over the pairs (a, b) of t, whose 16 monomials have
+    coefficients +-1 (read-only, cached)."""
     poly = {0: 1}
     for a, b in t:
         poly = _poly_mul(poly, {4 ** (b - 1): 1, 4 ** (a - 1): -1})
@@ -515,14 +518,16 @@ def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
     is not certified.
 
     Sampled: ``samples_used`` = max(samples, 3 * monomial count) seeded
-    integer configurations, each giving the row of monomial values through
-    ``mu``.  ``stable`` means that every sample row is annihilated by the
-    basis (exact ints), and that the first ``samples`` rows reach rank
-    monomial count - dimension mod 2**31 - 1, where elimination stops.  The
-    rank mod p is a lower bound on the rank over Q, so the kernel has at
-    most ``dimension`` vectors: the upper bound by counting, and a true
-    ``stable`` proves that the basis spans the whole kernel.  An unlucky
-    prime can only make it false.
+    integer configurations, each giving the 14 standard products through
+    ``mu_vector``.  ``stable`` means that every relation of the basis
+    vanishes exactly at every sample, evaluated on its few nonzero terms,
+    and that the rows of monomial values at the first ``samples`` reach rank
+    monomial count - dimension mod 2**31 - 1.  The rows are built one at a
+    time, and none once that rank is reached.  The rank mod p is a lower
+    bound on the rank over Q, so the kernel has at most ``dimension``
+    vectors: the upper bound by counting, and a true ``stable`` proves that
+    the basis spans the whole kernel.  An unlucky prime can only make it
+    false.
     """
     if degree not in (1, 2):
         raise ValueError("relations are certified in degrees 1 and 2 only")
@@ -536,22 +541,37 @@ def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
     supports = [([i for i, e in enumerate(m) for _ in range(e)] + [14])[:2]
                 for m in monomials]
     rng = SplitMix64(seed)
-    rows = []
-    for _ in range(max(samples, 3 * n_mon)):
-        values = mu_vector(sample_config(rng)) + (1,)
-        rows.append([values[i] * values[j] for i, j in supports])
-    kernel = tuple(zip(*map(linalg.integer_row, basis)))
-    annihilated = not any(linalg.nonzero_products(rows, kernel))
+    values = [mu_vector(sample_config(rng)) + (1,) for _ in range(max(samples, 3 * n_mon))]
+    relations = _relation_terms(basis, supports)
+    rank = n_mon - len(basis)
     return {
         "degree": degree,
         "monomials": monomials,
         "monomial_count": n_mon,
-        "samples_used": len(rows),
+        "samples_used": len(values),
         "dimension": len(basis),
         "basis": basis,
-        "stable": annihilated
-        and linalg.rank_mod_p(rows[:samples], n_mon, n_mon - len(basis)) == n_mon - len(basis),
+        "stable": _annihilates(relations, values)
+        and linalg.rank_mod_p(([v[i] * v[j] for i, j in supports] for v in values[:samples]),
+                              n_mon, rank) == rank,
     }
+
+
+def _relation_terms(basis, supports) -> list[list[tuple[int, int, int]]]:
+    """Each relation of a basis over quadratic monomials, given by their index
+    pairs, as its nonzero terms (i, j, c): c x_i x_j, c an integer."""
+    return [[(i, j, c) for (i, j), c in zip(supports, linalg.integer_row(vec)) if c]
+            for vec in basis]
+
+
+def _annihilates(relations, samples) -> bool:
+    """Whether each relation, as its terms (i, j, c), vanishes exactly at
+    each sample of values x: the sum of c x_i x_j is 0."""
+    for values in samples:
+        for terms in relations:
+            if sum(c * values[i] * values[j] for i, j, c in terms):
+                return False
+    return True
 
 
 def mu_function_rank(samples: int = 40, seed: int = 42) -> int | None:
@@ -562,14 +582,15 @@ def mu_function_rank(samples: int = 40, seed: int = 42) -> int | None:
     once its expansions hold as polynomial identities (105 if one fails).
     Lower bound: the 14 standard products are independent, the degree-1
     polynomial kernel being 0.  Cross-check: the products at ``samples``
-    seeded configurations have that rank mod 2**31 - 1.
+    seeded configurations have that rank mod 2**31 - 1; configurations are
+    drawn one at a time, and none once the rank reaches the upper bound.
     """
     tabs = enumerate_tableaux()
     standard = standard_tableaux()
     upper = len(standard) if _straightening_identities() else len(tabs)
     lower = 14 - len(polynomial_kernel(1))
     rng = SplitMix64(seed)
-    rows = [mu_vector(sample_config(rng), tabs) for _ in range(samples)]
+    rows = (mu_vector(sample_config(rng), tabs) for _ in range(samples))
     sampled = linalg.rank_mod_p(rows, len(tabs), upper)
     return upper if lower == upper == sampled else None
 
@@ -619,8 +640,12 @@ def quadric_kernel_s8_stable() -> bool:
     ``quadric_closure`` builds is closed under the seven adjacent
     transpositions, which generate S8, and consists of relations when it is
     certified.  It is the whole kernel by the upper bound of
-    ``relation_discovery(2)``, when that is ``stable``."""
-    return quadric_closure()[1]
+    ``relation_discovery(2)``, when that is ``stable``.  Every basis vector
+    must also vanish exactly at the affine points 1..8, where a wrong action
+    matrix that carries the span beyond the relations shows."""
+    basis, certified = quadric_closure()
+    point = mu_vector(tuple((1, x) for x in LABELS))
+    return certified and _annihilates(_relation_terms(basis, quadric_positions()), [point])
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ rho_T = diag(t), and the symmetric +-1 matrix H[beta][alpha] =
 (-1)^b(beta, alpha), so that rho_S = H/8.  Every computation in this module
 works on these Python ints (and Fractions where a result goes out), so it is
 exact: there are no tolerance parameters anywhere, and no entry can wrap.
-Products of matrices go through ``linalg.matmul``.
+Products of matrices go through ``linalg``'s packed rows.
 """
 
 from __future__ import annotations
@@ -33,20 +33,17 @@ def b_signs() -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((-1) ** bit for bit in row) for row in f2geom.B_TABLE)
 
 
-def _scalar(c: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(c * (i == j) for j in f2geom.SPACE) for i in f2geom.SPACE)
-
-
 @lru_cache(maxsize=None)
 def sl2_relations() -> Mapping[str, bool]:
     """The defining relations S^2 = 1 and (ST)^3 = 1, exactly, as H.H = 64 I
     and (8 rho_S rho_T)^3 = 512 I; 8 rho_S rho_T is H with column alpha
-    multiplied by t[alpha] (read-only, cached)."""
+    multiplied by t[alpha].  Each product is compared with its scalar matrix
+    as packed rows, with no entry unpacked (read-only, cached)."""
     h, t = b_signs(), q_signs()
     st = [[x * s for x, s in zip(row, t)] for row in h]
     return MappingProxyType({
-        "s_squared": linalg.matmul(h, h) == _scalar(64),
-        "st_cubed": linalg.matmul(linalg.matmul(st, st), st) == _scalar(512)})
+        "s_squared": linalg.product_is_scalar((h, h), 64),
+        "st_cubed": linalg.product_is_scalar((st, st, st), 512)})
 
 
 def commutes_with_transvections() -> bool:

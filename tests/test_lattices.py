@@ -113,6 +113,25 @@ def test_leading_minors_refuse_a_non_symmetric_matrix():
     assert lat._leading_minors([[1, 1, 0], [1, 1, 0], [0, 0, 5]]) == [1, 5, 0]
 
 
+def test_table1_eliminates_each_gram_matrix_once(monkeypatch):
+    grams = []
+    leading_minors = lat._leading_minors
+
+    def recording(gram):
+        grams.append(gram)
+        return leading_minors(gram)
+
+    monkeypatch.setattr(lat, "_leading_minors", recording)
+    lat._gram_minors.cache_clear()
+    try:
+        assert all(lat.table1_checks())
+    finally:
+        lat._gram_minors.cache_clear()
+    # det, signature and the discriminant form of each of the 20 lattices
+    # share one elimination
+    assert len(grams) == len(set(grams)) == 20
+
+
 def test_lattice_invariants_build_no_fraction(monkeypatch):
     lat.lattice_N.cache_clear()
     lat.order_four_isometry.cache_clear()

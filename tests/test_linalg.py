@@ -278,6 +278,66 @@ def test_rank_mod_p_stops_at_the_upper_bound():
     assert linalg.rank_mod_p([[0, 0, 0], [1, 1, 1]], 3, upper=1) == 1
 
 
+def test_rank_mod_p_places_a_pivot_between_two_pivot_columns():
+    # pivots at columns 0 and 3; the third row reduces to lead in column 2,
+    # and the fourth needs that middle pivot row to vanish
+    rows = [[1, 2, 0, 3], [0, 0, 0, 1], [1, 2, 5, 7], [0, 0, 10, 1]]
+    assert linalg.rank_mod_p(rows, 4) == _reference_rank_mod_p(rows, 4) == 3 == linalg.rank(rows, 4)
+    assert linalg.rank_mod_p(rows + [[0, 1, 0, 0]], 4) == 4
+
+
+def test_rank_mod_p_drops_a_slot_that_holds_a_multiple_of_p():
+    # reducing [1, 1, 5, 1] by the pivot row [1, 1, 0, 0] leaves the slots
+    # p, p, 5, 1: column 1 holds p itself, and the new pivot is column 2
+    rows = [[1, 1, 0, 0], [1, 1, 5, 1], [0, 0, 5, 1], [0, P31, 3 * P31, 0]]
+    assert linalg.rank_mod_p(rows, 4) == _reference_rank_mod_p(rows, 4) == 2
+    assert linalg.rank_mod_p(rows[:2] + [[0, 0, 5, 2]], 4) == 3
+    assert linalg.rank_mod_p([[P31 - 1, P31 + 1], [1, P31 - 1]], 2) == 1
+
+
+def test_rank_mod_p_pulls_no_row_past_the_upper_bound():
+    pulled = []
+
+    def rows():
+        for row in ([1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]):
+            pulled.append(row)
+            yield row
+        raise AssertionError("every row was pulled")
+
+    assert linalg.rank_mod_p(rows(), 3, upper=2) == 2
+    assert len(pulled) == 3
+    pulled.clear()
+    assert linalg.rank_mod_p(rows(), 3, upper=0) == 0 and pulled == []
+
+
+def test_rank_mod_p_refuses_fractions_and_wrong_lengths():
+    with pytest.raises(TypeError):
+        linalg.rank_mod_p([[1, 0], [0, Fraction(1, 2)]], 2)
+    with pytest.raises(TypeError):
+        linalg.rank_mod_p(iter([[Fraction(2)]]), 1)
+    with pytest.raises(ValueError):
+        linalg.rank_mod_p([[1, 0], [0, 1, 0]], 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(-2, 2), st.data())
+def test_product_is_scalar_matches_the_plain_product(n, k, c, data):
+    entries = st.one_of(st.integers(-2, 2), st.integers(-2**40, 2**40))
+    mats = [data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+            for _ in range(k)]
+    product = mats[0]
+    for mat in mats[1:]:
+        product = _plain_product(product, mat)
+    want = tuple(tuple(c * (i == j) for j in range(n)) for i in range(n))
+    assert linalg.product_is_scalar(mats, c) == (tuple(map(tuple, product)) == want)
+    # an exact scalar product, and the same with one entry off by one
+    eye = [[c * (i == j) for j in range(n)] for i in range(n)]
+    one = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert linalg.product_is_scalar([eye], c) and linalg.product_is_scalar([one, eye, one], c)
+    eye[n - 1][0] += 1
+    assert not linalg.product_is_scalar([one, eye], c)
+
+
 def test_integer_row_passes_python_ints_and_checks_the_rest():
     assert linalg.integer_row((3, -4, 0)) == [3, -4, 0]
     assert linalg.integer_row([True, 2]) == [1, 2]

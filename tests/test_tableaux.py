@@ -9,6 +9,16 @@ from octet import checks, f2geom, linalg, tableaux as tb
 from octet.sampling import SplitMix64
 
 
+def mu(t, config):
+    """Oracle: the product of the four 2x2 minors picked out by one
+    tableau's pairs, computed for that tableau alone (``mu_vector`` shares
+    the 28 minors of a configuration among the tableaux)."""
+    value = 1
+    for a, b in t:
+        value *= tb.det2(config[a - 1], config[b - 1])
+    return value
+
+
 def test_counts():
     assert len(tb.enumerate_tableaux()) == 105
     assert len(tb.standard_tableaux()) == 14
@@ -32,12 +42,12 @@ def test_standard_examples():
 def test_mu_values():
     config = tb.affine_config(range(1, 9))
     t1 = ((1, 2), (3, 4), (5, 6), (7, 8))
-    assert tb.mu(t1, config) == 1
+    assert mu(t1, config) == 1
     # swapping one pair's entries negates the product
     swapped, sign = tb.canonical_tableau([(2, 1), (3, 4), (5, 6), (7, 8)])
     assert swapped == t1 and sign == -1
     config2 = tb.affine_config([0, 0, 1, 2, 3, 4, 5, 6])
-    assert tb.mu(t1, config2) == 0
+    assert mu(t1, config2) == 0
 
 
 def test_theta_golden_and_unstable():
@@ -58,10 +68,10 @@ def test_theta_projective_invariance():
 
 def test_five_coincident_kills_all():
     config = tb.affine_config([7, 7, 7, 7, 7, 1, 2, 3])
-    assert all(tb.mu(t, config) == 0 for t in tb.enumerate_tableaux())
+    assert all(mu(t, config) == 0 for t in tb.enumerate_tableaux())
     # four coincident points leave a matching that pairs each with another point
     four = tb.affine_config([7, 7, 7, 7, 5, 1, 2, 3])
-    assert any(tb.mu(t, four) != 0 for t in tb.enumerate_tableaux())
+    assert any(mu(t, four) != 0 for t in tb.enumerate_tableaux())
 
 
 def test_parse_config_rejects_bad_input():
@@ -153,7 +163,7 @@ def _permute_config(config, sigma):
 def _mu_permutation_identity(t, sigma, config):
     """mu of the relabelled tableau at the moved c equals the sign times mu at c."""
     relabelled, sign = tb.apply_permutation(t, sigma)
-    return tb.mu(relabelled, _permute_config(config, sigma)) == sign * tb.mu(t, config)
+    return mu(relabelled, _permute_config(config, sigma)) == sign * mu(t, config)
 
 
 def _shuffle(rng, n):
@@ -336,6 +346,115 @@ def test_mu_rank():
     assert tb.mu_function_rank(samples=40, seed=42) == 14
 
 
+@pytest.mark.parametrize("config", [
+    tb.parse_config([(QQ(1, 2), 3), (2, QQ(-5, 7)), (1, 0), (0, 1), (QQ(3, 4), QQ(2, 9)),
+                     (-1, 4), (5, QQ(1, 3)), (QQ(-7, 2), -1)]),
+    tb.affine_config([0, 0, 1, 2, 3, 4, 5, 6]),
+], ids=["fractions", "repeated_point"])
+def test_mu_vector_is_the_product_of_minors_per_tableau(config):
+    for tabs in (tb.standard_tableaux(), tb.enumerate_tableaux()):
+        want = tuple(mu(t, config) for t in tabs)
+        got = tb.mu_vector(config, tabs)
+        assert got == want and list(map(type, got)) == list(map(type, want))
+    assert tb.mu_vector(config) == tuple(mu(t, config) for t in tb.standard_tableaux())
+    assert any(tb.mu_vector(config, tb.enumerate_tableaux()))
+
+
+def _whole_row_rank_mod_p(rows, ncols, upper=None):
+    """Oracle: rank mod p with each pivot column read off the whole packed
+    row and the pivot rows kept at full length, residues packed one shift at
+    a time."""
+    p = linalg.MERSENNE_31
+    size = (63 + ncols.bit_length() + 7) // 8
+    width, mask = 8 * size, (1 << 8 * size) - 1
+    pivots = {}
+    for row in rows:
+        if len(pivots) >= (ncols if upper is None else upper):
+            break
+        packed = linalg._pack([x % p for x in row], width)
+        for col in sorted(pivots):
+            a = (packed >> width * col & mask) % p
+            if a:
+                packed += (p - a) * pivots[col]
+        data = packed.to_bytes(size * ncols, "little")
+        residues = [int.from_bytes(data[k:k + size], "little") % p
+                    for k in range(0, len(data), size)]
+        lead = next((j for j, x in enumerate(residues) if x), None)
+        if lead is not None:
+            inverse = pow(residues[lead], -1, p)
+            pivots[lead] = linalg._pack([x * inverse % p for x in residues], width)
+    return len(pivots)
+
+
+def _dense_relation_discovery(degree, samples, seed):
+    """Oracle: relation_discovery with every dense row of monomial values
+    built, annihilation by ``nonzero_products`` and the rank of the first
+    ``samples`` rows by ``_whole_row_rank_mod_p``."""
+    monomials = tb.degree_monomials(degree)
+    n_mon = len(monomials)
+    basis = tb.polynomial_kernel(1) if degree == 1 else tb.quadric_closure()[0]
+    supports = [([i for i, e in enumerate(m) for _ in range(e)] + [14])[:2]
+                for m in monomials]
+    rng = SplitMix64(seed)
+    rows = []
+    for _ in range(max(samples, 3 * n_mon)):
+        config = tb.sample_config(rng)
+        values = tuple(mu(t, config) for t in tb.standard_tableaux()) + (1,)
+        rows.append([values[i] * values[j] for i, j in supports])
+    kernel = tuple(zip(*map(linalg.integer_row, basis)))
+    annihilated = not any(linalg.nonzero_products(rows, kernel))
+    return {
+        "degree": degree, "monomials": monomials, "monomial_count": n_mon,
+        "samples_used": len(rows), "dimension": len(basis), "basis": basis,
+        "stable": annihilated
+        and _whole_row_rank_mod_p(rows[:samples], n_mon, n_mon - len(basis)) == n_mon - len(basis),
+    }
+
+
+def _dense_mu_function_rank(samples, seed):
+    """Oracle: mu_function_rank with all ``samples`` rows built first."""
+    tabs = tb.enumerate_tableaux()
+    upper = 14 if tb._straightening_identities() else 105
+    lower = 14 - len(tb.polynomial_kernel(1))
+    rng = SplitMix64(seed)
+    rows = [[mu(t, c) for t in tabs] for c in (tb.sample_config(rng) for _ in range(samples))]
+    return upper if lower == upper == _whole_row_rank_mod_p(rows, 105, upper) else None
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42, 2**64 - 1])
+def test_sampled_certificates_agree_with_the_dense_route(seed):
+    for degree, samples in ((1, 75), (2, 300)):
+        assert tb.relation_discovery(degree, samples, seed) \
+            == _dense_relation_discovery(degree, samples, seed)
+    assert tb.mu_function_rank(40, seed) == _dense_mu_function_rank(40, seed) == 14
+
+
+def test_sampled_certificates_agree_with_the_dense_route_when_unstable(monkeypatch,
+                                                                        fresh_caches):
+    # a repeated sample: rank 1, so both routes read every row and fail
+    points = tb.sample_config(SplitMix64(1))
+    monkeypatch.setattr(tb, "sample_config", lambda rng: points)
+    for degree, samples in ((1, 75), (2, 300)):
+        rel = tb.relation_discovery(degree, samples, 42)
+        assert not rel["stable"] and rel == _dense_relation_discovery(degree, samples, 42)
+    assert tb.mu_function_rank(40, 42) is _dense_mu_function_rank(40, 42) is None
+
+
+def test_sampled_ranks_stop_drawing_at_the_upper_bound(monkeypatch):
+    drawn = []
+    sample_config = tb.sample_config
+
+    def counting_sample_config(rng):
+        drawn.append(None)
+        return sample_config(rng)
+
+    monkeypatch.setattr(tb, "sample_config", counting_sample_config)
+    assert tb.mu_function_rank(40, 42) == 14
+    assert len(drawn) < 40
+    drawn.clear()
+    assert tb.relation_discovery(2, 300, 42)["samples_used"] == len(drawn) == 315
+
+
 def test_quadric_kernel_stable_under_action():
     assert tb.quadric_kernel_s8_stable()
 
@@ -435,7 +554,7 @@ def test_tableau_polynomial_evaluates_to_mu():
         poly = tb.tableau_polynomial(t)
         assert len(poly) == 16 and set(poly.values()) <= {-1, 1}
         for p in points:
-            assert _evaluate(poly, [x for _, x in p]) == tb.mu(t, p)
+            assert _evaluate(poly, [x for _, x in p]) == mu(t, p)
 
 
 def test_polynomial_kernel_sizes():
@@ -514,6 +633,24 @@ def test_repeated_sample_is_not_stable(monkeypatch, fresh_caches):
     assert not rel["stable"]
     assert not tb.relation_discovery(1, 60, 42)["stable"]
     assert tb.mu_function_rank(samples=40, seed=42) is None
+
+
+def test_a_sign_flipped_generator_matrix_fails_the_s8_stability(monkeypatch, fresh_caches):
+    action_matrix = tb.action_matrix
+    flipped = tb.ADJACENT_TRANSPOSITIONS[2]
+
+    def patched(sigma):
+        matrix = action_matrix(sigma)
+        if tuple(sigma) == flipped:
+            matrix[5] = [-x for x in matrix[5]]
+        return matrix
+
+    monkeypatch.setattr(tb, "action_matrix", patched)
+    # the closure keeps its certificate (seed and straightening) but grows to
+    # every monomial; only the evaluation at the points 1..8 refutes it
+    basis, certified = tb.quadric_closure()
+    assert certified and len(basis) == 105
+    assert not tb.quadric_kernel_s8_stable()
 
 
 def test_sign_flipped_product_is_caught(monkeypatch, fresh_caches):

@@ -192,6 +192,21 @@ def test_a_flipped_h_entry_fails_the_invariant_count(monkeypatch, fresh_weil_cac
     assert weil.invariant_subspace() == ()
 
 
+@pytest.mark.parametrize("row, col", [(0, 0), (1, 0), (5, 17), (63, 62), (40, 40)])
+def test_a_flipped_h_entry_fails_the_sl2_relations(monkeypatch, fresh_weil_caches, row, col):
+    h = [list(r) for r in weil.b_signs()]
+    h[row][col] *= -1
+    monkeypatch.setattr(weil, "b_signs", lambda: tuple(map(tuple, h)))
+    relations = weil.sl2_relations()
+    assert not relations["s_squared"]
+    # the unpacked products agree with the packed comparison
+    st = [[x * s for x, s in zip(r, weil.q_signs())] for r in h]
+    cubed = linalg.matmul(linalg.matmul(st, st), st)
+    assert relations["st_cubed"] == (cubed == tuple(tuple(512 * (i == j) for j in range(64))
+                                                    for i in range(64)))
+    assert not relations["st_cubed"]
+
+
 def _fixed_line_dimension_by_elimination():
     """Oracle: the 128 rows of the fixed space of rho_T and rho_S and the 61
     type-constancy rows v_a - v_x, eliminated together over 64 columns, as
