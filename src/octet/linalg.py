@@ -4,10 +4,9 @@ There are no tolerances anywhere, and every number is a Python int or a
 Fraction, so no arithmetic wraps or rounds.  The central object is :class:`EchelonForm`,
 an incrementally maintained reduced row echelon form: rows are fed one at a
 time, and it doubles as an exact membership test for row spans.  Inside,
-every row is a primitive list of Python ints, so neither elimination nor the
-integer kernel (one primitive vector per free column) builds a Fraction;
-Fractions appear only where rows come in with rational entries and where
-results go out, as in ``nullspace``.
+every row is a primitive list of Python ints, so elimination builds no
+Fraction; Fractions appear only where rows come in with rational entries and
+where results go out, as in ``rows`` and ``nullspace``.
 
 :func:`rank_mod_p` is exact arithmetic over the prime field F_p,
 p = 2**31 - 1.  The rank it returns is a lower bound on the rank over Q (a minor
@@ -17,11 +16,10 @@ packs the residues of a row into one int, in linear time, and reduces it on
 a shrinking remainder, shifting away each column's slot once it is cleared;
 it draws no further row once the rank reaches the bound its caller proved.
 
-:func:`matmul` is the integer matrix product, :func:`nonzero_products`
-tells which rows of a product are nonzero, and :func:`product_is_scalar`
-whether a product of matrices is a scalar matrix.  They pack a row into one
-int, one fixed-width slot per entry, so that a row operation is one big-int
-multiply-add; the last two read no product entry back out.
+:func:`matmul` is the integer matrix product, and :func:`product_is_scalar`
+tells whether a product of matrices is a scalar matrix.  They pack a row
+into one int, one fixed-width slot per entry, so that a row operation is one
+big-int multiply-add; the second reads no product entry back out.
 """
 
 from __future__ import annotations
@@ -116,22 +114,18 @@ class EchelonForm:
         """The RREF rows, ordered by pivot column."""
         return [[Fraction(x, r[col]) for x in r] for col, r in sorted(self._rows.items())]
 
-    def integer_kernel(self) -> list[list[int]]:
-        """Kernel basis in Python ints: per free column, in order, the
-        primitive vector that is positive there."""
+    def nullspace(self) -> list[list[Fraction]]:
+        """Canonical kernel basis: per free column f, in order, the vector
+        that is 1 at f, 0 at the other free columns and -r[f] / r[p] at the
+        pivot column p of each row r."""
         basis = []
         for f in (j for j in range(self.ncols) if j not in self._rows):
-            v = [0] * self.ncols
-            v[f] = lcm(*(r[p] for p, r in self._rows.items() if r[f]))
+            v = [Fraction(0)] * self.ncols
+            v[f] = Fraction(1)
             for p, r in self._rows.items():
-                v[p] = -r[f] * (v[f] // r[p])
-            basis.append(_primitive(v))
+                v[p] = Fraction(-r[f], r[p])
+            basis.append(v)
         return basis
-
-    def nullspace(self) -> list[list[Fraction]]:
-        """Canonical kernel basis: ``integer_kernel`` scaled to 1 at each free column."""
-        free = [j for j in range(self.ncols) if j not in self._rows]
-        return [[Fraction(x, v[f]) for x in v] for f, v in zip(free, self.integer_kernel())]
 
 
 def rank(rows: Iterable[Sequence], ncols: int) -> int:
@@ -209,11 +203,6 @@ def matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tupl
     sums, width = _packed_products((a, b))
     zero = (0,) * (len(b[0]) if b else 0)
     return tuple(tuple(_unpack(s, len(zero), width)) if s else zero for s in sums)
-
-
-def nonzero_products(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[bool]:
-    """Per row of a: whether its row of a @ b is nonzero, without unpacking it."""
-    return [bool(s) for s in _packed_products((a, b))[0]]
 
 
 def product_is_scalar(mats: Sequence[Sequence[Sequence[int]]], c: int) -> bool:

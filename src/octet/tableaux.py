@@ -13,8 +13,11 @@ the three-term exchange relation.
 Claims about the products as functions are proved by polynomial identity.
 At the affine points (1, x_i) a product is the integer polynomial
 prod (x_b - x_a) over its pairs; it has degree 1 in each point, so the
-affine chart loses nothing.  Straightening expansions and the independence
-of the 14 standard products are identities of these polynomials.  The 14
+affine chart loses nothing.  Straightening expansions and the three-term
+Plücker relation are identities of these polynomials.  No coefficient
+system of the products is expanded: the 14 standard products are
+independent because their leading monomials are distinct, a unitriangular
+14 x 14 system (``linear_relations``).  The 14
 quadrics among the standard products are built, not solved for: the simple
 binomial ``SEED_BINOMIAL`` expands to zero, and the action matrices of S8,
 substitutions once the straightening identities hold, carry it to a span
@@ -137,10 +140,6 @@ def parse_config(pairs) -> Config:
     return config
 
 
-def det2(p, q) -> Fraction:
-    return p[0] * q[1] - p[1] * q[0]
-
-
 # the 28 label pairs a < b, one 2x2 minor each
 _PAIRS = tuple((a, b) for a in LABELS for b in LABELS if a < b)
 
@@ -152,7 +151,7 @@ def mu_vector(config: Config, tabs=None) -> tuple[Fraction | int, ...]:
     configuration are computed once."""
     tabs = standard_tableaux() if tabs is None else tabs
     minors = {}
-    for a, b in _PAIRS:  # det2, inlined
+    for a, b in _PAIRS:
         (x, y), (z, w) = config[a - 1], config[b - 1]
         minors[a, b] = x * w - y * z
     return tuple(minors[p] * minors[q] * minors[r] * minors[s] for p, q, r, s in tabs)
@@ -224,15 +223,17 @@ def label_vector_in_model(pair: Pair) -> int:
 
 
 def tableau_to_subspace(t: Tableau) -> f2geom.Subspace:
-    """The maximal totally singular subspace spanned by a tableau's pair classes."""
-    vecs = [label_vector_in_model(pair) for pair in t]
-    sub = f2geom.echelon_basis(vecs)
-    if len(sub) != 3:
-        raise ArithmeticError("pair classes failed to span a 3-dimensional space")
-    return sub
+    """The subspace spanned by a tableau's pair classes, in echelon form: a
+    maximal totally singular one when the dictionary is right, which
+    ``subspace_bijection_check`` certifies; a wrong dictionary shows there
+    as a failing value."""
+    return f2geom.echelon_basis([label_vector_in_model(pair) for pair in t])
 
 
 def subspace_bijection_check() -> dict:
+    """The 105 spans against the 105 maximal totally singular subspaces: a
+    span of another dimension, or a repeated one, leaves the image short of
+    the target."""
     image = sorted(tableau_to_subspace(t) for t in enumerate_tableaux())
     target = sorted(f2geom.enumerate_singular_subspaces())
     return {
@@ -261,13 +262,15 @@ def induced_model_map(sigma) -> tuple[int, ...]:
 
 
 def transposition_transvection_check() -> bool:
-    """Transpositions act on the model exactly as the matching transvections."""
+    """Transpositions act on the model exactly as the matching transvections;
+    a pair class that is not anisotropic has no transvection and fails."""
     for i in range(8):
         for j in range(i + 1, 8):
             sigma = list(range(8))
             sigma[i], sigma[j] = j, i
             alpha = label_vector_in_model((i + 1, j + 1))
-            if induced_model_map(tuple(sigma)) != f2geom.transvection(alpha):
+            if (f2geom.q(alpha) != 1
+                    or induced_model_map(tuple(sigma)) != f2geom.transvection(alpha)):
                 return False
     return True
 
@@ -319,7 +322,7 @@ def equivariance_check() -> dict:
     V(R_s t), and both sides are actions of S8.  ``homomorphism``: the seven
     action matrices satisfy the A7 Coxeter relations, ``sign_identity``
     holds, the straightening expansions are polynomial identities and
-    ``polynomial_kernel(1)`` is empty.  By the last three, action_matrix(sigma)
+    ``linear_relations()`` is empty.  By the last three, action_matrix(sigma)
     is the matrix of the substitution moving the points by sigma in a basis of
     independent functions, for all 40,320 sigma, so it is multiplicative.
     """
@@ -342,7 +345,7 @@ def equivariance_check() -> dict:
     coxeter_ok = f2geom.coxeter_relations(
         [action_matrix(s) for s in ADJACENT_TRANSPOSITIONS], linalg.matmul, identity)
     hom_ok = (coxeter_ok and sign_ok and _straightening_identities()
-              and polynomial_kernel(1) == ())
+              and linear_relations() == ())
     return {"homomorphism": hom_ok, "intertwines_subspaces": intertwine_ok,
             "sign_identity": sign_ok}
 
@@ -383,19 +386,19 @@ def straighten(t: Tableau) -> tuple[tuple[Tableau, int], ...]:
 @lru_cache(maxsize=None)
 def _straightening_identities() -> bool:
     """Every straightening expansion holds as a polynomial identity."""
-    for t in enumerate_tableaux():
-        total: dict[int, int] = {}
-        for std, coeff in straighten(t):
-            for key, c in tableau_polynomial(std).items():
-                total[key] = total.get(key, 0) + coeff * c
-        if {k: c for k, c in total.items() if c} != tableau_polynomial(t):
-            return False
-    return True
+    return all(_poly_sum((tableau_polynomial(std), coeff) for std, coeff in straighten(t))
+               == tableau_polynomial(t) for t in enumerate_tableaux())
+
+
+# the three-term Plücker relation [12][34] - [13][24] + [14][23] = 0, as
+# (pair, pair, coefficient)
+PLUCKER_TERMS = (((1, 2), (3, 4), 1), ((1, 3), (2, 4), -1), ((1, 4), (2, 3), 1))
 
 
 def straightening_check(n_samples: int = 5, seed: int = 42) -> dict:
     """Every expansion as a polynomial identity, and by exact evaluation on
-    sampled configurations."""
+    sampled configurations; ``ok`` also needs the Plücker relation, the
+    exchange that straightening applies, to expand to zero."""
     rng = SplitMix64(seed)
     configs = [sample_config(rng) for _ in range(n_samples)]
     all_ok = _straightening_identities()
@@ -406,12 +409,8 @@ def straightening_check(n_samples: int = 5, seed: int = 42) -> dict:
         for t, want in zip(tabs, values):
             if want != sum(coeff * values[position[std]] for std, coeff in straighten(t)):
                 all_ok = False
-    plucker_ok = all(
-        (det2(c[1], c[0]) * det2(c[3], c[2])
-         - det2(c[2], c[0]) * det2(c[3], c[1])
-         + det2(c[3], c[0]) * det2(c[2], c[1])) == 0
-        for c in configs
-    )
+    plucker_ok = not _poly_sum((_poly_mul(_minor(p), _minor(q)), c)
+                               for p, q, c in PLUCKER_TERMS)
     return {"expansions_match": all_ok, "ok": all_ok and plucker_ok}
 
 
@@ -421,7 +420,8 @@ def straightening_check(n_samples: int = 5, seed: int = 42) -> dict:
 # A polynomial in the affine coordinates x_1..x_8 is a dict from packed
 # exponent vectors to nonzero int coefficients: the exponent of x_i sits in
 # bits 2i-2 and 2i-1, so for exponents up to 3 the key of a product of
-# monomials is the sum of their keys.
+# monomials is the sum of their keys, and keys compare as their monomials do
+# in lex order with x_8 first.
 
 
 def _poly_mul(f: Mapping[int, int], g: Mapping[int, int]) -> dict[int, int]:
@@ -432,19 +432,52 @@ def _poly_mul(f: Mapping[int, int], g: Mapping[int, int]) -> dict[int, int]:
     return {k: c for k, c in out.items() if c}
 
 
+def _poly_sum(terms) -> dict[int, int]:
+    """The sum of c * f over the pairs (f, c) of polynomials and integers."""
+    out: dict[int, int] = {}
+    for f, c in terms:
+        for key, x in f.items():
+            out[key] = out.get(key, 0) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def _minor(pair: Pair) -> dict[int, int]:
+    """The 2x2 minor of the pair (a, b) at the affine points: x_b - x_a."""
+    a, b = pair
+    return {4 ** (b - 1): 1, 4 ** (a - 1): -1}
+
+
 @lru_cache(maxsize=None)
 def tableau_polynomial(t: Tableau) -> Mapping[int, int]:
     """The product of t at the affine points (1, x_i), as a polynomial: the
     product of x_b - x_a over the pairs (a, b) of t, whose 16 monomials have
     coefficients +-1 (read-only, cached)."""
     poly = {0: 1}
-    for a, b in t:
-        poly = _poly_mul(poly, {4 ** (b - 1): 1, 4 ** (a - 1): -1})
+    for pair in t:
+        poly = _poly_mul(poly, _minor(pair))
     return MappingProxyType(poly)
 
 
+@lru_cache(maxsize=None)
+def linear_relations() -> tuple[tuple[Fraction, ...], ...]:
+    """The kernel of the 14 x 14 system of the standard products'
+    coefficients at their leading monomials (largest keys), in the canonical
+    (RREF) kernel basis (cached).  A linear relation among the products
+    vanishes at every x-monomial, so every relation lies in it.  The leading
+    monomials are distinct, with coefficient 1, so the system is
+    unitriangular and the kernel empty: the products are independent.  Two
+    equal leading monomials would give equal rows, and a kernel that fails
+    the claim."""
+    standard = [tableau_polynomial(t) for t in standard_tableaux()]
+    ech = linalg.EchelonForm(len(standard))
+    ech.add_rows([f.get(max(g), 0) for f in standard] for g in standard)
+    return tuple(map(tuple, ech.nullspace()))
+
+
+@lru_cache(maxsize=None)
 def degree_monomials(degree: int) -> tuple[tuple[int, ...], ...]:
-    """Exponent vectors of all degree-d monomials in the 14 coordinates."""
+    """Exponent vectors of all degree-d monomials in the 14 coordinates,
+    largest first (cached)."""
     out = []
     for combo in combinations_with_replacement(range(14), degree):
         exps = [0] * 14
@@ -452,55 +485,6 @@ def degree_monomials(degree: int) -> tuple[tuple[int, ...], ...]:
             exps[i] += 1
         out.append(tuple(exps))
     return tuple(sorted(out, reverse=True))
-
-
-def polynomial_rows(degree: int) -> list[tuple[int, ...]]:
-    """The coefficient matrix of the degree-d monomials in the 14 standard
-    products, expanded in x (degree at most 3): row k holds the coefficients
-    of one x-monomial, column j belongs to ``degree_monomials(degree)[j]``.
-    Rows that repeat up to sign are kept once, with a positive leading entry,
-    and the sparse rows come first; neither changes the kernel."""
-    standard = [tableau_polynomial(t) for t in standard_tableaux()]
-    monomials = degree_monomials(degree)
-    rows: dict[int, list[int]] = {}
-    for j, exps in enumerate(monomials):
-        poly = {0: 1}
-        for e, f in zip(exps, standard):
-            for _ in range(e):
-                poly = _poly_mul(poly, f)
-        for key, c in poly.items():
-            rows.setdefault(key, [0] * len(monomials))[j] = c
-    distinct = {}
-    for row in rows.values():
-        sign = 1 if next(x for x in row if x) > 0 else -1
-        distinct[tuple(sign * x for x in row)] = None
-    return sorted(distinct, key=lambda row: len(row) - row.count(0))
-
-
-@lru_cache(maxsize=None)
-def polynomial_kernel(degree: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The linear relations among the degree-d monomials in the 14 standard
-    products that hold as polynomial identities: the canonical (RREF) kernel
-    basis of ``polynomial_rows(degree)``, exact.  Rows are fed in blocks of
-    32; a pending row that the integer kernel of the fed rows annihilates
-    lies in their span and is dropped.  Pending rows are tested in order, 32
-    at a time, only until the next block is full.  A closing check that the
-    returned kernel annihilates every row shows that it is their whole kernel."""
-    rows = polynomial_rows(degree)
-    ech = linalg.EchelonForm(len(rows[0]))
-    block, pending = rows[:32], rows[32:]
-    while block:
-        ech.add_rows(block)
-        kernel = tuple(zip(*ech.integer_kernel()))  # one column per kernel vector
-        block = []
-        while pending and len(block) < 32:
-            chunk, pending = pending[:32], pending[32:]
-            hits = linalg.nonzero_products(chunk, kernel)
-            block += [row for row, hit in zip(chunk, hits) if hit]
-        block, pending = block[:32], block[32:] + pending
-    if any(linalg.nonzero_products(rows, kernel)):
-        raise ArithmeticError("a polynomial row is not annihilated by the kernel")
-    return tuple(map(tuple, ech.nullspace()))
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +495,9 @@ def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
     """The linear relations among the degree-d monomials in the 14 standard
     products, for degree 1 or 2, in the canonical (RREF) kernel basis.
 
-    Degree 1: ``basis`` is ``polynomial_kernel(1)``, every relation that
-    holds as a polynomial identity and no other; it is empty.  Degree 2:
-    ``basis`` is the span ``quadric_closure`` builds, relations by
+    Degree 1: ``basis`` is ``linear_relations()``, which holds every
+    relation that is a polynomial identity; it is empty, so there is none.
+    Degree 2: ``basis`` is the span ``quadric_closure`` builds, relations by
     construction and a lower bound on the kernel, or empty when the closure
     is not certified.
 
@@ -536,7 +520,7 @@ def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
     if samples < n_mon + 5:
         raise ValueError("need at least %d samples for %d monomials"
                          % (n_mon + 5, n_mon))
-    basis = polynomial_kernel(1) if degree == 1 else quadric_closure()[0]
+    basis = linear_relations() if degree == 1 else quadric_closure()[0]
     # monomials as index pairs, degree 1 padded with index 14: the constant 1
     supports = [([i for i, e in enumerate(m) for _ in range(e)] + [14])[:2]
                 for m in monomials]
@@ -580,15 +564,15 @@ def mu_function_rank(samples: int = 40, seed: int = 42) -> int | None:
 
     Upper bound: 14, the column count of the 105 x 14 straightening matrix,
     once its expansions hold as polynomial identities (105 if one fails).
-    Lower bound: the 14 standard products are independent, the degree-1
-    polynomial kernel being 0.  Cross-check: the products at ``samples``
+    Lower bound: the 14 standard products are independent, as
+    ``linear_relations()`` is empty.  Cross-check: the products at ``samples``
     seeded configurations have that rank mod 2**31 - 1; configurations are
     drawn one at a time, and none once the rank reaches the upper bound.
     """
     tabs = enumerate_tableaux()
     standard = standard_tableaux()
     upper = len(standard) if _straightening_identities() else len(tabs)
-    lower = 14 - len(polynomial_kernel(1))
+    lower = 14 - len(linear_relations())
     rng = SplitMix64(seed)
     rows = (mu_vector(sample_config(rng), tabs) for _ in range(samples))
     sampled = linalg.rank_mod_p(rows, len(tabs), upper)
@@ -618,13 +602,12 @@ def quadric_closure() -> tuple[tuple[tuple[Fraction, ...], ...], bool]:
     position = quadric_positions()
     standard = standard_tableaux()
     seed = [0] * len(position)
-    expansion: dict[int, int] = {}
     for (a, b), coeff in SEED_BINOMIAL:
         seed[position[min(a, b), max(a, b)]] += coeff
-        for key, c in _poly_mul(tableau_polynomial(standard[a]),
-                                tableau_polynomial(standard[b])).items():
-            expansion[key] = expansion.get(key, 0) + coeff * c
-    if any(expansion.values()) or not _straightening_identities():
+    expansion = _poly_sum((_poly_mul(tableau_polynomial(standard[a]),
+                                     tableau_polynomial(standard[b])), coeff)
+                          for (a, b), coeff in SEED_BINOMIAL)
+    if expansion or not _straightening_identities():
         return (), False
     matrices = [action_matrix(s) for s in ADJACENT_TRANSPOSITIONS]
     ech = linalg.EchelonForm(len(position))

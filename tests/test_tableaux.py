@@ -1,3 +1,5 @@
+import json
+import sys
 from fractions import Fraction as QQ
 from math import prod
 
@@ -5,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octet import checks, f2geom, linalg, tableaux as tb
+from octet import checks, cli, f2geom, linalg, tableaux as tb
 from octet.sampling import SplitMix64
+import oracles
 
 
 def mu(t, config):
@@ -15,7 +18,8 @@ def mu(t, config):
     the 28 minors of a configuration among the tableaux)."""
     value = 1
     for a, b in t:
-        value *= tb.det2(config[a - 1], config[b - 1])
+        (x, y), (z, w) = config[a - 1], config[b - 1]
+        value *= x * w - y * z
     return value
 
 
@@ -388,11 +392,12 @@ def _whole_row_rank_mod_p(rows, ncols, upper=None):
 
 def _dense_relation_discovery(degree, samples, seed):
     """Oracle: relation_discovery with every dense row of monomial values
-    built, annihilation by ``nonzero_products`` and the rank of the first
-    ``samples`` rows by ``_whole_row_rank_mod_p``."""
+    built, annihilation read off their product with the kernel, the rank of
+    the first ``samples`` rows by ``_whole_row_rank_mod_p``, and the degree-1
+    basis from the expanded system."""
     monomials = tb.degree_monomials(degree)
     n_mon = len(monomials)
-    basis = tb.polynomial_kernel(1) if degree == 1 else tb.quadric_closure()[0]
+    basis = oracles.polynomial_kernel(1) if degree == 1 else tb.quadric_closure()[0]
     supports = [([i for i, e in enumerate(m) for _ in range(e)] + [14])[:2]
                 for m in monomials]
     rng = SplitMix64(seed)
@@ -402,7 +407,7 @@ def _dense_relation_discovery(degree, samples, seed):
         values = tuple(mu(t, config) for t in tb.standard_tableaux()) + (1,)
         rows.append([values[i] * values[j] for i, j in supports])
     kernel = tuple(zip(*map(linalg.integer_row, basis)))
-    annihilated = not any(linalg.nonzero_products(rows, kernel))
+    annihilated = not any(map(any, linalg.matmul(rows, kernel)))
     return {
         "degree": degree, "monomials": monomials, "monomial_count": n_mon,
         "samples_used": len(rows), "dimension": len(basis), "basis": basis,
@@ -412,10 +417,11 @@ def _dense_relation_discovery(degree, samples, seed):
 
 
 def _dense_mu_function_rank(samples, seed):
-    """Oracle: mu_function_rank with all ``samples`` rows built first."""
+    """Oracle: mu_function_rank with all ``samples`` rows built first, and
+    the lower bound from the expanded system."""
     tabs = tb.enumerate_tableaux()
     upper = 14 if tb._straightening_identities() else 105
-    lower = 14 - len(tb.polynomial_kernel(1))
+    lower = 14 - len(oracles.polynomial_kernel(1))
     rng = SplitMix64(seed)
     rows = [[mu(t, c) for t in tabs] for c in (tb.sample_config(rng) for _ in range(samples))]
     return upper if lower == upper == _whole_row_rank_mod_p(rows, 105, upper) else None
@@ -460,17 +466,19 @@ def test_quadric_kernel_stable_under_action():
 
 
 def test_quadric_closure_is_the_polynomial_kernel():
-    # oracle: the 554 expanded rows eliminated, vector for vector
+    # oracle: the 554 expanded rows eliminated, vector for vector, and the 35
+    # rows of degree 1 against the leading-monomial system
     basis, certified = tb.quadric_closure()
     assert certified and len(basis) == 14
-    assert basis == tb.polynomial_kernel(2)
+    assert basis == oracles.polynomial_kernel(2)
     assert tb.relation_discovery(2, 300, 42)["basis"] == basis
+    assert tb.linear_relations() == oracles.polynomial_kernel(1) == ()
 
 
 def _kernel_stable_by_contains():
     """Oracle: each generator image of each vector of polynomial_kernel(2)
     lies in its span, as the S8 claim was checked before it read the closure."""
-    kernel = [linalg.integer_row(v) for v in tb.polynomial_kernel(2)]
+    kernel = [linalg.integer_row(v) for v in oracles.polynomial_kernel(2)]
     ech = linalg.EchelonForm(105)
     ech.add_rows(kernel)
     return all(ech.contains(tb._transform_quadric(v, tb.action_matrix(s)))
@@ -558,16 +566,16 @@ def test_tableau_polynomial_evaluates_to_mu():
 
 
 def test_polynomial_kernel_sizes():
-    rows = tb.polynomial_rows(2)
+    rows = oracles.polynomial_rows(2)
     assert len(rows) == 554 and len(set(rows)) == 554
     assert max(abs(x) for row in rows for x in row) == 16
     assert all(next(x for x in row if x) > 0 for row in rows)
     counts = [len(row) - row.count(0) for row in rows]
     assert counts == sorted(counts)
-    kernel = tb.polynomial_kernel(2)
+    kernel = oracles.polynomial_kernel(2)
     assert len(kernel) == 14
     assert {c for vec in kernel for c in vec} <= {-1, 0, 1}
-    assert tb.polynomial_kernel(1) == ()
+    assert oracles.polynomial_kernel(1) == ()
 
 
 def test_relation_discovery_certified_degrees_only():
@@ -579,7 +587,8 @@ def test_relation_discovery_certified_degrees_only():
 @pytest.fixture
 def fresh_caches():
     def clear():
-        for cached in (tb.polynomial_kernel, tb._straightening_identities, tb.quadric_closure):
+        for cached in (oracles.polynomial_kernel, tb._straightening_identities,
+                       tb.quadric_closure, tb.linear_relations, tb.degree_monomials):
             cached.cache_clear()
     clear()
     yield
@@ -614,15 +623,15 @@ def test_relation_discovery_feeds_no_sample_row(monkeypatch, fresh_caches):
 
 
 def test_polynomial_kernel_certificate_catches_a_wrong_kernel(monkeypatch, fresh_caches):
-    integer_kernel = linalg.EchelonForm.integer_kernel
+    integer_kernel = oracles.integer_kernel
 
-    def padded_kernel(self):
-        bogus = [0] * (self.ncols - 1) + [1]
-        return integer_kernel(self) + [bogus]
+    def padded_kernel(ech):
+        bogus = [0] * (ech.ncols - 1) + [1]
+        return integer_kernel(ech) + [bogus]
 
-    monkeypatch.setattr(linalg.EchelonForm, "integer_kernel", padded_kernel)
+    monkeypatch.setattr(oracles, "integer_kernel", padded_kernel)
     with pytest.raises(ArithmeticError):
-        tb.polynomial_kernel(2)
+        oracles.polynomial_kernel(2)
 
 
 def test_repeated_sample_is_not_stable(monkeypatch, fresh_caches):
@@ -696,13 +705,96 @@ def test_a_perturbed_seed_binomial_fails_the_degree2_kernel(monkeypatch, fresh_c
 
 
 def test_verify_all_expands_no_degree2_row(monkeypatch, fresh_caches):
-    degrees = []
-    polynomial_rows = tb.polynomial_rows
+    """``verify all`` eliminates no expanded coefficient system of the
+    standard products: the only echelon forms the tableaux module builds are
+    the 14 x 14 system of the leading monomials and the closure of the seed
+    binomial, the seed and the seven images of each of its 14 vectors."""
+    forms = []
+    init, add_row = linalg.EchelonForm.__init__, linalg.EchelonForm.add_row
 
-    def recording_rows(degree):
-        degrees.append(degree)
-        return polynomial_rows(degree)
+    def recording_init(self, ncols):
+        init(self, ncols)
+        if sys._getframe(1).f_globals["__name__"] == tb.__name__:
+            forms.append((self, []))
 
-    monkeypatch.setattr(tb, "polynomial_rows", recording_rows)
+    def recording_add_row(self, row):
+        for form, fed in forms:
+            if form is self:
+                fed.append(list(row))
+        return add_row(self, row)
+
+    monkeypatch.setattr(linalg.EchelonForm, "__init__", recording_init)
+    monkeypatch.setattr(linalg.EchelonForm, "add_row", recording_add_row)
     assert checks.all_passed(checks.run_suite("all"))
-    assert degrees == [1]
+    standard = [tb.tableau_polynomial(t) for t in tb.standard_tableaux()]
+    leading = [[f.get(max(g), 0) for f in standard] for g in standard]
+    assert [(form.ncols, len(fed)) for form, fed in forms] == [(14, 14), (105, 1 + 7 * 14)]
+    assert forms[0][1] == leading
+
+
+def test_a_shared_leading_key_fails_the_degree1_claims(monkeypatch, fresh_caches):
+    """Negative control: give one standard product the leading monomial of
+    another.  The leading-key system then has equal rows and a kernel, which
+    fails every claim that reads it."""
+    standard = tb.standard_tableaux()
+    polys = [tb.tableau_polynomial(t) for t in standard]
+    top = max(range(14), key=lambda j: max(polys[j]))
+    key = max(polys[top])
+    other = next(j for j in range(14) if j != top and key not in polys[j])
+    patched = {standard[other]: {**polys[other], key: 1}}
+    polynomial = tb.tableau_polynomial
+    degree1 = {"tableaux.degree1_kernel", "tableaux.equivariance", "tableaux.mu_function_rank"}
+    with monkeypatch.context() as m:
+        m.setattr(tb, "tableau_polynomial", lambda t: patched.get(t, polynomial(t)))
+        assert len(tb.linear_relations()) == 1
+        assert tb.relation_discovery(1, 75, 42)["dimension"] == 1
+        assert not tb.equivariance_check()["homomorphism"]
+        assert tb.mu_function_rank(40, 42) is None
+        failing = {r.name for r in checks.run_suite("tableaux") if r.status == "fail"}
+        assert degree1 <= failing
+    # the true products, with only the cached kernel wrong: exactly those lines fail
+    tb._straightening_identities.cache_clear()
+    tb.quadric_closure.cache_clear()
+    assert len(tb.linear_relations()) == 1
+    assert {r.name for r in checks.run_suite("tableaux") if r.status == "fail"} == degree1
+
+
+@pytest.mark.parametrize("term", [0, 1, 2])
+def test_a_flipped_plucker_sign_fails_the_straightening(monkeypatch, term):
+    terms = list(tb.PLUCKER_TERMS)
+    first, second, coeff = terms[term]
+    terms[term] = (first, second, -coeff)
+    monkeypatch.setattr(tb, "PLUCKER_TERMS", tuple(terms))
+    rep = tb.straightening_check()
+    assert rep["expansions_match"] and not rep["ok"]
+
+
+def test_a_swapped_dictionary_fails_its_claims_without_raising(monkeypatch, capsys):
+    """Two swapped entries of the dictionary make the pair classes of some
+    tableaux span less than a plane triple; ``octet verify tableaux`` reports
+    the claims that read the dictionary as failing and raises nothing."""
+    swapped = list(tb.theta_model_dictionary())
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    monkeypatch.setattr(tb, "theta_model_dictionary", lambda: tuple(swapped))
+    assert cli.main(["verify", "tableaux"]) == 1
+    out, err = capsys.readouterr()
+    failing = [doc["name"] for doc in map(json.loads, out.splitlines())
+               if doc["status"] == "fail"]
+    assert failing == ["tableaux.subspace_bijection", "tableaux.transvection_correspondence",
+                       "tableaux.equivariance"]
+    assert err == ""
+
+
+def test_every_swap_of_two_dictionary_entries_fails_without_raising(monkeypatch):
+    """All 2,016 swaps: the subspace bijection and the transvection
+    correspondence return values, and at least one of them fails; 36 swaps
+    leave a pair class isotropic, which has no transvection."""
+    base = tb.theta_model_dictionary()
+    for i in range(64):
+        for j in range(i + 1, 64):
+            swapped = list(base)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            monkeypatch.setattr(tb, "theta_model_dictionary", lambda d=tuple(swapped): d)
+            bijection = tb.subspace_bijection_check()
+            assert not (bijection["injective"] and bijection["image_matches"]
+                        and tb.transposition_transvection_check())
