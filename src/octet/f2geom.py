@@ -13,7 +13,8 @@ built by ``linear_table`` from the images of the basis vectors; spans,
 group elements and the dictionaries of the lattice and tableaux models are
 such tables.  Subspaces are canonical reduced-echelon tuples of basis
 vectors, so they compare by equality; ``all_subspaces`` enumerates these
-bases directly, and every enumeration is deterministic.  The order of the
+bases directly; every enumeration is deterministic and cached, so each is
+filtered once a run, and spans that meet are 64-bit masks.  The order of the
 orthogonal group and its action on q are certified from the Coxeter
 presentation of S8; no check reads the explicit 40320-element closure that
 ``group_elements`` lists.
@@ -60,8 +61,9 @@ class VectorType(enum.Enum):
     ANISOTROPIC = "1"
 
 
-_TYPE_TABLE = (VectorType.ZERO,) + tuple(
-    VectorType.ANISOTROPIC if Q_TABLE[v] else VectorType.ISOTROPIC for v in SPACE[1:])
+# type codes 0, 1, 2 in the order of VectorType
+_TYPE_CODES = (0,) + tuple(2 if Q_TABLE[v] else 1 for v in SPACE[1:])
+_TYPE_TABLE = tuple(map(tuple(VectorType).__getitem__, _TYPE_CODES))
 
 
 def classify(v: int) -> VectorType:
@@ -75,12 +77,18 @@ def census() -> dict[VectorType, int]:
     return counts
 
 
+def _pair_counts(alpha: int) -> list[int]:
+    """Slot 2 * c + e counts beta of type code c with b(alpha, beta) = e."""
+    counts = [0] * 6
+    for code, e in zip(_TYPE_CODES, B_TABLE[alpha]):
+        counts[2 * code + e] += 1
+    return counts
+
+
 def pair_census(alpha: int) -> dict[tuple[VectorType, int], int]:
     """For fixed alpha, count beta by (type of beta, b(alpha, beta))."""
-    counts = {(t, e): 0 for t in VectorType for e in (0, 1)}
-    for key in zip(_TYPE_TABLE, B_TABLE[alpha]):
-        counts[key] += 1
-    return counts
+    counts = _pair_counts(alpha)
+    return {(t, e): counts[2 * c + e] for c, t in enumerate(VectorType) for e in (0, 1)}
 
 
 # one vector of each type
@@ -100,8 +108,8 @@ def pair_census_by_type() -> dict[VectorType, dict[VectorType, tuple[int, int]]]
 
 def pair_census_type_constant() -> bool:
     """Every vector has the pair census of the representative of its type."""
-    return all(pair_census(v) == pair_census(TYPE_REPRESENTATIVES[classify(v)])
-               for v in SPACE)
+    counts = [_pair_counts(TYPE_REPRESENTATIVES[t]) for t in VectorType]
+    return all(_pair_counts(v) == counts[code] for v, code in zip(SPACE, _TYPE_CODES))
 
 
 # ---------------------------------------------------------------------------
@@ -253,23 +261,25 @@ Subspace = tuple[int, ...]
 
 
 def echelon_basis(vectors) -> Subspace:
-    """Unique reduced-echelon basis (pivots at most significant bits)."""
-    pivots: dict[int, int] = {}
+    """Unique reduced-echelon basis (pivots at most significant bits).  The
+    rows keep distinct top bits, each clear in the others, and x ^ r < x
+    exactly when x has the top bit of r set: min(x, x ^ r) clears it."""
+    rows: list[int] = []
     for v in vectors:
-        for p in sorted(pivots, reverse=True):
-            if (v >> p) & 1:
-                v ^= pivots[p]
+        for r in rows:
+            v = min(v, v ^ r)
         if v:
-            pivots[v.bit_length() - 1] = v
-    for p in sorted(pivots):
-        for p2 in pivots:
-            if p2 > p and (pivots[p2] >> p) & 1:
-                pivots[p2] ^= pivots[p]
-    return tuple(pivots[p] for p in sorted(pivots, reverse=True))
+            rows = [min(r, r ^ v) for r in rows] + [v]
+    return tuple(sorted(rows, reverse=True))
 
 
 def span(basis: Subspace) -> list[int]:
     return sorted(linear_table(basis))
+
+
+def span_mask(basis: Subspace) -> int:
+    """The span as a 64-bit mask: bit x is set when x lies in it."""
+    return sum(map((1).__lshift__, set(linear_table(basis))))
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +301,7 @@ def all_subspaces(dim: int) -> tuple[Subspace, ...]:
 
 
 def is_totally_isotropic(s: Subspace) -> bool:
-    return not any(Q_TABLE[v] for v in s) and not any(
+    return not any(map(Q_TABLE.__getitem__, s)) and not any(
         B_TABLE[u][v] for u, v in combinations(s, 2))
 
 
@@ -299,9 +309,10 @@ def is_singular(s: Subspace) -> bool:
     """True for 3-dim subspaces where b vanishes but q does not."""
     if len(s) != 3 or any(B_TABLE[u][v] for u, v in combinations(s, 2)):
         return False
-    return any(Q_TABLE[v] for v in s)
+    return any(map(Q_TABLE.__getitem__, s))
 
 
+@lru_cache(maxsize=None)
 def enumerate_isotropic_subspaces(dim: int) -> tuple[Subspace, ...]:
     if not 1 <= dim <= 3:
         raise ValueError("totally isotropic subspaces here have dimension 1..3")
@@ -317,8 +328,9 @@ def enumerate_singular_subspaces() -> tuple[Subspace, ...]:
     return tuple(s for s in all_subspaces(3) if is_singular(s))
 
 
+@lru_cache(maxsize=None)
 def singular_members(s: Subspace) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(anisotropic vectors, isotropic vectors) of a singular subspace."""
+    """(anisotropic vectors, isotropic vectors) of a singular subspace (cached)."""
     if not is_singular(s):
         raise ValueError("not a maximal totally singular subspace")
     vecs = span(s)
@@ -334,41 +346,39 @@ def singular_member_split() -> bool:
 
 
 def kernel_plane(s: Subspace) -> Subspace:
-    """The isotropic vectors of a singular subspace form a plane."""
-    _, iso = singular_members(s)
-    plane = echelon_basis(iso)
-    assert len(plane) == 2
-    return plane
+    """The isotropic vectors of a singular subspace, a plane, as its basis."""
+    return echelon_basis(singular_members(s)[1])
 
 
 @lru_cache(maxsize=None)
-def isotropic_plane_extensions(plane: Subspace) -> tuple[Subspace, Subspace]:
-    """The two maximal totally isotropic subspaces containing a given plane.
-
-    Returned in a fixed order: the extension whose smallest vector outside
-    the plane has the smaller bit pattern comes first.
+def isotropic_plane_extensions(plane: Subspace) -> tuple[Subspace, ...]:
+    """The maximal totally isotropic subspaces containing a given plane (two
+    for the split form), found by scanning the isotropic vectors orthogonal
+    to the plane upward and skipping those already covered: the extension
+    whose smallest vector outside the plane is smaller comes first.
     """
     plane = echelon_basis(plane)
     if len(plane) != 2 or not is_totally_isotropic(plane):
         raise ValueError("need a totally isotropic plane")
-    inside = set(span(plane))
-    exts = set()
+    exts, covered = [], span_mask(plane)
     for v, qv, bu, bw in zip(SPACE, Q_TABLE, B_TABLE[plane[0]], B_TABLE[plane[1]]):
-        if not (qv or bu or bw or v in inside):
+        if not (qv or bu or bw or covered >> v & 1):
             ext = echelon_basis(plane + (v,))
             if is_totally_isotropic(ext):
-                exts.add(ext)
-    assert len(exts) == 2, exts
-    keyed = sorted(exts, key=lambda e: min(v for v in span(e) if v not in inside))
-    return keyed[0], keyed[1]
+                exts.append(ext)
+                covered |= span_mask(ext)
+    return tuple(exts)
 
 
 def plane_extension_pairs() -> bool:
-    """The two extensions of each totally isotropic plane differ and meet in
-    the plane."""
+    """Each totally isotropic plane has exactly two extensions, which differ
+    and meet in the plane."""
     for plane in enumerate_isotropic_subspaces(2):
-        plus, minus = isotropic_plane_extensions(plane)
-        if plus == minus or set(span(plus)) & set(span(minus)) != set(span(plane)):
+        exts = isotropic_plane_extensions(plane)
+        if len(exts) != 2:
+            return False
+        plus, minus = map(span_mask, exts)
+        if plus == minus or plus & minus != span_mask(plane):
             return False
     return True
 

@@ -524,8 +524,8 @@ def order_four_isometry() -> Matrix:
     """The 12x12 integer matrix of the fixed-point-free order-4 isometry."""
     out = direct_sum_grams([_rho1_block(), _rho0_block(), _rho0_block()])
     gram = lattice_N().gram
-    assert matmul(matmul(_transpose(out), gram), out) == gram
-    assert matmul(out, out) == _eye(12, -1)
+    if matmul(matmul(_transpose(out), gram), out) != gram or matmul(out, out) != _eye(12, -1):
+        raise ArithmeticError("the blocks do not give an isometry of N squaring to -1")
     return out
 
 

@@ -157,7 +157,7 @@ def solve_right(mat: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[F
     return [row[n:] for row in rows[:n]]
 
 
-def _pack(row: Sequence[int], width: int) -> int:
+def pack(row: Sequence[int], width: int) -> int:
     """The entries in slots of ``width`` bits, entry j in slot j (signed)."""
     packed = 0
     for x in reversed(row):
@@ -192,7 +192,7 @@ def _packed_products(mats, floor: int = 0) -> tuple[list[int], int]:
     each matrix, all multiplied."""
     bound = prod(len(mat) for mat in mats[1:]) * prod(map(_max_abs, mats))
     width = max(bound, floor).bit_length() + 1
-    packed = [_pack(row, width) for row in mats[-1]]
+    packed = [pack(row, width) for row in mats[-1]]
     for mat in reversed(mats[:-1]):
         packed = [sum(map(mul, compress(row, row), compress(packed, row))) for row in mat]
     return packed, width

@@ -365,13 +365,10 @@ def straighten(t: Tableau) -> tuple[tuple[Tableau, int], ...]:
     if is_standard(t):
         return ((t, 1),)
     rows = list(t)
-    target = None
-    for i in range(3):
-        (a, b), (c, d) = rows[i], rows[i + 1]
-        if b > d:  # rows are sorted, so a < c < d < b
-            target = i
-            break
-    assert target is not None
+    # rows are sorted, so b > d gives a < c < d < b
+    target = next((i for i in range(3) if rows[i][1] > rows[i + 1][1]), None)
+    if target is None:
+        raise ArithmeticError("a tableau that is not standard has no nesting pair of rows")
     (a, b), (c, d) = rows[target], rows[target + 1]
     rest = rows[:target] + rows[target + 2:]
     out: dict[Tableau, int] = {}

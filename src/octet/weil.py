@@ -6,7 +6,9 @@ rho_T = diag(t), and the symmetric +-1 matrix H[beta][alpha] =
 (-1)^b(beta, alpha), so that rho_S = H/8.  Every computation in this module
 works on these Python ints (and Fractions where a result goes out), so it is
 exact: there are no tolerance parameters anywhere, and no entry can wrap.
-Products of matrices go through ``linalg``'s packed rows.
+Products of matrices, and H applied to a vector, go through ``linalg``'s
+packed rows; packed rows of H are reused only for the very table object they
+came from.  The signed vectors f_V are read at their 8 nonzero entries.
 """
 
 from __future__ import annotations
@@ -117,24 +119,32 @@ def invariant_subspace() -> tuple[tuple[Fraction, ...], ...]:
 
 
 def isotropic_sum_vector(iso: Subspace) -> list[int]:
-    members = set(f2geom.span(iso))
-    return [int(x in members) for x in f2geom.SPACE]
-
-
-def _image(ints) -> list[int]:
-    """H @ ints: H is symmetric, so the sum of its rows at the nonzero entries."""
-    out = [0] * 64
-    for x, row in zip(ints, b_signs()):
-        if x:
-            out = [y + x * c for y, c in zip(out, row)]
-    return out
+    members = f2geom.span_mask(iso)
+    return [members >> x & 1 for x in f2geom.SPACE]
 
 
 def is_invariant(vec) -> bool:
-    """Exact membership test for the fixed space of rho_T and rho_S."""
+    """Exact membership test for the fixed space of rho_T and rho_S: for v
+    the integer row of vec, t = 1 where v is nonzero, and H v = 8 v.  H is
+    symmetric, so H v sums its +-1 rows at the nonzero entries of v, packed
+    in slots that hold |H v| <= 64 max|v|."""
     ints = linalg.integer_row(vec)
-    return all(t == 1 or not x for t, x in zip(q_signs(), ints)) \
-        and _image(ints) == [8 * x for x in ints]
+    t = q_signs()
+    support = [x for x, n in enumerate(ints) if n]
+    width = (64 * max(map(abs, ints), default=0)).bit_length() + 1
+    rows = _packed_rows(b_signs(), width)
+    return all(t[x] == 1 for x in support) and linalg.pack([8 * n for n in ints], width) \
+        == sum(ints[x] * rows[x] for x in support)
+
+
+_packed_h: list = [None, 0, []]  # the last table, its slot width, its packed rows
+
+
+def _packed_rows(h, width: int) -> list[int]:
+    """The rows of h packed, reused while h is the held table object itself."""
+    if _packed_h[0] is not h or _packed_h[1] != width:
+        _packed_h[:] = h, width, [linalg.pack(row, width) for row in h]
+    return _packed_h[2]
 
 
 def isotropic_sums_invariant() -> bool:
@@ -155,52 +165,43 @@ def singular_vector(subspace: Subspace) -> tuple[int, ...]:
     plane = f2geom.kernel_plane(subspace)
     plus, minus = f2geom.isotropic_plane_extensions(plane)
     vec = [0] * 64
-    for x in f2geom.span(plus):
+    for x in f2geom.linear_table(plus):
         vec[x] += 1
-    for x in f2geom.span(minus):
+    for x in f2geom.linear_table(minus):
         vec[x] -= 1
     return tuple(vec)
-
-
-def permute_coordinates(perm, vec):
-    """The action of a point permutation g: e_x -> e_{g(x)} on coordinates."""
-    out = [0] * 64
-    for x in range(64):
-        out[perm[x]] = vec[x]
-    return type(vec)(out) if isinstance(vec, tuple) else out
 
 
 def minus_one_eigenspace(subspace: Subspace) -> tuple[int, tuple[int, ...] | None]:
     """Joint (-1)-eigenspace of the transvections at the subspace's anisotropic vectors.
 
     Solved combinatorially: the constraints v[t(x)] = -v[x] propagate signs
-    along an edge-labelled graph on the 64 points; each sign-consistent
+    along an edge-labelled graph on the 64 points, into one list of signs
+    (+1 at the first point of each component); each sign-consistent
     component without a forced zero contributes one dimension.  Returns the
     dimension together with a spanning vector when the dimension is 1.
     """
     aniso, _ = f2geom.singular_members(subspace)
     perms = [f2geom.transvection(a) for a in aniso]
-    components = []  # (signs on the component, whether they are consistent)
-    seen: set[int] = set()
-    for start in range(64):
-        if start in seen:
+    sign, consistent = [0] * 64, []  # the points of each consistent component
+    for start in f2geom.SPACE:
+        if sign[start]:
             continue
-        comp, stack, alive = {start: 1}, [start], True
-        while stack:
-            x = stack.pop()
+        sign[start], comp, alive = 1, [start], True
+        for x in comp:  # comp grows as the loop runs
             for p in perms:
                 y = p[x]
-                if y not in comp:
-                    comp[y] = -comp[x]
-                    stack.append(y)
-                elif comp[y] != -comp[x]:
+                if not sign[y]:
+                    sign[y] = -sign[x]
+                    comp.append(y)
+                elif sign[y] == sign[x]:
                     alive = False  # y == x too: v[x] = -v[x] forces zero on the component
-        seen.update(comp)
-        components.append((comp, alive))
-    consistent = [comp for comp, alive in components if alive]
+        if alive:
+            consistent.append(comp)
     if len(consistent) != 1:
         return len(consistent), None
-    return 1, tuple(consistent[0].get(x, 0) for x in f2geom.SPACE)
+    members = set(consistent[0])
+    return 1, tuple(s if x in members else 0 for x, s in enumerate(sign))
 
 
 def antivectors_unique() -> bool:
@@ -219,8 +220,11 @@ def transvections_negate() -> bool:
     negates the subspace's signed vector."""
     for v in f2geom.enumerate_singular_subspaces():
         fv = singular_vector(v)
-        if any(permute_coordinates(f2geom.transvection(alpha), fv) != tuple(-x for x in fv)
-               for alpha in f2geom.singular_members(v)[0]):
+        support = [x for x in f2geom.SPACE if fv[x]]
+        # t is a bijection, so once it negates fv on its support it maps the
+        # support onto itself, and the zeros onto the zeros
+        if any(fv[t[x]] != -fv[x] for alpha in f2geom.singular_members(v)[0]
+               for t in [f2geom.transvection(alpha)] for x in support):
             return False
     return True
 
@@ -242,7 +246,8 @@ def fixed_line_dimension() -> int:
     x, for a the representative of the type of x: one row per x, one column
     per basis vector.
     """
-    basis = invariant_subspace()
+    # each basis vector scaled to its integer row, which keeps the rank
+    basis = [linalg.integer_row(v) for v in invariant_subspace()]
     anchor = f2geom.TYPE_REPRESENTATIVES
     rows = [[v[x] - v[anchor[f2geom.classify(x)]] for v in basis] for x in f2geom.SPACE]
     return len(basis) - linalg.rank(rows, len(basis))

@@ -1,15 +1,23 @@
-"""Test oracles for the linear relations among the 14 standard tableau
-products: the expanded coefficient system of their monomials in the affine
-coordinates x_1..x_8, and its kernel by block elimination with an integer
-kernel.  ``octet`` proves the same facts without expanding any such system
-(degree 1 by the leading monomials, degree 2 by the closure of a seed
-binomial), so these routes are independent of it.
+"""Test oracles: earlier routes of ``octet``, kept to check the current
+ones on every input.
+
+For the linear relations among the 14 standard tableau products: the
+expanded coefficient system of their monomials in the affine coordinates
+x_1..x_8, and its kernel by block elimination with an integer kernel.
+``octet`` proves the same facts without expanding any such system (degree 1
+by the leading monomials, degree 2 by the closure of a seed binomial), so
+these routes are independent of it.
+
+For the 64-vector layer: the plane extensions and their pair check on sets
+of span vectors, the pair census counted into an enum-keyed dict, the joint
+(-1)-eigenspace with one sign dict per component, and H applied to a vector
+and a point permutation applied to coordinates, both entry by entry.
 """
 
 from functools import lru_cache
 from math import lcm
 
-from octet import linalg, tableaux as tb
+from octet import f2geom, linalg, tableaux as tb, weil
 
 
 def integer_kernel(ech):
@@ -73,3 +81,96 @@ def polynomial_kernel(degree):
     if any(map(any, linalg.matmul(rows, kernel))):
         raise ArithmeticError("a polynomial row is not annihilated by the kernel")
     return tuple(map(tuple, ech.nullspace()))
+
+
+def isotropic_plane_extensions(plane):
+    """The two maximal totally isotropic subspaces containing a plane, as
+    sets of echelon bases: the extension whose smallest vector outside the
+    plane is smaller comes first."""
+    plane = f2geom.echelon_basis(plane)
+    if len(plane) != 2 or not f2geom.is_totally_isotropic(plane):
+        raise ValueError("need a totally isotropic plane")
+    inside = set(f2geom.span(plane))
+    exts = set()
+    for v in f2geom.SPACE:
+        if not (f2geom.q(v) or f2geom.b(v, plane[0]) or f2geom.b(v, plane[1]) or v in inside):
+            ext = f2geom.echelon_basis(plane + (v,))
+            if f2geom.is_totally_isotropic(ext):
+                exts.add(ext)
+    return tuple(sorted(exts, key=lambda e: min(v for v in f2geom.span(e) if v not in inside)))
+
+
+def plane_extension_pairs():
+    """Each totally isotropic plane has two extensions, which differ and
+    meet in the plane, compared as sets of vectors."""
+    for plane in f2geom.enumerate_isotropic_subspaces(2):
+        exts = isotropic_plane_extensions(plane)
+        if len(exts) != 2:
+            return False
+        plus, minus = (set(f2geom.span(e)) for e in exts)
+        if plus == minus or plus & minus != set(f2geom.span(plane)):
+            return False
+    return True
+
+
+def pair_census(alpha):
+    """For fixed alpha, beta counted by (type of beta, b(alpha, beta))."""
+    kinds = f2geom.VectorType
+    counts = {(t, e): 0 for t in kinds for e in (0, 1)}
+    for beta in f2geom.SPACE:
+        kind = kinds.ZERO if beta == 0 else kinds.ANISOTROPIC if f2geom.q(beta) else kinds.ISOTROPIC
+        counts[(kind, f2geom.b(alpha, beta))] += 1
+    return counts
+
+
+def minus_one_eigenspace(subspace):
+    """(dimension, spanning vector when it is 1) of the joint (-1)-eigenspace
+    of the transvections at the anisotropic vectors of a singular subspace:
+    signs propagated along v[t(x)] = -v[x], one dict per component."""
+    aniso, _ = f2geom.singular_members(subspace)
+    perms = [f2geom.transvection(a) for a in aniso]
+    components = []  # (signs on the component, whether they are consistent)
+    seen = set()
+    for start in range(64):
+        if start in seen:
+            continue
+        comp, stack, alive = {start: 1}, [start], True
+        while stack:
+            x = stack.pop()
+            for p in perms:
+                y = p[x]
+                if y not in comp:
+                    comp[y] = -comp[x]
+                    stack.append(y)
+                elif comp[y] != -comp[x]:
+                    alive = False
+        seen.update(comp)
+        components.append((comp, alive))
+    consistent = [comp for comp, alive in components if alive]
+    if len(consistent) != 1:
+        return len(consistent), None
+    return 1, tuple(consistent[0].get(x, 0) for x in f2geom.SPACE)
+
+
+def image(ints):
+    """H @ ints: H is symmetric, so the sum of its rows at the nonzero entries."""
+    out = [0] * 64
+    for x, row in zip(ints, weil.b_signs()):
+        if x:
+            out = [y + x * c for y, c in zip(out, row)]
+    return out
+
+
+def is_invariant(vec):
+    """Membership in the fixed space of rho_T and rho_S, with H @ v unpacked."""
+    ints = linalg.integer_row(vec)
+    return all(t == 1 or not x for t, x in zip(weil.q_signs(), ints)) \
+        and image(ints) == [8 * x for x in ints]
+
+
+def permute_coordinates(perm, vec):
+    """The action of a point permutation g: e_x -> e_{g(x)} on coordinates."""
+    out = [0] * 64
+    for x in range(64):
+        out[perm[x]] = vec[x]
+    return type(vec)(out) if isinstance(vec, tuple) else out

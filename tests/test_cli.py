@@ -39,6 +39,19 @@ def test_verify_f2_exit_zero():
     assert "f2.vector_census" in names
 
 
+def test_no_assert_guards_a_result_in_src():
+    # python -O drops assert statements, and with them any check they make
+    asserts = [(path.name, node.lineno) for path in sorted(Path(octet.__file__).parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert asserts == []
+
+
+def test_verify_all_under_python_O_prints_the_golden_report():
+    proc = run_python("-O", "-m", "octet.cli", "verify", "all")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (Path(__file__).parent / "golden" / "verify_all_seed42.jsonl").read_text()
+
+
 def test_verify_unknown_selector_usage_error():
     proc = run_cli("verify", "nonsense")
     assert proc.returncode == 2

@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from octet import checks, f2geom, lattices
 from octet.f2geom import VectorType
+import oracles
 
 vectors = st.integers(0, 63)
 
@@ -206,6 +209,104 @@ def test_plane_extensions_rejects_bad_input():
         f2geom.isotropic_plane_extensions((f2geom.ALPHA1, f2geom.E2))
     with pytest.raises(ValueError):
         f2geom.isotropic_plane_extensions((f2geom.E1,))
+
+
+def test_plane_extensions_match_the_set_oracle():
+    planes = f2geom.enumerate_isotropic_subspaces(2)
+    assert len(planes) == 105
+    for plane in planes:
+        assert f2geom.isotropic_plane_extensions(plane) == oracles.isotropic_plane_extensions(plane)
+    assert f2geom.plane_extension_pairs() is oracles.plane_extension_pairs() is True
+
+
+def test_span_mask_sets_the_bits_of_the_span():
+    for sub in f2geom.all_subspaces(2) + f2geom.all_subspaces(3):
+        assert f2geom.span_mask(sub) == sum(1 << x for x in f2geom.span(sub))
+
+
+def test_pair_census_matches_the_enum_dict_oracle():
+    for alpha in f2geom.SPACE:
+        assert f2geom.pair_census(alpha) == oracles.pair_census(alpha)
+    assert f2geom.pair_census_type_constant()
+
+
+@pytest.fixture
+def fresh_f2_caches():
+    def clear():
+        for cached in (f2geom.enumerate_isotropic_subspaces, f2geom.enumerate_singular_subspaces,
+                       f2geom.singular_members, f2geom.isotropic_plane_extensions,
+                       f2geom.transvection):
+            cached.cache_clear()
+    clear()
+    yield clear
+    clear()
+
+
+def _broken_plane(extra):
+    """A plane, and the vector whose q value to flip so that it has
+    ``extra`` extensions beyond two: -1 makes one extension fail by an
+    anisotropic basis vector, +1 lets the anisotropic class of the plane's
+    orthogonal complement pass with an isotropic basis vector."""
+    plane = f2geom.enumerate_isotropic_subspaces(2)[0]
+    inside = set(f2geom.span(plane))
+    if extra < 0:
+        ext = f2geom.isotropic_plane_extensions(plane)[0]
+    else:
+        a = next(v for v in f2geom.SPACE if f2geom.q(v) and not f2geom.b(v, plane[0])
+                 and not f2geom.b(v, plane[1]))
+        ext = f2geom.echelon_basis(plane + (a,))
+    return plane, next(v for v in ext if v not in inside)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one_extension", "three_extensions"])
+def test_a_plane_without_two_extensions_fails_its_line(monkeypatch, fresh_f2_caches, extra):
+    plane, flipped = _broken_plane(extra)
+    table = list(f2geom.Q_TABLE)
+    table[flipped] ^= 1
+    monkeypatch.setattr(f2geom, "Q_TABLE", tuple(table))
+    fresh_f2_caches()  # nothing enumerated from the intact table is kept
+    assert len(f2geom.isotropic_plane_extensions(plane)) == 2 + extra
+    assert len(oracles.isotropic_plane_extensions(plane)) == 2 + extra
+    assert f2geom.plane_extension_pairs() is oracles.plane_extension_pairs() is False
+    status = {r.name: r.status for r in checks.run_suite("f2")}
+    assert status["f2.plane_extension_pairs"] == "fail"
+
+
+def test_verify_all_filters_each_space_of_subspaces_once(monkeypatch, fresh_f2_caches):
+    """``verify all`` filters each all_subspaces(d) for isotropy once, d = 1,
+    2, 3, and splits each singular subspace into its members once: every
+    call of the isotropy and singularity tests is recorded with the function
+    that made it."""
+    isotropic, singular = f2geom.is_totally_isotropic, f2geom.is_singular
+    calls = Counter()
+
+    def caller():
+        frame = sys._getframe(2)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension or generator
+            frame = frame.f_back
+        return frame.f_code.co_name
+
+    def recording_isotropic(s):
+        calls[caller(), "isotropic", s] += 1
+        return isotropic(s)
+
+    def recording_singular(s):
+        calls[caller(), "singular", s] += 1
+        return singular(s)
+
+    monkeypatch.setattr(f2geom, "is_totally_isotropic", recording_isotropic)
+    monkeypatch.setattr(f2geom, "is_singular", recording_singular)
+    assert checks.all_passed(checks.run_suite("all"))
+    by_caller = {}
+    for (who, test, s), n in calls.items():
+        by_caller.setdefault((who, test), Counter())[s] += n
+    assert by_caller.pop(("enumerate_isotropic_subspaces", "isotropic")) \
+        == Counter(s for d in (1, 2, 3) for s in f2geom.all_subspaces(d))
+    assert by_caller.pop(("singular_members", "singular")) \
+        == Counter(f2geom.enumerate_singular_subspaces())
+    # the only other isotropy tests: each plane and its two extensions, once
+    others = {key: sum(c.values()) for key, c in by_caller.items() if key[1] == "isotropic"}
+    assert others == {("isotropic_plane_extensions", "isotropic"): 3 * 105}
 
 
 def test_enumeration_deterministic():

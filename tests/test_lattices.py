@@ -301,6 +301,14 @@ def test_rho0_block_is_checked_against_the_ambient_action(monkeypatch):
         lat._rho0_block()
 
 
+@pytest.mark.parametrize("block", [lat._eye(4), lat._eye(4, -1)], ids=["not_order_4", "minus_one"])
+def test_order_four_isometry_is_checked(monkeypatch, block):
+    # the identity squares to 1, and -1 to 1 too: neither passes rho^2 = -1
+    monkeypatch.setattr(lat, "_rho1_block", lambda: block)
+    with pytest.raises(ArithmeticError):
+        lat.order_four_isometry.__wrapped__()
+
+
 def test_hermitian_grams():
     # D4 block matches, U block matches, h(x, x) real
     assert lat.hermitian_gram_checks() == (True, True, True)

@@ -375,7 +375,7 @@ def _whole_row_rank_mod_p(rows, ncols, upper=None):
     for row in rows:
         if len(pivots) >= (ncols if upper is None else upper):
             break
-        packed = linalg._pack([x % p for x in row], width)
+        packed = linalg.pack([x % p for x in row], width)
         for col in sorted(pivots):
             a = (packed >> width * col & mask) % p
             if a:
@@ -386,7 +386,7 @@ def _whole_row_rank_mod_p(rows, ncols, upper=None):
         lead = next((j for j, x in enumerate(residues) if x), None)
         if lead is not None:
             inverse = pow(residues[lead], -1, p)
-            pivots[lead] = linalg._pack([x * inverse % p for x in residues], width)
+            pivots[lead] = linalg.pack([x * inverse % p for x in residues], width)
     return len(pivots)
 
 
@@ -757,6 +757,12 @@ def test_a_shared_leading_key_fails_the_degree1_claims(monkeypatch, fresh_caches
     tb.quadric_closure.cache_clear()
     assert len(tb.linear_relations()) == 1
     assert {r.name for r in checks.run_suite("tableaux") if r.status == "fail"} == degree1
+
+
+def test_straighten_refuses_a_row_list_without_a_nesting_pair():
+    # not standard (5 is no less than 5), yet no row ends after the next one
+    with pytest.raises(ArithmeticError):
+        tb.straighten(((1, 5), (2, 5), (3, 6), (4, 7)))
 
 
 @pytest.mark.parametrize("term", [0, 1, 2])

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from octet import checks, f2geom, linalg, weil
+import oracles
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_REPORT = Path(__file__).parent / "golden" / "verify_all_seed42.jsonl"
@@ -72,17 +73,17 @@ def test_apply_matches_fraction_loop():
         s_vec = [sum(Fraction(c, 8) * x for c, x in zip(row, vec)) for row in h]
         t_vec = [s * x for s, x in zip(t, vec)]
         st_vec = [sum(Fraction(c, 8) * x for c, x in zip(row, t_vec)) for row in h]
-        assert [Fraction(y, 8 * den) for y in weil._image(ints)] == s_vec
-        assert [Fraction(y, 8 * den) for y in weil._image([s * x for s, x in zip(t, ints)])] \
+        assert [Fraction(y, 8 * den) for y in oracles.image(ints)] == s_vec
+        assert [Fraction(y, 8 * den) for y in oracles.image([s * x for s, x in zip(t, ints)])] \
             == st_vec
         assert weil.is_invariant(vec) == (s_vec == t_vec == vec)
 
 
 def test_apply_never_wraps():
     # int64 would wrap the exact entry 2**61 * 8 of H @ v to 0
-    assert weil._image([2**58] * 64)[0] == 2**61 * 8
+    assert oracles.image([2**58] * 64)[0] == 2**61 * 8
     assert weil.is_invariant([2**58] * 64) is weil.is_invariant([1] * 64) is False
-    assert weil._image([2**50] * 64)[0] == 2**53 * 8
+    assert oracles.image([2**50] * 64)[0] == 2**53 * 8
 
 
 def test_products_never_wrap():
@@ -138,7 +139,7 @@ def test_transvections_act_by_minus_one():
         aniso, _ = f2geom.singular_members(sub)
         for alpha in aniso:
             perm = f2geom.transvection(alpha)
-            assert weil.permute_coordinates(perm, vec) == tuple(-x for x in vec)
+            assert oracles.permute_coordinates(perm, vec) == tuple(-x for x in vec)
 
 
 def test_antivector_unique_for_all_105():
@@ -147,6 +148,47 @@ def test_antivector_unique_for_all_105():
         assert dim == 1
         vec = weil.singular_vector(sub)
         assert spanning in (vec, tuple(-x for x in vec))
+
+
+def test_minus_one_eigenspace_matches_the_dict_oracle(monkeypatch):
+    subs = f2geom.enumerate_singular_subspaces()
+    assert len(subs) == 105
+    for sub in subs:
+        assert weil.minus_one_eigenspace(sub) == oracles.minus_one_eigenspace(sub)
+    # two transvections alone: an eigenspace of more than one dimension
+    aniso = tuple(a for a in f2geom.SPACE if f2geom.q(a))[:2]
+    monkeypatch.setattr(f2geom, "singular_members", lambda s: (aniso, ()))
+    assert weil.minus_one_eigenspace(subs[0]) == oracles.minus_one_eigenspace(subs[0])
+    assert weil.minus_one_eigenspace(subs[0])[0] > 1
+
+
+def _invariance_inputs():
+    """The 30 isotropic sums, the 64 unit vectors and the 105 signed vectors."""
+    sums = [weil.isotropic_sum_vector(i) for i in f2geom.enumerate_isotropic_subspaces(3)]
+    units = [[int(x == y) for y in f2geom.SPACE] for x in f2geom.SPACE]
+    signed = [weil.singular_vector(s) for s in f2geom.enumerate_singular_subspaces()]
+    assert (len(sums), len(units), len(signed)) == (30, 64, 105)
+    return sums + units + signed
+
+
+def test_is_invariant_matches_the_unpacked_oracle():
+    vectors = _invariance_inputs()
+    verdicts = [weil.is_invariant(v) for v in vectors]
+    assert verdicts == [oracles.is_invariant(v) for v in vectors]
+    assert verdicts == [True] * 30 + [False] * 64 + [True] * 105
+
+
+@pytest.mark.parametrize("row, col", [(1, 0), (0, 0), (17, 40)])
+def test_is_invariant_reads_a_flipped_h_table(monkeypatch, row, col):
+    # the packed rows are repacked for the new table object at every call
+    vectors = _invariance_inputs()
+    weil.is_invariant(vectors[0])  # packs the intact table
+    h = [list(r) for r in weil.b_signs()]
+    h[row][col] *= -1
+    monkeypatch.setattr(weil, "b_signs", lambda: tuple(map(tuple, h)))
+    verdicts = [weil.is_invariant(v) for v in vectors]
+    assert verdicts == [oracles.is_invariant(v) for v in vectors]
+    assert verdicts != [True] * 30 + [False] * 64 + [True] * 105
 
 
 def _fixed_space_rows():
@@ -168,7 +210,8 @@ def test_invariant_basis_is_the_nullspace_of_the_fixed_space_rows():
 @pytest.fixture
 def fresh_weil_caches():
     def clear():
-        for cached in (weil.sl2_relations, weil.invariant_subspace):
+        for cached in (weil.sl2_relations, weil.invariant_subspace, weil.space_w_rank,
+                       f2geom.enumerate_isotropic_subspaces, f2geom.singular_members):
             cached.cache_clear()
     clear()
     yield
@@ -205,6 +248,25 @@ def test_a_flipped_h_entry_fails_the_sl2_relations(monkeypatch, fresh_weil_cache
     assert relations["st_cubed"] == (cubed == tuple(tuple(512 * (i == j) for j in range(64))
                                                     for i in range(64)))
     assert not relations["st_cubed"]
+
+
+@pytest.mark.parametrize("index, entry", [(0, 0), (57, 3), (104, 7)])
+def test_a_flipped_sign_in_one_signed_vector_fails_its_lines(monkeypatch, fresh_weil_caches,
+                                                             index, entry):
+    """Negative control for the sparse paths: one nonzero entry of one f_V
+    negated.  The eigenspace no longer is its line, and the transvections
+    no longer negate it, read at its 8 nonzero entries."""
+    target = f2geom.enumerate_singular_subspaces()[index]
+    vec = list(weil.singular_vector(target))
+    x = [y for y in f2geom.SPACE if vec[y]][entry]
+    vec[x] *= -1
+    intact = weil.singular_vector
+    monkeypatch.setattr(weil, "singular_vector",
+                        lambda s: tuple(vec) if s == target else intact(s))
+    assert not weil.antivectors_unique()
+    assert not weil.transvections_negate()
+    status = {r.name: r.status for r in checks.run_suite("weil")}
+    assert status["weil.antivector_unique"] == status["weil.transvections_negate"] == "fail"
 
 
 def _fixed_line_dimension_by_elimination():
@@ -246,7 +308,7 @@ def test_construction_equivariant_up_to_sign():
     perm = f2geom.transvection(alpha)
     for sub in subs[:20]:
         moved = f2geom.echelon_basis([perm[v] for v in sub])
-        lhs = weil.permute_coordinates(perm, weil.singular_vector(sub))
+        lhs = oracles.permute_coordinates(perm, weil.singular_vector(sub))
         rhs = weil.singular_vector(moved)
         assert lhs in (rhs, tuple(-x for x in rhs))
 
