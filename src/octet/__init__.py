@@ -23,9 +23,13 @@ Submodules:
 
 Every exact computation runs on Python ints and Fractions, so none can wrap
 or round; the inversion residuals of ``qseries`` are the only floats.  No
-module imports numpy or dataclasses.  ``cli`` and
-``checks`` import every domain module where a command or a suite first uses
-it, so a command loads only the modules it runs.
+module imports numpy or dataclasses.  ``cli`` imports ``checks`` only for
+``verify``, and ``cli`` and ``checks`` import every domain module where a
+command or a suite first uses it, so a command loads only the modules it
+runs.
 """
 
 __version__ = "0.1.0"
+
+# the suites ``octet verify`` runs, by name; "all" runs every one in this order
+SELECTORS = ("f2", "weil", "qseries", "lattice", "tableaux", "all")

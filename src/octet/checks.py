@@ -22,7 +22,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-SELECTORS = ("f2", "weil", "qseries", "lattice", "tableaux", "all")
+from . import SELECTORS
+from .sampling import checked_seed
 
 # 5 more than the 105 quadratic monomials, as the degree-2 relation search needs
 MIN_SAMPLES = 110
@@ -43,9 +44,7 @@ class RunConfig(_RunFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        # the sampler reads a seed as 64 bits; a wider one would alias another
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must lie in [0, 2**64), got %d" % self.seed)
+        checked_seed(self.seed)
         try:
             valid = 0 < float(self.tolerance) < math.inf
         except (TypeError, ValueError):

@@ -3,9 +3,10 @@
 ``octet verify <selector>`` runs a suite and writes one JSON object per check
 (exit code 0 when everything passes, 1 otherwise); ``octet compute <command>``
 emits a single JSON document.  The OCTET_REPORT_DIR environment variable
-redirects relative output paths.  At import this module loads ``checks``
-alone; each command imports the domain modules it uses, and each ``verify``
-suite its own, so ``compute hseries`` loads ``qseries`` and nothing else.
+redirects relative output paths.  At import this module loads no other
+module of the package: ``verify`` imports ``checks``, each command imports
+the domain modules it uses, and each ``verify`` suite its own, so
+``compute hseries`` loads ``qseries`` and nothing else.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from . import checks
-from .checks import RunConfig
+from . import SELECTORS
 
 
 def _frac_str(x: Fraction) -> str:
@@ -48,7 +48,8 @@ def _output(out: str | None):
         yield fh
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args):
+    from .checks import RunConfig
     return RunConfig(
         seed=args.seed,
         series_order=args.order,
@@ -60,6 +61,7 @@ def _config_from_args(args) -> RunConfig:
 
 def _tolerance(text: str) -> str:
     """The --tolerance flag as typed, once ``RunConfig`` accepts it."""
+    from .checks import RunConfig
     try:
         return RunConfig(tolerance=text).tolerance
     except ValueError as exc:
@@ -67,9 +69,10 @@ def _tolerance(text: str) -> str:
 
 
 def _seed(text: str) -> int:
-    """The --seed flag, once ``RunConfig`` accepts it."""
+    """The --seed flag, once the sampler accepts it."""
+    from .sampling import checked_seed
     try:
-        return RunConfig(seed=int(text)).seed
+        return checked_seed(int(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -90,6 +93,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
     cfg = _config_from_args(args)
     with _output(args.out) as fh:
         reports = checks.run_suite(args.selector, cfg)
@@ -235,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("selector", choices=checks.SELECTORS)
+    verify.add_argument("selector", choices=SELECTORS)
     _add_config_flags(verify)
     verify.set_defaults(func=cmd_verify)
 

@@ -173,14 +173,21 @@ def group_elements() -> tuple[Perm, ...]:
 def coxeter_relations(gens, compose, identity) -> bool:
     """Whether g_1, ..., g_n satisfy the Coxeter relations of type A_n, each
     with exact order: g_i g_j has order m_ij, with m_ii = 1, m_i,i+1 = 3 and
-    m_ij = 2 otherwise.  ``compose(g, h)`` is the product g h."""
+    m_ij = 2 otherwise.
+
+    ``compose(g, x)`` is the product g x of a generator g and a group
+    element x, and ``identity`` is the identity element; elements are
+    compared with ==, and may be kept in another form than the generators.
+    The powers of g_i g_j are built from the identity as
+    x <- compose(g_i, compose(g_j, x)), so an element is never a product of
+    more than 2 * 3 generators."""
     for i, j in combinations_with_replacement(range(len(gens)), 2):
         m = 1 if i == j else 3 if j == i + 1 else 2
-        powers = [compose(gens[i], gens[j])]
-        while len(powers) < m:
-            powers.append(compose(powers[-1], powers[0]))
-        if powers[-1] != identity or identity in powers[:-1]:
-            return False
+        power = identity
+        for k in range(1, m + 1):
+            power = compose(gens[i], compose(gens[j], power))
+            if (power == identity) != (k == m):
+                return False
     return True
 
 

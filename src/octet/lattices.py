@@ -6,7 +6,9 @@ coordinate columns.  Matrices are tuples of rows and every entry is a Python
 int, so no product can wrap; products go through ``linalg.matmul``.  Two
 integer algorithms do the exact work: Smith normal form for the discriminant
 groups, and the leading principal minors of one fraction-free elimination,
-once per Gram matrix, for det and signature (Jacobi's sign rule).  Every
+once per Gram matrix, for det and signature (Jacobi's sign rule).  Table 1
+reads every invariant off the orthogonal summands of its lattices, so there
+the two algorithms run once per atom (U, D4, E8, ...).  Every
 finite quadratic form in use is 2-elementary, so a form lives on F2^a in the
 bitmask idiom of ``f2geom``: integer tables of 2q mod 4 and 2b mod 2, built
 from the Gram matrix of the doubled generators, on which isomorphisms are
@@ -132,20 +134,29 @@ _ATOMS = {"U": lambda: ((0, 1), (1, 0)), "A1": lambda: ((-2,),),
 _TOKEN = re.compile(r"^(U|A1|D4|D6|D8|D10|E8)(?:\((-?\d+)\))?(?:\^(\d+))?$")
 
 
-def named_lattice(name: str) -> GramLattice:
-    """Parse names like "U+U(2)+D4+D4" or "A1(-1)^2+A1^4" into a Gram matrix."""
+def _summands(name: str) -> list[tuple[str, int]]:
+    """The orthogonal summands of a name like "U+U(2)+D4+D4" or
+    "A1(-1)^2+A1^4", one (atom, scale) per block, in order."""
     blocks = []
     for token in name.replace(" ", "").split("+"):
         m = _TOKEN.match(token)
         if not m:
             raise ValueError("unknown lattice token %r" % token)
-        base, scale, power = m.group(1), m.group(2), m.group(3)
-        gram = _ATOMS[base]()
-        if scale is not None:
-            gram = _scaled(int(scale), gram)
-        for _ in range(int(power) if power else 1):
-            blocks.append(gram)
-    lattice = GramLattice(name=name.replace(" ", ""), gram=direct_sum_grams(blocks))
+        base, scale, power = m.groups()
+        blocks += [(base, 1 if scale is None else int(scale))] * (int(power) if power else 1)
+    return blocks
+
+
+@lru_cache(maxsize=None)
+def _atom_gram(base: str, scale: int) -> Matrix:
+    """The Gram matrix of one atom, such as U(2) or A1(-1) (cached)."""
+    return _scaled(scale, _ATOMS[base]())
+
+
+def named_lattice(name: str) -> GramLattice:
+    """Parse names like "U+U(2)+D4+D4" or "A1(-1)^2+A1^4" into a Gram matrix."""
+    lattice = GramLattice(name=name.replace(" ", ""),
+                          gram=direct_sum_grams([_atom_gram(*b) for b in _summands(name)]))
     if lattice.det() == 0:
         raise ValueError("degenerate lattice %r" % name)
     return lattice
@@ -356,12 +367,16 @@ def _parity_rows(a: int) -> tuple[tuple[int, ...], ...]:
 
 
 def discriminant_form(lattice: GramLattice) -> FiniteQuadraticForm:
-    """The finite quadratic form on dual-mod-lattice, via Smith normal form.
+    """The finite quadratic form on dual-mod-lattice, from the Gram matrix
+    of its doubled generators (``_doubled_gram``)."""
+    return FiniteQuadraticForm.from_doubled_gram(_doubled_gram(lattice))
 
-    The doubled generators of the dual are the columns of V whose invariant
-    factor is 2; their Gram matrix is formed in Python integers.  Raises
-    ValueError unless the discriminant group is 2-elementary.
-    """
+
+def _doubled_gram(lattice: GramLattice) -> Matrix:
+    """The Gram matrix of the doubled generators of dual-mod-lattice, via
+    Smith normal form: the columns of V whose invariant factor is 2, their
+    Gram matrix formed in Python integers.  Raises ValueError unless the
+    discriminant group is 2-elementary."""
     gram = lattice.gram
     det = lattice.det()
     if det == 0:
@@ -372,12 +387,30 @@ def discriminant_form(lattice: GramLattice) -> FiniteQuadraticForm:
     if any(d[k][k] > 2 for k in range(lattice.rank)):
         raise ValueError("the discriminant group of %s is not 2-elementary" % lattice.name)
     doubled = [col for k, col in enumerate(zip(*v)) if d[k][k] == 2]
-    form = FiniteQuadraticForm.from_doubled_gram(matmul(matmul(doubled, gram),
-                                                        _transpose(doubled)))
-    if form.group_order != abs(det):
+    if 2 ** len(doubled) != abs(det):
         raise ArithmeticError("discriminant group order does not match |det|")
-    return form
+    return matmul(matmul(doubled, gram), _transpose(doubled))
 
+
+@lru_cache(maxsize=None)
+def _atom_doubled_gram(base: str, scale: int) -> Matrix:
+    """``_doubled_gram`` of one atom, its Smith form taken once (cached)."""
+    return _doubled_gram(GramLattice("%s(%d)" % (base, scale), _atom_gram(base, scale)))
+
+
+def _summand_invariants(name: str) -> tuple[int, tuple[int, int], FiniteQuadraticForm]:
+    """(rank, signature, discriminant form) of a named lattice, from its
+    summands: ranks and signatures add, and the discriminant form of an
+    orthogonal sum is the orthogonal sum of the forms (Nikulin 1979, §1),
+    the form of the block-diagonal doubled Gram matrices.  Each atom is
+    eliminated once for its signature and Smith-reduced once for its form;
+    no Gram matrix of the sum is built."""
+    blocks = _summands(name)
+    grams = [_atom_gram(*b) for b in blocks]
+    pos, neg = map(sum, zip(*map(signature, grams)))
+    form = FiniteQuadraticForm.from_doubled_gram(
+        direct_sum_grams([_atom_doubled_gram(*b) for b in blocks]))
+    return sum(map(len, grams)), (pos, neg), form
 
 
 def find_isomorphism(a: FiniteQuadraticForm, b: FiniteQuadraticForm):
@@ -910,9 +943,15 @@ TABLE1_ROWS = (
 def table1_checks() -> list[bool]:
     """Per row: the ranks sum to 22, the Picard lattice is hyperbolic, the
     transcendental lattice has signature (2, rank - 2), and their
-    discriminant forms are complementary."""
-    return [pic.rank + tra.rank == 22
-            and pic.signature() == (1, pic.rank - 1)
-            and tra.signature() == (2, tra.rank - 2)
-            and find_isomorphism(discriminant_form(pic), discriminant_form(tra).neg()) is not None
-            for pic, tra in (map(named_lattice, row) for row in TABLE1_ROWS)]
+    discriminant forms are complementary.  Every invariant is read off the
+    summands (``_summand_invariants``), so no Gram matrix wider than an
+    atom is eliminated."""
+    out = []
+    for row in TABLE1_ROWS:
+        (pic_rank, pic_sig, pic_form), (tra_rank, tra_sig, tra_form) = \
+            map(_summand_invariants, row)
+        out.append(pic_rank + tra_rank == 22
+                   and pic_sig == (1, pic_rank - 1)
+                   and tra_sig == (2, tra_rank - 2)
+                   and find_isomorphism(pic_form, tra_form.neg()) is not None)
+    return out

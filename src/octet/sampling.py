@@ -10,6 +10,14 @@ from __future__ import annotations
 _MASK = (1 << 64) - 1
 
 
+def checked_seed(seed: int) -> int:
+    """A seed the generator reads as it is: one in [0, 2**64).  A wider or
+    negative one would alias another seed, so it is refused."""
+    if not 0 <= seed <= _MASK:
+        raise ValueError("seed must lie in [0, 2**64), got %d" % seed)
+    return seed
+
+
 class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK

@@ -14,7 +14,10 @@ Claims about the products as functions are proved by polynomial identity.
 At the affine points (1, x_i) a product is the integer polynomial
 prod (x_b - x_a) over its pairs; it has degree 1 in each point, so the
 affine chart loses nothing.  Straightening expansions and the three-term
-Plücker relation are identities of these polynomials.  No coefficient
+Plücker relation are identities of these polynomials; the expansions, and
+the signs of relabelled products, are compared by their values at one
+integer point, which fixes a multilinear polynomial with small enough
+coefficients (``_kronecker_value``).  No coefficient
 system of the products is expanded: the 14 standard products are
 independent because their leading monomials are distinct, a unitriangular
 14 x 14 system (``linear_relations``).  The 14
@@ -24,13 +27,14 @@ substitutions once the straightening identities hold, carry it to a span
 of 14 relations, the lower bound.  The upper bound is counted: seeded
 configurations give the 105 quadratic monomials rank 91, so there are at
 most 105 - 91 = 14.  The S8 claims are certified on the seven adjacent
-transpositions, which generate S8.  Seeded integer configurations evaluate
-the products through ``mu_vector``, from their 28 minors; apart from that
-upper bound they cross-check the other claims, tie the products to the
-expansion and prove nothing the identities do not.  Sampled points are
-Python ints, and so is every certificate and kernel; Fractions appear only
-where input is parsed (``parse_config``) and where results are written out
-(``theta_map``, the canonical kernel ``basis``).
+transpositions, which generate S8; their action matrices meet the Coxeter
+relations as packed rows, never multiplied out.  Seeded integer
+configurations evaluate the products through ``mu_vector``, from their 28
+minors; apart from that upper bound they cross-check the other claims, tie
+the products to the expansion and prove nothing the identities do not.
+Sampled points are Python ints, and so is every certificate and kernel;
+Fractions appear only where input is parsed (``parse_config``) and where
+results are written out (``theta_map``, the canonical kernel ``basis``).
 """
 
 from __future__ import annotations
@@ -140,21 +144,28 @@ def parse_config(pairs) -> Config:
     return config
 
 
-# the 28 label pairs a < b, one 2x2 minor each
+# the 28 label pairs a < b, one 2x2 minor each, and the slot of each in a
+# flat list of the minors
 _PAIRS = tuple((a, b) for a in LABELS for b in LABELS if a < b)
+_PAIR_SLOT = {pair: k for k, pair in enumerate(_PAIRS)}
+
+
+@lru_cache(maxsize=None)
+def _minor_slots(tabs) -> tuple[tuple[int, int, int, int], ...]:
+    """The slots of the four minors of each tableau of a tuple (cached)."""
+    return tuple(tuple(map(_PAIR_SLOT.__getitem__, t)) for t in tabs)
 
 
 def mu_vector(config: Config, tabs=None) -> tuple[Fraction | int, ...]:
     """The product of the four 2x2 minors picked out by the pairs of each
-    canonical tableau (default: the 14 standard ones), in the coordinates'
-    own arithmetic (ints at integer points).  The 28 minors of the
-    configuration are computed once."""
+    canonical tableau of the tuple ``tabs`` (default: the 14 standard ones),
+    in the coordinates' own arithmetic (ints at integer points).  The 28
+    minors of the configuration are computed once, into a flat list."""
     tabs = standard_tableaux() if tabs is None else tabs
-    minors = {}
-    for a, b in _PAIRS:
-        (x, y), (z, w) = config[a - 1], config[b - 1]
-        minors[a, b] = x * w - y * z
-    return tuple(minors[p] * minors[q] * minors[r] * minors[s] for p, q, r, s in tabs)
+    minors = [x * w - y * z for (x, y), (z, w) in
+              [(config[a - 1], config[b - 1]) for a, b in _PAIRS]]
+    return tuple(minors[p] * minors[q] * minors[r] * minors[s]
+                 for p, q, r, s in _minor_slots(tabs))
 
 
 def theta_map(config: Config) -> tuple[Fraction, ...]:
@@ -315,39 +326,65 @@ def action_matrix(sigma) -> list[list[int]]:
 def equivariance_check() -> dict:
     """The S8 claims at all 105 tableaux t, certified on the seven adjacent
     transpositions s, which generate S8.  Write (R_s t, sign) for
-    apply_permutation(t, s).  ``sign_identity``: sign * tableau_polynomial(t)
-    with the two variables of s swapped is tableau_polynomial(R_s t), and
+    apply_permutation(t, s).  ``sign_identity``: at the Kronecker point x
+    of ``_kronecker_values``, sign times the product of x'_b - x'_a over the
+    pairs (a, b) of t, where x' is x with the two variables of s swapped, is
+    V(R_s t), the value of tableau_polynomial(R_s t).  The product has the
+    16 coefficients +-1, and the slots are wider than every coefficient of
+    the dicts, so this is the polynomial identity sign * P_t(x') = P_(R_s t):
     relabellings compose with their signs multiplying.
     ``intertwines_subspaces``: induced_model_map(s) carries V(t) onto
-    V(R_s t), and both sides are actions of S8.  ``homomorphism``: the seven
-    action matrices satisfy the A7 Coxeter relations, ``sign_identity``
-    holds, the straightening expansions are polynomial identities and
-    ``linear_relations()`` is empty.  By the last three, action_matrix(sigma)
-    is the matrix of the substitution moving the points by sigma in a basis of
-    independent functions, for all 40,320 sigma, so it is multiplicative.
+    V(R_s t), compared as ``f2geom.span_mask`` ints, and both sides are
+    actions of S8.  ``homomorphism``: the seven action matrices satisfy the
+    A7 Coxeter relations, ``sign_identity`` holds, the straightening
+    expansions are polynomial identities and ``linear_relations()`` is empty.
+    By the last three, action_matrix(sigma) is the matrix of the
+    substitution moving the points by sigma in a basis of independent
+    functions, for all 40,320 sigma, so it is multiplicative.
     """
     tabs = enumerate_tableaux()
-    spans = {t: frozenset(f2geom.span(tableau_to_subspace(t))) for t in tabs}
+    width, value = _kronecker_values(tabs)
+    bases = {t: tableau_to_subspace(t) for t in tabs}
+    spans = {t: f2geom.span(basis) for t, basis in bases.items()}
+    masks = {t: f2geom.span_mask(basis) for t, basis in bases.items()}
     sign_ok = intertwine_ok = True
-    for i, s in enumerate(ADJACENT_TRANSPOSITIONS):
+    for s in ADJACENT_TRANSPOSITIONS:
         g = induced_model_map(s)
-        both = 5 << 2 * i  # the low bits of the 2-bit exponent fields of slots i and i + 1
-        for t in tabs:
+        swapped = mu_vector(tuple((1, 1 << (width << k)) for k in s), tabs)
+        for t, product in zip(tabs, swapped):
             moved, sign = apply_permutation(t, s)
-            # the two fields trade places: each is XORed with their difference
-            swapped = {k ^ ((k >> 2 * i ^ k >> 2 * i + 2) & 3) * both: sign * c
-                       for k, c in tableau_polynomial(t).items()}
-            if swapped != tableau_polynomial(moved):
+            if sign * product != value[moved]:
                 sign_ok = False
-            if frozenset(g[v] for v in spans[t]) != spans[moved]:
+            if sum({1 << g[v] for v in spans[t]}) != masks[moved]:
                 intertwine_ok = False
-    identity = tuple(tuple(int(i == j) for j in range(14)) for i in range(14))
-    coxeter_ok = f2geom.coxeter_relations(
-        [action_matrix(s) for s in ADJACENT_TRANSPOSITIONS], linalg.matmul, identity)
+    coxeter_ok = _coxeter_relations([action_matrix(s) for s in ADJACENT_TRANSPOSITIONS])
     hom_ok = (coxeter_ok and sign_ok and _straightening_identities()
               and linear_relations() == ())
     return {"homomorphism": hom_ok, "intertwines_subspaces": intertwine_ok,
             "sign_identity": sign_ok}
+
+
+def _coxeter_relations(matrices) -> bool:
+    """``f2geom.coxeter_relations`` of square integer matrices, multiplying
+    none of them: each power of g_i g_j is kept as its packed rows, in
+    slots wider than L**6 for the largest row L1-norm L of a generator.
+    That bounds every entry of a product of at most six generators, the
+    longest the relations build, so equal packed rows are equal matrices.
+    A generator left-multiplies packed rows through its nonzero entries
+    (``_left_multiply``)."""
+    norm = max(1, *(sum(map(abs, row)) for m in matrices for row in m))
+    slot = (norm ** 6).bit_length() + 1
+    return f2geom.coxeter_relations(
+        [[[(k, c) for k, c in enumerate(row) if c] for row in m] for m in matrices],
+        _left_multiply, tuple(1 << slot * r for r in range(len(matrices[0]))))
+
+
+def _left_multiply(rows, packed) -> tuple[int, ...]:
+    """g x for a matrix g given by the nonzero (column, entry) pairs of each
+    row and a matrix x given by its packed rows: row r of g x is the sum of
+    entry times packed row column.  Packing is linear, so the sums are the
+    packed rows of g x, exactly while each entry fits its slot."""
+    return tuple(sum(c * packed[k] for k, c in row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +419,16 @@ def straighten(t: Tableau) -> tuple[tuple[Tableau, int], ...]:
 
 @lru_cache(maxsize=None)
 def _straightening_identities() -> bool:
-    """Every straightening expansion holds as a polynomial identity."""
-    return all(_poly_sum((tableau_polynomial(std), coeff) for std, coeff in straighten(t))
-               == tableau_polynomial(t) for t in enumerate_tableaux())
+    """Every straightening expansion holds as a polynomial identity,
+    compared at the Kronecker point: sum c_s V(s) = V(t).  The left side is
+    the value of sum c_s P_s, whose coefficients are at most sum |c_s| times
+    the largest coefficient size of the products; the slot width b is taken
+    from the largest sum |c_s|, so both sides are fixed by their values."""
+    tabs = enumerate_tableaux()
+    weight = max(sum(abs(c) for _, c in straighten(t)) for t in tabs)
+    value = _kronecker_values(tabs, weight)[1]
+    return None not in value.values() and all(
+        sum(c * value[std] for std, c in straighten(t)) == value[t] for t in tabs)
 
 
 # the three-term Plücker relation [12][34] - [13][24] + [14][23] = 0, as
@@ -419,6 +463,39 @@ def straightening_check(n_samples: int = 5, seed: int = 42) -> dict:
 # bits 2i-2 and 2i-1, so for exponents up to 3 the key of a product of
 # monomials is the sum of their keys, and keys compare as their monomials do
 # in lex order with x_8 first.
+#
+# Identities among multilinear polynomials are compared at one integer
+# point, the Kronecker point of width b: x_i = 2**(b * 2**(i-1)).  There the
+# monomial of the variables in a set S is 2**(b * m), m the bitmask of S, so
+# the value of a multilinear polynomial is the balanced base-2**b expansion
+# whose digit m is the coefficient of that monomial.  When every coefficient
+# has size below 2**(b-1), the difference of two such polynomials has
+# digits of size below 2**b, and its lowest nonzero digit is not divisible
+# by 2**b: equal values are equal polynomials.  A key with an exponent of 2
+# or more has no digit and no value.
+
+# the packed key of the monomial of the variables in each set S, mapped to
+# the bitmask m of S
+_MULTILINEAR = {sum(4 ** i for i in range(8) if m >> i & 1): m for m in range(256)}
+
+
+def _kronecker_value(poly: Mapping[int, int], width: int) -> int | None:
+    """A multilinear polynomial at the Kronecker point of the given width,
+    or None when a key is not multilinear."""
+    if not poly.keys() <= _MULTILINEAR.keys():
+        return None
+    return sum(c << width * _MULTILINEAR[k] for k, c in poly.items())
+
+
+def _kronecker_values(tabs, weight: int = 1) -> tuple[int, dict]:
+    """(b, the value of tableau_polynomial(t) at the Kronecker point of
+    width b, or None, per tableau t): b is the smallest width with 2**(b-1)
+    above weight times the largest coefficient size of the polynomials.
+    The dicts are read at every call, so a patched product shows."""
+    polys = {t: tableau_polynomial(t) for t in tabs}
+    size = max(max(map(abs, p.values()), default=0) for p in polys.values())
+    width = (max(weight, 1) * size).bit_length() + 1
+    return width, {t: _kronecker_value(p, width) for t, p in polys.items()}
 
 
 def _poly_mul(f: Mapping[int, int], g: Mapping[int, int]) -> dict[int, int]:
@@ -547,12 +624,21 @@ def _relation_terms(basis, supports) -> list[list[tuple[int, int, int]]]:
 
 def _annihilates(relations, samples) -> bool:
     """Whether each relation, as its terms (i, j, c), vanishes exactly at
-    each sample of values x: the sum of c x_i x_j is 0."""
-    for values in samples:
-        for terms in relations:
-            if sum(c * values[i] * values[j] for i, j, c in terms):
-                return False
-    return True
+    each sample of values x: the sum of c x_i x_j is 0.  The relations are
+    evaluated at a sample at once: relation r sits in slot r of packed
+    coefficients, one per monomial, so a sample gives one int whose slot r
+    holds the value of relation r.  Slots are wider than sum |c| times the
+    largest x_i x_j of any sample, which bounds every value, so the int is
+    0 exactly when every relation vanishes.  ``samples`` is a list."""
+    size = max((max(map(abs, x)) for x in samples), default=0)
+    weight = max((sum(abs(c) for _, _, c in terms) for terms in relations), default=0)
+    width = (weight * size * size).bit_length() + 1
+    packed: dict[tuple[int, int], int] = {}
+    for r, terms in enumerate(relations):
+        for i, j, c in terms:
+            packed[i, j] = packed.get((i, j), 0) + (c << width * r)
+    terms = [(i, j, c) for (i, j), c in packed.items()]
+    return not any(sum(c * (x[i] * x[j]) for i, j, c in terms) for x in samples)
 
 
 def mu_function_rank(samples: int = 40, seed: int = 42) -> int | None:
@@ -589,10 +675,12 @@ def quadric_closure() -> tuple[tuple[tuple[Fraction, ...], ...], bool]:
     certified: the seed expands to zero and the straightening expansions
     are polynomial identities, so each action matrix is the substitution
     moving the points and carries relations to relations.  Uncertified,
-    nothing is built.  The generator images of each vector that enlarged
-    the span are fed, breadth first, to one echelon form with reversed
-    columns until none enlarges it; the span then holds its own images, so
-    S8 preserves it.  ``linalg.free_column_basis`` reads off the basis.
+    nothing is built.  Each generator pulls forms back through its table of
+    monomial images (``_monomial_images``), built once per call.  The
+    generator images of each vector that enlarged the span are fed, breadth
+    first, to one echelon form with reversed columns until none enlarges it;
+    the span then holds its own images, so S8 preserves it.
+    ``linalg.free_column_basis`` reads off the basis.
     The orbit generates the whole ideal of relations (Howard, Millson,
     Snowden and Vakil, Duke Math. J. 146, 2009).
     """
@@ -606,11 +694,11 @@ def quadric_closure() -> tuple[tuple[tuple[Fraction, ...], ...], bool]:
                           for (a, b), coeff in SEED_BINOMIAL)
     if expansion or not _straightening_identities():
         return (), False
-    matrices = [action_matrix(s) for s in ADJACENT_TRANSPOSITIONS]
+    tables = [_monomial_images(action_matrix(s)) for s in ADJACENT_TRANSPOSITIONS]
     ech = linalg.EchelonForm(len(position))
     frontier = [seed] if ech.add_row(seed[::-1]) else []
     while frontier:
-        images = [_transform_quadric(v, m) for v in frontier for m in matrices]
+        images = [_pull_back(v, table) for v in frontier for table in tables]
         frontier = [w for w in images if ech.add_row(w[::-1])]
     return tuple(map(tuple, linalg.free_column_basis(ech))), True
 
@@ -636,15 +724,29 @@ def quadric_positions() -> Mapping[tuple[int, int], int]:
                              for k, exps in enumerate(degree_monomials(2))})
 
 
-def _transform_quadric(coeffs, matrix) -> list[int]:
-    """Pull an integer quadratic form on the monomials of
-    ``quadric_positions()`` back along the linear substitution y = M x."""
+def _monomial_images(matrix) -> list[list[tuple[int, int]]]:
+    """Per monomial y_a y_b of ``quadric_positions()``, in order, its pull
+    back along the linear substitution y = M x, as the nonzero terms
+    (position, coefficient) of (sum_i M_ai x_i)(sum_j M_bj x_j)."""
     position = quadric_positions()
     support = [[(i, x) for i, x in enumerate(row) if x] for row in matrix]
-    out = [0] * len(position)
-    for value, (a, b) in zip(coeffs, position):
+    images = []
+    for a, b in position:
+        terms: dict[int, int] = {}
+        for i, mi in support[a]:
+            for j, mj in support[b]:
+                k = position[(i, j) if i <= j else (j, i)]
+                terms[k] = terms.get(k, 0) + mi * mj
+        images.append([(k, c) for k, c in terms.items() if c])
+    return images
+
+
+def _pull_back(coeffs, images) -> list[int]:
+    """An integer quadratic form on the monomials of ``quadric_positions()``
+    pulled back through the monomial images of a substitution."""
+    out = [0] * len(images)
+    for value, image in zip(coeffs, images):
         if value:
-            for i, mi in support[a]:
-                for j, mj in support[b]:
-                    out[position[min(i, j), max(i, j)]] += value * mi * mj
+            for k, c in image:
+                out[k] += value * c
     return out

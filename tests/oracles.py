@@ -8,6 +8,15 @@ x_1..x_8, and its kernel by block elimination with an integer kernel.
 by the leading monomials, degree 2 by the closure of a seed binomial), so
 these routes are independent of it.
 
+For the tableau products' certificates, the routes that ``octet`` replaced
+by values at one integer point and by packed rows: the straightening
+identities as sums of coefficient dicts, the sign identity by swapping the
+exponent fields of the dict keys, the Coxeter relations on powers of
+``linalg.matmul`` products, the relations evaluated at a sample term by
+term, and a quadratic form pulled back along a matrix one call at a time.
+For Table 1: every lattice's full Gram matrix, eliminated and Smith-reduced
+whole.
+
 For the 64-vector layer: the plane extensions and their pair check on sets
 of span vectors, the pair census counted into an enum-keyed dict, the joint
 (-1)-eigenspace with one sign dict per component, and H applied to a vector
@@ -17,7 +26,7 @@ and a point permutation applied to coordinates, both entry by entry.
 from functools import lru_cache
 from math import lcm
 
-from octet import f2geom, linalg, tableaux as tb, weil
+from octet import f2geom, lattices as lat, linalg, tableaux as tb, weil
 
 
 def integer_kernel(ech):
@@ -174,3 +183,92 @@ def permute_coordinates(perm, vec):
     for x in range(64):
         out[perm[x]] = vec[x]
     return type(vec)(out) if isinstance(vec, tuple) else out
+
+
+def straightening_identities():
+    """Every straightening expansion as a sum of coefficient dicts, compared
+    with the product's dict."""
+    return all(tb._poly_sum((tb.tableau_polynomial(std), c) for std, c in tb.straighten(t))
+               == tb.tableau_polynomial(t) for t in tb.enumerate_tableaux())
+
+
+def sign_identity():
+    """sign * tableau_polynomial(t), with the two exponent fields of each
+    adjacent transposition swapped in every key, is tableau_polynomial(R_s t)."""
+    for i, s in enumerate(tb.ADJACENT_TRANSPOSITIONS):
+        both = 5 << 2 * i  # the low bits of the exponent fields of slots i and i + 1
+        for t in tb.enumerate_tableaux():
+            moved, sign = tb.apply_permutation(t, s)
+            swapped = {k ^ ((k >> 2 * i ^ k >> 2 * i + 2) & 3) * both: sign * c
+                       for k, c in tb.tableau_polynomial(t).items()}
+            if swapped != tb.tableau_polynomial(moved):
+                return False
+    return True
+
+
+def coxeter_relations(matrices):
+    """The A_n Coxeter relations with exact orders on integer matrices, each
+    power of g_i g_j a ``linalg.matmul`` product of the previous one."""
+    n = len(matrices[0])
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for i in range(len(matrices)):
+        for j in range(i, len(matrices)):
+            m = 1 if i == j else 3 if j == i + 1 else 2
+            powers = [linalg.matmul(matrices[i], matrices[j])]
+            while len(powers) < m:
+                powers.append(linalg.matmul(powers[-1], powers[0]))
+            if powers[-1] != identity or identity in powers[:-1]:
+                return False
+    return True
+
+
+def annihilates(relations, samples):
+    """Each relation, as its terms (i, j, c), summed term by term at each
+    sample: sum c x_i x_j is 0."""
+    return not any(sum(c * x[i] * x[j] for i, j, c in terms)
+                   for x in samples for terms in relations)
+
+
+def transform_quadric(coeffs, matrix):
+    """An integer quadratic form on the monomials of ``quadric_positions()``
+    pulled back along y = M x, monomial by monomial."""
+    position = tb.quadric_positions()
+    support = [[(i, x) for i, x in enumerate(row) if x] for row in matrix]
+    out = [0] * len(position)
+    for value, (a, b) in zip(coeffs, position):
+        if value:
+            for i, mi in support[a]:
+                for j, mj in support[b]:
+                    out[position[min(i, j), max(i, j)]] += value * mi * mj
+    return out
+
+
+def table1_checks():
+    """Table 1 on each lattice's full Gram matrix: its rank, its signature
+    from its own elimination and its discriminant form from its own Smith
+    form."""
+    return [pic.rank + tra.rank == 22
+            and pic.signature() == (1, pic.rank - 1)
+            and tra.signature() == (2, tra.rank - 2)
+            and lat.find_isomorphism(lat.discriminant_form(pic),
+                                     lat.discriminant_form(tra).neg()) is not None
+            for pic, tra in (map(lat.named_lattice, row) for row in lat.TABLE1_ROWS)]
+
+
+def quadric_closure_rows():
+    """The rows the closure of the seed binomial feeds its echelon form, each
+    generator image pulled back by ``transform_quadric``: the seed, then the
+    seven images of each row that enlarged the span, columns reversed."""
+    matrices = [tb.action_matrix(s) for s in tb.ADJACENT_TRANSPOSITIONS]
+    position = tb.quadric_positions()
+    seed = [0] * len(position)
+    for (a, b), c in tb.SEED_BINOMIAL:
+        seed[position[min(a, b), max(a, b)]] += c
+    ech = linalg.EchelonForm(len(position))
+    rows = [seed[::-1]]
+    frontier = [seed] if ech.add_row(seed[::-1]) else []
+    while frontier:
+        images = [transform_quadric(v, m) for v in frontier for m in matrices]
+        rows += [w[::-1] for w in images]
+        frontier = [w for w in images if ech.add_row(w[::-1])]
+    return rows

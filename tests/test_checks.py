@@ -97,3 +97,54 @@ def test_checks_module_only_wires_claims():
                    and "CheckReport" in (getattr(node.func, "id", None),
                                          getattr(node.func, "attr", None))]
     assert len(constructed) == 1
+
+
+def test_verify_all_multiplies_no_action_matrix_and_eliminates_no_summed_gram(monkeypatch):
+    """Work counts of ``run_suite("all")``, run cold: ``equivariance_check``
+    calls no ``linalg.matmul``; ``table1_checks`` eliminates and
+    Smith-reduces each of the 9 atoms once and no Gram matrix wider than 10
+    columns (D10); ``quadric_closure`` feeds 1 + 7 * 14 rows, those of the
+    per-call pull-back."""
+    import oracles
+    from octet import lattices, linalg, tableaux
+
+    for module in (lattices, tableaux):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    inside, products, widths, fed = [], [], {"minors": [], "smith": []}, []
+
+    def entered(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(module, name, wrapper)
+
+    def recorded(module, name, log):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: log(args) or fn(*args))
+
+    for name in ("equivariance_check", "quadric_closure"):
+        entered(tableaux, name)
+    entered(lattices, "table1_checks")
+    matmul = linalg.matmul
+    for module in (linalg, tableaux, lattices):
+        if getattr(module, "matmul", None) is matmul:
+            recorded(module, "matmul", lambda args: products.append(tuple(inside)))
+    recorded(lattices, "_leading_minors", lambda args: "table1_checks" in inside
+             and widths["minors"].append(len(args[0])))
+    recorded(lattices, "smith_normal_form", lambda args: "table1_checks" in inside
+             and widths["smith"].append(len(args[0][0])))
+    recorded(linalg.EchelonForm, "add_row", lambda args: "quadric_closure" in inside
+             and fed.append(list(args[1])))
+    assert checks.all_passed(checks.run_suite("all"))
+    monkeypatch.undo()
+    assert products and not [p for p in products if "equivariance_check" in p]
+    assert len(widths["minors"]) == len(widths["smith"]) == 9
+    assert max(widths["minors"] + widths["smith"]) == 10
+    assert len(fed) == 1 + 7 * 14 and fed == oracles.quadric_closure_rows()

@@ -377,12 +377,33 @@ COLD_WATCHED = ("dataclasses", "inspect") + tuple(sorted(
 def test_cold_start_loads_only_what_the_command_runs():
     after_import, after_hseries, after_verify_all = _modules_loaded(
         ["compute", "hseries", "--order", "8"], ["verify", "all"], watched=COLD_WATCHED)
-    assert after_import == ["octet.checks", "octet.cli"]
-    assert after_hseries == ["octet.checks", "octet.cli", "octet.qseries"]
+    assert after_import == ["octet.cli"]
+    assert after_hseries == ["octet.cli", "octet.qseries"]
     # positive control: the probe sees each domain module once a command imports it
     assert {"octet.f2geom", "octet.qseries", "octet.weil", "octet.linalg", "octet.lattices",
             "octet.tableaux"} <= set(after_verify_all)
     assert not {"dataclasses", "inspect"} & set(after_verify_all)
+
+
+def test_only_verify_loads_checks():
+    """``compute`` commands, ``relations --seed`` with them, load no
+    ``checks``; ``verify`` does, and so does its ``--tolerance`` check."""
+    loaded = _modules_loaded(["compute", "relations", "--degree", "1", "--seed", "5",
+                              "--samples", "40"],
+                             ["compute", "theta", "--affine", "1,2,3,4,5,6,7,8"],
+                             ["compute", "fv"], ["compute", "subspaces", "--dim", "2"],
+                             ["compute", "hseries", "--order", "5"], ["compute", "group"],
+                             ["verify", "f2", "--tolerance", "1e-8"],
+                             watched=("octet.checks", "octet.sampling"))
+    assert loaded[:7] == [[], ["octet.sampling"]] + [["octet.sampling"]] * 5
+    assert loaded[7] == ["octet.checks", "octet.sampling"]
+
+
+def test_selectors_and_the_seed_bound_have_one_definition():
+    assert checks.SELECTORS is cli.SELECTORS is octet.SELECTORS
+    sources = {path.stem: path.read_text() for path in Path(octet.__file__).parent.glob("*.py")}
+    assert [name for name, text in sources.items() if "SELECTORS = " in text] == ["__init__"]
+    assert [name for name, text in sources.items() if "2**64)" in text] == ["sampling"]
 
 
 def _src_imports() -> set[str]:

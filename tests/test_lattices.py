@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octet import checks, f2geom, lattices as lat, linalg
+import oracles
 
 
 def test_named_lattices():
@@ -122,14 +123,18 @@ def test_table1_eliminates_each_gram_matrix_once(monkeypatch):
         return leading_minors(gram)
 
     monkeypatch.setattr(lat, "_leading_minors", recording)
-    lat._gram_minors.cache_clear()
+    for cached in (lat._gram_minors, lat._atom_gram, lat._atom_doubled_gram):
+        cached.cache_clear()
     try:
         assert all(lat.table1_checks())
     finally:
-        lat._gram_minors.cache_clear()
-    # det, signature and the discriminant form of each of the 20 lattices
-    # share one elimination
-    assert len(grams) == len(set(grams)) == 20
+        for cached in (lat._gram_minors, lat._atom_gram, lat._atom_doubled_gram):
+            cached.cache_clear()
+    # the 20 lattices are read off their summands: each of the 9 atoms (U,
+    # U(2), A1, A1(-1), D4, D6, D8, D10, E8) is eliminated once, for det,
+    # signature and the discriminant form
+    assert len(grams) == len(set(grams)) == 9
+    assert max(map(len, grams)) == 10
 
 
 def test_lattice_invariants_build_no_fraction(monkeypatch):
@@ -267,6 +272,39 @@ def test_overlattice_from_the_reduced_glue():
 
 def test_table1_rows():
     assert lat.table1_checks() == [True] * 10
+
+
+TABLE1_NAMES = sorted({name for row in lat.TABLE1_ROWS for name in row})
+
+
+def test_table1_matches_the_full_gram_oracle():
+    assert lat.table1_checks() == oracles.table1_checks() == [True] * 10
+
+
+@pytest.mark.parametrize("name", TABLE1_NAMES)
+def test_summand_invariants_match_the_full_gram(name):
+    """Rank, signature and discriminant form read off the summands are those
+    of the lattice's full Gram matrix; the block form and the Smith form are
+    isomorphic."""
+    lattice = lat.named_lattice(name)
+    rank, sig, form = lat._summand_invariants(name)
+    assert (rank, sig) == (lattice.rank, lattice.signature())
+    assert lat.find_isomorphism(form, lat.discriminant_form(lattice)) is not None
+    assert form.group_order == abs(lattice.det())
+
+
+@pytest.mark.parametrize("row, replacement", [
+    (4, ("U+D8+D8", "U+U")),  # a unimodular transcendental lattice: the forms differ
+    (2, ("U+D6+D4+A1^2", "U+U(2)+A1^2+A1(-1)")),  # the rank no longer sums to 22
+    (9, ("U+E8+D10", "A1(-1)+A1")),  # not of signature (2, 0)
+    (0, ("U+D4+D4", "U+U(2)+D4+D4")),  # the Picard form is not the complement
+], ids=["form", "rank", "signature", "picard_form"])
+def test_a_wrong_table1_row_fails_both_routes(monkeypatch, row, replacement):
+    rows = list(lat.TABLE1_ROWS)
+    rows[row] = replacement
+    monkeypatch.setattr(lat, "TABLE1_ROWS", tuple(rows))
+    want = [i != row for i in range(10)]
+    assert lat.table1_checks() == oracles.table1_checks() == want
 
 
 def test_table1_fails_on_a_picard_lattice_that_is_not_hyperbolic(monkeypatch):

@@ -481,7 +481,7 @@ def _kernel_stable_by_contains():
     kernel = [linalg.integer_row(v) for v in oracles.polynomial_kernel(2)]
     ech = linalg.EchelonForm(105)
     ech.add_rows(kernel)
-    return all(ech.contains(tb._transform_quadric(v, tb.action_matrix(s)))
+    return all(ech.contains(oracles.transform_quadric(v, tb.action_matrix(s)))
                for s in tb.ADJACENT_TRANSPOSITIONS for v in kernel)
 
 
@@ -491,7 +491,7 @@ def test_closure_flag_agrees_with_the_contains_loop():
     basis = [linalg.integer_row(v) for v in tb.quadric_closure()[0]]
     ech = linalg.EchelonForm(105)
     ech.add_rows(basis)
-    assert all(ech.contains(tb._transform_quadric(v, tb.action_matrix(s)))
+    assert all(ech.contains(oracles.transform_quadric(v, tb.action_matrix(s)))
                for s in tb.ADJACENT_TRANSPOSITIONS for v in basis)
 
 
@@ -502,7 +502,8 @@ def test_transform_quadric_is_the_pullback():
     position = tb.quadric_positions()
     coeffs = [draw() for _ in position]
     matrix = [[draw() * (draw() > 3) for _ in range(14)] for _ in range(14)]
-    pulled = tb._transform_quadric(coeffs, matrix)
+    pulled = tb._pull_back(coeffs, tb._monomial_images(matrix))
+    assert pulled == oracles.transform_quadric(coeffs, matrix)
     for _ in range(3):
         x = [draw() for _ in range(14)]
         y = [sum(m * v for m, v in zip(row, x)) for row in matrix]
@@ -588,7 +589,8 @@ def test_relation_discovery_certified_degrees_only():
 def fresh_caches():
     def clear():
         for cached in (oracles.polynomial_kernel, tb._straightening_identities,
-                       tb.quadric_closure, tb.linear_relations, tb.degree_monomials):
+                       tb.quadric_closure, tb.linear_relations, tb.degree_monomials,
+                       tb._minor_slots):
             cached.cache_clear()
     clear()
     yield
@@ -618,7 +620,7 @@ def test_relation_discovery_feeds_no_sample_row(monkeypatch, fresh_caches):
     for k, row in enumerate(fed):
         row = list(row[::-1])
         assert row == seed if k == 0 else tuple(row) in images
-        images.update(tuple(tb._transform_quadric(row, m)) for m in matrices)
+        images.update(tuple(oracles.transform_quadric(row, m)) for m in matrices)
     assert len(fed) == 1 + 7 * 14
 
 
@@ -804,3 +806,302 @@ def test_every_swap_of_two_dictionary_entries_fails_without_raising(monkeypatch)
             bijection = tb.subspace_bijection_check()
             assert not (bijection["injective"] and bijection["image_matches"]
                         and tb.transposition_transvection_check())
+
+
+# ---------------------------------------------------------------------------
+# the certificates at one integer point and on packed rows, against the
+# routes they replaced (``oracles``)
+
+
+def _patched_polynomial(monkeypatch, t, change):
+    """tableau_polynomial with the dict of t replaced by change(dict of t)."""
+    polynomial = tb.tableau_polynomial
+    monkeypatch.setattr(tb, "tableau_polynomial",
+                        lambda u: change(dict(polynomial(u))) if u == t else polynomial(u))
+
+
+def _key(mask):
+    """The packed key of the multilinear monomial of a bitmask of variables."""
+    return sum(4 ** i for i in range(8) if mask >> i & 1)
+
+
+_POLYNOMIAL_MUTATIONS = {
+    # plus 32 x^(6) - x^(7), which is 0 at the point of width 5: 32 * 2**30 = 2**35
+    "aliased_at_width_5": lambda p: {**p, _key(6): p.get(_key(6), 0) + 32,
+                                     _key(7): p.get(_key(7), 0) - 1},
+    "flipped": lambda p: {k: -c for k, c in p.items()},
+    "one_coefficient": lambda p: {**p, max(p): 2 * p[max(p)]},
+    "moved_monomial": lambda p: {(k ^ 3 if k == max(p) else k): c for k, c in p.items()},
+    "squared_variable": lambda p: {(2 * k if k == max(p) else k): c for k, c in p.items()},
+    "huge_coefficient": lambda p: {**p, min(p): p[min(p)] + 2**40},
+}
+
+
+def test_the_kronecker_identities_hold_and_match_the_dict_oracles():
+    assert tb._straightening_identities() is oracles.straightening_identities() is True
+    assert tb.equivariance_check()["sign_identity"] is oracles.sign_identity() is True
+
+
+@pytest.mark.parametrize("index", [0, 40, 104])
+@pytest.mark.parametrize("mutation", sorted(_POLYNOMIAL_MUTATIONS))
+def test_a_mutated_product_fails_both_identity_routes(monkeypatch, fresh_caches, mutation,
+                                                      index):
+    t = tb.enumerate_tableaux()[index]
+    _patched_polynomial(monkeypatch, t, _POLYNOMIAL_MUTATIONS[mutation])
+    assert tb._straightening_identities() is oracles.straightening_identities() is False
+    rep = tb.equivariance_check()
+    assert rep["sign_identity"] is oracles.sign_identity() is False
+    assert not rep["homomorphism"] and rep["intertwines_subspaces"]
+
+
+def test_a_wrong_relabelling_sign_fails_both_sign_identity_routes(monkeypatch):
+    apply_permutation = tb.apply_permutation
+    t = tb.enumerate_tableaux()[17]
+
+    def patched(u, sigma):
+        moved, sign = apply_permutation(u, sigma)
+        return (moved, -sign) if u == t and tuple(sigma) == tb.ADJACENT_TRANSPOSITIONS[4] \
+            else (moved, sign)
+
+    monkeypatch.setattr(tb, "apply_permutation", patched)
+    assert tb.equivariance_check()["sign_identity"] is oracles.sign_identity() is False
+
+
+def _straighten_with(monkeypatch, t, change):
+    """straighten with the expansion of t replaced by change(list of its terms)."""
+    expansions = {u: tb.straighten(u) for u in tb.enumerate_tableaux()}  # warm: no recursion
+    expansions[t] = tuple(change(list(expansions[t])))
+    monkeypatch.setattr(tb, "straighten", expansions.__getitem__)
+
+
+@pytest.mark.parametrize("change", [
+    lambda terms: terms[1:],
+    lambda terms: [(std, -c) for std, c in terms],
+    lambda terms: terms + [(tb.standard_tableaux()[3], 1)],
+], ids=["dropped_term", "negated", "extra_term"])
+def test_a_wrong_expansion_fails_both_straightening_routes(monkeypatch, fresh_caches, change):
+    t = next(u for u in tb.enumerate_tableaux() if len(tb.straighten(u)) > 2)
+    _straighten_with(monkeypatch, t, change)
+    assert tb._straightening_identities() is oracles.straightening_identities() is False
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 104), st.integers(0, 20), st.integers(1, 2**70), st.booleans())
+def test_a_straightening_coefficient_raised_past_the_old_bound_fails(index, term, step, down):
+    """The widest expansion has sum |c_s| = 10, so the slots were 5 bits
+    wide; a coefficient raised by any amount, past that bound too, widens
+    the slots with it, and the identity fails instead of aliasing."""
+    t = tb.enumerate_tableaux()[index]
+    terms = list(tb.straighten(t))
+    std, c = terms[term % len(terms)]
+    terms[term % len(terms)] = (std, c - step if down else c + step)
+    with pytest.MonkeyPatch.context() as m:
+        _straighten_with(m, t, lambda _: terms)
+        tb._straightening_identities.cache_clear()
+        try:
+            assert tb._straightening_identities() is oracles.straightening_identities() is False
+        finally:
+            tb._straightening_identities.cache_clear()
+
+
+_keys = st.integers(0, 255).map(_key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_multilinear_polynomials_are_equal_exactly_when_their_values_are(width, data):
+    """Coefficients of size below 2**(width - 1): a balanced base-2**width
+    expansion, so the value at the Kronecker point fixes the polynomial."""
+    bound = 2 ** (width - 1) - 1
+    coefficients = st.integers(-bound, bound)
+    f = data.draw(st.dictionaries(_keys, coefficients, max_size=12))
+    edits = data.draw(st.dictionaries(_keys, coefficients, max_size=3))
+    g = {**f, **edits}
+    same = {k: c for k, c in f.items() if c} == {k: c for k, c in g.items() if c}
+    assert (tb._kronecker_value(f, width) == tb._kronecker_value(g, width)) is same
+    # the value is the expansion: digit m is the coefficient at bitmask m
+    value, digits = tb._kronecker_value(f, width), {}
+    for m in range(256):
+        digit = (value + 2 ** (width - 1)) % 2 ** width - 2 ** (width - 1)
+        value = (value - digit) >> width
+        if digit:
+            digits[m] = digit
+    assert value == 0
+    assert digits == {tb._MULTILINEAR[k]: c for k, c in f.items() if c}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(_keys, st.integers(-3, 3), max_size=8), st.integers(0, 7),
+       st.integers(2, 3), st.integers(1, 6))
+def test_a_key_with_an_exponent_of_two_or_more_is_refused(poly, slot, exponent, width):
+    """x_i**2 shares no digit with a multilinear monomial: its key is refused
+    (no value), never read as another monomial."""
+    key = next(iter(poly), 0) | exponent << 2 * slot
+    assert tb._kronecker_value({**poly, key: 1}, width) is None
+    assert tb._kronecker_value({key: 0}, width) is None
+
+
+def test_the_kronecker_width_covers_every_coefficient():
+    tabs = tb.enumerate_tableaux()
+    assert tb._kronecker_values(tabs)[0] == 2  # coefficients +-1
+    assert tb._kronecker_values(tabs, 10)[0] == 5
+    with pytest.MonkeyPatch.context() as m:
+        _patched_polynomial(m, tabs[3], _POLYNOMIAL_MUTATIONS["huge_coefficient"])
+        width, values = tb._kronecker_values(tabs)
+        assert 2 ** (width - 1) > 2**40 + 1 and len(values) == 105
+
+
+def _signed_permutation_matrices(n):
+    return st.tuples(st.permutations(range(n)), st.lists(st.sampled_from((-1, 1)), min_size=n,
+                                                         max_size=n)).map(
+        lambda ps: [[ps[1][i] * (ps[0][i] == j) for j in range(n)] for i in range(n)])
+
+
+def test_the_packed_coxeter_relations_match_the_matmul_oracle():
+    matrices = [tb.action_matrix(s) for s in tb.ADJACENT_TRANSPOSITIONS]
+    assert tb._coxeter_relations(matrices) is oracles.coxeter_relations(matrices) is True
+    # mutations: a sign-flipped entry, two generators swapped, a generator
+    # replaced by the identity, and by the square of another
+    flipped = [list(map(list, m)) for m in matrices]
+    col = next(j for j, x in enumerate(flipped[3][5]) if x)
+    flipped[3][5][col] *= -1
+    swapped = matrices[:]
+    swapped[1], swapped[4] = swapped[4], swapped[1]
+    identity = [[int(i == j) for j in range(14)] for i in range(14)]
+    squared = [list(map(list, linalg.matmul(matrices[0], matrices[1])))] + matrices[1:]
+    for wrong in (flipped, swapped, matrices[:2] + [identity] + matrices[3:], squared):
+        assert tb._coxeter_relations(wrong) is oracles.coxeter_relations(wrong) is False
+    # -1 times every generator satisfies the same relations
+    negated = [[[-x for x in row] for row in m] for m in matrices]
+    assert tb._coxeter_relations(negated) is oracles.coxeter_relations(negated) is True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(_signed_permutation_matrices(n),
+                                                    min_size=1, max_size=4)))
+def test_packed_coxeter_relations_agree_on_signed_permutations(matrices):
+    assert tb._coxeter_relations(matrices) is oracles.coxeter_relations(matrices)
+
+
+def _packed_powers_are_products(monkeypatch, matrices):
+    """Run ``_coxeter_relations`` with every element it builds unpacked, in
+    the slot width of its identity, and compared with the ``linalg.matmul``
+    product it stands for."""
+    relations = f2geom.coxeter_relations
+    n = len(matrices[0])
+
+    def spy(gens, compose, identity):
+        slot = identity[1].bit_length() - 1 if n > 1 else None
+        true = {identity: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
+
+        def checked(g, x):
+            dense = [[dict(row).get(k, 0) for k in range(n)] for row in g]
+            product = linalg.matmul(dense, true[x])
+            packed = compose(g, x)
+            if slot is not None:
+                assert [linalg._unpack(row, n, slot) for row in packed] == list(map(list, product))
+            true[packed] = product
+            return packed
+        return relations(gens, checked, identity)
+
+    monkeypatch.setattr(f2geom, "coxeter_relations", spy)
+    return tb._coxeter_relations(matrices)
+
+
+def test_packed_powers_are_the_matmul_products(monkeypatch):
+    matrices = [tb.action_matrix(s) for s in tb.ADJACENT_TRANSPOSITIONS]
+    assert _packed_powers_are_products(monkeypatch, matrices) is True
+
+
+def _involution(n, signs, moves):
+    """diag(signs) conjugated by elementary matrices I + a e_ij, whose
+    inverses are I - a e_ij: an integer involution whose entries grow with
+    the moves."""
+    g = [[signs[i] * (i == j) for j in range(n)] for i in range(n)]
+    for i, j, a in moves:
+        if i != j:
+            e, e_inv = ([[int(r == c) + k * a * (r == i and c == j) for c in range(n)]
+                         for r in range(n)] for k in (1, -1))
+            g = linalg.matmul(linalg.matmul(e, g), e_inv)
+    return g
+
+
+_involutions = st.integers(2, 3).flatmap(lambda n: st.lists(st.builds(
+    lambda signs, moves: _involution(n, signs, moves),
+    st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3)),
+             max_size=4)), min_size=2, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_involutions, st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n),
+    min_size=2, max_size=3))))
+def test_packed_powers_fit_their_slots(matrices):
+    """Products of up to six generators, with entries up to L**6, are read
+    back exactly from their packed rows.  Involutions pass g_i**2 = 1, so
+    their products reach six factors."""
+    with pytest.MonkeyPatch.context() as m:
+        assert _packed_powers_are_products(m, matrices) is oracles.coxeter_relations(matrices)
+
+
+def test_the_coxeter_relations_read_the_powers_from_the_identity():
+    calls = []
+    gens = tb.ADJACENT_TRANSPOSITIONS[:3]
+
+    def compose(g, x):
+        calls.append(x)
+        return tuple(g[x[i]] for i in range(8))
+
+    assert f2geom.coxeter_relations(gens, compose, tuple(range(8)))
+    # each pair builds its m powers by two left multiplications each
+    assert len(calls) == 2 * (3 * 1 + 1 * 2 + 2 * 3)
+    assert calls[0] == tuple(range(8))
+
+
+def test_packed_annihilation_matches_the_per_term_oracle():
+    relations = tb._relation_terms(tb.quadric_closure()[0], tb.quadric_positions())
+    rng = SplitMix64(42)
+    samples = [tb.mu_vector(tb.sample_config(rng)) + (1,) for _ in range(315)]
+    assert tb._annihilates(relations, samples) is oracles.annihilates(relations, samples) is True
+    # one coefficient of one relation changed, or one sample moved off the variety
+    for r in (0, 6, 13):
+        wrong = [terms[:] for terms in relations]
+        i, j, c = wrong[r][0]
+        wrong[r][0] = (i, j, c + 1)
+        assert tb._annihilates(wrong, samples) is oracles.annihilates(wrong, samples) is False
+    moved = samples[:100] + [samples[100][:3] + (samples[100][3] + 1,) + samples[100][4:]]
+    assert tb._annihilates(relations, moved) is oracles.annihilates(relations, moved) is False
+    assert tb._annihilates([], samples) and tb._annihilates(relations, [])
+    # x_0**2 = 16 in slot 0 and -1 in slot 1 cancel in slots of width 4: the
+    # slots must hold sum |c| times the largest x_i x_j, not the largest x_i
+    aliased = [[(0, 0, 1)], [(1, 1, -1)]]
+    assert tb._annihilates(aliased, [(4, 1)]) is oracles.annihilates(aliased, [(4, 1)]) is False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                st.integers(-5, 5).filter(bool)), max_size=4), max_size=5),
+    st.lists(st.lists(st.integers(-2**40, 2**40), min_size=n, max_size=n).map(tuple),
+             max_size=4))))
+def test_packed_annihilation_agrees_with_the_per_term_oracle(case):
+    """Relation values of any size fit their slots: the packed int is 0
+    exactly when every relation vanishes at every sample."""
+    relations, samples = case
+    assert tb._annihilates(relations, samples) is oracles.annihilates(relations, samples)
+    # a sample at which every relation vanishes
+    if samples:
+        zero = tuple(0 for _ in samples[0])
+        assert tb._annihilates(relations, [zero]) is True
+
+
+def test_monomial_images_pull_back_as_the_per_call_oracle():
+    for s in tb.ADJACENT_TRANSPOSITIONS:
+        matrix = tb.action_matrix(s)
+        images = tb._monomial_images(matrix)
+        for k in range(105):
+            unit = [int(i == k) for i in range(105)]
+            assert tb._pull_back(unit, images) == oracles.transform_quadric(unit, matrix)
+        for vec in map(linalg.integer_row, tb.quadric_closure()[0]):
+            assert tb._pull_back(vec, images) == oracles.transform_quadric(vec, matrix)
