@@ -4,15 +4,18 @@ A series is a truncated Laurent series in q^(1/2) with integer coefficients,
 stored densely: ``QSeries(low, coeffs)`` holds the coefficient of
 q^((low+i)/2) at ``coeffs[i]``, and its length fixes the truncation.  Every
 coefficient of the three components is an integer on this half grid, which
-is also the serialization contract.  The translation equations are checked
-exactly on coefficients; the inversion equations are measured numerically
-through the eta products, whose float residuals are the only inexact values
-(``checks`` judges them against its tolerance).  Only the three functions
-that read the 64 vectors import ``f2geom``, where they run, so that ``compute
-hseries`` never loads it; they take the types in the order of
-``f2geom.VectorType``, that of h00, h0, h1.  ``assemble_and_reduce`` also reads
-the sign tables t and H of ``weil``, imported there too, and keeps its values
-Fractions.
+is also the serialization contract.  They are built from the two eta
+quotients of the exponent table ``ETA_EXPONENTS`` (``eta_quotient``): each
+eta power is expanded by an exact integer recurrence (``euler_power``), the
+powers are multiplied as series, and the eta prefactors become a shift on
+the half grid.  The translation equations are checked exactly on
+coefficients; the inversion equations are measured numerically through the
+eta products, whose float residuals are the only inexact values (``checks``
+judges them against its tolerance).  Only the three functions that read the
+64 vectors import ``f2geom``, where they run, so that ``compute hseries``
+never loads it; they take the types in the order of ``f2geom.VectorType``,
+that of h00, h0, h1.  ``assemble_and_reduce`` also reads the sign tables t
+and H of ``weil``, imported there too, and keeps its values Fractions.
 """
 
 from __future__ import annotations
@@ -124,32 +127,50 @@ class QSeries:
 
 
 # ---------------------------------------------------------------------------
-# eta series
+# eta quotients
+
+# {scale d: exponent r_d} of A = eta(2 tau)^8 / eta(tau)^16 and B = eta(tau/2)^8 / eta(tau)^16
+ETA_EXPONENTS = {"A": {2: 8, 1: -16}, "B": {QQ(1, 2): 8, 1: -16}}
 
 
-def eta_unit(scale, order) -> QSeries:
-    """Euler product prod_{n>=1} (1 - q^{scale*n}) on the half grid, truncated
-    below the integer ``order``, from the pentagonal number theorem: the
-    exponent scale*k(3k-1)/2 carries (-1)^k for every integer k.
+@lru_cache(maxsize=None)
+def euler_power(r, n) -> tuple[int, ...]:
+    """The first n coefficients of prod_{m>=1} (1 - u^m)^r, from the logarithmic
+    derivative: f_0 = 1, k f_k = -r sum_{j=1..k} sigma(j) f_{k-j}.  The division
+    is exact for an integer r; a remainder raises ArithmeticError."""
+    sigma = [0] * n
+    for d in range(1, n):
+        for j in range(d, n, d):
+            sigma[j] += d
+    f = [1]
+    for k in range(1, n):
+        fk, rem = divmod(-r * sum(map(operator.mul, sigma[1:k + 1], f[::-1])), k)
+        if rem:
+            raise ArithmeticError("u^%d of the Euler product is not an integer" % k)
+        f.append(fk)
+    return tuple(f[:n])
 
-    The eta prefactors q^{scale/24} are left out.  In A = eta(2 tau)^8 /
-    eta(tau)^16 they add up to q^{(8*2 - 16)/24} = q^0, and in
-    B = eta(tau/2)^8 / eta(tau)^16 to q^{(8*1/2 - 16)/24} = q^{-1/2}, which
-    ``h_components`` applies as a shift by one half step.
-    """
-    step = 2 * QQ(scale)
-    if step.denominator != 1 or step <= 0:
-        raise ValueError("scale must be a positive multiple of 1/2")
-    if order <= 0:
-        raise ValueError("order must be positive")
-    step, end = int(step), 2 * order
-    coeffs = [0] * end
-    # k(3k-1)/2 >= |k|, so |k| <= end reaches every exponent below the truncation
-    for k in range(-end, end + 1):
-        i = step * (k * (3 * k - 1) // 2)
-        if i < end:
-            coeffs[i] += -1 if k % 2 else 1
-    return QSeries(0, coeffs)
+
+def eta_quotient(exponents, order) -> QSeries:
+    """prod_d eta(d tau)^(r_d) for ``exponents`` {d: r_d}, d in (1/2)N, exact below
+    ``order``: the ``euler_power``s r_d in q^d, steps s = 2d on the half grid,
+    multiplied from the least step up, each further one into every residue
+    class mod its s (``QSeries.__mul__``), then shifted by the prefactor
+    q^(sum r_d d/24), which must lie on the half grid (0 for A, -1/2 for B)."""
+    steps = {int(2 * d): r for d, r in exponents.items()}
+    shift = sum(r * s for s, r in steps.items()) // 24
+    end = 2 * order - shift  # the terms below the truncation
+    # every power has end // s + 1 terms, so that A and B share eta(tau)^-16
+    (s, r), *rest = sorted(steps.items())
+    coeffs = [0] * (s * (end // s + 1))
+    coeffs[::s] = euler_power(r, end // s + 1)
+    del coeffs[end:]
+    for s, r in rest:
+        factor = QSeries(0, euler_power(r, end // s + 1))
+        for i in range(s):
+            part = QSeries(0, coeffs[i::s]) * factor
+            coeffs[i::s] = [0] * part.low + part.coeffs
+    return QSeries(0, coeffs).shift(shift)
 
 
 class HComponents(NamedTuple):
@@ -160,23 +181,14 @@ class HComponents(NamedTuple):
 
 @lru_cache(maxsize=None)
 def h_components(order=20) -> HComponents:
-    """The three component series, exact to every exponent below ``order``.
-
-    h00 = 56 A and h0 = -8 A with A the weight-minus-4 quotient of the
-    doubled-argument eta power by the 16th power of eta; h1 = 8 A + B where B
-    is the half-argument analogue.  The eta prefactors cancel to exponent 0
-    in A and to -1/2 in B (see ``eta_unit``), so h00 and h0 live on the
-    integer grid and h1 on the half-integer grid.
-    """
+    """The three component series, exact to every exponent below ``order``:
+    h00 = 56 A, h0 = -8 A and h1 = 8 A + B for the ``eta_quotient``s A, in q
+    from q^0, and B, in q^(1/2) from q^(-1/2), of ``ETA_EXPONENTS``.  So
+    h00 and h0 live on the integer grid and h1 on the half-integer grid."""
     if order < 3:
         raise ValueError("order must be at least 3")
-    margin = order + 1
-    inv1_16 = (eta_unit(1, margin) ** 16).inverse()
-    a = (eta_unit(2, margin) ** 8) * inv1_16
-    b = ((eta_unit(QQ(1, 2), margin) ** 8) * inv1_16).shift(-1)
-    end = 2 * order
-    return HComponents(*(QSeries(s.low, s.coeffs[:end - s.low])
-                         for s in (a.scale(56), a.scale(-8), a.scale(8) + b)))
+    a, b = (eta_quotient(ETA_EXPONENTS[name], order) for name in "AB")
+    return HComponents(a.scale(56), a.scale(-8), a.scale(8) + b)
 
 
 def component_heads(order=20) -> dict[str, list[str]]:

@@ -21,12 +21,18 @@ For the 64-vector layer: the plane extensions and their pair check on sets
 of span vectors, the pair census counted into an enum-keyed dict, the joint
 (-1)-eigenspace with one sign dict per component, and H applied to a vector
 and a point permutation applied to coordinates, both entry by entry.
+
+For the eta quotients: the Euler products from the pentagonal number
+theorem, raised to their powers by repeated squaring, with eta(tau)^16
+inverted and multiplied in, through the ``QSeries`` algebra.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from octet import f2geom, lattices as lat, linalg, tableaux as tb, weil
+from octet import f2geom, lattices as lat, linalg, qseries, tableaux as tb, weil
+from octet.qseries import QSeries
 
 
 def integer_kernel(ech):
@@ -272,3 +278,38 @@ def quadric_closure_rows():
         rows += [w[::-1] for w in images]
         frontier = [w for w in images if ech.add_row(w[::-1])]
     return rows
+
+
+def eta_unit(scale, order) -> QSeries:
+    """Euler product prod_{n>=1} (1 - q^{scale*n}) on the half grid, truncated
+    below the integer ``order``, from the pentagonal number theorem: the
+    exponent scale*k(3k-1)/2 carries (-1)^k for every integer k.  The eta
+    prefactor q^{scale/24} is left out."""
+    step = 2 * Fraction(scale)
+    if step.denominator != 1 or step <= 0:
+        raise ValueError("scale must be a positive multiple of 1/2")
+    if order <= 0:
+        raise ValueError("order must be positive")
+    step, end = int(step), 2 * order
+    coeffs = [0] * end
+    # k(3k-1)/2 >= |k|, so |k| <= end reaches every exponent below the truncation
+    for k in range(-end, end + 1):
+        i = step * (k * (3 * k - 1) // 2)
+        if i < end:
+            coeffs[i] += -1 if k % 2 else 1
+    return QSeries(0, coeffs)
+
+
+def h_components_by_products(order):
+    """The three components from products of Euler products: A =
+    eta(2 tau)^8 / eta(tau)^16 with prefactor q^0 and B = eta(tau/2)^8 /
+    eta(tau)^16 with prefactor q^(-1/2), one half step down."""
+    if order < 3:
+        raise ValueError("order must be at least 3")
+    margin = order + 1
+    inv1_16 = (eta_unit(1, margin) ** 16).inverse()
+    a = (eta_unit(2, margin) ** 8) * inv1_16
+    b = ((eta_unit(Fraction(1, 2), margin) ** 8) * inv1_16).shift(-1)
+    end = 2 * order
+    return qseries.HComponents(*(QSeries(s.low, s.coeffs[:end - s.low])
+                                 for s in (a.scale(56), a.scale(-8), a.scale(8) + b)))

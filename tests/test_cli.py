@@ -80,6 +80,13 @@ def test_compute_hseries_head():
     assert doc["h1"]["half_exponent_pairs"][0] == [-1, "1/1"]
 
 
+def test_compute_hseries_refuses_an_order_below_3():
+    for order in ("2", "0", "-4"):
+        proc = run_cli("compute", "hseries", "--order", order)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (2, "", "error: order must be at least 3\n"), order
+
+
 def test_compute_hseries_order60_golden():
     # pins the coefficients up to q^(119/2), far past the order-8 golden and
     # past what the numeric inversion check can resolve

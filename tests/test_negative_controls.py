@@ -1,0 +1,82 @@
+"""Negative controls: a report line must be able to fail.
+
+Each entry changes one input that claims read (a table, a constant or a
+cached object), never a comparison or ``checks._report``, and names the
+report lines that must then fail.  The suite must run without raising, fail
+exactly those lines, and print every other line with its golden bytes.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from octet import checks, qseries
+
+GOLDEN = {json.loads(line)["name"]: line for line in
+          (Path(__file__).parent / "golden" / "verify_all_seed42.jsonl").read_text().splitlines()}
+
+# the lines that read the series of h_components against the published heads,
+# the translation behaviour and the numeric eta products
+SERIES_LINES = {"qseries.component_heads", "qseries.translation_equations",
+                "qseries.inversion_equations_numeric"}
+
+
+def _eta_exponent(quotient, scale, delta):
+    """Change one exponent of ``qseries.ETA_EXPONENTS`` by ``delta``; a
+    multiple of 12 at an integer scale keeps the prefactor on the half grid."""
+    def apply(monkeypatch):
+        table = qseries.ETA_EXPONENTS[quotient]
+        monkeypatch.setitem(table, scale, table[scale] + delta)
+    return apply
+
+
+# name -> (suite, change, the lines that must fail)
+CONTROLS = {
+    # A gains or loses a factor q: h00 and h0 start at q^1 or q^-1, so the
+    # weight read off the constant term of h00 is 0 as well
+    "eta(2 tau)^20 in A": ("qseries", _eta_exponent("A", 2, 12),
+                           SERIES_LINES | {"qseries.lift_bookkeeping"}),
+    "eta(2 tau)^-4 in A": ("qseries", _eta_exponent("A", 2, -12),
+                           SERIES_LINES | {"qseries.lift_bookkeeping"}),
+    # A moves by a half step: h00 and h0 leave the integer grid
+    "eta(tau)^-4 in A": ("qseries", _eta_exponent("A", 1, 12),
+                         SERIES_LINES | {"qseries.lift_bookkeeping"}),
+    "eta(tau)^-28 in A": ("qseries", _eta_exponent("A", 1, -12),
+                          SERIES_LINES | {"qseries.lift_bookkeeping"}),
+    # B lands on the integer grid: only h1 changes
+    "eta(tau)^-4 in B": ("qseries", _eta_exponent("B", 1, 12), SERIES_LINES),
+    "eta(tau)^-28 in B": ("qseries", _eta_exponent("B", 1, -12), SERIES_LINES),
+}
+
+
+@pytest.fixture
+def fresh_series():
+    qseries.h_components.cache_clear()
+    yield
+    qseries.h_components.cache_clear()
+
+
+def _assert_fails_exactly(reports, failing):
+    assert {r.name for r in reports if r.status == "fail"} == failing
+    assert failing <= {r.name for r in reports}
+    for report in reports:
+        if report.name not in failing:
+            assert report.to_json() == GOLDEN[report.name]
+
+
+@pytest.mark.parametrize("name", CONTROLS)
+def test_a_changed_eta_exponent_fails_exactly_its_lines(name, monkeypatch, fresh_series):
+    suite, change, failing = CONTROLS[name]
+    change(monkeypatch)
+    reports = checks.run_suite(suite)
+    _assert_fails_exactly(reports, failing)
+    # the numeric inversion equations read only the eta products, which hold;
+    # the line fails through the exact series measured against them
+    numeric = next(r for r in reports if r.name == "qseries.inversion_equations_numeric")
+    assert numeric.actual["max_residual"] < 1e-9 < numeric.actual["series_vs_product"]
+
+
+def test_the_controls_leave_the_golden_report_behind(fresh_series):
+    reports = checks.run_suite("qseries")
+    _assert_fails_exactly(reports, set())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from octet import qseries
 from octet.qseries import QSeries
 
@@ -139,7 +140,7 @@ def test_coefficient_lookup():
 
 
 def test_eta_series_head():
-    eta = qseries.eta_unit(1, 10)
+    eta = oracles.eta_unit(1, 10)
     assert eta[0] == 1
     assert eta[1] == -1
     assert eta[2] == -1
@@ -150,17 +151,59 @@ def test_eta_series_head():
 
 
 def test_eta_scaling():
-    eta2 = qseries.eta_unit(2, 5)
+    eta2 = oracles.eta_unit(2, 5)
     assert eta2.low == 0
     assert [eta2[n] for n in range(5)] == [1, 0, -1, 0, -1]
-    eta_half = qseries.eta_unit(QQ(1, 2), 5)
+    eta_half = oracles.eta_unit(QQ(1, 2), 5)
     assert [eta_half[QQ(n, 2)] for n in range(8)] == [1, -1, -1, 0, 0, 1, 0, 1]
     with pytest.raises(ValueError):
-        qseries.eta_unit(1, 0)
+        oracles.eta_unit(1, 0)
     with pytest.raises(ValueError):
-        qseries.eta_unit(1, -3)
+        oracles.eta_unit(1, -3)
     with pytest.raises(ValueError):
-        qseries.eta_unit(QQ(1, 3), 5)
+        oracles.eta_unit(QQ(1, 3), 5)
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 8, 20, 60, 61, 120, 300])
+def test_h_components_equal_the_products_of_euler_products(order):
+    assert qseries.h_components(order) == oracles.h_components_by_products(order)
+
+
+def test_the_recurrence_on_eta_is_the_pentagonal_series():
+    # Euler: eta(tau) without its prefactor q^(1/24), and its inverse, whose
+    # coefficients are the partition numbers
+    for n in (0, 1, 2, 7, 40, 121):
+        assert qseries.euler_power(1, n) == tuple(oracles.eta_unit(1, n + 1).coeffs[::2][:n])
+    assert qseries.euler_power(-1, 11) == (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
+    # the single factor eta(tau)^24 of the table {1: 24}, prefactor q^1
+    assert qseries.eta_quotient({1: 24}, 12) == QSeries(2, (oracles.eta_unit(1, 12) ** 24).coeffs[:22])
+
+
+@pytest.mark.parametrize("exponents", [
+    {2: 24}, {QQ(1, 2): 48}, {1: -24, 2: 24}, {QQ(1, 2): 12, QQ(3, 2): 4},
+    {1: 8, QQ(3, 2): 8, 2: -4}, {QQ(5, 2): 24}, {3: -8, QQ(1, 2): 48, 1: -12}])
+def test_eta_quotients_are_the_products_of_their_eta_powers(exponents):
+    # the prefactor sum r_d d/24 is a multiple of 1/2 for every table here
+    shift = QQ(sum(2 * d * r for d, r in exponents.items()), 24)
+    assert shift.denominator == 1
+    for order in (3, 12, 31):
+        product = QSeries(0, [1] + [0] * (2 * order + 40))
+        for d, r in exponents.items():
+            product = product * oracles.eta_unit(d, order + 20) ** r
+        expected = product.shift(int(shift))
+        assert qseries.eta_quotient(exponents, order) == QSeries(
+            expected.low, expected.coeffs[:2 * order - expected.low])
+
+
+def test_eta_quotients_shift_by_their_prefactor():
+    a, b = (qseries.eta_quotient(qseries.ETA_EXPONENTS[name], 20) for name in "AB")
+    assert (a.low, a.trunc, b.low, b.trunc) == (0, 20, -1, 20)
+
+
+def test_euler_power_divides_exactly():
+    assert qseries.euler_power(QQ(1, 2), 1) == (1,)
+    with pytest.raises(ArithmeticError):  # prod (1 - u^m)^(1/2) has u^1 coefficient -1/2
+        qseries.euler_power(QQ(1, 2), 5)
 
 
 def test_h_component_heads():
