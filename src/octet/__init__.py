@@ -21,7 +21,8 @@ Submodules:
   runner that turns them into deterministic report lines, and the
   command-line front end.
 
-Every exact computation runs on Python ints and Fractions, so none can wrap
+Every exact computation runs on Python ints, and on Fractions only for
+rational values (series coefficients, coordinates, traces), so none can wrap
 or round; the inversion residuals of ``qseries`` are the only floats.  No
 module imports numpy or dataclasses.  ``cli`` imports ``checks`` only for
 ``verify``, and ``cli`` and ``checks`` import every domain module where a

@@ -263,14 +263,13 @@ def tableaux_suite(cfg: RunConfig):
            {"homomorphism": True, "intertwines_subspaces": True, "sign_identity": True},
            tableaux.equivariance_check())
     yield ("tableaux.straightening", "derived", True,
-           tableaux.straightening_check(seed=cfg.seed)["ok"])
+           tableaux.straightening_check()["ok"])
     rel1 = tableaux.relation_discovery(1, max(cfg.sample_count // 4, 40), cfg.seed)
     yield "tableaux.degree1_kernel", "derived", 0, rel1["dimension"]
     rel2 = tableaux.relation_discovery(2, cfg.sample_count, cfg.seed)
     yield ("tableaux.degree2_kernel", "published", {"dimension": 14, "stable": True},
            {"dimension": rel2["dimension"], "stable": rel2["stable"]})
-    yield ("tableaux.mu_function_rank", "derived", 14,
-           tableaux.mu_function_rank(seed=cfg.seed))
+    yield "tableaux.mu_function_rank", "derived", 14, tableaux.mu_function_rank()
     yield ("tableaux.quadrics_s8_stable", "derived", True,
            tableaux.quadric_kernel_s8_stable())
 

@@ -10,9 +10,9 @@ once per Gram matrix, for det and signature (Jacobi's sign rule).  Table 1
 reads every invariant off the orthogonal summands of its lattices, so there
 the two algorithms run once per atom (U, D4, E8, ...).  Every
 finite quadratic form in use is 2-elementary, so a form lives on F2^a in the
-bitmask idiom of ``f2geom``: integer tables of 2q mod 4 and 2b mod 2, built
-from the Gram matrix of the doubled generators, on which isomorphisms are
-searched by table lookups.
+bitmask idiom of ``f2geom``: one integer table of 2q mod 4, built from the
+Gram matrix of the doubled generators, on which isomorphisms are searched by
+table lookups.  The pairing is the polarization of q, so the table fixes it.
 
 N = U + U(2) + D4 + D4 has its D4 blocks inside Z^4 (even-sum vectors,
 negated standard product), where the order-4 isometry rho is defined.  As
@@ -20,7 +20,7 @@ negated standard product), where the order-4 isometry rho is defined.  As
 class in the dual mod N is read off by Smith rows mod 2, and carried to the
 64-vector model through the split dictionary: the 64-entry
 ``f2geom.linear_table`` of the isometry that ``find_isomorphism`` finds from
-the form of N onto the form of the model, 2q4 = q and b2 = b of ``f2geom``.
+the form of N onto the form of the model, q4 = 2q of ``f2geom``.
 
 The reflections of a norm -2 vector r (s_r, s_{rho r}, the pair and the
 quarter reflection) are I + V A V^T G, V = [r, rho r], for 2x2 matrices A; as
@@ -312,26 +312,24 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
 
 
 class FiniteQuadraticForm(NamedTuple):
-    """A 2-elementary finite quadratic form on F2^a, as integer tables.
+    """A 2-elementary finite quadratic form on F2^a, as an integer table.
 
     An element is an a-bit integer x, bit i the coefficient of generator i,
     and addition is XOR.  ``q4[x] = 2q(x) mod 4`` for the form value q(x) in
-    Q/2Z, and ``b2[x][y] = 2b(x, y) mod 2`` for the pairing b(x, y) in Q/Z;
-    both are integer-valued because 2x = 0 puts q in (1/2)Z/2Z and b in
-    (1/2)Z/Z.
+    Q/2Z, an integer because 2x = 0 puts q in (1/2)Z/2Z.  The pairing b(x, y)
+    in (1/2)Z/Z is the polarization, 2b(x, y) = (q4[x ^ y] - q4[x] - q4[y]) / 2
+    mod 2 (Nikulin 1979, §1), so the table is the whole form.
     """
 
     q4: tuple[int, ...]
-    b2: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_doubled_gram(cls, gram) -> "FiniteQuadraticForm":
         """The form whose generators g_i have doubles 2g_i with the even Gram
-        matrix ``gram``: for bit vectors x, y, 2q(x) = x^T gram x / 2 mod 4 and
-        2b(x, y) = x^T gram y / 2 mod 2.  The tables grow one generator at a
-        time by bilinearity: for x in the span of the earlier ones,
-        2b(x + g_i, .) = 2b(x, .) + 2b(g_i, .) mod 2, a XOR of bitmask rows,
-        and 2q(x + g_i) = 2q(x) + 2q(g_i) + 2 * 2b(x, g_i) mod 4."""
+        matrix ``gram``: for bit vectors x, 2q(x) = x^T gram x / 2 mod 4.  The
+        table grows one generator at a time: for x in the span of the earlier
+        ones, 2q(x + g_i) = 2q(x) + 2q(g_i) + 2 * 2b(x, g_i) mod 4, where
+        2b(x, g_i) = x^T gram g_i / 2 mod 2 is bit i of a XOR of bitmask rows."""
         if not _even(gram):
             raise ValueError("a doubled Gram matrix of a 2-elementary form is even")
         # bit j of gen_rows[i] is 2b(g_i, g_j) = gram[i][j] / 2 mod 2
@@ -340,8 +338,7 @@ class FiniteQuadraticForm(NamedTuple):
         q4 = [0]  # per element x below 2^i: 2q(x) mod 4
         for i, row in enumerate(gram):
             q4 += [(v + row[i] // 2 + 2 * (r >> i & 1)) % 4 for v, r in zip(q4, rows)]
-        parity = _parity_rows(len(gram))
-        return cls(tuple(q4), tuple(parity[r] for r in rows))
+        return cls(tuple(q4))
 
     @property
     def rank(self) -> int:
@@ -357,13 +354,7 @@ class FiniteQuadraticForm(NamedTuple):
         return (2,) * self.rank
 
     def neg(self) -> "FiniteQuadraticForm":
-        return FiniteQuadraticForm(tuple(-v % 4 for v in self.q4), self.b2)
-
-
-@lru_cache(maxsize=None)
-def _parity_rows(a: int) -> tuple[tuple[int, ...], ...]:
-    """Row m: the parity of the bits of m & y for each a-bit y."""
-    return tuple(tuple(bin(m & y).count("1") & 1 for y in range(1 << a)) for m in range(1 << a))
+        return FiniteQuadraticForm(tuple(-v % 4 for v in self.q4))
 
 
 def discriminant_form(lattice: GramLattice) -> FiniteQuadraticForm:
@@ -420,18 +411,17 @@ def find_isomorphism(a: FiniteQuadraticForm, b: FiniteQuadraticForm):
     Backtracking extends a linear map one generator g_i at a time: the image
     of g_i lies outside the span of the earlier images (a bitmask of the
     span), and q4 must agree on the whole new coset x + g_i.  A complete map
-    thus carries q4 of a onto that of b at every element; it is accepted once
-    b2 is checked at every pair as well.  Forms of different rank or with
+    thus carries q4 of a onto that of b at every element, and with it the
+    pairing, the polarization of q4.  Forms of different rank or with
     different counts of each value are not isomorphic, and are not searched.
     """
     if a.rank != b.rank or sorted(a.q4) != sorted(b.q4):
         return None
 
     def extend(images, span):
-        image = f2geom.linear_table(images)  # on the span of the generators placed so far
         if len(images) == a.rank:
-            return images if all(b.b2[image[x]][image[y]] == v
-                                 for x, row in enumerate(a.b2) for y, v in enumerate(row)) else None
+            return images
+        image = f2geom.linear_table(images)  # on the span of the generators placed so far
         top = len(image)
         for cand in range(1, len(b.q4)):
             if not (span >> cand) & 1 and all(b.q4[image[x] ^ cand] == a.q4[top | x]
@@ -450,8 +440,8 @@ def find_isomorphism(a: FiniteQuadraticForm, b: FiniteQuadraticForm):
 
 @lru_cache(maxsize=None)
 def _split_model_form() -> FiniteQuadraticForm:
-    """The 64-vector model of ``f2geom`` as a form: q4 = 2q and b2 = b."""
-    return FiniteQuadraticForm(tuple(2 * bit for bit in f2geom.Q_TABLE), f2geom.B_TABLE)
+    """The 64-vector model of ``f2geom`` as a form: q4 = 2q."""
+    return FiniteQuadraticForm(tuple(2 * bit for bit in f2geom.Q_TABLE))
 
 
 def identify_with_split_model(form: FiniteQuadraticForm) -> tuple[int, ...]:
@@ -554,12 +544,9 @@ def _rho0_block() -> Matrix:
 
 @lru_cache(maxsize=None)
 def order_four_isometry() -> Matrix:
-    """The 12x12 integer matrix of the fixed-point-free order-4 isometry."""
-    out = direct_sum_grams([_rho1_block(), _rho0_block(), _rho0_block()])
-    gram = lattice_N().gram
-    if matmul(matmul(_transpose(out), gram), out) != gram or matmul(out, out) != _eye(12, -1):
-        raise ArithmeticError("the blocks do not give an isometry of N squaring to -1")
-    return out
+    """The 12x12 integer matrix of the fixed-point-free order-4 isometry, as
+    ``_rho_identities`` checks it: skew with square -1 makes it an isometry."""
+    return direct_sum_grams([_rho1_block(), _rho0_block(), _rho0_block()])
 
 
 def isometry_fixed_point_free() -> bool:
@@ -570,8 +557,6 @@ def isometry_fixed_point_free() -> bool:
 
 # ---------------------------------------------------------------------------
 # hermitian structure
-
-
 
 
 def inner(x, y) -> int:

@@ -3,10 +3,10 @@
 There are no tolerances anywhere, and every number is a Python int or a
 Fraction, so no arithmetic wraps or rounds.  The central object is :class:`EchelonForm`,
 an incrementally maintained reduced row echelon form: rows are fed one at a
-time, and it doubles as an exact membership test for row spans.  Inside,
-every row is a primitive list of Python ints, so elimination builds no
-Fraction; Fractions appear only where rows come in with rational entries and
-where results go out, as in ``rows`` and ``nullspace``.
+time, and it doubles as an exact membership test for row spans.  Every row it
+keeps or returns (RREF rows, kernel vectors) is its primitive integer multiple,
+positive at its leading entry, so elimination builds no Fraction; rows may
+come in with Fraction entries, and only ``solve_right`` returns Fractions.
 
 :func:`rank_mod_p` is exact arithmetic over the prime field F_p,
 p = 2**31 - 1.  The rank it returns is a lower bound on the rank over Q (a minor
@@ -110,20 +110,23 @@ class EchelonForm:
             added += self.add_row(row)
         return added
 
-    def rows(self) -> list[list[Fraction]]:
-        """The RREF rows, ordered by pivot column."""
-        return [[Fraction(x, r[col]) for x in r] for col, r in sorted(self._rows.items())]
+    def rows(self) -> list[list[int]]:
+        """The RREF rows, ordered by pivot column, each as its primitive
+        integer multiple (positive at the pivot)."""
+        return [list(r) for _, r in sorted(self._rows.items())]
 
-    def nullspace(self) -> list[list[Fraction]]:
+    def nullspace(self) -> list[list[int]]:
         """Canonical kernel basis: per free column f, in order, the vector
         that is 1 at f, 0 at the other free columns and -r[f] / r[p] at the
-        pivot column p of each row r."""
+        pivot column p of each row r, as its primitive integer multiple: the
+        lcm L of the reduced denominators at f, and -r[f] L / r[p] at p."""
         basis = []
         for f in (j for j in range(self.ncols) if j not in self._rows):
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
+            den = lcm(*(r[p] // gcd(r[p], r[f]) for p, r in self._rows.items()))
+            v = [0] * self.ncols
+            v[f] = den
             for p, r in self._rows.items():
-                v[p] = Fraction(-r[f], r[p])
+                v[p] = -r[f] * den // r[p]
             basis.append(v)
         return basis
 
@@ -134,7 +137,7 @@ def rank(rows: Iterable[Sequence], ncols: int) -> int:
     return ech.rank
 
 
-def free_column_basis(ech: EchelonForm) -> list[list[Fraction]]:
+def free_column_basis(ech: EchelonForm) -> list[list[int]]:
     """The canonical kernel basis, as ``EchelonForm.nullspace`` gives it, of
     any system whose solution space is the span of the rows fed to ``ech``
     with their columns reversed: the RREF rows, unreversed, ordered by their
@@ -153,8 +156,7 @@ def solve_right(mat: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[F
         ech.add_row(list(mat[i]) + list(rhs[i]))
     if ech.pivot_columns[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
-    rows = ech.rows()
-    return [row[n:] for row in rows[:n]]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(ech.rows()[:n])]
 
 
 def pack(row: Sequence[int], width: int) -> int:

@@ -26,15 +26,13 @@ binomial ``SEED_BINOMIAL`` expands to zero, and the action matrices of S8,
 substitutions once the straightening identities hold, carry it to a span
 of 14 relations, the lower bound.  The upper bound is counted: seeded
 configurations give the 105 quadratic monomials rank 91, so there are at
-most 105 - 91 = 14.  The S8 claims are certified on the seven adjacent
+most 105 - 91 = 14.  Those configurations, evaluated through ``mu_vector``
+from their 28 minors, are the only samples; every other claim is an
+identity.  The S8 claims are certified on the seven adjacent
 transpositions, which generate S8; their action matrices meet the Coxeter
-relations as packed rows, never multiplied out.  Seeded integer
-configurations evaluate the products through ``mu_vector``, from their 28
-minors; apart from that upper bound they cross-check the other claims, tie
-the products to the expansion and prove nothing the identities do not.
-Sampled points are Python ints, and so is every certificate and kernel;
-Fractions appear only where input is parsed (``parse_config``) and where
-results are written out (``theta_map``, the canonical kernel ``basis``).
+relations as packed rows, never multiplied out.  Sampled points are Python
+ints, and so is every certificate and every kernel basis vector; Fractions
+appear only where input is parsed (``parse_config``) and in ``theta_map``.
 """
 
 from __future__ import annotations
@@ -436,20 +434,10 @@ def _straightening_identities() -> bool:
 PLUCKER_TERMS = (((1, 2), (3, 4), 1), ((1, 3), (2, 4), -1), ((1, 4), (2, 3), 1))
 
 
-def straightening_check(n_samples: int = 5, seed: int = 42) -> dict:
-    """Every expansion as a polynomial identity, and by exact evaluation on
-    sampled configurations; ``ok`` also needs the Plücker relation, the
-    exchange that straightening applies, to expand to zero."""
-    rng = SplitMix64(seed)
-    configs = [sample_config(rng) for _ in range(n_samples)]
+def straightening_check() -> dict:
+    """Every expansion as a polynomial identity; ``ok`` also needs the Plücker
+    relation, the exchange that straightening applies, to expand to zero."""
     all_ok = _straightening_identities()
-    tabs = enumerate_tableaux()
-    position = {t: i for i, t in enumerate(tabs)}
-    for c in configs:
-        values = mu_vector(c, tabs)
-        for t, want in zip(tabs, values):
-            if want != sum(coeff * values[position[std]] for std, coeff in straighten(t)):
-                all_ok = False
     plucker_ok = not _poly_sum((_poly_mul(_minor(p), _minor(q)), c)
                                for p, q, c in PLUCKER_TERMS)
     return {"expansions_match": all_ok, "ok": all_ok and plucker_ok}
@@ -533,10 +521,10 @@ def tableau_polynomial(t: Tableau) -> Mapping[int, int]:
 
 
 @lru_cache(maxsize=None)
-def linear_relations() -> tuple[tuple[Fraction, ...], ...]:
+def linear_relations() -> tuple[tuple[int, ...], ...]:
     """The kernel of the 14 x 14 system of the standard products'
     coefficients at their leading monomials (largest keys), in the canonical
-    (RREF) kernel basis (cached).  A linear relation among the products
+    basis of integer rows (cached).  A linear relation among the products
     vanishes at every x-monomial, so every relation lies in it.  The leading
     monomials are distinct, with coefficient 1, so the system is
     unitriangular and the kernel empty: the products are independent.  Two
@@ -567,7 +555,7 @@ def degree_monomials(degree: int) -> tuple[tuple[int, ...], ...]:
 
 def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
     """The linear relations among the degree-d monomials in the 14 standard
-    products, for degree 1 or 2, in the canonical (RREF) kernel basis.
+    products, for degree 1 or 2, in the canonical basis of integer rows.
 
     Degree 1: ``basis`` is ``linear_relations()``, which holds every
     relation that is a polynomial identity; it is empty, so there is none.
@@ -618,8 +606,7 @@ def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
 def _relation_terms(basis, supports) -> list[list[tuple[int, int, int]]]:
     """Each relation of a basis over quadratic monomials, given by their index
     pairs, as its nonzero terms (i, j, c): c x_i x_j, c an integer."""
-    return [[(i, j, c) for (i, j), c in zip(supports, linalg.integer_row(vec)) if c]
-            for vec in basis]
+    return [[(i, j, c) for (i, j), c in zip(supports, vec) if c] for vec in basis]
 
 
 def _annihilates(relations, samples) -> bool:
@@ -641,25 +628,17 @@ def _annihilates(relations, samples) -> bool:
     return not any(sum(c * (x[i] * x[j]) for i, j, c in terms) for x in samples)
 
 
-def mu_function_rank(samples: int = 40, seed: int = 42) -> int | None:
+def mu_function_rank() -> int | None:
     """Rank of all 105 products as functions of the configuration: 14, or
     None if the bounds below disagree.
 
     Upper bound: 14, the column count of the 105 x 14 straightening matrix,
     once its expansions hold as polynomial identities (105 if one fails).
     Lower bound: the 14 standard products are independent, as
-    ``linear_relations()`` is empty.  Cross-check: the products at ``samples``
-    seeded configurations have that rank mod 2**31 - 1; configurations are
-    drawn one at a time, and none once the rank reaches the upper bound.
+    ``linear_relations()`` is empty.
     """
-    tabs = enumerate_tableaux()
-    standard = standard_tableaux()
-    upper = len(standard) if _straightening_identities() else len(tabs)
-    lower = 14 - len(linear_relations())
-    rng = SplitMix64(seed)
-    rows = (mu_vector(sample_config(rng), tabs) for _ in range(samples))
-    sampled = linalg.rank_mod_p(rows, len(tabs), upper)
-    return upper if lower == upper == sampled else None
+    upper = len(standard_tableaux() if _straightening_identities() else enumerate_tableaux())
+    return upper if 14 - len(linear_relations()) == upper else None
 
 
 # the simple binomial x_0 x_6 - x_1 x_5 in the 0-based standard products, as
@@ -669,9 +648,9 @@ SEED_BINOMIAL = (((0, 6), 1), ((1, 5), -1))
 
 
 @lru_cache(maxsize=None)
-def quadric_closure() -> tuple[tuple[tuple[Fraction, ...], ...], bool]:
+def quadric_closure() -> tuple[tuple[tuple[int, ...], ...], bool]:
     """The span of the S8-orbit of ``SEED_BINOMIAL`` among the degree-2
-    monomials, in the canonical (RREF) kernel basis, and whether it is
+    monomials, in the canonical basis of integer rows, and whether it is
     certified: the seed expands to zero and the straightening expansions
     are polynomial identities, so each action matrix is the substitution
     moving the points and carries relations to relations.  Uncertified,

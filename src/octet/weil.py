@@ -4,11 +4,12 @@ Both generators are read from two cached integer tables over the 64 vectors
 of the quadratic space: the signs t[alpha] = (-1)^q(alpha), so that
 rho_T = diag(t), and the symmetric +-1 matrix H[beta][alpha] =
 (-1)^b(beta, alpha), so that rho_S = H/8.  Every computation in this module
-works on these Python ints (and Fractions where a result goes out), so it is
-exact: there are no tolerance parameters anywhere, and no entry can wrap.
-Products of matrices, and H applied to a vector, go through ``linalg``'s
-packed rows; packed rows of H are reused only for the very table object they
-came from.  The signed vectors f_V are read at their 8 nonzero entries.
+works on these Python ints, and so does every result but the traces and
+multiplicities (Fractions), so it is exact: there are no tolerance
+parameters anywhere, and no entry can wrap.  Products of matrices, and H
+applied to a vector, go through ``linalg``'s packed rows; packed rows of H
+are reused only for the very table object they came from.  The signed
+vectors f_V are read at their 8 nonzero entries.
 """
 
 from __future__ import annotations
@@ -95,9 +96,10 @@ def character_decomposition() -> tuple[int | Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def invariant_subspace() -> tuple[tuple[Fraction, ...], ...]:
+def invariant_subspace() -> tuple[tuple[int, ...], ...]:
     """Canonical basis of the joint fixed space of rho_T and rho_S, spanned
-    by maximal isotropic sums; empty unless the two bounds below meet.
+    by maximal isotropic sums, as primitive integer rows; empty unless the
+    two bounds below meet.
 
     Lower bound by construction: the span of the 30 maximal isotropic sums
     that pass ``is_invariant``.  Upper bound by counting: once the relations
@@ -246,8 +248,7 @@ def fixed_line_dimension() -> int:
     x, for a the representative of the type of x: one row per x, one column
     per basis vector.
     """
-    # each basis vector scaled to its integer row, which keeps the rank
-    basis = [linalg.integer_row(v) for v in invariant_subspace()]
+    basis = invariant_subspace()
     anchor = f2geom.TYPE_REPRESENTATIVES
     rows = [[v[x] - v[anchor[f2geom.classify(x)]] for v in basis] for x in f2geom.SPACE]
     return len(basis) - linalg.rank(rows, len(basis))

@@ -10,10 +10,12 @@ these routes are independent of it.
 
 For the tableau products' certificates, the routes that ``octet`` replaced
 by values at one integer point and by packed rows: the straightening
-identities as sums of coefficient dicts, the sign identity by swapping the
-exponent fields of the dict keys, the Coxeter relations on powers of
-``linalg.matmul`` products, the relations evaluated at a sample term by
-term, and a quadratic form pulled back along a matrix one call at a time.
+identities as sums of coefficient dicts and at seeded configurations, the
+sign identity by swapping the exponent fields of the dict keys, the Coxeter
+relations on powers of ``linalg.matmul`` products, the relations evaluated
+at a sample term by term, and a quadratic form pulled back along a matrix
+one call at a time.  The rank of the 105 products at seeded configurations
+is an oracle in ``test_tableaux``.
 For Table 1: every lattice's full Gram matrix, eliminated and Smith-reduced
 whole.
 
@@ -33,6 +35,7 @@ from math import lcm
 
 from octet import f2geom, lattices as lat, linalg, qseries, tableaux as tb, weil
 from octet.qseries import QSeries
+from octet.sampling import SplitMix64
 
 
 def integer_kernel(ech):
@@ -75,12 +78,13 @@ def polynomial_rows(degree):
 @lru_cache(maxsize=None)
 def polynomial_kernel(degree):
     """The linear relations among the degree-d monomials in the 14 standard
-    products that hold as polynomial identities: the canonical (RREF) kernel
-    basis of ``polynomial_rows(degree)``, exact.  Rows are fed in blocks of
-    32; a pending row that the integer kernel of the fed rows annihilates
-    lies in their span and is dropped.  Pending rows are tested in order, 32
-    at a time, only until the next block is full.  A closing check that the
-    returned kernel annihilates every row shows that it is their whole kernel."""
+    products that hold as polynomial identities: the canonical kernel basis
+    of ``polynomial_rows(degree)`` as primitive integer rows, exact.  Rows
+    are fed in blocks of 32; a pending row that the integer kernel of the fed
+    rows annihilates lies in their span and is dropped.  Pending rows are
+    tested in order, 32 at a time, only until the next block is full.  A
+    closing check that the returned kernel annihilates every row shows that
+    it is their whole kernel."""
     rows = polynomial_rows(degree)
     ech = linalg.EchelonForm(len(rows[0]))
     block, pending = rows[:32], rows[32:]
@@ -196,6 +200,22 @@ def straightening_identities():
     with the product's dict."""
     return all(tb._poly_sum((tb.tableau_polynomial(std), c) for std, c in tb.straighten(t))
                == tb.tableau_polynomial(t) for t in tb.enumerate_tableaux())
+
+
+def sampled_straightening(n_samples, seed):
+    """Every straightening expansion evaluated exactly at ``n_samples`` seeded
+    configurations, the products through ``mu_vector`` from their minors: a
+    check of the expansions against the products themselves, which the
+    polynomial dicts do not read."""
+    rng = SplitMix64(seed)
+    tabs = tb.enumerate_tableaux()
+    position = {t: i for i, t in enumerate(tabs)}
+    for _ in range(n_samples):
+        values = tb.mu_vector(tb.sample_config(rng), tabs)
+        for t, want in zip(tabs, values):
+            if want != sum(c * values[position[std]] for std, c in tb.straighten(t)):
+                return False
+    return True
 
 
 def sign_identity():

@@ -182,7 +182,7 @@ def test_criterion_12_tableaux():
 def test_criterion_13_relations():
     rel2 = tableaux.relation_discovery(2, CFG.sample_count, CFG.seed)
     rel1 = tableaux.relation_discovery(1, max(CFG.sample_count // 4, 40), CFG.seed)
-    rank105 = tableaux.mu_function_rank(seed=CFG.seed)
+    rank105 = tableaux.mu_function_rank()
     ok = (rel2["dimension"] == 14 and rel2["stable"] and rel2["samples_used"] >= 300
           and rel1["dimension"] == 0 and rank105 == 14)
     _report(13, "degree-2 kernel 14; degree-1 kernel 0; rank of 105 products 14", ok)

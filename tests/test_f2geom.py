@@ -321,10 +321,7 @@ def test_maximal_isotropic_by_plane_extension():
 
 def _table_form(table):
     """The 2-elementary form with q = table (values 0/1) on F2^6."""
-    return lattices.FiniteQuadraticForm(
-        tuple(2 * t for t in table),
-        tuple(tuple((table[x ^ y] + table[x] + table[y]) % 2 for y in range(64))
-              for x in range(64)))
+    return lattices.FiniteQuadraticForm(tuple(2 * t for t in table))
 
 
 def _linear(images, v):
@@ -350,6 +347,11 @@ def test_split_model_identified_and_q_transported(perm, mixing):
     for v in range(64):
         assert dictionary[v] == _linear(images, v)
         assert f2geom.q(dictionary[v]) == table[v]
+    # the pairing, the polarization of q, is transported with it
+    for u in range(64):
+        for v in range(64):
+            polarization = (table[u ^ v] + table[u] + table[v]) % 2
+            assert f2geom.b(dictionary[u], dictionary[v]) == polarization
 
 
 @given(st.lists(vectors, max_size=6))

@@ -145,8 +145,10 @@ def test_integer_core_matches_fraction_reference(case):
     ech = linalg.EchelonForm(ncols)
     assert [ech.add_row(r) for r in rows] == added
     assert ech.pivot_columns == tuple(sorted(piv))
-    assert ech.rows() == [piv[c] for c in sorted(piv)]
-    assert ech.nullspace() == _reference_nullspace(piv, ncols)
+    # results: the reference's rows and kernel vectors as primitive integer rows
+    assert ech.rows() == [linalg.integer_row(piv[c]) for c in sorted(piv)]
+    assert ech.nullspace() == [linalg.integer_row(v) for v in _reference_nullspace(piv, ncols)]
+    assert all(type(x) is int for vec in ech.rows() + ech.nullspace() for x in vec)
     assert all(ech.contains(r) for r in rows)
     assert ech.contains(probe) == _reference_contains(piv, probe)
     # stored rows: primitive integers, positive pivot, zero at other pivots
@@ -226,8 +228,10 @@ def test_integer_kernel_is_primitive_and_scales_to_the_nullspace(case):
         assert gcd(*vec) == 1 and vec[f] > 0
         assert all(vec[j] == 0 for j in free if j != f)
         assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in rows)
-    assert ech.nullspace() == [[Fraction(x, vec[f]) for x in vec]
-                               for f, vec in zip(free, kernel)]
+    assert ech.nullspace() == kernel
+    piv, _ = _reference_rref(rows, ncols)
+    assert [[Fraction(x, vec[f]) for x in vec] for f, vec in zip(free, kernel)] \
+        == _reference_nullspace(piv, ncols)
 
 
 def _reference_rank_mod_p(rows, ncols):
@@ -366,3 +370,6 @@ def test_free_column_basis_reads_the_nullspace_off_any_spanning_set(case):
     span = linalg.EchelonForm(ncols)
     span.add_rows(v[::-1] for v in spanning)
     assert linalg.free_column_basis(span) == ech.nullspace()
+    piv, _ = _reference_rref(rows, ncols)
+    assert linalg.free_column_basis(span) == [linalg.integer_row(v)
+                                              for v in _reference_nullspace(piv, ncols)]

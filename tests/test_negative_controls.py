@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from octet import checks, qseries
+from octet import checks, lattices, qseries, tableaux
 
 GOLDEN = {json.loads(line)["name"]: line for line in
           (Path(__file__).parent / "golden" / "verify_all_seed42.jsonl").read_text().splitlines()}
@@ -80,3 +80,74 @@ def test_a_changed_eta_exponent_fails_exactly_its_lines(name, monkeypatch, fresh
 def test_the_controls_leave_the_golden_report_behind(fresh_series):
     reports = checks.run_suite("qseries")
     _assert_fails_exactly(reports, set())
+
+
+def _rho1_entry_negated(row, col):
+    """Negate one entry of the U + U(2) block of rho."""
+    def apply(monkeypatch):
+        block = [list(r) for r in lattices._rho1_block()]
+        block[row][col] = -block[row][col]
+        monkeypatch.setattr(lattices, "_rho1_block", lambda: tuple(map(tuple, block)))
+    return apply
+
+
+def _last_plucker_coefficient_negated(monkeypatch):
+    *rest, (first, second, coeff) = tableaux.PLUCKER_TERMS
+    monkeypatch.setattr(tableaux, "PLUCKER_TERMS", (*rest, (first, second, -coeff)))
+
+
+def _table1_transcendental(row, name):
+    """Replace the transcendental lattice of one row of Table 1."""
+    def apply(monkeypatch):
+        rows = list(lattices.TABLE1_ROWS)
+        rows[row] = (rows[row][0], name)
+        monkeypatch.setattr(lattices, "TABLE1_ROWS", tuple(rows))
+    return apply
+
+
+# the lines that read the identities of rho
+RHO_LINES = {"lattice.isometry_fixed_point_free", "lattice.hermitian_grams",
+             "lattice.half_sum_quotient_map", "lattice.reflection_identities",
+             "lattice.reflection_family", "lattice.norm_minus4_correspondence"}
+
+# name -> (suite, change, the lines that must fail)
+STRUCTURE_CONTROLS = {
+    # rho is neither skew for G nor of square -1, so it is no isometry either
+    "rho1_entry_0_2_negated": ("lattice", _rho1_entry_negated(0, 2), RHO_LINES),
+    # the exchange relation no longer expands to zero; the expansions still hold
+    "last_plucker_coefficient_negated": ("tableaux", _last_plucker_coefficient_negated,
+                                         {"tableaux.straightening"}),
+    # the same rank, signature and group order as U(2)+U(2), and a q4 with
+    # odd values, so no isometry onto the negated Picard form exists
+    "table1_row_4_a1_squares": (
+        "lattice", _table1_transcendental(4, "A1^2+A1(-1)^2"), {"lattice.table1"}),
+}
+
+
+@pytest.fixture
+def fresh_rho():
+    for cached in (lattices.order_four_isometry, lattices._rho_identities):
+        cached.cache_clear()
+    yield
+    for cached in (lattices.order_four_isometry, lattices._rho_identities):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("name", STRUCTURE_CONTROLS)
+def test_a_changed_structure_fails_exactly_its_lines(name, monkeypatch, fresh_rho):
+    suite, change, failing = STRUCTURE_CONTROLS[name]
+    change(monkeypatch)
+    _assert_fails_exactly(checks.run_suite(suite), failing)
+
+
+def test_the_structure_controls_change_what_they_name(monkeypatch, fresh_rho):
+    _rho1_entry_negated(0, 2)(monkeypatch)
+    assert not any(lattices._rho_identities()[key] for key in ("skew", "square_minus_one"))
+    values = []
+    for name in ("U(2)+U(2)", "A1^2+A1(-1)^2"):
+        rank, signature, form = lattices._summand_invariants(name)
+        assert (rank, signature, form.group_order) == (4, (2, 2), 16)
+        values.append(sorted(form.q4))
+    assert values[0] != values[1]
+    _table1_transcendental(4, "A1^2+A1(-1)^2")(monkeypatch)
+    assert lattices.table1_checks() == [True] * 4 + [False] + [True] * 5

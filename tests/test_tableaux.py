@@ -272,8 +272,9 @@ def test_a_scrambled_dictionary_fails_the_intertwining(monkeypatch):
 
 
 def test_straightening():
-    rep = tb.straightening_check(n_samples=4, seed=3)
+    rep = tb.straightening_check()
     assert rep["ok"]
+    assert oracles.sampled_straightening(4, 3)
     nested = ((1, 4), (2, 3), (5, 6), (7, 8))
     expansion = dict(tb.straighten(nested))
     assert expansion == {((1, 2), (3, 4), (5, 6), (7, 8)): -1,
@@ -347,7 +348,7 @@ def test_relation_discovery_degree2():
 
 
 def test_mu_rank():
-    assert tb.mu_function_rank(samples=40, seed=42) == 14
+    assert tb.mu_function_rank() == 14 == _dense_mu_function_rank(40, 42)
 
 
 @pytest.mark.parametrize("config", [
@@ -406,7 +407,7 @@ def _dense_relation_discovery(degree, samples, seed):
         config = tb.sample_config(rng)
         values = tuple(mu(t, config) for t in tb.standard_tableaux()) + (1,)
         rows.append([values[i] * values[j] for i, j in supports])
-    kernel = tuple(zip(*map(linalg.integer_row, basis)))
+    kernel = tuple(zip(*basis))
     annihilated = not any(map(any, linalg.matmul(rows, kernel)))
     return {
         "degree": degree, "monomials": monomials, "monomial_count": n_mon,
@@ -417,8 +418,9 @@ def _dense_relation_discovery(degree, samples, seed):
 
 
 def _dense_mu_function_rank(samples, seed):
-    """Oracle: mu_function_rank with all ``samples`` rows built first, and
-    the lower bound from the expanded system."""
+    """Oracle: the bounds of mu_function_rank, the lower one from the
+    expanded system, checked against the rank mod p of the 105 products at
+    ``samples`` seeded configurations, all rows built first."""
     tabs = tb.enumerate_tableaux()
     upper = 14 if tb._straightening_identities() else 105
     lower = 14 - len(oracles.polynomial_kernel(1))
@@ -432,7 +434,9 @@ def test_sampled_certificates_agree_with_the_dense_route(seed):
     for degree, samples in ((1, 75), (2, 300)):
         assert tb.relation_discovery(degree, samples, seed) \
             == _dense_relation_discovery(degree, samples, seed)
-    assert tb.mu_function_rank(40, seed) == _dense_mu_function_rank(40, seed) == 14
+    assert tb.mu_function_rank() == _dense_mu_function_rank(40, seed) == 14
+    assert tb.straightening_check()["expansions_match"] is oracles.sampled_straightening(5, seed) \
+        is True
 
 
 def test_sampled_certificates_agree_with_the_dense_route_when_unstable(monkeypatch,
@@ -443,7 +447,9 @@ def test_sampled_certificates_agree_with_the_dense_route_when_unstable(monkeypat
     for degree, samples in ((1, 75), (2, 300)):
         rel = tb.relation_discovery(degree, samples, 42)
         assert not rel["stable"] and rel == _dense_relation_discovery(degree, samples, 42)
-    assert tb.mu_function_rank(40, 42) is _dense_mu_function_rank(40, 42) is None
+    # the rank of the 105 products is proved, and draws no sample
+    assert _dense_mu_function_rank(40, 42) is None
+    assert tb.mu_function_rank() == 14
 
 
 def test_sampled_ranks_stop_drawing_at_the_upper_bound(monkeypatch):
@@ -455,9 +461,8 @@ def test_sampled_ranks_stop_drawing_at_the_upper_bound(monkeypatch):
         return sample_config(rng)
 
     monkeypatch.setattr(tb, "sample_config", counting_sample_config)
-    assert tb.mu_function_rank(40, 42) == 14
-    assert len(drawn) < 40
-    drawn.clear()
+    assert tb.mu_function_rank() == 14 and tb.straightening_check()["ok"]
+    assert drawn == []
     assert tb.relation_discovery(2, 300, 42)["samples_used"] == len(drawn) == 315
 
 
@@ -471,6 +476,8 @@ def test_quadric_closure_is_the_polynomial_kernel():
     basis, certified = tb.quadric_closure()
     assert certified and len(basis) == 14
     assert basis == oracles.polynomial_kernel(2)
+    assert {type(x) for v in basis for x in v} == {int}
+    assert {x for v in basis for x in v} == {-1, 0, 1}
     assert tb.relation_discovery(2, 300, 42)["basis"] == basis
     assert tb.linear_relations() == oracles.polynomial_kernel(1) == ()
 
@@ -478,7 +485,7 @@ def test_quadric_closure_is_the_polynomial_kernel():
 def _kernel_stable_by_contains():
     """Oracle: each generator image of each vector of polynomial_kernel(2)
     lies in its span, as the S8 claim was checked before it read the closure."""
-    kernel = [linalg.integer_row(v) for v in oracles.polynomial_kernel(2)]
+    kernel = oracles.polynomial_kernel(2)
     ech = linalg.EchelonForm(105)
     ech.add_rows(kernel)
     return all(ech.contains(oracles.transform_quadric(v, tb.action_matrix(s)))
@@ -488,7 +495,7 @@ def _kernel_stable_by_contains():
 def test_closure_flag_agrees_with_the_contains_loop():
     assert tb.quadric_kernel_s8_stable() is _kernel_stable_by_contains() is True
     # the closure property itself, read off the returned basis
-    basis = [linalg.integer_row(v) for v in tb.quadric_closure()[0]]
+    basis = tb.quadric_closure()[0]
     ech = linalg.EchelonForm(105)
     ech.add_rows(basis)
     assert all(ech.contains(oracles.transform_quadric(v, tb.action_matrix(s)))
@@ -643,7 +650,7 @@ def test_repeated_sample_is_not_stable(monkeypatch, fresh_caches):
     assert rel["dimension"] == 14
     assert not rel["stable"]
     assert not tb.relation_discovery(1, 60, 42)["stable"]
-    assert tb.mu_function_rank(samples=40, seed=42) is None
+    assert tb.mu_function_rank() == 14  # proved, with no sample
 
 
 def test_a_sign_flipped_generator_matrix_fails_the_s8_stability(monkeypatch, fresh_caches):
@@ -672,8 +679,8 @@ def test_sign_flipped_product_is_caught(monkeypatch, fresh_caches):
     rel = tb.relation_discovery(2, 300, 42)
     assert rel["dimension"] != 14 or not rel["stable"]
     # the straightening identities through the flipped product fail too
-    assert not tb.straightening_check(n_samples=2, seed=42)["expansions_match"]
-    assert tb.mu_function_rank(samples=40, seed=42) is None
+    assert not tb.straightening_check()["expansions_match"]
+    assert tb.mu_function_rank() is None
 
 
 def test_sampled_certificates_build_no_fraction(monkeypatch, fresh_caches):
@@ -751,7 +758,7 @@ def test_a_shared_leading_key_fails_the_degree1_claims(monkeypatch, fresh_caches
         assert len(tb.linear_relations()) == 1
         assert tb.relation_discovery(1, 75, 42)["dimension"] == 1
         assert not tb.equivariance_check()["homomorphism"]
-        assert tb.mu_function_rank(40, 42) is None
+        assert tb.mu_function_rank() is None
         failing = {r.name for r in checks.run_suite("tableaux") if r.status == "fail"}
         assert degree1 <= failing
     # the true products, with only the cached kernel wrong: exactly those lines fail
@@ -883,6 +890,7 @@ def test_a_wrong_expansion_fails_both_straightening_routes(monkeypatch, fresh_ca
     t = next(u for u in tb.enumerate_tableaux() if len(tb.straighten(u)) > 2)
     _straighten_with(monkeypatch, t, change)
     assert tb._straightening_identities() is oracles.straightening_identities() is False
+    assert not oracles.sampled_straightening(5, 42)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1103,5 +1111,5 @@ def test_monomial_images_pull_back_as_the_per_call_oracle():
         for k in range(105):
             unit = [int(i == k) for i in range(105)]
             assert tb._pull_back(unit, images) == oracles.transform_quadric(unit, matrix)
-        for vec in map(linalg.integer_row, tb.quadric_closure()[0]):
+        for vec in tb.quadric_closure()[0]:
             assert tb._pull_back(vec, images) == oracles.transform_quadric(vec, matrix)

@@ -94,6 +94,9 @@ def test_products_never_wrap():
 def test_invariant_subspace_dimension_and_sums():
     basis = weil.invariant_subspace()
     assert len(basis) == 15
+    # integer rows: the primitive multiples of the canonical basis
+    assert {type(x) for v in basis for x in v} == {int}
+    assert {x for v in basis for x in v} == {-3, -2, -1, 0, 1, 2}
     for iso in f2geom.enumerate_isotropic_subspaces(3):
         assert weil.is_invariant(weil.isotropic_sum_vector(iso))
     e0 = [0] * 64
