@@ -903,8 +903,12 @@ def reflection_plane_complement(r=E_MINUS_F) -> bool:
     basis = _transpose(v)[sum(1 for k in range(2) if d[k][k]):]
     comp = GramLattice(name="complement", gram=matmul(matmul(basis, gram), _transpose(basis)))
     target = named_lattice("U+U(2)+D4+A1^2")
+    try:
+        form = discriminant_form(comp)
+    except ValueError:  # degenerate, or not 2-elementary, as a wrong rho can make it
+        return False
     return (comp.rank == target.rank and comp.signature() == target.signature()
-            and find_isomorphism(discriminant_form(comp), discriminant_form(target)) is not None)
+            and find_isomorphism(form, discriminant_form(target)) is not None)
 
 
 # ---------------------------------------------------------------------------

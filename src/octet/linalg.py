@@ -14,7 +14,8 @@ that vanishes over Q vanishes mod p), so it can certify that rows reach a
 rank, never that they stay below one; an upper bound needs an identity.  It
 packs the residues of a row into one int, in linear time, and reduces it on
 a shrinking remainder, shifting away each column's slot once it is cleared;
-it draws no further row once the rank reaches the bound its caller proved.
+a new pivot row's slots are Mersenne folded all at once, none read out; it
+draws no further row once the rank reaches the bound its caller proved.
 
 :func:`matmul` is the integer matrix product, and :func:`product_is_scalar`
 tells whether a product of matrices is a scalar matrix.  They pack a row
@@ -63,11 +64,15 @@ class EchelonForm:
     whose pivot is positive and whose entries in the other pivot columns are
     zero.  Dividing a row by its pivot gives the usual RREF row, which is
     unique, so every result equals that of elimination over Fractions.
+    Beside each row is its support, its nonzero (column, entry) pairs, pivot
+    first.  A pivot entry that divides the entry to clear is cleared by the
+    quotient times the row over that support alone; any other by ``_combine``.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self._rows: dict[int, list[int]] = {}  # pivot column -> primitive row
+        self._supports: dict[int, list[tuple[int, int]]] = {}  # pivot column -> its support
 
     @property
     def rank(self) -> int:
@@ -82,9 +87,14 @@ class EchelonForm:
         row = integer_row(row)
         if len(row) != self.ncols:
             raise ValueError("row length %d != %d" % (len(row), self.ncols))
-        for col in sorted(self._rows):
+        for col, support in self._supports.items():
             if row[col]:
-                row = _combine(row, self._rows[col], col)
+                c, r = divmod(row[col], support[0][1])
+                if r:
+                    row = _combine(row, self._rows[col], col)
+                else:
+                    for j, x in support:
+                        row[j] -= c * x
         return row
 
     def contains(self, row: Sequence) -> bool:
@@ -100,8 +110,10 @@ class EchelonForm:
         # keep the form reduced: eliminate the new pivot from older rows
         for col, prow in self._rows.items():
             if prow[pivot]:
-                self._rows[col] = _combine(prow, row, pivot)
+                self._rows[col] = prow = _combine(prow, row, pivot)
+                self._supports[col] = [(j, x) for j, x in enumerate(prow) if x]
         self._rows[pivot] = row
+        self._supports[pivot] = [(j, x) for j, x in enumerate(row) if x]
         return True
 
     def add_rows(self, rows: Iterable[Sequence]) -> int:
@@ -232,17 +244,31 @@ def rank_mod_p(rows: Iterable[Sequence[int]], ncols: int, upper: int | None = No
     a nonzero residue a there is cleared by adding (p - a) times the pivot
     row of c, and the slot is shifted away.  Reduction ends when the
     remainder is 0, or at the first column whose residue a is nonzero and
-    which has no pivot row: the remainder's residues times 1/a become its
-    pivot row, stored from c on, with 1 in its low slot.  Every slot stays
+    which has no pivot row: the remainder times 1/a becomes its pivot row,
+    stored from c on, with a residue of 1 in its low slot.  Every slot stays
     nonnegative, so a shift drops the low slot exactly, even when it holds a
-    nonzero multiple of p; each pivot adds below p**2 < 2**62 to a slot, so
-    slots of 63 + log2(ncols) bits, in whole bytes, never carry.  Rows are
-    packed and residues read off through bytes, in time linear in the row.
+    nonzero multiple of p.  A fold, through two masks, turns every slot x
+    into (x mod 2**31) + (x >> 31), congruent to x as 2**31 = 1 mod p; three
+    (more only from 2**25 columns on) bring any slot to at most 2**31, before
+    and after the product with 1/a.  So each pivot adds below 2**31 p < 2**62
+    to a slot, and slots of 63 + log2(ncols) bits, in whole bytes, never
+    carry.  Rows are packed through bytes, in time linear in the row.
     """
     p = MERSENNE_31
     upper = ncols if upper is None else upper
     size = (63 + ncols.bit_length() + 7) // 8
     width, mask = 8 * size, (1 << 8 * size) - 1
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * ncols, "little")  # 1 in every slot
+    low, high = p * ones, ((1 << width - 31) - 1) * ones
+    folds, bound = 0, mask  # until a slot below 2**width is at most 2**31
+    while bound > 1 << 31:
+        folds, bound = folds + 1, p + (bound >> 31)
+
+    def fold(packed: int) -> int:
+        for _ in range(folds):
+            packed = (packed & low) + (packed >> 31 & high)
+        return packed
+
     pivots = [0] * ncols  # per column: its pivot row from that column on, or 0
     rank = 0
     if upper <= 0:
@@ -257,11 +283,7 @@ def rank_mod_p(rows: Iterable[Sequence[int]], ncols: int, upper: int | None = No
             if a:
                 pivot = pivots[col]
                 if not pivot:
-                    data = packed.to_bytes(size * (ncols - col), "little")
-                    inverse = pow(a, -1, p)
-                    pivots[col] = _pack_residues(
-                        [int.from_bytes(data[k:k + size], "little") * inverse % p
-                         for k in range(0, len(data), size)], size)
+                    pivots[col] = fold(fold(packed) * pow(a, -1, p))
                     rank += 1
                     if rank == upper:
                         return rank

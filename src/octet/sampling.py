@@ -22,30 +22,22 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK
 
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
-
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection."""
+        """Uniform integer in [0, n), by rejection on the SplitMix64 outputs."""
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n
-
-    def integer(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi]."""
-        return lo + self.below(hi - lo + 1)
+            self.state = z = (self.state + 0x9E3779B97F4A7C15) & _MASK
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            z ^= z >> 31
+            if z < limit:
+                return z % n
 
     def distinct_integers(self, count: int, lo: int, hi: int) -> list[int]:
         out: list[int] = []
         seen = set()
         while len(out) < count:
-            x = self.integer(lo, hi)
+            x = lo + self.below(hi - lo + 1)
             if x not in seen:
                 seen.add(x)
                 out.append(x)

@@ -6,10 +6,10 @@ rho_T = diag(t), and the symmetric +-1 matrix H[beta][alpha] =
 (-1)^b(beta, alpha), so that rho_S = H/8.  Every computation in this module
 works on these Python ints, and so does every result but the traces and
 multiplicities (Fractions), so it is exact: there are no tolerance
-parameters anywhere, and no entry can wrap.  Products of matrices, and H
-applied to a vector, go through ``linalg``'s packed rows; packed rows of H
-are reused only for the very table object they came from.  The signed
-vectors f_V are read at their 8 nonzero entries.
+parameters anywhere, and no entry can wrap.  S and ST are checked on one
+hyperbolic plane, of which both tables are Kronecker cubes.  H applied to a
+vector goes through ``linalg``'s packed rows, reused only for the very table
+they came from.  The signed vectors f_V are read at their 8 nonzero entries.
 """
 
 from __future__ import annotations
@@ -36,17 +36,28 @@ def b_signs() -> tuple[tuple[int, ...], ...]:
     return tuple(tuple((-1) ** bit for bit in row) for row in f2geom.B_TABLE)
 
 
+def _kron(a, b) -> list[list[int]]:  # of matrices given as rows
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
 @lru_cache(maxsize=None)
 def sl2_relations() -> Mapping[str, bool]:
     """The defining relations S^2 = 1 and (ST)^3 = 1, exactly, as H.H = 64 I
-    and (8 rho_S rho_T)^3 = 512 I; 8 rho_S rho_T is H with column alpha
-    multiplied by t[alpha].  Each product is compared with its scalar matrix
-    as packed rows, with no entry unpacked (read-only, cached)."""
+    and (H diag(t))^3 = 512 I, from the planes: with H2 and t2 the tables at
+    the vectors 0..3 of the first plane, H = H2 (x) H2 (x) H2 and t = t2 (x)
+    t2 (x) t2 over the bit pairs (e_i, f_i), checked at every entry, give
+    H.H = (H2.H2)^(x3) and (H diag(t))^3 = ((H2 diag(t2))^3)^(x3), so
+    H2.H2 = 4 I and (H2 diag(t2))^3 = 8 I on the 4 x 4 block suffice.  This
+    is stricter than the 64 x 64 products: tables that pass them but do not
+    factor over the planes, as a relabelling of the vectors, fail both."""
     h, t = b_signs(), q_signs()
-    st = [[x * s for x, s in zip(row, t)] for row in h]
+    h2, t2 = [row[:4] for row in h[:4]], [t[:4]]
+    st2 = [[x * s for x, s in zip(row, t2[0])] for row in h2]
+    planes = h == tuple(map(tuple, _kron(h2, _kron(h2, h2))))
     return MappingProxyType({
-        "s_squared": linalg.product_is_scalar((h, h), 64),
-        "st_cubed": linalg.product_is_scalar((st, st, st), 512)})
+        "s_squared": planes and linalg.product_is_scalar((h2, h2), 4),
+        "st_cubed": planes and t == tuple(_kron(t2, _kron(t2, t2))[0])
+        and linalg.product_is_scalar((st2, st2, st2), 8)})
 
 
 def commutes_with_transvections() -> bool:

@@ -27,6 +27,11 @@ and a point permutation applied to coordinates, both entry by entry.
 For the eta quotients: the Euler products from the pentagonal number
 theorem, raised to their powers by repeated squaring, with eta(tau)^16
 inverted and multiplied in, through the ``QSeries`` algebra.
+
+For the Weil representation: the relations S^2 = 1 and (ST)^3 = 1 as the
+64 x 64 products of the tables, which ``weil`` reads off the three
+hyperbolic planes instead.  For the sampler: SplitMix64 as three methods,
+a draw in [lo, hi] calling ``below``, which calls ``next_u64``.
 """
 
 from fractions import Fraction
@@ -333,3 +338,46 @@ def h_components_by_products(order):
     end = 2 * order
     return qseries.HComponents(*(QSeries(s.low, s.coeffs[:end - s.low])
                                  for s in (a.scale(56), a.scale(-8), a.scale(8) + b)))
+
+
+def sl2_relations_by_products(h, t):
+    """(S^2 = 1, (ST)^3 = 1) for the tables H and t as the 64 x 64 products
+    H.H = 64 I and (H diag(t))^3 = 512 I, compared as packed rows.  It reads
+    no plane structure, so it holds for any relabelling of the 64 vectors."""
+    st = [[x * s for x, s in zip(row, t)] for row in h]
+    return linalg.product_is_scalar((h, h), 64), linalg.product_is_scalar((st, st, st), 512)
+
+
+class ThreeCallSplitMix64:
+    """SplitMix64 with one method per step: ``integer`` -> ``below`` -> ``next_u64``."""
+
+    MASK = (1 << 64) - 1
+
+    def __init__(self, seed):
+        self.state = seed & self.MASK
+
+    def next_u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        return z ^ (z >> 31)
+
+    def below(self, n):
+        limit = (1 << 64) - ((1 << 64) % n)
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % n
+
+    def integer(self, lo, hi):
+        return lo + self.below(hi - lo + 1)
+
+    def distinct_integers(self, count, lo, hi):
+        out, seen = [], set()
+        while len(out) < count:
+            x = self.integer(lo, hi)
+            if x not in seen:
+                seen.add(x)
+                out.append(x)
+        return out

@@ -151,11 +151,80 @@ def test_integer_core_matches_fraction_reference(case):
     assert all(type(x) is int for vec in ech.rows() + ech.nullspace() for x in vec)
     assert all(ech.contains(r) for r in rows)
     assert ech.contains(probe) == _reference_contains(piv, probe)
-    # stored rows: primitive integers, positive pivot, zero at other pivots
+    # stored rows: primitive integers, positive pivot, zero at other pivots,
+    # each with its support, pivot first, beside it
     for col, row in ech._rows.items():
         assert all(type(x) is int for x in row)
         assert row[col] > 0 and gcd(*row) == 1
         assert all(row[c] == 0 for c in ech._rows if c != col)
+        assert ech._supports[col] == [(j, x) for j, x in enumerate(row) if x]
+        assert ech._supports[col][0] == (col, row[col])
+    assert ech._supports.keys() == ech._rows.keys()
+
+
+def _counting_combine(monkeypatch):
+    calls = []
+    combine = linalg._combine
+
+    def counted(*args):
+        calls.append(args)
+        return combine(*args)
+    monkeypatch.setattr(linalg, "_combine", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows, probe, scaled", [
+    # the pivot entries 2 and 1 divide 4 and -3: support path only
+    ([[2, 1, 0, 0], [0, 0, 1, 5]], [4, 2, -3, -15], False),
+    ([[2, 1, 0, 0], [0, 0, 1, 5]], [4, 2, -3, 7], False),
+    # 2 does not divide 3: the scaled, primitive combination
+    ([[2, 1, 0, 0], [0, 0, 1, 5]], [3, 1, 1, 5], True),
+    ([[3, 0, 1], [0, 2, 1]], [6, 5, 3], True),
+])
+def test_both_reduction_routes_match_the_fraction_reference(monkeypatch, rows, probe, scaled):
+    ech = linalg.EchelonForm(len(probe))
+    ech.add_rows(rows)
+    calls = _counting_combine(monkeypatch)
+    want = _reference_contains(_reference_rref(rows, len(probe))[0], probe)
+    assert ech.contains(probe) is want
+    assert bool(calls) is scaled
+    piv, added = _reference_rref(rows + [probe], len(probe))
+    assert ech.add_row(probe) is added[-1] is not want
+    assert ech.rows() == [linalg.integer_row(piv[c]) for c in sorted(piv)]
+    assert ech.nullspace() == [linalg.integer_row(v)
+                               for v in _reference_nullspace(piv, len(probe))]
+
+
+def test_a_rewritten_row_carries_its_new_support():
+    # the second row puts a pivot in column 1, which the first row leaves as
+    # [1, 0, -1, 0]: column 1 leaves its support and column 2 enters it
+    ech = linalg.EchelonForm(4)
+    ech.add_rows([[1, 1, 0, 0], [0, 1, 1, 0]])
+    assert ech._rows == {0: [1, 0, -1, 0], 1: [0, 1, 1, 0]}
+    assert ech._supports == {0: [(0, 1), (2, -1)], 1: [(1, 1), (2, 1)]}
+    # both read the rewritten support: [1, 0, -1, 0] reduces to 0 on it alone
+    assert ech.contains([1, 0, -1, 0]) and ech.contains([2, 1, -1, 0])
+    assert not ech.contains([1, 0, 0, 0])
+    piv, _ = _reference_rref([[1, 1, 0, 0], [0, 1, 1, 0], [3, 0, 0, 1]], 4)
+    assert ech.add_row([3, 0, 0, 1])
+    assert ech.rows() == [linalg.integer_row(piv[c]) for c in sorted(piv)]
+
+
+def test_add_row_and_contains_leave_the_callers_row_alone():
+    ech = linalg.EchelonForm(3)
+    ech.add_row([2, 1, 0])
+    # both reduction routes, a Fraction row and a tuple
+    for row in ([4, 2, 0], [4, 1, 7], [3, 1, 1], [Fraction(1, 2), 0, 1], (1, 2, 3)):
+        for method in (ech.contains, ech.add_row):
+            before = list(row)
+            method(row)
+            assert list(row) == before
+    # a kept row that a later pivot rewrites is not the caller's list
+    stored = [1, 1, 0]
+    ech = linalg.EchelonForm(3)
+    ech.add_row(stored)
+    ech.add_row([0, 1, 0])
+    assert stored == [1, 1, 0] and ech.rows() == [[1, 0, 0], [0, 1, 0]]
 
 
 P31 = linalg.MERSENNE_31
@@ -274,6 +343,60 @@ def test_rank_mod_p_matches_the_reference_on_zero_and_deficient_rows():
         ncols = len(rows[0])
         assert linalg.rank_mod_p(rows, ncols) == _reference_rank_mod_p(rows, ncols)
     assert linalg.rank_mod_p(cases[0], 5) == 0
+
+
+# residues 0, 1 and p - 1 at several multiples of p, and entries beyond 2**64
+_residue_entries = st.one_of(
+    st.sampled_from([k * P31 + r for k in (-3, -1, 0, 1, 2, 5) for r in (0, 1, -1, P31 - 1)]),
+    st.integers(2**64, 2**80), st.integers(-2**80, -2**64), st.integers(-3, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 130), st.data())
+def test_rank_mod_p_matches_the_reference_across_slot_counts(ncols, data):
+    # a few drawn rows and their combinations, so that rows reduce to zero,
+    # lead past a pivot or stop on a slot that holds a multiple of p
+    base = data.draw(st.lists(st.lists(_residue_entries, min_size=ncols, max_size=ncols),
+                              min_size=1, max_size=4))
+    weights = data.draw(st.lists(st.lists(st.sampled_from([0, 1, -1, P31, P31 + 1, 2**65]),
+                                          min_size=len(base), max_size=len(base)), max_size=4))
+    rows = base + [[sum(w * r[j] for w, r in zip(ws, base)) for j in range(ncols)]
+                   for ws in weights]
+    want = _reference_rank_mod_p(rows, ncols)
+    assert linalg.rank_mod_p(rows, ncols) == linalg.rank_mod_p(rows, ncols, None) == want
+    assert linalg.rank_mod_p(rows, ncols, 0) == 0
+    for upper in range(want):
+        assert linalg.rank_mod_p(rows, ncols, upper) == upper
+
+
+def test_rank_mod_p_matches_the_reference_at_every_width_up_to_130():
+    # slots of 8 bytes at one column and of 9 from two on; the third row is
+    # the sum of the first two plus multiples of p, so it reduces to zero mod
+    # p through slots that hold multiples of p, though not over Q
+    for ncols in range(1, 131):
+        first = [(j + 1) * (P31 - 1) for j in range(ncols)]
+        second = [2**64 + j if j % 3 else -(P31 + 1) for j in range(ncols)]
+        third = [a + b + P31 * (j % 5) for j, (a, b) in enumerate(zip(first, second))]
+        fourth = [P31 * (j + 2) for j in range(ncols)]
+        fourth[-1] += 1
+        rows = [first, second, third, fourth]
+        want = _reference_rank_mod_p(rows, ncols)
+        assert want == min(ncols, 3) and linalg.rank(rows, ncols) == min(ncols, 4)
+        assert linalg.rank_mod_p(rows, ncols) == want
+        assert linalg.rank_mod_p(rows, ncols, want - 1) == want - 1
+
+
+def test_rank_mod_p_keeps_its_slots_apart_through_a_long_elimination():
+    # 90 dense rows of residues in [0, p) reach rank 90 through up to 89
+    # reductions each, and most pivot rows are built from remainders that
+    # already took many, so a pivot row folded too little carries from one
+    # slot into the next; 30 more rows are combinations of the 90
+    rng = np.random.default_rng(7)
+    base = [[int(x) for x in row] for row in rng.integers(0, P31, (90, 130))]
+    mix = rng.integers(-3, 4, (30, 90)).tolist()
+    rows = base + [[sum(c * r[j] for c, r in zip(m, base)) for j in range(130)] for m in mix]
+    assert linalg.rank_mod_p(rows, 130) == _reference_rank_mod_p(rows, 130) == 90
+    assert linalg.rank_mod_p(rows[::-1], 130) == 90
 
 
 def test_rank_mod_p_stops_at_the_upper_bound():

@@ -309,6 +309,19 @@ def test_sampler_is_deterministic_and_stable():
         assert all(-50 <= x <= 50 for x in xs)
 
 
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_sampler_stream_equals_the_three_call_generator(seed):
+    # n = 2**63 + 1 rejects almost half the outputs, n = 1 none
+    new, old = SplitMix64(seed), oracles.ThreeCallSplitMix64(seed)
+    sizes = [101, 19, 2**63 + 1, 1]
+    assert [new.below(sizes[k % 4]) for k in range(10_000)] \
+        == [old.below(sizes[k % 4]) for k in range(10_000)]
+    new, old = SplitMix64(seed), oracles.ThreeCallSplitMix64(seed)
+    assert [new.distinct_integers(8, -50, 50) for _ in range(1_250)] \
+        == [old.distinct_integers(8, -50, 50) for _ in range(1_250)]
+    assert new.state == old.state
+
+
 def test_relation_discovery_degree1():
     rel = tb.relation_discovery(1, 60, 42)
     assert rel["dimension"] == 0
@@ -505,7 +518,7 @@ def test_closure_flag_agrees_with_the_contains_loop():
 def test_transform_quadric_is_the_pullback():
     # Q'(x) = Q(M x) at integer points, for a random form and matrix
     rng = SplitMix64(11)
-    draw = lambda: rng.integer(-9, 9)
+    draw = lambda: rng.below(19) - 9
     position = tb.quadric_positions()
     coeffs = [draw() for _ in position]
     matrix = [[draw() * (draw() > 3) for _ in range(14)] for _ in range(14)]

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -27,6 +27,47 @@ def _fraction_product(a, b):
 
 def _eye(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def test_the_plane_route_and_the_product_oracle_agree_on_the_real_tables(fresh_weil_caches):
+    h, t = weil.b_signs(), weil.q_signs()
+    assert tuple(weil.sl2_relations().values()) == oracles.sl2_relations_by_products(h, t) \
+        == (True, True)
+    # the tables are Kronecker cubes of their block on the first plane, read
+    # entry by entry at the plane coordinates of both vectors
+    planes = [(x & 3, x >> 2 & 3, x >> 4) for x in f2geom.SPACE]
+    assert all(h[x][y] == prod(h[a][b] for a, b in zip(planes[x], planes[y]))
+               and t[x] == prod(t[a] for a in planes[x])
+               for x in f2geom.SPACE for y in f2geom.SPACE)
+
+
+@pytest.mark.parametrize("patch, verdicts", [
+    (lambda h, t: h[1].__setitem__(2, -h[1][2]), (False, False)),
+    (lambda h, t: t.__setitem__(5, -t[5]), (True, False)),
+], ids=["flipped_h_entry", "flipped_t_sign"])
+def test_the_plane_route_and_the_product_oracle_agree_on_the_broken_tables(
+        monkeypatch, fresh_weil_caches, patch, verdicts):
+    # the two patches of test_a_broken_weil_table_fails_its_lines
+    h, t = [list(row) for row in weil.b_signs()], list(weil.q_signs())
+    patch(h, t)
+    monkeypatch.setattr(weil, "b_signs", lambda: tuple(map(tuple, h)))
+    monkeypatch.setattr(weil, "q_signs", lambda: tuple(t))
+    assert tuple(weil.sl2_relations().values()) == oracles.sl2_relations_by_products(h, t) \
+        == verdicts
+
+
+def test_a_relabelling_that_ignores_the_planes_fails_only_the_plane_route(
+        monkeypatch, fresh_weil_caches):
+    # conjugating both tables by a permutation of the 64 vectors keeps the
+    # products, but the relabelled tables no longer factor over the planes
+    perm = list(f2geom.SPACE)
+    random.Random(5).shuffle(perm)
+    h = tuple(tuple(weil.b_signs()[perm[i]][perm[j]] for j in f2geom.SPACE) for i in f2geom.SPACE)
+    t = tuple(weil.q_signs()[perm[i]] for i in f2geom.SPACE)
+    assert oracles.sl2_relations_by_products(h, t) == (True, True)
+    monkeypatch.setattr(weil, "b_signs", lambda: h)
+    monkeypatch.setattr(weil, "q_signs", lambda: t)
+    assert dict(weil.sl2_relations()) == {"s_squared": False, "st_cubed": False}
 
 
 def test_generator_relations():
