@@ -49,11 +49,6 @@ def q(x: int) -> int:
     return Q_TABLE[x]
 
 
-def b(x: int, y: int) -> int:
-    """Polarized bilinear form b(x,y) = q(x+y) + q(x) + q(y)."""
-    return B_TABLE[x][y]
-
-
 class VectorType(enum.Enum):
     """The three types, in the order of the components h00, h0, h1."""
     ZERO = "00"

@@ -9,13 +9,16 @@ by the leading monomials, degree 2 by the closure of a seed binomial), so
 these routes are independent of it.
 
 For the tableau products' certificates, the routes that ``octet`` replaced
-by values at one integer point and by packed rows: the straightening
-identities as sums of coefficient dicts and at seeded configurations, the
-sign identity by swapping the exponent fields of the dict keys, the Coxeter
-relations on powers of ``linalg.matmul`` products, the relations evaluated
-at a sample term by term, and a quadratic form pulled back along a matrix
-one call at a time.  The rank of the 105 products at seeded configurations
-is an oracle in ``test_tableaux``.
+by values at one integer point and by packed rows: each product as a dict of
+its coefficients, with the leading coefficients, the Plücker relation and
+the seed binomial read off those dicts, and its value at a Kronecker point
+read off its digits; the straightening identities as sums of coefficient
+dicts and at seeded configurations, the sign identity by swapping the
+exponent fields of the dict keys, the Coxeter relations on powers of
+``linalg.matmul`` products, the relations evaluated at a sample term by
+term, and a quadratic form pulled back along a matrix one call at a time.
+The rank of the 105 products at seeded configurations is an oracle in
+``test_tableaux``.
 For Table 1: every lattice's full Gram matrix, eliminated and Smith-reduced
 whole.
 
@@ -37,6 +40,7 @@ a draw in [lo, hi] calling ``below``, which calls ``next_u64``.
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from types import MappingProxyType
 
 from octet import f2geom, lattices as lat, linalg, qseries, tableaux as tb, weil
 from octet.qseries import QSeries
@@ -57,20 +61,91 @@ def integer_kernel(ech):
     return basis
 
 
+# A polynomial in the affine coordinates x_1..x_8 is a dict from packed
+# exponent vectors to nonzero int coefficients: the exponent of x_i sits in
+# bits 2i-2 and 2i-1, so for exponents up to 3 the key of a product of
+# monomials is the sum of their keys, and keys compare as their monomials do
+# in lex order with x_8 first.
+
+# the packed key of the monomial of the variables in each set S, mapped to
+# the bitmask m of S
+MULTILINEAR = {sum(4 ** i for i in range(8) if m >> i & 1): m for m in range(256)}
+
+
+def poly_mul(f, g):
+    out = {}
+    for kf, cf in f.items():
+        for kg, cg in g.items():
+            out[kf + kg] = out.get(kf + kg, 0) + cf * cg
+    return {k: c for k, c in out.items() if c}
+
+
+def poly_sum(terms):
+    """The sum of c * f over the pairs (f, c) of polynomials and integers."""
+    out = {}
+    for f, c in terms:
+        for key, x in f.items():
+            out[key] = out.get(key, 0) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def minor(pair):
+    """The 2x2 minor of the pair (a, b) at the affine points: x_b - x_a."""
+    a, b = pair
+    return {4 ** (b - 1): 1, 4 ** (a - 1): -1}
+
+
+@lru_cache(maxsize=None)
+def tableau_polynomial(t):
+    """The product of t at the affine points (1, x_i), as a polynomial: the
+    product of x_b - x_a over the pairs (a, b) of t (read-only, cached)."""
+    poly = {0: 1}
+    for pair in t:
+        poly = poly_mul(poly, minor(pair))
+    return MappingProxyType(poly)
+
+
+def kronecker_value(poly, width):
+    """A multilinear polynomial at the Kronecker point of the given width,
+    read off its coefficients as the digits 2**(width * m) of the monomials'
+    bitmasks m, or None when a key is not multilinear."""
+    if not poly.keys() <= MULTILINEAR.keys():
+        return None
+    return sum(c << width * MULTILINEAR[k] for k, c in poly.items())
+
+
+def leading_relations():
+    """The degree-1 system at the standard products' largest keys, as the
+    dicts give it: row g, column f, the coefficient of max(g) in f."""
+    standard = [tableau_polynomial(t) for t in tb.standard_tableaux()]
+    return [[f.get(max(g), 0) for f in standard] for g in standard]
+
+
+def plucker_expands_to_zero():
+    return not poly_sum((poly_mul(minor(p), minor(q)), c) for p, q, c in tb.PLUCKER_TERMS)
+
+
+def seed_expands_to_zero():
+    standard = tb.standard_tableaux()
+    return not poly_sum((poly_mul(tableau_polynomial(standard[a]),
+                                  tableau_polynomial(standard[b])), c)
+                        for (a, b), c in tb.SEED_BINOMIAL)
+
+
 def polynomial_rows(degree):
     """The coefficient matrix of the degree-d monomials in the 14 standard
     products, expanded in x (degree at most 3): row k holds the coefficients
     of one x-monomial, column j belongs to ``degree_monomials(degree)[j]``.
     Rows that repeat up to sign are kept once, with a positive leading entry,
     and the sparse rows come first; neither changes the kernel."""
-    standard = [tb.tableau_polynomial(t) for t in tb.standard_tableaux()]
+    standard = [tableau_polynomial(t) for t in tb.standard_tableaux()]
     monomials = tb.degree_monomials(degree)
     rows = {}
     for j, exps in enumerate(monomials):
         poly = {0: 1}
         for e, f in zip(exps, standard):
             for _ in range(e):
-                poly = tb._poly_mul(poly, f)
+                poly = poly_mul(poly, f)
         for key, c in poly.items():
             rows.setdefault(key, [0] * len(monomials))[j] = c
     distinct = {}
@@ -117,7 +192,8 @@ def isotropic_plane_extensions(plane):
     inside = set(f2geom.span(plane))
     exts = set()
     for v in f2geom.SPACE:
-        if not (f2geom.q(v) or f2geom.b(v, plane[0]) or f2geom.b(v, plane[1]) or v in inside):
+        pairs = f2geom.B_TABLE[v]
+        if not (f2geom.q(v) or pairs[plane[0]] or pairs[plane[1]] or v in inside):
             ext = f2geom.echelon_basis(plane + (v,))
             if f2geom.is_totally_isotropic(ext):
                 exts.add(ext)
@@ -143,7 +219,7 @@ def pair_census(alpha):
     counts = {(t, e): 0 for t in kinds for e in (0, 1)}
     for beta in f2geom.SPACE:
         kind = kinds.ZERO if beta == 0 else kinds.ANISOTROPIC if f2geom.q(beta) else kinds.ISOTROPIC
-        counts[(kind, f2geom.b(alpha, beta))] += 1
+        counts[(kind, f2geom.B_TABLE[alpha][beta])] += 1
     return counts
 
 
@@ -203,8 +279,8 @@ def permute_coordinates(perm, vec):
 def straightening_identities():
     """Every straightening expansion as a sum of coefficient dicts, compared
     with the product's dict."""
-    return all(tb._poly_sum((tb.tableau_polynomial(std), c) for std, c in tb.straighten(t))
-               == tb.tableau_polynomial(t) for t in tb.enumerate_tableaux())
+    return all(poly_sum((tableau_polynomial(std), c) for std, c in tb.straighten(t))
+               == tableau_polynomial(t) for t in tb.enumerate_tableaux())
 
 
 def sampled_straightening(n_samples, seed):
@@ -231,8 +307,8 @@ def sign_identity():
         for t in tb.enumerate_tableaux():
             moved, sign = tb.apply_permutation(t, s)
             swapped = {k ^ ((k >> 2 * i ^ k >> 2 * i + 2) & 3) * both: sign * c
-                       for k, c in tb.tableau_polynomial(t).items()}
-            if swapped != tb.tableau_polynomial(moved):
+                       for k, c in tableau_polynomial(t).items()}
+            if swapped != tableau_polynomial(moved):
                 return False
     return True
 

@@ -31,14 +31,14 @@ def test_basis_vectors_isotropic():
 
 @given(vectors, vectors)
 def test_bilinear_symmetric_alternating(x, y):
-    assert f2geom.b(x, y) == f2geom.b(y, x)
-    assert f2geom.b(x, x) == 0
-    assert f2geom.q(x ^ y) == (f2geom.q(x) + f2geom.q(y) + f2geom.b(x, y)) % 2
+    assert f2geom.B_TABLE[x][y] == f2geom.B_TABLE[y][x]
+    assert f2geom.B_TABLE[x][x] == 0
+    assert f2geom.q(x ^ y) == (f2geom.q(x) + f2geom.q(y) + f2geom.B_TABLE[x][y]) % 2
 
 
 @given(vectors, vectors, vectors)
 def test_bilinearity(x, y, z):
-    assert f2geom.b(x ^ y, z) == (f2geom.b(x, z) + f2geom.b(y, z)) % 2
+    assert f2geom.B_TABLE[x ^ y][z] == (f2geom.B_TABLE[x][z] + f2geom.B_TABLE[y][z]) % 2
 
 
 def test_tables_match_the_coordinate_formulas():
@@ -56,19 +56,19 @@ def test_tables_match_the_coordinate_formulas():
                                       VectorType.ISOTROPIC)
         for y in range(64):
             want = sum(bit(x, e) * bit(y, f) + bit(x, f) * bit(y, e) for e, f in planes) % 2
-            assert f2geom.B_TABLE[x][y] == f2geom.b(x, y) == want
+            assert f2geom.B_TABLE[x][y] == want
     for alpha in range(64):
         census = f2geom.pair_census(alpha)
         for kind in VectorType:
             for e in (0, 1):
                 assert census[(kind, e)] == sum(1 for beta in range(64)
                                                 if f2geom.classify(beta) is kind
-                                                and f2geom.b(alpha, beta) == e)
+                                                and f2geom.B_TABLE[alpha][beta] == e)
 
 
 def test_nondegenerate():
     for x in range(1, 64):
-        assert any(f2geom.b(x, y) for y in range(64))
+        assert any(f2geom.B_TABLE[x][y] for y in range(64))
 
 
 def test_pair_census_matches_table():
@@ -104,7 +104,7 @@ def test_transvection_examples():
     assert t[alpha] == alpha
     assert t[f2geom.E1] == f2geom.F1  # e1 + alpha1 = f1
     for x in f2geom.SPACE:
-        if f2geom.b(x, alpha) == 0:
+        if f2geom.B_TABLE[x][alpha] == 0:
             assert t[x] == x
 
 
@@ -176,7 +176,7 @@ def test_singular_membership_split():
     for sub in f2geom.enumerate_singular_subspaces():
         aniso, iso = f2geom.singular_members(sub)
         assert len(aniso) == 4 and len(iso) == 4
-        assert all(f2geom.b(u, v) == 0
+        assert all(f2geom.B_TABLE[u][v] == 0
                    for u, v in combinations(f2geom.span(sub), 2) if u and v)
         plane = f2geom.kernel_plane(sub)
         assert set(f2geom.span(plane)) == set(iso)
@@ -252,8 +252,8 @@ def _broken_plane(extra):
     if extra < 0:
         ext = f2geom.isotropic_plane_extensions(plane)[0]
     else:
-        a = next(v for v in f2geom.SPACE if f2geom.q(v) and not f2geom.b(v, plane[0])
-                 and not f2geom.b(v, plane[1]))
+        a = next(v for v in f2geom.SPACE if f2geom.q(v) and not f2geom.B_TABLE[v][plane[0]]
+                 and not f2geom.B_TABLE[v][plane[1]])
         ext = f2geom.echelon_basis(plane + (a,))
     return plane, next(v for v in ext if v not in inside)
 
@@ -351,7 +351,7 @@ def test_split_model_identified_and_q_transported(perm, mixing):
     for u in range(64):
         for v in range(64):
             polarization = (table[u ^ v] + table[u] + table[v]) % 2
-            assert f2geom.b(dictionary[u], dictionary[v]) == polarization
+            assert f2geom.B_TABLE[dictionary[u]][dictionary[v]] == polarization
 
 
 @given(st.lists(vectors, max_size=6))
@@ -470,7 +470,7 @@ def test_group_order_needs_the_chain_to_reach_every_transvection(monkeypatch):
 def test_coxeter_chain_is_an_a7_path_of_anisotropic_vectors():
     chain = f2geom.COXETER_CHAIN
     assert all(f2geom.q(a) == 1 for a in chain)
-    assert [[f2geom.b(x, y) for y in chain] for x in chain] == [
+    assert [[f2geom.B_TABLE[x][y] for y in chain] for x in chain] == [
         [int(abs(i - j) == 1) for j in range(7)] for i in range(7)]
     assert f2geom._presentation_certificate() == (True, True, True)
 

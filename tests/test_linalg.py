@@ -275,7 +275,7 @@ def test_matmul_matches_the_plain_product(n, k, m, data):
 
 
 def test_matmul_is_exact_at_the_slot_boundary():
-    # the second column attains k max|a| max|b| = 2**53, the bound that sizes the slots
+    # the second column attains k max|a| max|b| = 2**53, the edge of float64's exact integers
     a, b = [[2**25] * 8] * 3, [[2**25 - 1, -(2**25)]] * 8
     assert linalg.matmul(a, b) == ((8 * 2**25 * (2**25 - 1), -(2**53)),) * 3
     assert linalg.matmul(a, [[0, 0]] * 8) == ((0, 0),) * 3

@@ -96,6 +96,30 @@ def _last_plucker_coefficient_negated(monkeypatch):
     monkeypatch.setattr(tableaux, "PLUCKER_TERMS", (*rest, (first, second, -coeff)))
 
 
+def _seed_coefficient_flipped(monkeypatch):
+    *rest, (pair, coeff) = tableaux.SEED_BINOMIAL
+    monkeypatch.setattr(tableaux, "SEED_BINOMIAL", (*rest, (pair, -coeff)))
+
+
+def _straighten_coefficient_raised(index):
+    """Raise the first coefficient of the cached straightening expansion of
+    tableau ``index`` by one."""
+    def apply(monkeypatch):
+        expansions = {t: tableaux.straighten(t) for t in tableaux.enumerate_tableaux()}
+        t = tableaux.enumerate_tableaux()[index]
+        (std, coeff), *rest = expansions[t]
+        expansions[t] = ((std, coeff + 1), *rest)
+        monkeypatch.setattr(tableaux, "straighten", expansions.__getitem__)
+    return apply
+
+
+# the lines that read the straightening expansions: as identities, through
+# the action matrices, and through the closure they certify
+STRAIGHTENING_LINES = {"tableaux.straightening", "tableaux.equivariance",
+                       "tableaux.degree2_kernel", "tableaux.mu_function_rank",
+                       "tableaux.quadrics_s8_stable"}
+
+
 def _table1_transcendental(row, name):
     """Replace the transcendental lattice of one row of Table 1."""
     def apply(monkeypatch):
@@ -126,6 +150,15 @@ STRUCTURE_CONTROLS = {
     # the exchange relation no longer expands to zero; the expansions still hold
     "last_plucker_coefficient_negated": ("tableaux", _last_plucker_coefficient_negated,
                                          {"tableaux.straightening"}),
+    # the seed's two terms no longer cancel as multisets of minors: the closure
+    # is not certified, builds no relation, and the degree-2 lines fail
+    "seed_binomial_coefficient_flipped": (
+        "tableaux", _seed_coefficient_flipped,
+        {"tableaux.degree2_kernel", "tableaux.quadrics_s8_stable"}),
+    # the ten-term expansion of ((1, 8), (2, 7), (3, 6), (4, 5)) with one
+    # coefficient off by one
+    "straighten_coefficient_raised": ("tableaux", _straighten_coefficient_raised(104),
+                                      STRAIGHTENING_LINES),
     # the same rank, signature and group order as U(2)+U(2), and a q4 with
     # odd values, so no isometry onto the negated Picard form exists
     "table1_row_4_a1_squares": (
@@ -148,29 +181,34 @@ def test_the_control_registers_name_golden_lines_and_do_not_overlap():
     assert sum(map(len, registers)) == len(set().union(*registers))
 
 
+# the cached objects that the structure controls change inputs of
+STRUCTURE_CACHES = (lattices.order_four_isometry, lattices._rho_identities,
+                    tableaux._straightening_identities, tableaux.quadric_closure)
+
+
 @pytest.fixture
-def fresh_rho():
-    for cached in (lattices.order_four_isometry, lattices._rho_identities):
+def fresh_structures():
+    for cached in STRUCTURE_CACHES:
         cached.cache_clear()
     yield
-    for cached in (lattices.order_four_isometry, lattices._rho_identities):
+    for cached in STRUCTURE_CACHES:
         cached.cache_clear()
 
 
 @pytest.mark.parametrize("name", STRUCTURE_CONTROLS)
-def test_a_changed_structure_fails_exactly_its_lines(name, monkeypatch, fresh_rho):
+def test_a_changed_structure_fails_exactly_its_lines(name, monkeypatch, fresh_structures):
     suite, change, failing = STRUCTURE_CONTROLS[name]
     change(monkeypatch)
     _assert_fails_exactly(checks.run_suite(suite), failing)
 
 
-def test_the_structure_controls_change_what_they_name(monkeypatch, fresh_rho):
+def test_the_structure_controls_change_what_they_name(monkeypatch, fresh_structures):
     _rho1_entry_set(0, 2)(monkeypatch)
     assert not any(lattices._rho_identities()[key] for key in ("skew", "square_minus_one"))
     values = []
     for name in ("U(2)+U(2)", "A1^2+A1(-1)^2"):
         rank, signature, form = lattices._summand_invariants(name)
-        assert (rank, signature, form.group_order) == (4, (2, 2), 16)
+        assert (rank, signature, len(form.q4)) == (4, (2, 2), 16)
         values.append(sorted(form.q4))
     assert values[0] != values[1]
     _table1_transcendental(4, "A1^2+A1(-1)^2")(monkeypatch)

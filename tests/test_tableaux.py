@@ -115,7 +115,7 @@ def test_row_vectors_orthogonal():
         vecs = [tb.label_vector_in_model(p) for p in t]
         for i in range(4):
             for j in range(i + 1, 4):
-                assert f2geom.b(vecs[i], vecs[j]) == 0
+                assert f2geom.B_TABLE[vecs[i]][vecs[j]] == 0
         assert vecs[0] ^ vecs[1] ^ vecs[2] ^ vecs[3] == 0
 
 
@@ -255,10 +255,7 @@ def test_a_sign_flipped_generator_matrix_fails_homomorphism(monkeypatch):
 
 
 def test_a_flipped_product_fails_the_sign_identity(monkeypatch, fresh_caches):
-    polynomial = tb.tableau_polynomial
-    flipped = tb.enumerate_tableaux()[40]
-    monkeypatch.setattr(tb, "tableau_polynomial", lambda t: (
-        {k: -c for k, c in polynomial(t).items()} if t == flipped else polynomial(t)))
+    _patched_product(monkeypatch, tb.enumerate_tableaux()[40], _negated)
     rep = tb.equivariance_check()
     assert not rep["sign_identity"] and not rep["homomorphism"]
     assert rep["intertwines_subspaces"]
@@ -580,7 +577,7 @@ def test_tableau_polynomial_evaluates_to_mu():
     rng = SplitMix64(9)
     points = [tb.sample_config(rng) for _ in range(3)]
     for t in tb.enumerate_tableaux():
-        poly = tb.tableau_polynomial(t)
+        poly = oracles.tableau_polynomial(t)
         assert len(poly) == 16 and set(poly.values()) <= {-1, 1}
         for p in points:
             assert _evaluate(poly, [x for _, x in p]) == mu(t, p)
@@ -685,10 +682,7 @@ def test_a_sign_flipped_generator_matrix_fails_the_s8_stability(monkeypatch, fre
 
 
 def test_sign_flipped_product_is_caught(monkeypatch, fresh_caches):
-    polynomial = tb.tableau_polynomial
-    flipped = tb.standard_tableaux()[5]
-    monkeypatch.setattr(tb, "tableau_polynomial", lambda t: (
-        {k: -c for k, c in polynomial(t).items()} if t == flipped else polynomial(t)))
+    _patched_product(monkeypatch, tb.standard_tableaux()[5], _negated)
     rel = tb.relation_discovery(2, 300, 42)
     assert rel["dimension"] != 14 or not rel["stable"]
     # the straightening identities through the flipped product fail too
@@ -724,6 +718,11 @@ def test_a_perturbed_seed_binomial_fails_the_degree2_kernel(monkeypatch, fresh_c
     assert {r.name for r in reports if r.status == "fail"} \
         == {"tableaux.degree2_kernel", "tableaux.quadrics_s8_stable"}
     assert tb.quadric_closure() == ((), False)
+    assert not oracles.seed_expands_to_zero()
+
+
+def test_the_seed_binomial_cancels_as_minors_and_as_dicts(fresh_caches):
+    assert tb.quadric_closure()[1] is oracles.seed_expands_to_zero() is True
 
 
 def test_verify_all_expands_no_degree2_row(monkeypatch, fresh_caches):
@@ -748,26 +747,37 @@ def test_verify_all_expands_no_degree2_row(monkeypatch, fresh_caches):
     monkeypatch.setattr(linalg.EchelonForm, "__init__", recording_init)
     monkeypatch.setattr(linalg.EchelonForm, "add_row", recording_add_row)
     assert checks.all_passed(checks.run_suite("all"))
-    standard = [tb.tableau_polynomial(t) for t in tb.standard_tableaux()]
-    leading = [[f.get(max(g), 0) for f in standard] for g in standard]
     assert [(form.ncols, len(fed)) for form, fed in forms] == [(14, 14), (105, 1 + 7 * 14)]
-    assert forms[0][1] == leading
+    assert forms[0][1] == oracles.leading_relations()
+
+
+def test_the_leading_coefficients_are_the_dict_coefficients():
+    """The coefficient read off the pairs, for all 105 x 14 pairs (f, g),
+    is the coefficient of f's dict at the largest key of g's."""
+    for g in tb.standard_tableaux():
+        lead = max(oracles.tableau_polynomial(g))
+        for f in tb.enumerate_tableaux():
+            assert tb._leading_coefficient(f, g) == oracles.tableau_polynomial(f).get(lead, 0)
 
 
 def test_a_shared_leading_key_fails_the_degree1_claims(monkeypatch, fresh_caches):
-    """Negative control: give one standard product the leading monomial of
-    another.  The leading-key system then has equal rows and a kernel, which
-    fails every claim that reads it."""
+    """Negative control: give one standard product, as the leading-monomial
+    system reads it, the leading monomial of another.  The system then has
+    equal rows and a kernel, which fails every claim that reads it."""
     standard = tb.standard_tableaux()
-    polys = [tb.tableau_polynomial(t) for t in standard]
+    polys = [oracles.tableau_polynomial(t) for t in standard]
     top = max(range(14), key=lambda j: max(polys[j]))
-    key = max(polys[top])
-    other = next(j for j in range(14) if j != top and key not in polys[j])
-    patched = {standard[other]: {**polys[other], key: 1}}
-    polynomial = tb.tableau_polynomial
+    other = next(j for j in range(14) if j != top and max(polys[top]) not in polys[j])
+    leading = tb._leading_coefficient
+
+    def shared(f, g):
+        # the leading monomial of other is that of top, with coefficient 1 in other
+        g = standard[top] if g == standard[other] else g
+        return 1 if (f, g) == (standard[other], standard[top]) else leading(f, g)
+
     degree1 = {"tableaux.degree1_kernel", "tableaux.equivariance", "tableaux.mu_function_rank"}
     with monkeypatch.context() as m:
-        m.setattr(tb, "tableau_polynomial", lambda t: patched.get(t, polynomial(t)))
+        m.setattr(tb, "_leading_coefficient", shared)
         assert len(tb.linear_relations()) == 1
         assert tb.relation_discovery(1, 75, 42)["dimension"] == 1
         assert not tb.equivariance_check()["homomorphism"]
@@ -795,6 +805,11 @@ def test_a_flipped_plucker_sign_fails_the_straightening(monkeypatch, term):
     monkeypatch.setattr(tb, "PLUCKER_TERMS", tuple(terms))
     rep = tb.straightening_check()
     assert rep["expansions_match"] and not rep["ok"]
+    assert not oracles.plucker_expands_to_zero()
+
+
+def test_the_plucker_relation_vanishes_at_the_point_and_as_dicts():
+    assert tb.straightening_check()["ok"] and oracles.plucker_expands_to_zero()
 
 
 def test_a_swapped_dictionary_fails_its_claims_without_raising(monkeypatch, capsys):
@@ -833,11 +848,22 @@ def test_every_swap_of_two_dictionary_entries_fails_without_raising(monkeypatch)
 # routes they replaced (``oracles``)
 
 
-def _patched_polynomial(monkeypatch, t, change):
-    """tableau_polynomial with the dict of t replaced by change(dict of t)."""
-    polynomial = tb.tableau_polynomial
-    monkeypatch.setattr(tb, "tableau_polynomial",
-                        lambda u: change(dict(polynomial(u))) if u == t else polynomial(u))
+def _patched_product(monkeypatch, t, change):
+    """The product of t replaced by the polynomial change(dict of t) on both
+    routes: in the oracles' dicts, and in ``mu_vector``, whose entry for t
+    is then that polynomial at the affine point it is given."""
+    polynomial, mu_vector = oracles.tableau_polynomial, tb.mu_vector
+    changed = change(dict(polynomial(t)))
+    monkeypatch.setattr(oracles, "tableau_polynomial",
+                        lambda u: changed if u == t else polynomial(u))
+
+    def patched(config, tabs=None):
+        tabs = tb.standard_tableaux() if tabs is None else tabs
+        assert all(a == 1 for a, _ in config)  # affine points only
+        xs = [x for _, x in config]
+        return tuple(_evaluate(changed, xs) if u == t else v
+                     for u, v in zip(tabs, mu_vector(config, tabs)))
+    monkeypatch.setattr(tb, "mu_vector", patched)
 
 
 def _key(mask):
@@ -845,11 +871,17 @@ def _key(mask):
     return sum(4 ** i for i in range(8) if mask >> i & 1)
 
 
+def _negated(p):
+    """The negated product: its ``mu_vector`` entry negated at every point."""
+    return {k: -c for k, c in p.items()}
+
+
+# changes of one product, made on both routes by ``_patched_product``.  The
+# value route rests on each product being multilinear with coefficients +-1;
+# each change here, inside that premise or not, moves the product's value at
+# the Kronecker points, so the value route sees it
 _POLYNOMIAL_MUTATIONS = {
-    # plus 32 x^(6) - x^(7), which is 0 at the point of width 5: 32 * 2**30 = 2**35
-    "aliased_at_width_5": lambda p: {**p, _key(6): p.get(_key(6), 0) + 32,
-                                     _key(7): p.get(_key(7), 0) - 1},
-    "flipped": lambda p: {k: -c for k, c in p.items()},
+    "flipped": _negated,
     "one_coefficient": lambda p: {**p, max(p): 2 * p[max(p)]},
     "moved_monomial": lambda p: {(k ^ 3 if k == max(p) else k): c for k, c in p.items()},
     "squared_variable": lambda p: {(2 * k if k == max(p) else k): c for k, c in p.items()},
@@ -867,7 +899,7 @@ def test_the_kronecker_identities_hold_and_match_the_dict_oracles():
 def test_a_mutated_product_fails_both_identity_routes(monkeypatch, fresh_caches, mutation,
                                                       index):
     t = tb.enumerate_tableaux()[index]
-    _patched_polynomial(monkeypatch, t, _POLYNOMIAL_MUTATIONS[mutation])
+    _patched_product(monkeypatch, t, _POLYNOMIAL_MUTATIONS[mutation])
     assert tb._straightening_identities() is oracles.straightening_identities() is False
     rep = tb.equivariance_check()
     assert rep["sign_identity"] is oracles.sign_identity() is False
@@ -939,37 +971,43 @@ def test_multilinear_polynomials_are_equal_exactly_when_their_values_are(width, 
     edits = data.draw(st.dictionaries(_keys, coefficients, max_size=3))
     g = {**f, **edits}
     same = {k: c for k, c in f.items() if c} == {k: c for k, c in g.items() if c}
-    assert (tb._kronecker_value(f, width) == tb._kronecker_value(g, width)) is same
+    xs = [x for _, x in tb._kronecker_point(width)]
+    assert (_evaluate(f, xs) == _evaluate(g, xs)) is same
     # the value is the expansion: digit m is the coefficient at bitmask m
-    value, digits = tb._kronecker_value(f, width), {}
+    value, digits = _evaluate(f, xs), {}
+    assert value == oracles.kronecker_value(f, width)
     for m in range(256):
         digit = (value + 2 ** (width - 1)) % 2 ** width - 2 ** (width - 1)
         value = (value - digit) >> width
         if digit:
             digits[m] = digit
     assert value == 0
-    assert digits == {tb._MULTILINEAR[k]: c for k, c in f.items() if c}
+    assert digits == {oracles.MULTILINEAR[k]: c for k, c in f.items() if c}
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(_keys, st.integers(-3, 3), max_size=8), st.integers(0, 7),
        st.integers(2, 3), st.integers(1, 6))
 def test_a_key_with_an_exponent_of_two_or_more_is_refused(poly, slot, exponent, width):
-    """x_i**2 shares no digit with a multilinear monomial: its key is refused
-    (no value), never read as another monomial."""
+    """x_i**2 shares no digit with a multilinear monomial: the oracle that
+    reads a dict's value off its digits refuses its key (no value), never
+    reads it as another monomial."""
     key = next(iter(poly), 0) | exponent << 2 * slot
-    assert tb._kronecker_value({**poly, key: 1}, width) is None
-    assert tb._kronecker_value({key: 0}, width) is None
+    assert oracles.kronecker_value({**poly, key: 1}, width) is None
+    assert oracles.kronecker_value({key: 0}, width) is None
 
 
 def test_the_kronecker_width_covers_every_coefficient():
     tabs = tb.enumerate_tableaux()
     assert tb._kronecker_values(tabs)[0] == 2  # coefficients +-1
     assert tb._kronecker_values(tabs, 10)[0] == 5
-    with pytest.MonkeyPatch.context() as m:
-        _patched_polynomial(m, tabs[3], _POLYNOMIAL_MUTATIONS["huge_coefficient"])
-        width, values = tb._kronecker_values(tabs)
-        assert 2 ** (width - 1) > 2**40 + 1 and len(values) == 105
+    width, values = tb._kronecker_values(tabs, 2**40 + 1)
+    assert 2 ** (width - 1) > 2**40 + 1 and len(values) == 105
+    # the values are the products' dicts read off as digits
+    for weight in (1, 10):
+        width, values = tb._kronecker_values(tabs, weight)
+        assert values == {t: oracles.kronecker_value(oracles.tableau_polynomial(t), width)
+                          for t in tabs}
 
 
 def _signed_permutation_matrices(n):
@@ -1004,6 +1042,17 @@ def test_packed_coxeter_relations_agree_on_signed_permutations(matrices):
     assert tb._coxeter_relations(matrices) is oracles.coxeter_relations(matrices)
 
 
+def _unpack(packed, n, width):
+    """The n signed entries of a packed row, slot j holding entry j."""
+    half = 1 << (width - 1)
+    out = []
+    for _ in range(n):
+        x = (packed + half) % (1 << width) - half
+        out.append(x)
+        packed = (packed - x) >> width
+    return out
+
+
 def _packed_powers_are_products(monkeypatch, matrices):
     """Run ``_coxeter_relations`` with every element it builds unpacked, in
     the slot width of its identity, and compared with the ``linalg.matmul``
@@ -1020,7 +1069,7 @@ def _packed_powers_are_products(monkeypatch, matrices):
             product = linalg.matmul(dense, true[x])
             packed = compose(g, x)
             if slot is not None:
-                assert [linalg._unpack(row, n, slot) for row in packed] == list(map(list, product))
+                assert [_unpack(row, n, slot) for row in packed] == list(map(list, product))
             true[packed] = product
             return packed
         return relations(gens, checked, identity)
