@@ -612,8 +612,11 @@ def _snf_data_N():
 @lru_cache(maxsize=None)
 def split_dictionary() -> tuple[int, ...]:
     """The model vector of each of the 64 classes of the dual mod N, indexed
-    by class bits."""
-    return identify_with_split_model(discriminant_form(lattice_N()))
+    by class bits: the form of the doubled generators of ``_snf_data_N``,
+    the Smith form that ``_class_bits`` reads bits against."""
+    doubled = _snf_data_N()[1]
+    gram = matmul(matmul(doubled, lattice_N().gram), _transpose(doubled))
+    return identify_with_split_model(FiniteQuadraticForm.from_doubled_gram(gram))
 
 
 def _class_bits(doubled) -> tuple[int, bool]:

@@ -19,9 +19,10 @@ draws no further row once the rank reaches the bound its caller proved.
 
 :func:`matmul` is the integer matrix product, a plain sum of rows, and
 :func:`product_is_scalar` compares such a product with a scalar matrix.
-Packing a row into one int, one slot per entry, remains only where it was
-measured to pay: in ``rank_mod_p``, and in :func:`pack`, which
-``weil.is_invariant`` uses.  (Kernel times in docstrings: best of 5-30
+Packing values into one int, one slot each, remains only in the kernels
+where it was measured to pay: ``rank_mod_p``, ``weil.is_invariant``
+(through :func:`pack`), ``tableaux._annihilates`` and
+``lattices._convolved_count``.  (Kernel times in docstrings: best of 5-30
 runs, 2-vCPU shared Intel Xeon, Python 3.11.)
 """
 

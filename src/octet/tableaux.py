@@ -26,8 +26,9 @@ hold, carry it to a span of 14 relations, the lower bound.  The upper bound
 is counted: seeded configurations give the 105 quadratic monomials rank 91,
 so there are at most 105 - 91 = 14.  Those configurations are the only
 samples; every other claim is an identity.  The S8 claims are certified on
-the seven adjacent transpositions, which generate S8; their action matrices
-meet the Coxeter relations as packed rows, never multiplied out.  Sampled
+the seven adjacent transpositions, which generate S8; each action matrix is
+checked by the identity that defines it, M V(x) = V at x with two variables
+swapped, at one Kronecker point, and none is multiplied out.  Sampled
 points are Python ints, and so is every certificate and every kernel basis
 vector; Fractions appear only where input is parsed (``parse_config``) and
 in ``theta_map``.
@@ -40,6 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -322,66 +324,47 @@ def action_matrix(sigma) -> list[list[int]]:
 
 def equivariance_check() -> dict:
     """The S8 claims at all 105 tableaux t, certified on the seven adjacent
-    transpositions s, which generate S8.  Write (R_s t, sign) for
-    apply_permutation(t, s).  ``sign_identity``: sign times the product of
-    t at the Kronecker point x' of ``_kronecker_values`` with the two
-    variables of s swapped is V(R_s t), the product of R_s t at x.  Both
-    sides are multilinear with coefficients +-1, below 2**(b-1) for the
-    width b = 2, so this is the polynomial identity sign * P_t(x') = P_(R_s t):
-    relabellings compose with their signs multiplying.
+    transpositions s, which generate S8, by values at the Kronecker point x
+    of ``_kronecker_values`` and at x_s, x with the two variables of s
+    swapped.  The width b puts 2**(b-1) above the largest row L1-norm L of
+    the seven action matrices M_s.  Write (R_s t, sign) for
+    apply_permutation(t, s).  ``sign_identity``: sign * V_t(x_s) = V_(R_s t)(x).
+    Both sides are multilinear with coefficients +-1, so this is a
+    polynomial identity: relabellings compose with their signs multiplying.
     ``intertwines_subspaces``: induced_model_map(s) carries V(t) onto
     V(R_s t), compared as ``f2geom.span_mask`` ints, and both sides are
-    actions of S8.  ``homomorphism``: the seven action matrices satisfy the
-    A7 Coxeter relations, ``sign_identity`` holds, the straightening
-    expansions are polynomial identities and ``linear_relations()`` is empty.
-    By the last three, action_matrix(sigma) is the matrix of the
-    substitution moving the points by sigma in a basis of independent
-    functions, for all 40,320 sigma, so it is multiplicative.
+    actions of S8.  ``homomorphism``: M_s V(x) = V(x_s) on the 14 standard
+    products, whose left side has coefficients at most L, so it holds as
+    polynomials; ``sign_identity`` holds, the straightening expansions are
+    polynomial identities and ``linear_relations()`` is empty.  The
+    standard products are then independent, so M_s is the matrix of the
+    substitution moving the points by s: the seven generate a representation
+    of S8 and meet the Coxeter relations, and a sign-twisted M_s fails.
     """
-    tabs = enumerate_tableaux()
-    width, value = _kronecker_values(tabs)
+    tabs, standard = enumerate_tableaux(), standard_tableaux()
+    slots = [tabs.index(t) for t in standard]
+    matrices = [action_matrix(s) for s in ADJACENT_TRANSPOSITIONS]
+    width, value = _kronecker_values(tabs, max(sum(map(abs, row)) for m in matrices for row in m))
+    at_x = [value[t] for t in standard]
     bases = {t: tableau_to_subspace(t) for t in tabs}
     spans = {t: f2geom.span(basis) for t, basis in bases.items()}
     masks = {t: f2geom.span_mask(basis) for t, basis in bases.items()}
-    sign_ok = intertwine_ok = True
-    for s in ADJACENT_TRANSPOSITIONS:
+    substitution_ok = sign_ok = intertwine_ok = True
+    for s, matrix in zip(ADJACENT_TRANSPOSITIONS, matrices):
         g = induced_model_map(s)
         swapped = mu_vector(_kronecker_point(width, s), tabs)
+        if [sum(map(mul, row, at_x)) for row in matrix] != [swapped[k] for k in slots]:
+            substitution_ok = False
         for t, product in zip(tabs, swapped):
             moved, sign = apply_permutation(t, s)
             if sign * product != value[moved]:
                 sign_ok = False
             if sum({1 << g[v] for v in spans[t]}) != masks[moved]:
                 intertwine_ok = False
-    coxeter_ok = _coxeter_relations([action_matrix(s) for s in ADJACENT_TRANSPOSITIONS])
-    hom_ok = (coxeter_ok and sign_ok and _straightening_identities()
+    hom_ok = (substitution_ok and sign_ok and _straightening_identities()
               and linear_relations() == ())
     return {"homomorphism": hom_ok, "intertwines_subspaces": intertwine_ok,
             "sign_identity": sign_ok}
-
-
-def _coxeter_relations(matrices) -> bool:
-    """``f2geom.coxeter_relations`` of square integer matrices, multiplying
-    none of them: each power of g_i g_j is kept as its packed rows, in
-    slots wider than L**6 for the largest row L1-norm L of a generator.
-    That bounds every entry of a product of at most six generators, the
-    longest the relations build, so equal packed rows are equal matrices.
-    A generator left-multiplies packed rows through its nonzero entries
-    (``_left_multiply``): 1.0 ms on the seven action matrices, 2.3 ms
-    through ``linalg.matmul``."""
-    norm = max(1, *(sum(map(abs, row)) for m in matrices for row in m))
-    slot = (norm ** 6).bit_length() + 1
-    return f2geom.coxeter_relations(
-        [[[(k, c) for k, c in enumerate(row) if c] for row in m] for m in matrices],
-        _left_multiply, tuple(1 << slot * r for r in range(len(matrices[0]))))
-
-
-def _left_multiply(rows, packed) -> tuple[int, ...]:
-    """g x for a matrix g given by the nonzero (column, entry) pairs of each
-    row and a matrix x given by its packed rows: row r of g x is the sum of
-    entry times packed row column.  Packing is linear, so the sums are the
-    packed rows of g x, exactly while each entry fits its slot."""
-    return tuple(sum(c * packed[k] for k, c in row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ the seed binomial read off those dicts, and its value at a Kronecker point
 read off its digits; the straightening identities as sums of coefficient
 dicts and at seeded configurations, the sign identity by swapping the
 exponent fields of the dict keys, the Coxeter relations on powers of
-``linalg.matmul`` products, the relations evaluated at a sample term by
+``linalg.matmul`` products (which ``octet`` derives from the identity that
+defines each action matrix), the relations evaluated at a sample term by
 term, and a quadratic form pulled back along a matrix one call at a time.
 The rank of the 105 products at seeded configurations is an oracle in
 ``test_tableaux``.

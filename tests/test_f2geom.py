@@ -494,6 +494,21 @@ def test_coxeter_relations_ask_for_exact_orders():
     assert not f2geom.coxeter_relations([cycle], _perm_compose, identity)
 
 
+def test_the_coxeter_relations_read_the_powers_from_the_identity():
+    calls = []
+    gens = [tuple(j + 1 if k == j else j if k == j + 1 else k for k in range(8))
+            for j in range(3)]
+
+    def compose(g, x):
+        calls.append(x)
+        return _perm_compose(g, x)
+
+    assert f2geom.coxeter_relations(gens, compose, tuple(range(8)))
+    # each pair builds its m powers by two left multiplications each
+    assert len(calls) == 2 * (3 * 1 + 1 * 2 + 2 * 3)
+    assert calls[0] == tuple(range(8))
+
+
 def test_group_order_matches_the_closure():
     # the closure is the oracle for the presentation certificate
     group = _group_table()

@@ -113,6 +113,26 @@ def _straighten_coefficient_raised(index):
     return apply
 
 
+def _generators_negated(monkeypatch):
+    """Every action matrix negated: -M_s meets the Coxeter relations and
+    carries quadrics as M_s does, but not the products themselves."""
+    action_matrix = tableaux.action_matrix
+    monkeypatch.setattr(tableaux, "action_matrix",
+                        lambda sigma: [[-x for x in row] for row in action_matrix(sigma)])
+
+
+def _generator_entry_raised(monkeypatch):
+    """Entry (0, 0) of the action matrix of the transposition (3 4) raised by one."""
+    action_matrix = tableaux.action_matrix
+
+    def raised(sigma):
+        matrix = action_matrix(sigma)
+        if tuple(sigma) == tableaux.ADJACENT_TRANSPOSITIONS[2]:
+            matrix[0][0] += 1
+        return matrix
+    monkeypatch.setattr(tableaux, "action_matrix", raised)
+
+
 # the lines that read the straightening expansions: as identities, through
 # the action matrices, and through the closure they certify
 STRAIGHTENING_LINES = {"tableaux.straightening", "tableaux.equivariance",
@@ -159,6 +179,13 @@ STRUCTURE_CONTROLS = {
     # coefficient off by one
     "straighten_coefficient_raised": ("tableaux", _straighten_coefficient_raised(104),
                                       STRAIGHTENING_LINES),
+    # only the identity that defines the action matrices tells -M from M
+    "every_generator_negated": ("tableaux", _generators_negated, {"tableaux.equivariance"}),
+    # a wrong generator fails its identity and carries the quadrics off the
+    # relations
+    "generator_entry_raised": ("tableaux", _generator_entry_raised,
+                               {"tableaux.equivariance", "tableaux.degree2_kernel",
+                                "tableaux.quadrics_s8_stable"}),
     # the same rank, signature and group order as U(2)+U(2), and a q4 with
     # odd values, so no isometry onto the negated Picard form exists
     "table1_row_4_a1_squares": (

@@ -251,6 +251,49 @@ def test_a_sign_flipped_generator_matrix_fails_homomorphism(monkeypatch):
         return matrix
 
     monkeypatch.setattr(tb, "action_matrix", patched)
+    assert not oracles.coxeter_relations(_generators())
+    assert tb.equivariance_check() == dict(EQUIVARIANT, homomorphism=False)
+
+
+def _generators():
+    return [tb.action_matrix(s) for s in tb.ADJACENT_TRANSPOSITIONS]
+
+
+def test_the_generator_matrices_meet_the_coxeter_relations():
+    """The oracle that ``homomorphism`` implies: the seven matrices, multiplied
+    out by ``linalg.matmul``, satisfy the A7 relations with exact orders."""
+    assert oracles.coxeter_relations(_generators())
+
+
+def test_negated_generators_meet_the_coxeter_relations_but_fail_homomorphism(monkeypatch):
+    """-M_s satisfies every relation that M_s does, as each relation is a
+    product of an even number of generators; only the identity that defines
+    M_s tells them apart."""
+    action_matrix = tb.action_matrix
+    monkeypatch.setattr(tb, "action_matrix",
+                        lambda sigma: [[-x for x in row] for row in action_matrix(sigma)])
+    assert oracles.coxeter_relations(_generators())
+    assert tb.equivariance_check() == dict(EQUIVARIANT, homomorphism=False)
+
+
+def _wrong_generators(name):
+    """Generator sets that break the Coxeter relations: two generators
+    swapped, a generator replaced by the identity, and by a product of two."""
+    m = _generators()
+    if name == "swapped":
+        m[1], m[4] = m[4], m[1]
+    elif name == "identity":
+        m[2] = [[int(i == j) for j in range(14)] for i in range(14)]
+    else:
+        m[0] = list(map(list, linalg.matmul(m[0], m[1])))
+    return m
+
+
+@pytest.mark.parametrize("name", ["swapped", "identity", "product"])
+def test_generators_that_break_the_coxeter_relations_fail_homomorphism(name, monkeypatch):
+    wrong = dict(zip(tb.ADJACENT_TRANSPOSITIONS, _wrong_generators(name)))
+    assert not oracles.coxeter_relations(list(wrong.values()))
+    monkeypatch.setattr(tb, "action_matrix", lambda sigma: wrong[tuple(sigma)])
     assert tb.equivariance_check() == dict(EQUIVARIANT, homomorphism=False)
 
 
@@ -1008,125 +1051,6 @@ def test_the_kronecker_width_covers_every_coefficient():
         width, values = tb._kronecker_values(tabs, weight)
         assert values == {t: oracles.kronecker_value(oracles.tableau_polynomial(t), width)
                           for t in tabs}
-
-
-def _signed_permutation_matrices(n):
-    return st.tuples(st.permutations(range(n)), st.lists(st.sampled_from((-1, 1)), min_size=n,
-                                                         max_size=n)).map(
-        lambda ps: [[ps[1][i] * (ps[0][i] == j) for j in range(n)] for i in range(n)])
-
-
-def test_the_packed_coxeter_relations_match_the_matmul_oracle():
-    matrices = [tb.action_matrix(s) for s in tb.ADJACENT_TRANSPOSITIONS]
-    assert tb._coxeter_relations(matrices) is oracles.coxeter_relations(matrices) is True
-    # mutations: a sign-flipped entry, two generators swapped, a generator
-    # replaced by the identity, and by the square of another
-    flipped = [list(map(list, m)) for m in matrices]
-    col = next(j for j, x in enumerate(flipped[3][5]) if x)
-    flipped[3][5][col] *= -1
-    swapped = matrices[:]
-    swapped[1], swapped[4] = swapped[4], swapped[1]
-    identity = [[int(i == j) for j in range(14)] for i in range(14)]
-    squared = [list(map(list, linalg.matmul(matrices[0], matrices[1])))] + matrices[1:]
-    for wrong in (flipped, swapped, matrices[:2] + [identity] + matrices[3:], squared):
-        assert tb._coxeter_relations(wrong) is oracles.coxeter_relations(wrong) is False
-    # -1 times every generator satisfies the same relations
-    negated = [[[-x for x in row] for row in m] for m in matrices]
-    assert tb._coxeter_relations(negated) is oracles.coxeter_relations(negated) is True
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4).flatmap(lambda n: st.lists(_signed_permutation_matrices(n),
-                                                    min_size=1, max_size=4)))
-def test_packed_coxeter_relations_agree_on_signed_permutations(matrices):
-    assert tb._coxeter_relations(matrices) is oracles.coxeter_relations(matrices)
-
-
-def _unpack(packed, n, width):
-    """The n signed entries of a packed row, slot j holding entry j."""
-    half = 1 << (width - 1)
-    out = []
-    for _ in range(n):
-        x = (packed + half) % (1 << width) - half
-        out.append(x)
-        packed = (packed - x) >> width
-    return out
-
-
-def _packed_powers_are_products(monkeypatch, matrices):
-    """Run ``_coxeter_relations`` with every element it builds unpacked, in
-    the slot width of its identity, and compared with the ``linalg.matmul``
-    product it stands for."""
-    relations = f2geom.coxeter_relations
-    n = len(matrices[0])
-
-    def spy(gens, compose, identity):
-        slot = identity[1].bit_length() - 1 if n > 1 else None
-        true = {identity: tuple(tuple(int(i == j) for j in range(n)) for i in range(n))}
-
-        def checked(g, x):
-            dense = [[dict(row).get(k, 0) for k in range(n)] for row in g]
-            product = linalg.matmul(dense, true[x])
-            packed = compose(g, x)
-            if slot is not None:
-                assert [_unpack(row, n, slot) for row in packed] == list(map(list, product))
-            true[packed] = product
-            return packed
-        return relations(gens, checked, identity)
-
-    monkeypatch.setattr(f2geom, "coxeter_relations", spy)
-    return tb._coxeter_relations(matrices)
-
-
-def test_packed_powers_are_the_matmul_products(monkeypatch):
-    matrices = [tb.action_matrix(s) for s in tb.ADJACENT_TRANSPOSITIONS]
-    assert _packed_powers_are_products(monkeypatch, matrices) is True
-
-
-def _involution(n, signs, moves):
-    """diag(signs) conjugated by elementary matrices I + a e_ij, whose
-    inverses are I - a e_ij: an integer involution whose entries grow with
-    the moves."""
-    g = [[signs[i] * (i == j) for j in range(n)] for i in range(n)]
-    for i, j, a in moves:
-        if i != j:
-            e, e_inv = ([[int(r == c) + k * a * (r == i and c == j) for c in range(n)]
-                         for r in range(n)] for k in (1, -1))
-            g = linalg.matmul(linalg.matmul(e, g), e_inv)
-    return g
-
-
-_involutions = st.integers(2, 3).flatmap(lambda n: st.lists(st.builds(
-    lambda signs, moves: _involution(n, signs, moves),
-    st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n),
-    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3)),
-             max_size=4)), min_size=2, max_size=3))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(_involutions, st.integers(2, 3).flatmap(lambda n: st.lists(
-    st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n),
-    min_size=2, max_size=3))))
-def test_packed_powers_fit_their_slots(matrices):
-    """Products of up to six generators, with entries up to L**6, are read
-    back exactly from their packed rows.  Involutions pass g_i**2 = 1, so
-    their products reach six factors."""
-    with pytest.MonkeyPatch.context() as m:
-        assert _packed_powers_are_products(m, matrices) is oracles.coxeter_relations(matrices)
-
-
-def test_the_coxeter_relations_read_the_powers_from_the_identity():
-    calls = []
-    gens = tb.ADJACENT_TRANSPOSITIONS[:3]
-
-    def compose(g, x):
-        calls.append(x)
-        return tuple(g[x[i]] for i in range(8))
-
-    assert f2geom.coxeter_relations(gens, compose, tuple(range(8)))
-    # each pair builds its m powers by two left multiplications each
-    assert len(calls) == 2 * (3 * 1 + 1 * 2 + 2 * 3)
-    assert calls[0] == tuple(range(8))
 
 
 def test_packed_annihilation_matches_the_per_term_oracle():
