@@ -4,20 +4,21 @@ isometry and its Gaussian hermitian structure, reflections, and glue.
 Lattices are integer Gram matrices on a chosen basis; vectors are integer
 coordinate columns.  Matrices are tuples of rows and every entry is a Python
 int, so no product can wrap; products go through ``linalg.matmul``.  Two
-integer algorithms do the exact work: Smith normal form for the discriminant
-groups, and the leading principal minors of one fraction-free elimination,
-once per Gram matrix, for det and signature (Jacobi's sign rule).  Table 1
-reads every invariant off the orthogonal summands of its lattices, so there
-the two algorithms run once per atom (U, D4, E8, ...).  Every
+integer algorithms do the exact work, once per Gram matrix G: the leading
+principal minors of one fraction-free elimination give det and signature
+(Jacobi's sign rule), and one Smith form U G V = D, checked as an identity,
+gives the dual mod the lattice (``_dual_classes``).  Table 1 reads every
+invariant off the orthogonal summands of its lattices, so there the two
+algorithms run once per atom (U, D4, E8, ...).  Every
 finite quadratic form in use is 2-elementary, so a form lives on F2^a in the
 bitmask idiom of ``f2geom``: one integer table of 2q mod 4, built from the
 Gram matrix of the doubled generators, on which isomorphisms are searched by
 table lookups.  The pairing is the polarization of q, so the table fixes it.
 
 N = U + U(2) + D4 + D4 has its D4 blocks inside Z^4 (even-sum vectors,
-negated standard product), where the order-4 isometry rho is defined.  As
-2G^{-1} is integral, a dual vector y is handled as the integer vector 2y; its
-class in the dual mod N is read off by Smith rows mod 2, and carried to the
+negated standard product), where the order-4 isometry rho is defined.  A dual
+vector y is handled as the integer vector 2y; its class in the dual mod N is
+read off by Smith rows mod 2, and carried to the
 64-vector model through the split dictionary: the 64-entry
 ``f2geom.linear_table`` of the isometry that ``find_isomorphism`` finds from
 the form of N onto the form of the model, q4 = 2q of ``f2geom``.
@@ -353,36 +354,38 @@ class FiniteQuadraticForm(NamedTuple):
         return FiniteQuadraticForm(tuple(-v % 4 for v in self.q4))
 
 
-def discriminant_form(lattice: GramLattice) -> FiniteQuadraticForm:
-    """The finite quadratic form on dual-mod-lattice, from the Gram matrix
-    of its doubled generators (``_doubled_gram``)."""
-    return FiniteQuadraticForm.from_doubled_gram(_doubled_gram(lattice))
-
-
-def _doubled_gram(lattice: GramLattice) -> Matrix:
-    """The Gram matrix of the doubled generators of dual-mod-lattice, via
-    Smith normal form: the columns of V whose invariant factor is 2, their
-    Gram matrix formed in Python integers.  Raises ValueError unless the
-    discriminant group is 2-elementary."""
-    gram = lattice.gram
-    det = lattice.det()
-    if det == 0:
-        raise ValueError("degenerate Gram matrix")
-    if not lattice.is_even():
-        raise ValueError("only even lattices carry a Q/2Z-valued form")
-    d, _, v = smith_normal_form(gram)
-    if any(d[k][k] > 2 for k in range(lattice.rank)):
-        raise ValueError("the discriminant group of %s is not 2-elementary" % lattice.name)
-    doubled = [col for k, col in enumerate(zip(*v)) if d[k][k] == 2]
+@lru_cache(maxsize=None)
+def _dual_classes(gram: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """The dual mod the lattice of an even Gram matrix G, from one Smith form
+    U G V = D (cached per matrix): the rows of U mod 2 at the invariant
+    factors 2, which read the class bits of a dual vector y off Gy; the
+    matching columns v_k of V, the doubled generators (G v_k = 2 U^{-1} e_k,
+    so the dual is Z^n + sum Z v_k/2); and their Gram matrix.  U G V = D is
+    checked as an identity: with D diagonal, its entries 1 or 2, and 2^a =
+    |det G| for a factors 2, U and V are unimodular and the dual mod the
+    lattice is F2^a.  Raises ValueError unless G is nondegenerate and even
+    with a 2-elementary dual mod it."""
+    det = (_gram_minors(gram) or (1,))[-1]
+    if det == 0 or any(row[i] % 2 for i, row in enumerate(gram)):
+        raise ValueError("only nondegenerate even lattices carry a Q/2Z-valued form")
+    d, u, v = smith_normal_form(gram)
+    diag = [row[k] for k, row in enumerate(d)]
+    if matmul(matmul(u, gram), v) != tuple(tuple(x * (j == k) for j in range(len(d)))
+                                          for k, x in enumerate(diag)):
+        raise ArithmeticError("U G V is not the diagonal Smith form D")
+    if not set(diag) <= {1, 2}:
+        raise ValueError("the discriminant group is not 2-elementary")
+    bits = tuple(tuple(y % 2 for y in row) for row, x in zip(u, diag) if x == 2)
+    doubled = tuple(col for col, x in zip(zip(*v), diag) if x == 2)
     if 2 ** len(doubled) != abs(det):
         raise ArithmeticError("discriminant group order does not match |det|")
-    return matmul(matmul(doubled, gram), _transpose(doubled))
+    return bits, doubled, matmul(matmul(doubled, gram), _transpose(doubled))
 
 
-@lru_cache(maxsize=None)
-def _atom_doubled_gram(base: str, scale: int) -> Matrix:
-    """``_doubled_gram`` of one atom, its Smith form taken once (cached)."""
-    return _doubled_gram(GramLattice("%s(%d)" % (base, scale), _atom_gram(base, scale)))
+def discriminant_form(lattice: GramLattice) -> FiniteQuadraticForm:
+    """The finite quadratic form on dual-mod-lattice, from the Gram matrix
+    of its doubled generators (``_dual_classes``)."""
+    return FiniteQuadraticForm.from_doubled_gram(_dual_classes(lattice.gram)[2])
 
 
 def _summand_invariants(name: str) -> tuple[int, tuple[int, int], FiniteQuadraticForm]:
@@ -396,7 +399,7 @@ def _summand_invariants(name: str) -> tuple[int, tuple[int, int], FiniteQuadrati
     grams = [_atom_gram(*b) for b in blocks]
     pos, neg = map(sum, zip(*map(signature, grams)))
     form = FiniteQuadraticForm.from_doubled_gram(
-        direct_sum_grams([_atom_doubled_gram(*b) for b in blocks]))
+        direct_sum_grams([_dual_classes(gram)[2] for gram in grams]))
     return sum(map(len, grams)), (pos, neg), form
 
 
@@ -589,34 +592,11 @@ def hermitian_gram_checks() -> tuple[bool, bool, bool]:
 
 
 @lru_cache(maxsize=None)
-def _snf_data_N():
-    """Smith normal form data of N, whose invariant factors are 1^6 2^6.
-
-    Returns the rows of U, mod 2, that read off the class bits of a dual
-    vector; the matching generators of the discriminant group, doubled
-    (columns of V); and the integer matrix 2G^{-1} = V (2 D^{-1}) U.
-    """
-    gram = lattice_N().gram
-    d, u, v = smith_normal_form(gram)
-    diag = [d[k][k] for k in range(12)]
-    sel = [k for k in range(12) if diag[k] == 2]
-    two_ginv = matmul([[x * (2 // diag[k]) for k, x in enumerate(row)] for row in v], u)
-    # holds exactly when every invariant factor divides 2
-    if matmul(gram, two_ginv) != _eye(12, 2):
-        raise ArithmeticError("N^v/N is not 2-elementary")
-    columns = _transpose(v)
-    return (tuple(tuple(x % 2 for x in u[k]) for k in sel), tuple(columns[k] for k in sel),
-            two_ginv)
-
-
-@lru_cache(maxsize=None)
 def split_dictionary() -> tuple[int, ...]:
     """The model vector of each of the 64 classes of the dual mod N, indexed
-    by class bits: the form of the doubled generators of ``_snf_data_N``,
-    the Smith form that ``_class_bits`` reads bits against."""
-    doubled = _snf_data_N()[1]
-    gram = matmul(matmul(doubled, lattice_N().gram), _transpose(doubled))
-    return identify_with_split_model(FiniteQuadraticForm.from_doubled_gram(gram))
+    by class bits: the identification of the form of N, whose generators
+    are those of the Smith form that ``_class_bits`` reads bits against."""
+    return identify_with_split_model(discriminant_form(lattice_N()))
 
 
 def _class_bits(doubled) -> tuple[int, bool]:
@@ -625,7 +605,8 @@ def _class_bits(doubled) -> tuple[int, bool]:
     k-th selected Smith row of U applied to Gy, mod 2."""
     g2 = _image(lattice_N().gram, doubled)
     gy = [x // 2 for x in g2]  # Gy, when y lies in the dual
-    bits = sum((sum(map(mul, row, gy)) & 1) << k for k, row in enumerate(_snf_data_N()[0]))
+    rows = _dual_classes(lattice_N().gram)[0]
+    bits = sum((sum(map(mul, row, gy)) & 1) << k for k, row in enumerate(rows))
     return bits, not any(x % 2 for x in g2)
 
 
@@ -633,7 +614,7 @@ def _class_table(isometry) -> tuple[tuple[int, ...], bool]:
     """The permutation of the 64 model vectors induced by an isometry of N
     (through the split dictionary), and whether it keeps the six
     discriminant generators in the dual."""
-    images = [_class_bits(_image(isometry, gen)) for gen in _snf_data_N()[1]]
+    images = [_class_bits(_image(isometry, gen)) for gen in _dual_classes(lattice_N().gram)[1]]
     return (f2geom.induced_permutation(split_dictionary(), [bits for bits, _ in images]),
             all(in_dual for _, in_dual in images))
 
@@ -748,8 +729,9 @@ def _rho_identities() -> dict:
     skew: rho^T G = -G rho, i.e. <x, rho x> = 0 and h(x, x) real;
     half_sum_dual: G(1 + rho) even, i.e. (x + rho x)/2 lies in the dual;
     square_minus_one: rho^2 = -1;
-    quotient_trivial: (1 - rho) maps the dual into N, i.e. (1 - rho) 2G^{-1}
-    is even, as 2G^{-1} is integral;
+    quotient_trivial: (1 - rho) maps the dual into N, i.e. carries each doubled
+    generator v_k of ``_dual_classes`` to an even vector, as the dual is
+    Z^12 + sum Z v_k/2;
     round_trip: (1 + rho)(1 - rho) = 2, i.e. phi((1 - rho)x) = x.
     """
     rho = order_four_isometry()
@@ -759,7 +741,7 @@ def _rho_identities() -> dict:
         "skew": matmul(_transpose(rho), gram) == _scaled(-1, matmul(gram, rho)),
         "half_sum_dual": _even(matmul(gram, plus)),
         "square_minus_one": matmul(rho, rho) == _eye(12, -1),
-        "quotient_trivial": _even(matmul(minus, _snf_data_N()[2])),
+        "quotient_trivial": _even(matmul(minus, _transpose(_dual_classes(gram)[1]))),
         "round_trip": matmul(plus, minus) == _eye(12, 2),
     }
 
@@ -831,9 +813,8 @@ def _convolved_count(hists, target: int) -> int:
     """The number of tuples, one point per block, whose norms sum to target.
     Each histogram becomes one int, the count of norm n in slot n - (its
     lowest norm), so the product of the ints is their convolution; no slot
-    carries, as each coefficient is at most the product of the point counts.
-    Convolving dicts instead takes 1.2 ms for 0.12 at bound 3, 1.0 s for
-    56 ms at bound 15."""
+    carries, as each coefficient is at most the product of the point counts,
+    and one product of big ints replaces a loop over pairs of norms."""
     width = prod(sum(hist.values()) for hist in hists).bit_length()
     product = 1
     for hist in hists:
@@ -855,8 +836,7 @@ def box_counts(bound: int) -> list[int]:
 
 
 # the box is never built: a ``box_counts`` call at bound 15 fills two block
-# histograms over 31^4 points each, and a cold ``verify lattice --bound 15``
-# took 1.4 s and 19 MB peak RSS on one core of a shared 2-vCPU Intel Xeon
+# histograms over 31^4 points each
 MAX_SCAN_BOUND = 15
 
 def minus4_vector_scan(bound: int = 3) -> tuple[dict[str, bool], list[int]]:
@@ -865,8 +845,8 @@ def minus4_vector_scan(bound: int = 3) -> tuple[dict[str, bool], list[int]]:
 
     forward: a norm -2 vector r gives delta = r + rho r of norm -2 + 0 - 2 =
     -4 (rho skew of square -1), and G delta = G(1 + rho)r is even, so delta/2
-    lies in the dual.  converse: a norm -4 vector delta with delta/2 in the
-    dual is 2G^{-1}(G delta/2), so (1 - rho)delta is even, and r = (1 -
+    lies in the dual.  converse: (1 - rho) maps the dual into N, so a norm -4
+    vector delta with delta/2 in the dual has (1 - rho)delta even, and r = (1 -
     rho)delta/2 has norm (-4 - 0 - 4)/4 = -2.  direct: (1 + rho)(1 - rho) = 2,
     so the two maps are mutually inverse, and G and rho have no entry off the
     three blocks of ``_BLOCK_SLICES``, under which ``box_counts`` is an exact
@@ -897,19 +877,20 @@ def minus4_vector_scan(bound: int = 3) -> tuple[dict[str, bool], list[int]]:
 
 def reflection_plane_complement(r=E_MINUS_F) -> bool:
     """Whether the orthogonal complement of the span of r and rho(r) has the
-    rank, signature and discriminant form of U + U(2) + D4 + A1^2."""
+    rank, signature and discriminant form of U + U(2) + D4 + A1^2, read off
+    its summands (Table 1, row 2)."""
     gram = lattice_N().gram
     d, _, v = smith_normal_form([_image(gram, r), _image(gram, _image(order_four_isometry(), r))])
     # the trailing columns of V span the vectors orthogonal to r and rho r
     basis = _transpose(v)[sum(1 for k in range(2) if d[k][k]):]
     comp = GramLattice(name="complement", gram=matmul(matmul(basis, gram), _transpose(basis)))
-    target = named_lattice("U+U(2)+D4+A1^2")
+    rank, sig, target = _summand_invariants("U+U(2)+D4+A1^2")
     try:
         form = discriminant_form(comp)
     except ValueError:  # degenerate, or not 2-elementary, as a wrong rho can make it
         return False
-    return (comp.rank == target.rank and comp.signature() == target.signature()
-            and find_isomorphism(form, discriminant_form(target)) is not None)
+    return (comp.rank == rank and comp.signature() == sig
+            and find_isomorphism(form, target) is not None)
 
 
 # ---------------------------------------------------------------------------

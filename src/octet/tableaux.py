@@ -197,30 +197,19 @@ def _class_coords(x: int) -> int:
     return ((x ^ _THETA8 if x >> 7 & 1 else x) >> 1) & 0x3F
 
 
-@lru_cache(maxsize=None)
 def pair_class_form() -> lattices.FiniteQuadraticForm:
-    """The quotient space as a finite quadratic form on six order-2 generators.
-
-    Generators are the classes of the pairs (1, j); values follow from the
-    rank-one blocks: each pair vector has self intersection -1 mod 2 and two
-    distinct pair vectors sharing one label pair to -1/2 mod 1, so the doubled
-    generators have self intersection -4 and pair to -2.
-    """
-    return lattices.FiniteQuadraticForm.from_doubled_gram(
-        [[-4 if i == j else -2 for j in range(6)] for i in range(6)])
+    """The quotient space as a finite quadratic form on the six generators,
+    the classes of the pairs (1, j + 2), by the weight rule: the class with
+    coordinates c has the representative c << 1 with bit 0 set when that
+    makes its weight w even, and q4 = 2q = 2 (w/2 mod 2)."""
+    weights = (bin(c).count("1") for c in range(64))
+    return lattices.FiniteQuadraticForm(tuple(2 * ((w + w % 2) // 2 % 2) for w in weights))
 
 
 @lru_cache(maxsize=None)
 def theta_model_dictionary() -> tuple[int, ...]:
     """The model vector of each class, indexed by its coordinates."""
-    dictionary = lattices.identify_with_split_model(pair_class_form())
-    # cross-check against the weight description of the quotient form, at the
-    # 64 representatives: the even-weight vectors with bit 7 clear
-    for rep in range(128):
-        weight = bin(rep).count("1")
-        if weight % 2 == 0 and f2geom.q(dictionary[_class_coords(rep)]) != weight // 2 % 2:
-            raise ArithmeticError("dictionary disagrees with the weight form")
-    return dictionary
+    return lattices.identify_with_split_model(pair_class_form())
 
 
 def pair_mask(pair: Pair) -> int:
@@ -567,8 +556,8 @@ def _annihilates(relations, samples) -> bool:
     coefficients, one per monomial, so a sample gives one int whose slot r
     holds the value of relation r.  Slots are wider than sum |c| times the
     largest x_i x_j of any sample, which bounds every value, so the int is
-    0 exactly when every relation vanishes.  ``samples`` is a list.  On the
-    315 samples of ``verify all`` this takes 3.8 ms, term by term 4.8 ms."""
+    0 exactly when every relation vanishes.  ``samples`` is a list.  One sum
+    per sample replaces one per relation and sample."""
     size = max((max(map(abs, x)) for x in samples), default=0)
     weight = max((sum(abs(c) for _, _, c in terms) for terms in relations), default=0)
     width = (weight * size * size).bit_length() + 1

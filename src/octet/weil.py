@@ -140,8 +140,8 @@ def is_invariant(vec) -> bool:
     """Exact membership test for the fixed space of rho_T and rho_S: for v
     the integer row of vec, t = 1 where v is nonzero, and H v = 8 v.  H is
     symmetric, so H v sums its +-1 rows at the nonzero entries of v, packed
-    in slots that hold |H v| <= 64 max|v|: the 151 calls of ``verify all``
-    take 2.4 ms, with H v summed entry by entry 5.3 ms."""
+    in slots that hold |H v| <= 64 max|v|: one int sum per nonzero entry
+    replaces 64 entry sums."""
     ints = linalg.integer_row(vec)
     t = q_signs()
     support = [x for x, n in enumerate(ints) if n]

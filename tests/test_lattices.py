@@ -123,18 +123,65 @@ def test_table1_eliminates_each_gram_matrix_once(monkeypatch):
         return leading_minors(gram)
 
     monkeypatch.setattr(lat, "_leading_minors", recording)
-    for cached in (lat._gram_minors, lat._atom_gram, lat._atom_doubled_gram):
+    for cached in (lat._gram_minors, lat._atom_gram, lat._dual_classes):
         cached.cache_clear()
     try:
         assert all(lat.table1_checks())
     finally:
-        for cached in (lat._gram_minors, lat._atom_gram, lat._atom_doubled_gram):
+        for cached in (lat._gram_minors, lat._atom_gram, lat._dual_classes):
             cached.cache_clear()
     # the 20 lattices are read off their summands: each of the 9 atoms (U,
     # U(2), A1, A1(-1), D4, D6, D8, D10, E8) is eliminated once, for det,
     # signature and the discriminant form
     assert len(grams) == len(set(grams)) == 9
     assert max(map(len, grams)) == 10
+
+
+def _clear_lattice_caches():
+    for fn in vars(lat).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+
+
+def test_the_lattice_suite_smith_reduces_no_gram_matrix_twice(monkeypatch):
+    """One cold ``run_suite("lattice")`` takes 14 Smith forms, one per
+    matrix: N, M, the glued overlattice, the 9 atoms of Table 1, the pairing
+    rows of a reflection plane and its complement."""
+    reduced = []
+    smith_normal_form = lat.smith_normal_form
+
+    def recording(mat):
+        reduced.append(tuple(map(tuple, mat)))
+        return smith_normal_form(mat)
+
+    _clear_lattice_caches()
+    monkeypatch.setattr(lat, "smith_normal_form", recording)
+    try:
+        assert checks.all_passed(checks.run_suite("lattice"))
+    finally:
+        _clear_lattice_caches()
+    assert len(reduced) == len(set(reduced)) == 14
+
+
+def test_a_wrong_smith_form_makes_the_dual_classes_raise(monkeypatch):
+    """V with its first column added to its last stays unimodular, but U G V
+    is no longer D, and ``_dual_classes`` refuses it."""
+    smith_normal_form = lat.smith_normal_form
+
+    def wrong(mat):
+        d, u, v = smith_normal_form(mat)
+        return d, u, [row[:-1] + [row[-1] + row[0]] for row in v]
+
+    gram = lat.named_lattice("U(2)+D4").gram
+    lat._dual_classes.cache_clear()
+    monkeypatch.setattr(lat, "smith_normal_form", wrong)
+    try:
+        with pytest.raises(ArithmeticError, match="U G V"):
+            lat._dual_classes(gram)
+    finally:
+        lat._dual_classes.cache_clear()
+    monkeypatch.undo()
+    assert len(lat._dual_classes(gram)[1]) == 4
 
 
 def test_lattice_invariants_build_no_fraction(monkeypatch):
@@ -496,12 +543,17 @@ def _to_model(bits):
     return (bits @ _dictionary_bits()[0] % 2) @ _WEIGHTS
 
 
+def _n_dual_classes():
+    """The class-bit rows and the doubled generators of the dual mod N."""
+    return lat._dual_classes(lat.lattice_N().gram)[:2]
+
+
 def _batch_class_bits(doubled):
     """Class bits (..., 6) of dual vectors y given as the integer rows 2y,
     shape (..., 12), and the mask of rows in the dual."""
     g2 = exact_matmul(doubled, _gram())
     gy = np.floor(g2 * 0.5)  # Gy, on the rows in the dual
-    bits = exact_matmul(gy, np.array(lat._snf_data_N()[0]).T).astype(np.int64) & 1
+    bits = exact_matmul(gy, np.array(_n_dual_classes()[0]).T).astype(np.int64) & 1
     return bits.astype(np.uint8), (gy + gy == g2).all(axis=-1)
 
 
@@ -509,7 +561,7 @@ def _batch_class_tables(isometries):
     """The permutations (a, 64) of the model vectors induced by a stack
     (a, 12, 12) of isometries, and whether each keeps the six discriminant
     generators in the dual."""
-    images = exact_matmul(isometries, np.array(lat._snf_data_N()[1]).T)
+    images = exact_matmul(isometries, np.array(_n_dual_classes()[1]).T)
     images, in_dual = _batch_class_bits(np.swapaxes(images, -1, -2))  # row j: image of generator j
     return _to_model(_dictionary_bits()[1] @ images), in_dual.all(axis=-1)
 
@@ -790,7 +842,7 @@ def _box_slice():
     return _unit_box_vectors()[0][::509]
 
 
-def test_class_tables_match_fraction_reference():
+def test_class_tables_match_fraction_reference(monkeypatch):
     rho = _rho()
     mats = [np.eye(12, dtype=np.int64), rho]
     mats += [_reference_reflections(r)[1] for r in _box_slice()]
@@ -807,8 +859,23 @@ def test_class_tables_match_fraction_reference():
     want = [_reference_class_bits([QQ(int(x), 2) for x in d]) for d in deltas]
     assert (bits @ (1 << np.arange(6))).tolist() == want
     assert [lat._class_bits(_ints(d)) for d in deltas] == [(w, True) for w in want]
+    # quotient_trivial, read off the doubled generators, against (1 - rho) 2G^{-1}
+    # even, at rho and at two matrices that are not isometries
     ginv = linalg.solve_right(lat.lattice_N().gram, np.eye(12, dtype=np.int64).tolist())
-    assert [list(row) for row in lat._snf_data_N()[2]] == [[2 * x for x in row] for row in ginv]
+    assert all((2 * x).denominator == 1 for row in ginv for x in row)
+    two_ginv = np.array([[int(2 * x) for x in row] for row in ginv])
+    wrong = rho.copy()
+    wrong[0, 0] = -wrong[0, 0]
+    verdicts = []
+    for m in (rho, wrong, np.zeros((12, 12), dtype=np.int64)):
+        monkeypatch.setattr(lat, "order_four_isometry", lambda m=m: _ints(m))
+        lat._rho_identities.cache_clear()
+        verdicts.append(lat._rho_identities()["quotient_trivial"])
+        minus = np.eye(12, dtype=np.int64) - m
+        assert verdicts[-1] == (exact_matmul(minus, two_ginv) % 2 == 0).all()
+    monkeypatch.undo()
+    lat._rho_identities.cache_clear()
+    assert verdicts[0] and not verdicts[2]
 
 
 def test_pair_reflection_is_not_a_transvection():

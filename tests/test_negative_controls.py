@@ -140,6 +140,13 @@ STRAIGHTENING_LINES = {"tableaux.straightening", "tableaux.equivariance",
                        "tableaux.quadrics_s8_stable"}
 
 
+def _theta_dictionary_entries_1_2_swapped(monkeypatch):
+    """Swap entries 1 and 2 of the dictionary from pair classes to the model."""
+    swapped = list(tableaux.theta_model_dictionary())
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    monkeypatch.setattr(tableaux, "theta_model_dictionary", lambda: tuple(swapped))
+
+
 def _table1_transcendental(row, name):
     """Replace the transcendental lattice of one row of Table 1."""
     def apply(monkeypatch):
@@ -186,6 +193,12 @@ STRUCTURE_CONTROLS = {
     "generator_entry_raised": ("tableaux", _generator_entry_raised,
                                {"tableaux.equivariance", "tableaux.degree2_kernel",
                                 "tableaux.quadrics_s8_stable"}),
+    # the pair classes of some tableaux span less than a plane triple, and the
+    # transpositions act on the model through the wrong classes
+    "theta_dictionary_entries_1_2_swapped": (
+        "tableaux", _theta_dictionary_entries_1_2_swapped,
+        {"tableaux.subspace_bijection", "tableaux.transvection_correspondence",
+         "tableaux.equivariance"}),
     # the same rank, signature and group order as U(2)+U(2), and a q4 with
     # odd values, so no isometry onto the negated Picard form exists
     "table1_row_4_a1_squares": (

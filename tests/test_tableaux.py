@@ -1,4 +1,3 @@
-import json
 import sys
 from fractions import Fraction as QQ
 from math import prod
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octet import checks, cli, f2geom, linalg, tableaux as tb
+from octet import checks, f2geom, lattices as lat, linalg, tableaux as tb
 from octet.sampling import SplitMix64
 import oracles
 
@@ -95,6 +94,12 @@ def test_parse_config_rejects_bad_input():
 def test_pair_class_form_matches_weight_description():
     form = tb.pair_class_form()
     assert form.orders == (2,) * 6
+    # the weight rule against the rank-one blocks: each pair vector has self
+    # intersection -1 mod 2 and two distinct pair vectors sharing one label
+    # pair to -1/2 mod 1, so the doubled generators have self intersection -4
+    # and pair to -2
+    assert form == lat.FiniteQuadraticForm.from_doubled_gram(
+        [[-4 if i == j else -2 for j in range(6)] for i in range(6)])
     dictionary = tb.theta_model_dictionary()
     assert len(set(dictionary)) == 64
     # every pair class is anisotropic
@@ -853,22 +858,6 @@ def test_a_flipped_plucker_sign_fails_the_straightening(monkeypatch, term):
 
 def test_the_plucker_relation_vanishes_at_the_point_and_as_dicts():
     assert tb.straightening_check()["ok"] and oracles.plucker_expands_to_zero()
-
-
-def test_a_swapped_dictionary_fails_its_claims_without_raising(monkeypatch, capsys):
-    """Two swapped entries of the dictionary make the pair classes of some
-    tableaux span less than a plane triple; ``octet verify tableaux`` reports
-    the claims that read the dictionary as failing and raises nothing."""
-    swapped = list(tb.theta_model_dictionary())
-    swapped[1], swapped[2] = swapped[2], swapped[1]
-    monkeypatch.setattr(tb, "theta_model_dictionary", lambda: tuple(swapped))
-    assert cli.main(["verify", "tableaux"]) == 1
-    out, err = capsys.readouterr()
-    failing = [doc["name"] for doc in map(json.loads, out.splitlines())
-               if doc["status"] == "fail"]
-    assert failing == ["tableaux.subspace_bijection", "tableaux.transvection_correspondence",
-                       "tableaux.equivariance"]
-    assert err == ""
 
 
 def test_every_swap_of_two_dictionary_entries_fails_without_raising(monkeypatch):
