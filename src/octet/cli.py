@@ -188,7 +188,10 @@ def _exact_decimal(text: str) -> Fraction:
 def compute_theta(args) -> dict:
     from . import tableaux
     if args.config:
-        pairs = json.loads(args.config, parse_float=_exact_decimal, parse_int=_exact_decimal)
+        try:
+            pairs = json.loads(args.config, parse_float=_exact_decimal, parse_int=_exact_decimal)
+        except RecursionError:
+            raise ValueError("--config nests its lists too deeply") from None
         config = tableaux.parse_config(pairs)
     elif args.affine:
         config = tableaux.affine_config(map(_bounded_number, args.affine.split(",")))

@@ -21,8 +21,7 @@ draws no further row once the rank reaches the bound its caller proved.
 :func:`product_is_scalar` compares such a product with a scalar matrix.
 Packing values into one int, one slot each, remains only in the kernels
 where it was measured to pay: ``rank_mod_p``, ``weil.is_invariant``
-(through :func:`pack`), ``tableaux._annihilates`` and
-``lattices._convolved_count``.
+(through :func:`pack`) and ``lattices._convolved_count``.
 """
 
 from __future__ import annotations

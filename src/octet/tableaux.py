@@ -21,8 +21,8 @@ independent because their leading monomials, read off the pairs, are
 distinct: a unitriangular 14 x 14 system (``linear_relations``).  The 14
 quadrics among the standard products are built, not solved for: both terms
 of the binomial ``SEED_BINOMIAL`` multiply the same eight minors, and the
-action matrices of S8, substitutions once the straightening identities
-hold, carry it to a span of 14 relations, the lower bound.  The upper bound
+action matrices of S8, substitutions by the identity that defines them,
+carry it to a span of 14 relations, the lower bound.  The upper bound
 is counted: seeded configurations give the 105 quadratic monomials rank 91,
 so there are at most 105 - 91 = 14.  Those configurations are the only
 samples; every other claim is an identity.  The S8 claims are certified on
@@ -311,46 +311,55 @@ def action_matrix(sigma) -> list[list[int]]:
     return matrix
 
 
+def _substitution() -> tuple[list[list[list[int]]], bool]:
+    """The action matrices M_s of the seven adjacent transpositions s, and
+    whether each is the substitution moving the points by s: M_s V(x) = V(x_s)
+    on the standard products, x_s the Kronecker point x with the variables of
+    s swapped.  Its width b puts 2**(b-1) above the largest row L1-norm of
+    the M_s, so this holds as polynomials, and M_s carries each relation q to
+    one: q(M_s V(x)) = q(V(x_s)) = 0.  Uncached: callers check what they read."""
+    standard = standard_tableaux()
+    matrices = [action_matrix(s) for s in ADJACENT_TRANSPOSITIONS]
+    width, value = _kronecker_values(standard,
+                                     max(sum(map(abs, row)) for m in matrices for row in m))
+    at_x = [value[t] for t in standard]
+    return matrices, all(
+        [sum(map(mul, row, at_x)) for row in matrix] == list(mu_vector(_kronecker_point(width, s)))
+        for s, matrix in zip(ADJACENT_TRANSPOSITIONS, matrices))
+
+
 def equivariance_check() -> dict:
     """The S8 claims at all 105 tableaux t, certified on the seven adjacent
     transpositions s, which generate S8, by values at the Kronecker point x
     of ``_kronecker_values`` and at x_s, x with the two variables of s
-    swapped.  The width b puts 2**(b-1) above the largest row L1-norm L of
-    the seven action matrices M_s.  Write (R_s t, sign) for
-    apply_permutation(t, s).  ``sign_identity``: sign * V_t(x_s) = V_(R_s t)(x).
-    Both sides are multilinear with coefficients +-1, so this is a
-    polynomial identity: relabellings compose with their signs multiplying.
+    swapped.  Write (R_s t, sign) for apply_permutation(t, s).
+    ``sign_identity``: sign * V_t(x_s) = V_(R_s t)(x).  Both sides are
+    multilinear with coefficients +-1, so this is a polynomial identity:
+    relabellings compose with their signs multiplying.
     ``intertwines_subspaces``: induced_model_map(s) carries V(t) onto
     V(R_s t), compared as ``f2geom.span_mask`` ints, and both sides are
-    actions of S8.  ``homomorphism``: M_s V(x) = V(x_s) on the 14 standard
-    products, whose left side has coefficients at most L, so it holds as
-    polynomials; ``sign_identity`` holds, the straightening expansions are
-    polynomial identities and ``linear_relations()`` is empty.  The
-    standard products are then independent, so M_s is the matrix of the
-    substitution moving the points by s: the seven generate a representation
-    of S8 and meet the Coxeter relations, and a sign-twisted M_s fails.
+    actions of S8.  ``homomorphism``: each M_s is a substitution
+    (``_substitution``), ``sign_identity`` holds, the straightening
+    expansions are polynomial identities and ``linear_relations()`` is
+    empty.  The standard products are then independent, so M_s is the
+    matrix of the substitution moving the points by s: the seven generate a
+    representation of S8 and meet the Coxeter relations.
     """
-    tabs, standard = enumerate_tableaux(), standard_tableaux()
-    slots = [tabs.index(t) for t in standard]
-    matrices = [action_matrix(s) for s in ADJACENT_TRANSPOSITIONS]
-    width, value = _kronecker_values(tabs, max(sum(map(abs, row)) for m in matrices for row in m))
-    at_x = [value[t] for t in standard]
+    tabs = enumerate_tableaux()
+    width, value = _kronecker_values(tabs)
     bases = {t: tableau_to_subspace(t) for t in tabs}
     spans = {t: f2geom.span(basis) for t, basis in bases.items()}
     masks = {t: f2geom.span_mask(basis) for t, basis in bases.items()}
-    substitution_ok = sign_ok = intertwine_ok = True
-    for s, matrix in zip(ADJACENT_TRANSPOSITIONS, matrices):
+    sign_ok = intertwine_ok = True
+    for s in ADJACENT_TRANSPOSITIONS:
         g = induced_model_map(s)
-        swapped = mu_vector(_kronecker_point(width, s), tabs)
-        if [sum(map(mul, row, at_x)) for row in matrix] != [swapped[k] for k in slots]:
-            substitution_ok = False
-        for t, product in zip(tabs, swapped):
+        for t, product in zip(tabs, mu_vector(_kronecker_point(width, s), tabs)):
             moved, sign = apply_permutation(t, s)
             if sign * product != value[moved]:
                 sign_ok = False
             if sum({1 << g[v] for v in spans[t]}) != masks[moved]:
                 intertwine_ok = False
-    hom_ok = (substitution_ok and sign_ok and _straightening_identities()
+    hom_ok = (_substitution()[1] and sign_ok and _straightening_identities()
               and linear_relations() == ())
     return {"homomorphism": hom_ok, "intertwines_subspaces": intertwine_ok,
             "sign_identity": sign_ok}
@@ -504,16 +513,15 @@ def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
     is not certified.
 
     Sampled: ``samples_used`` = max(samples, 3 * monomial count) seeded
-    integer configurations, each giving the 14 standard products through
-    ``mu_vector``.  ``stable`` means that every relation of the basis
-    vanishes exactly at every sample, evaluated on its few nonzero terms,
-    and that the rows of monomial values at the first ``samples`` reach rank
-    monomial count - dimension mod 2**31 - 1.  The rows are built one at a
-    time, and none once that rank is reached.  The rank mod p is a lower
-    bound on the rank over Q, so the kernel has at most ``dimension``
-    vectors: the upper bound by counting, and a true ``stable`` proves that
-    the basis spans the whole kernel.  An unlucky prime can only make it
-    false.
+    integer configurations are drawn.  ``stable`` means that the rows of
+    monomial values at the first ``samples``, from the standard products
+    through ``mu_vector``, reach rank monomial count - dimension mod
+    2**31 - 1.  The rows are built one at a time, and none once that rank
+    is reached (a degree-1 basis is not proved to hold relations, so there
+    it may run on).  The rank mod p is a lower bound on the rank over Q, so
+    the kernel has at most ``dimension`` vectors: the upper bound by
+    counting, and a true ``stable`` proves that the basis spans the whole
+    kernel.  An unlucky prime can only make it false.
     """
     if degree not in (1, 2):
         raise ValueError("relations are certified in degrees 1 and 2 only")
@@ -527,46 +535,19 @@ def relation_discovery(degree: int, samples: int = 300, seed: int = 42) -> dict:
     supports = [([i for i, e in enumerate(m) for _ in range(e)] + [14])[:2]
                 for m in monomials]
     rng = SplitMix64(seed)
-    values = [mu_vector(sample_config(rng)) + (1,) for _ in range(max(samples, 3 * n_mon))]
-    relations = _relation_terms(basis, supports)
+    configs = [sample_config(rng) for _ in range(max(samples, 3 * n_mon))]
+    values = (mu_vector(config) + (1,) for config in configs[:samples])
     rank = n_mon - len(basis)
     return {
         "degree": degree,
         "monomials": monomials,
         "monomial_count": n_mon,
-        "samples_used": len(values),
+        "samples_used": len(configs),
         "dimension": len(basis),
         "basis": basis,
-        "stable": _annihilates(relations, values)
-        and linalg.rank_mod_p(([v[i] * v[j] for i, j in supports] for v in values[:samples]),
-                              n_mon, rank) == rank,
+        "stable": linalg.rank_mod_p(([v[i] * v[j] for i, j in supports] for v in values),
+                                    n_mon, n_mon if degree == 1 else rank) == rank,
     }
-
-
-def _relation_terms(basis, supports) -> list[list[tuple[int, int, int]]]:
-    """Each relation of a basis over quadratic monomials, given by their index
-    pairs, as its nonzero terms (i, j, c): c x_i x_j, c an integer."""
-    return [[(i, j, c) for (i, j), c in zip(supports, vec) if c] for vec in basis]
-
-
-def _annihilates(relations, samples) -> bool:
-    """Whether each relation, as its terms (i, j, c), vanishes exactly at
-    each sample of values x: the sum of c x_i x_j is 0.  The relations are
-    evaluated at a sample at once: relation r sits in slot r of packed
-    coefficients, one per monomial, so a sample gives one int whose slot r
-    holds the value of relation r.  Slots are wider than sum |c| times the
-    largest x_i x_j of any sample, which bounds every value, so the int is
-    0 exactly when every relation vanishes.  ``samples`` is a list.  One sum
-    per sample replaces one per relation and sample."""
-    size = max((max(map(abs, x)) for x in samples), default=0)
-    weight = max((sum(abs(c) for _, _, c in terms) for terms in relations), default=0)
-    width = (weight * size * size).bit_length() + 1
-    packed: dict[tuple[int, int], int] = {}
-    for r, terms in enumerate(relations):
-        for i, j, c in terms:
-            packed[i, j] = packed.get((i, j), 0) + (c << width * r)
-    terms = [(i, j, c) for (i, j), c in packed.items()]
-    return not any(sum(c * (x[i] * x[j]) for i, j, c in terms) for x in samples)
 
 
 def mu_function_rank() -> int | None:
@@ -592,30 +573,30 @@ SEED_BINOMIAL = (((0, 6), 1), ((1, 5), -1))
 def quadric_closure() -> tuple[tuple[tuple[int, ...], ...], bool]:
     """The span of the S8-orbit of ``SEED_BINOMIAL`` among the degree-2
     monomials, in the canonical basis of integer rows, and whether it is
-    certified: the seed expands to zero and the straightening expansions
-    are polynomial identities, so each action matrix is the substitution
-    moving the points and carries relations to relations.  The seed's terms
+    certified: the seed expands to zero, each action matrix passes the
+    identity that makes it the substitution moving the points
+    (``_substitution``), so it carries relations to relations, and the
+    straightening expansions are polynomial identities.  The seed's terms
     cancel as multisets of the eight minors each multiplies.  Uncertified,
     nothing is built.  Each generator pulls forms back through its table of
-    monomial images (``_monomial_images``), built once per call.  The
-    generator images of each vector that enlarged the span are fed, breadth
-    first, to one echelon form with reversed columns until none enlarges it;
-    the span then holds its own images, so S8 preserves it.
-    ``linalg.free_column_basis`` reads off the basis.
-    The orbit generates the whole ideal of relations (Howard, Millson,
-    Snowden and Vakil, Duke Math. J. 146, 2009).
+    monomial images (``_monomial_images``) of the checked matrices, built
+    once per call.  The generator images of each vector that
+    enlarged the span are fed, breadth first, to one echelon form with
+    reversed columns until none enlarges it; the span then holds its own
+    images, so S8 preserves it.  ``linalg.free_column_basis`` reads off the
+    basis.  The orbit generates the whole ideal of relations (Howard,
+    Millson, Snowden and Vakil, Duke Math. J. 146, 2009).
     """
     position = quadric_positions()
     standard = standard_tableaux()
-    seed = [0] * len(position)
+    seed, minors = [0] * len(position), Counter()
     for (a, b), coeff in SEED_BINOMIAL:
         seed[position[min(a, b), max(a, b)]] += coeff
-    minors = Counter()
-    for (a, b), coeff in SEED_BINOMIAL:
         minors[tuple(sorted(standard[a] + standard[b]))] += coeff
-    if any(minors.values()) or not _straightening_identities():
+    matrices, substitutes = _substitution()
+    if any(minors.values()) or not (substitutes and _straightening_identities()):
         return (), False
-    tables = [_monomial_images(action_matrix(s)) for s in ADJACENT_TRANSPOSITIONS]
+    tables = [_monomial_images(matrix) for matrix in matrices]
     ech = linalg.EchelonForm(len(position))
     frontier = [seed] if ech.add_row(seed[::-1]) else []
     while frontier:
@@ -628,13 +609,8 @@ def quadric_kernel_s8_stable() -> bool:
     """The degree-2 relations are carried into themselves by S8: the span
     ``quadric_closure`` builds is closed under the seven adjacent
     transpositions, which generate S8, and consists of relations when it is
-    certified.  It is the whole kernel by the upper bound of
-    ``relation_discovery(2)``, when that is ``stable``.  Every basis vector
-    must also vanish exactly at the affine points 1..8, where a wrong action
-    matrix that carries the span beyond the relations shows."""
-    basis, certified = quadric_closure()
-    point = mu_vector(tuple((1, x) for x in LABELS))
-    return certified and _annihilates(_relation_terms(basis, quadric_positions()), [point])
+    certified; the whole kernel when ``relation_discovery(2)`` is ``stable``."""
+    return quadric_closure()[1]
 
 
 @lru_cache(maxsize=None)

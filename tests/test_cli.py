@@ -121,7 +121,9 @@ def test_compute_misuse_exits_2_with_message():
                  ["theta", "--config", "[1,2,3,4,5,6,7,8]"],
                  # 67 has bit 6 set; an empty list must not fall back to --index 0
                  ["fv", "--generators", "67,12,48"], ["fv", "--generators="],
-                 ["fv", "--generators", "3,x,48"], ["fv", "--generators=-3,12,48"]):
+                 ["fv", "--generators", "3,x,48"], ["fv", "--generators=-3,12,48"],
+                 # nesting deeper than the JSON decoder's recursion limit
+                 ["theta", "--config", "[" * 1000]):
         proc = run_cli("compute", *args)
         assert proc.returncode == 2, args
         assert proc.stderr.startswith("error: "), args

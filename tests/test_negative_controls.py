@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from octet import checks, lattices, qseries, tableaux
+import oracles
 
 GOLDEN = {json.loads(line)["name"]: line for line in
           (Path(__file__).parent / "golden" / "verify_all_seed42.jsonl").read_text().splitlines()}
@@ -121,6 +122,23 @@ def _generators_negated(monkeypatch):
                         lambda sigma: [[-x for x in row] for row in action_matrix(sigma)])
 
 
+def _leading_monomial_shared(monkeypatch):
+    """Give one standard product, as the leading-monomial system reads it,
+    the leading monomial of another: the system then has equal rows and a
+    kernel."""
+    standard = tableaux.standard_tableaux()
+    polys = [oracles.tableau_polynomial(t) for t in standard]
+    top = max(range(14), key=lambda j: max(polys[j]))
+    other = next(j for j in range(14) if j != top and max(polys[top]) not in polys[j])
+    leading = tableaux._leading_coefficient
+
+    def shared(f, g):
+        # the leading monomial of other is that of top, with coefficient 1 in other
+        g = standard[top] if g == standard[other] else g
+        return 1 if (f, g) == (standard[other], standard[top]) else leading(f, g)
+    monkeypatch.setattr(tableaux, "_leading_coefficient", shared)
+
+
 def _generator_entry_raised(monkeypatch):
     """Entry (0, 0) of the action matrix of the transposition (3 4) raised by one."""
     action_matrix = tableaux.action_matrix
@@ -186,13 +204,21 @@ STRUCTURE_CONTROLS = {
     # coefficient off by one
     "straighten_coefficient_raised": ("tableaux", _straighten_coefficient_raised(104),
                                       STRAIGHTENING_LINES),
-    # only the identity that defines the action matrices tells -M from M
-    "every_generator_negated": ("tableaux", _generators_negated, {"tableaux.equivariance"}),
+    # only the identity that defines the action matrices tells -M from M; the
+    # closure requires it of the matrices it pulls back through
+    "every_generator_negated": ("tableaux", _generators_negated,
+                                {"tableaux.equivariance", "tableaux.degree2_kernel",
+                                 "tableaux.quadrics_s8_stable"}),
     # a wrong generator fails its identity and carries the quadrics off the
     # relations
     "generator_entry_raised": ("tableaux", _generator_entry_raised,
                                {"tableaux.equivariance", "tableaux.degree2_kernel",
                                 "tableaux.quadrics_s8_stable"}),
+    # a kernel of the leading-monomial system: the standard products are no
+    # longer proved independent, and no rank of the 105 products is read off
+    "leading_monomial_shared": ("tableaux", _leading_monomial_shared,
+                                {"tableaux.degree1_kernel", "tableaux.equivariance",
+                                 "tableaux.mu_function_rank"}),
     # the pair classes of some tableaux span less than a plane triple, and the
     # transpositions act on the model through the wrong classes
     "theta_dictionary_entries_1_2_swapped": (
@@ -210,6 +236,9 @@ STRUCTURE_CONTROLS = {
 TAUTOLOGIES = {
     "qseries.h00_plus_7h0_zero": "h00 = 56 A and h0 = -8 A scale one series A, "
                                  "so h00 + 7 h0 = 0 by construction",
+    "lattice.split_dictionary_found": "the table is linear_table of six independent "
+                                      "images found by find_isomorphism, so its 64 entries "
+                                      "are distinct; with no isometry the search raises",
 }
 
 
@@ -223,7 +252,8 @@ def test_the_control_registers_name_golden_lines_and_do_not_overlap():
 
 # the cached objects that the structure controls change inputs of
 STRUCTURE_CACHES = (lattices.order_four_isometry, lattices._rho_identities,
-                    tableaux._straightening_identities, tableaux.quadric_closure)
+                    tableaux._straightening_identities, tableaux.quadric_closure,
+                    tableaux.linear_relations)
 
 
 @pytest.fixture
@@ -253,3 +283,6 @@ def test_the_structure_controls_change_what_they_name(monkeypatch, fresh_structu
     assert values[0] != values[1]
     _table1_transcendental(4, "A1^2+A1(-1)^2")(monkeypatch)
     assert lattices.table1_checks() == [True] * 4 + [False] + [True] * 5
+    _leading_monomial_shared(monkeypatch)
+    assert len(tableaux.linear_relations()) == 1
+    assert tableaux.relation_discovery(1, 75, 42)["dimension"] == 1
